@@ -223,8 +223,6 @@ class _ExprParser:
     def _promote_pair(self, a, b, op):
         if isinstance(a, SkewPoly) or isinstance(b, SkewPoly):
             return self.ctx.as_poly(a, op), self.ctx.as_poly(b, op)
-        if isinstance(a, Matrix) or isinstance(b, Matrix):
-            return a, b
         return a, b
 
     def _add(self, a, b, op):
@@ -338,7 +336,7 @@ def parse_tower_text(text: str) -> OreTower:
 
     levels = [TowerLevel(name) for name in names]
     for i, (_kind, items, _line) in enumerate(level_sections):
-        shell = OreTower(base, [_shallow_level(l) for l in levels])
+        shell = OreTower(base, levels)
         levels[i] = _parse_level(base, shell, names, i, items)
     return OreTower(base, levels)
 
@@ -346,17 +344,6 @@ def parse_tower_text(text: str) -> OreTower:
 def parse_tower_file(path: str) -> OreTower:
     with open(path, encoding="utf-8") as fh:
         return parse_tower_text(fh.read())
-
-
-def _shallow_level(lvl: TowerLevel) -> TowerLevel:
-    return TowerLevel(
-        name=lvl.name,
-        sigma_base=lvl.sigma_base,
-        delta_base=lvl.delta_base,
-        sigma_vars={j: (a, dict(c)) for j, (a, c) in lvl.sigma_vars.items()},
-        delta_vars={j: dict(d) for j, d in lvl.delta_vars.items()},
-        q=lvl.q,
-    )
 
 
 def _split_sections(text: str):
@@ -467,7 +454,7 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
                 sigma_vars[j] = _split_sigma_image(val, j, line)
             else:
                 _check_support(val, index, line)
-                delta_vars[j] = dict(val.terms)
+                delta_vars[j] = val.terms
         else:
             raise ParseError(line, 1, f"unknown level key {key!r}")
 
@@ -683,6 +670,9 @@ def run(argv) -> int:
     except FileNotFoundError:
         print(f"error: no such file: {args.tower}", file=sys.stderr)
         return 2
+    except OSError as exc:
+        print(f"error: cannot read {args.tower}: {exc.strerror or exc}", file=sys.stderr)
+        return 2
     except (ParseError, FieldMismatch, ValueError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
@@ -797,7 +787,7 @@ def _dispatch(args, tower: OreTower):
         return report, 0, "\n".join(lines)
 
     if command == "swap":
-        level = _level_arg(args, tower)
+        level = _level_arg(args, tower, lowest=2)
         caught: list[str] = []
         with _warnings.catch_warnings(record=True) as records:
             _warnings.simplefilter("always")
@@ -878,11 +868,13 @@ def _expr_context(tower: OreTower) -> _Context:
     )
 
 
-def _level_arg(args, tower: OreTower) -> int:
-    level = args.level - 1
-    if not 0 <= level < tower.height:
-        raise ParseError(1, 1, f"level {args.level} out of range")
-    return level
+def _level_arg(args, tower: OreTower, lowest: int = 1) -> int:
+    """The 0-based index of the 1-based ``--level``, checked against [lowest, height]."""
+    if not lowest <= args.level <= tower.height:
+        raise ParseError(
+            1, 1, f"level {args.level} out of range {lowest}..{tower.height}"
+        )
+    return args.level - 1
 
 
 def _witness_json(wit) -> dict:

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import itertools
 import warnings as _warnings
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import (
     CompatibilityFailed,
@@ -33,14 +33,8 @@ from .errors import (
     UnsupportedErasure,
 )
 from .scalars import Matrix, solve_linear_system
-from .skewpoly import SkewPoly, apply_level_map, degree_leading, is_central
-from .tower import (
-    BaseMap,
-    OreTower,
-    TowerLevel,
-    check_swap_compatibility,
-    validate_tower,
-)
+from .skewpoly import SkewPoly, _is_zero_elem, apply_level_map, degree_leading, is_central
+from .tower import BaseMap, OreTower, _level_generators, check_swap_compatibility
 
 
 @dataclass
@@ -61,17 +55,6 @@ class ErasureResult:
     new_tower: OreTower
     witnesses: list[ErasureWitness]
     warnings: list[str] = dc_field(default_factory=list)
-
-
-def _copy_level(lvl: TowerLevel) -> TowerLevel:
-    return TowerLevel(
-        name=lvl.name,
-        sigma_base=lvl.sigma_base,
-        delta_base=lvl.delta_base,
-        sigma_vars={j: (a, dict(c)) for j, (a, c) in lvl.sigma_vars.items()},
-        delta_vars={j: dict(d) for j, d in lvl.delta_vars.items()},
-        q=lvl.q,
-    )
 
 
 def _erased_name(name: str) -> str:
@@ -184,31 +167,19 @@ def _is_regular_monomial(tower: OreTower, p: SkewPoly) -> bool:
 
 
 def _assert_sigma_relation(tower: OreTower, top: int, y: SkewPoly) -> None:
-    for g in _below_generators(tower, top):
+    for g in _level_generators(tower, top):
         if y * g != apply_level_map("sigma", top, g) * y:
             raise UnsupportedErasure(
                 f"internal check failed: y r != sigma(r) y for r = {g}"
             )
 
 
-def _below_generators(tower: OreTower, top: int) -> list[SkewPoly]:
-    gens = [SkewPoly.from_base(tower, g) for g in tower.base.generators()]
-    gens.extend(SkewPoly.variable(tower, j) for j in range(top))
-    return gens
-
-
 def _zero_top_delta(tower: OreTower) -> OreTower:
-    levels = [_copy_level(l) for l in tower.levels]
-    top = levels[-1]
-    levels[-1] = TowerLevel(
-        name=_erased_name(top.name),
-        sigma_base=top.sigma_base,
-        delta_base=BaseMap.zero(),
-        sigma_vars=top.sigma_vars,
-        delta_vars={j: {} for j in top.delta_vars},
-        q=top.q,
+    top = tower.levels[-1]
+    erased = replace(
+        top, name=_erased_name(top.name), delta_base=BaseMap.zero(), delta_vars={}
     )
-    return OreTower(tower.base, levels)
+    return OreTower(tower.base, tower.levels[:-1] + (erased,))
 
 
 def _inner_branch(tower: OreTower):
@@ -328,15 +299,12 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     def remap_terms(terms: dict) -> dict:
         return {remap_exp(e): coeff for e, coeff in terms.items()}
 
-    new_levels = [_copy_level(l) for l in tower.levels[:p]]
+    new_levels = list(tower.levels[:p])
 
-    moved_down = TowerLevel(
-        name=hi.name,
-        sigma_base=hi.sigma_base,
-        delta_base=hi.delta_base,
-        sigma_vars={j: (a, dict(ct)) for j, (a, ct) in hi.sigma_vars.items() if j < p},
-        delta_vars={j: dict(dt) for j, dt in hi.delta_vars.items() if j < p},
-        q=hi.q,
+    moved_down = replace(
+        hi,
+        sigma_vars={j: v for j, v in hi.sigma_vars.items() if j < p},
+        delta_vars={j: v for j, v in hi.delta_vars.items() if j < p},
     )
     q_kept = lo.q if (lo.q is None or compat.q_preserved) else None
     if lo.q is not None and q_kept is None:
@@ -345,24 +313,15 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
             f"is no longer q-skew",
             stacklevel=2,
         )
-    moved_up = TowerLevel(
-        name=lo.name,
-        sigma_base=lo.sigma_base,
-        delta_base=lo.delta_base,
-        sigma_vars={
-            **{j: (a, dict(ct)) for j, (a, ct) in lo.sigma_vars.items() if j < p},
-            p: (tower.base.invert(lam), {}),
-        },
-        delta_vars={
-            **{j: dict(dt) for j, dt in lo.delta_vars.items() if j < p},
-            p: {},
-        },
+    moved_up = replace(
+        lo,
+        sigma_vars={**lo.sigma_vars, p: (tower.base.invert(lam), {})},
+        delta_vars={**lo.delta_vars, p: {}},
         q=q_kept,
     )
     new_levels.extend([moved_down, moved_up])
 
-    for k in range(upper + 1, tower.height):
-        old = tower.levels[k]
+    for old in tower.levels[upper + 1 :]:
         sigma_vars, delta_vars = {}, {}
         for j, (a, ct) in old.sigma_vars.items():
             nj = p + 1 if j == p else (p if j == p + 1 else j)
@@ -370,16 +329,7 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
         for j, dt in old.delta_vars.items():
             nj = p + 1 if j == p else (p if j == p + 1 else j)
             delta_vars[nj] = remap_terms(dt)
-        new_levels.append(
-            TowerLevel(
-                name=old.name,
-                sigma_base=old.sigma_base,
-                delta_base=old.delta_base,
-                sigma_vars=sigma_vars,
-                delta_vars=delta_vars,
-                q=old.q,
-            )
-        )
+        new_levels.append(replace(old, sigma_vars=sigma_vars, delta_vars=delta_vars))
     try:
         return OreTower(tower.base, new_levels)
     except ValueError as exc:
@@ -408,7 +358,7 @@ def erase_all(
     n = tower.height
     collected_warnings: list[str] = []
 
-    working = OreTower(tower.base, [_copy_level(l) for l in tower.levels])
+    working = tower
     embed = [SkewPoly.variable(tower, i) for i in range(n)]
     orig = list(range(n))
     y_elements: list[SkewPoly | None] = [None] * n
@@ -446,22 +396,13 @@ def erase_all(
                 changed = True
 
     # trivially-erased levels kept their variable name; settle on y names
-    renamed = []
-    for pos, lvl in enumerate(working.levels):
-        target = _erased_name(tower.levels[orig[pos]].name)
-        renamed.append(
-            lvl if lvl.name == target else TowerLevel(
-                name=target,
-                sigma_base=lvl.sigma_base,
-                delta_base=lvl.delta_base,
-                sigma_vars=lvl.sigma_vars,
-                delta_vars=lvl.delta_vars,
-                q=lvl.q,
-            )
-        )
+    renamed = [
+        replace(lvl, name=_erased_name(tower.levels[orig[pos]].name))
+        for pos, lvl in enumerate(working.levels)
+    ]
     working = OreTower(working.base, renamed)
 
-    report = validate_tower(working)
+    report = working.validation
     if not report.ok:
         raise RuntimeError(
             f"erasure produced an invalid tower: {report.first_failure}"
@@ -488,7 +429,7 @@ def _swap_collect(working: OreTower, upper: int, sink: list[str]) -> OreTower:
 
 
 def _check_erase_hypotheses(tower: OreTower, search_degree_bound: int) -> None:
-    report = validate_tower(tower)
+    report = tower.validation
     if not report.ok:
         raise HypothesisViolation(f"tower is invalid: {report.first_failure}")
     base = tower.base
@@ -511,8 +452,7 @@ def _check_erase_hypotheses(tower: OreTower, search_degree_bound: int) -> None:
                     raise HypothesisViolation(
                         f"sigma_{k + 1} moves lambda[{i + 1},{j + 1}]"
                     )
-                dk = tower.apply_delta0(k, lam)
-                if not (dk.is_zero() if hasattr(dk, "is_zero") else not dk):
+                if not _is_zero_elem(tower.apply_delta0(k, lam)):
                     raise HypothesisViolation(
                         f"delta_{k + 1} does not kill lambda[{i + 1},{j + 1}]"
                     )

@@ -10,12 +10,13 @@ presentation to presentation; the element-level leading-form map is
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
+from .erase import _erased_name
 from .errors import HypothesisViolation
 from .skewpoly import SkewPoly, degree_leading
-from .tower import BaseMap, OreTower, TowerLevel, validate_tower
+from .tower import BaseMap, OreTower
 
 
 @dataclass
@@ -49,7 +50,6 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
                 )
 
     steps: list[GradedStep] = []
-    names = tower.level_names()
     for idx in range(tower.height - 1, -1, -1):
         lvl = tower.levels[idx]
         dropped_vars = [j for j, terms in lvl.delta_vars.items() if terms]
@@ -67,31 +67,24 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
             )
         )
 
-    new_levels = []
-    for idx, lvl in enumerate(tower.levels):
-        new_levels.append(
-            TowerLevel(
-                name=_graded_name(names[idx]),
-                sigma_base=lvl.sigma_base,
-                delta_base=BaseMap.zero(),
-                sigma_vars={j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
-                delta_vars={j: {} for j in range(idx)},
-                q=None,
-            )
+    new_levels = [
+        replace(
+            lvl,
+            name=_erased_name(lvl.name),
+            delta_base=BaseMap.zero(),
+            sigma_vars={j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
+            delta_vars={},
+            q=None,
         )
+        for lvl in tower.levels
+    ]
     result = OreTower(base, new_levels)
-    report = validate_tower(result)
+    report = result.validation
     if not report.ok:
         raise HypothesisViolation(
             f"degenerated presentation is not a valid tower: {report.first_failure}"
         )
     return GradedPresentation(source=tower, result=result, step_log=steps)
-
-
-def _graded_name(name: str) -> str:
-    if name.startswith("x"):
-        return "y" + name[1:]
-    return "y_" + name
 
 
 @dataclass

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .scalars import root_of_unity_order
 from .skewpoly import SkewPoly, is_central
-from .tower import OreTower, map_order, validate_tower
+from .tower import OreTower, map_order
 
 _QUOTIENT_NOTE = (
     "quotient-ring isomorphism and identity-degree claims carry no finite "
@@ -43,9 +43,8 @@ def pi_report(tower: OreTower, order_bound: int = 60) -> PIReport:
     is a root of unity.
     """
     report = PIReport(notes=[_QUOTIENT_NOTE])
-    validation = validate_tower(tower) if tower.validated == "unchecked" else tower.validation_report
-    if validation is not None and not validation.ok:
-        report.reason = f"tower invalid: {validation.first_failure}"
+    if not tower.validation.ok:
+        report.reason = f"tower invalid: {tower.validation.first_failure}"
         return report
 
     base = tower.base

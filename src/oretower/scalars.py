@@ -172,14 +172,6 @@ def _pxgcd(a, b, zero, one) -> tuple[tuple, tuple, tuple]:
     return r0, s0, t0
 
 
-def _peval(a, x, zero):
-    """Horner evaluation; x may live in a larger field than the coefficients."""
-    acc = zero
-    for c in reversed(a):
-        acc = acc * x + c
-    return acc
-
-
 @functools.lru_cache(maxsize=None)
 def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
     """Coefficients of the n-th cyclotomic polynomial, by Moebius-factored division."""

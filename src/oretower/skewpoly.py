@@ -116,9 +116,6 @@ class SkewPoly:
     def is_base_element(self) -> bool:
         return all(not any(exp) for exp in self.terms)
 
-    def monomial_coefficient(self, exp):
-        return self.terms.get(tuple(exp), self.tower.base.zero)
-
     # -- ring operations --------------------------------------------------
 
     def _coerce_operand(self, other):

@@ -15,7 +15,8 @@ generating set.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field
+import functools
+from dataclasses import dataclass, field as dc_field, replace
 from fractions import Fraction
 
 from .errors import NotDiagonal, ScalarError
@@ -26,6 +27,7 @@ from .scalars import (
     RationalField,
     RationalFunctionField,
     Scalar,
+    _dot,
     solve_linear_system,
 )
 from .skewpoly import SkewPoly, _is_zero_elem, apply_level_map
@@ -104,10 +106,6 @@ class BaseRing:
             return [gen] if gen is not None else [self.one]
         return self.basis()
 
-    @property
-    def center_basis(self) -> list:
-        return [self.one]
-
     def is_invertible(self, el) -> bool:
         if self.kind == "field":
             return not el.is_zero()
@@ -148,7 +146,7 @@ class BaseRing:
 # maps on the base ring
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class BaseMap:
     """Action of a level map on the base ring.
 
@@ -217,16 +215,12 @@ class BaseMap:
     def is_trivial(self) -> bool:
         """Identity (sigma) or zero map (delta)."""
         if self.kind == "sigma":
-            if self.field_action is not None and self.field_action != _gen_of(self.field_action.field):
+            if self.field_action is not None and self.field_action != self.field_action.field.gen:
                 return False
             return self.linear_action is None or _is_identity_matrix(self.linear_action)
         if self.field_action is not None and not self.field_action.is_zero():
             return False
         return self.linear_action is None or self.linear_action.is_zero()
-
-
-def _gen_of(field):
-    return field.gen
 
 
 def _is_identity_matrix(m: Matrix) -> bool:
@@ -261,20 +255,7 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap | No
 
 
 def _vec_apply(action: Matrix, vec: list) -> list:
-    return [
-        _sum_products(row, vec, action.field)
-        for row in action.rows
-    ]
-
-
-def _sum_products(row, vec, field):
-    acc = None
-    for a, b in zip(row, vec):
-        if a.is_zero() or b.is_zero():
-            continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else field.zero
+    return [_dot(row, vec, action.field) for row in action.rows]
 
 
 def _field_auto_apply(field, image: Scalar | None, s: Scalar) -> Scalar:
@@ -333,22 +314,22 @@ def _poly_deriv(field, coeffs, gen, sigma_gen, d, lift):
         if k > 0:
             power_deriv = sigma_gen * power_deriv + d * gen_pow
             gen_pow = gen_pow * gen
-        if not _coeff_is_zero(c):
+        if not _is_zero_elem(c):
             total = total + lift(c) * power_deriv
     return total
-
-
-def _coeff_is_zero(c) -> bool:
-    return c.is_zero() if hasattr(c, "is_zero") else not c
 
 
 # ---------------------------------------------------------------------------
 # levels and towers
 
 
-@dataclass(eq=True)
+@dataclass(frozen=True)
 class TowerLevel:
-    """One level of the tower: its maps on the base and on lower variables."""
+    """One level of the tower: its maps on the base and on lower variables.
+
+    Levels are frozen; derive a changed level with ``dataclasses.replace``.
+    A tower never writes into the dicts of the levels it is given.
+    """
 
     name: str
     sigma_base: BaseMap = dc_field(default_factory=BaseMap.identity)
@@ -364,15 +345,28 @@ class TowerLevel:
 
 
 class OreTower:
-    """Presentation of an iterated Ore extension over its base ring."""
+    """Presentation of an iterated Ore extension over its base ring.
+
+    ``levels`` is a tuple of normalised copies of the given levels: entries
+    coerced into the base, zero terms dropped, and every lower variable
+    mapped (identity sigma, zero delta by default).
+    """
 
     def __init__(self, base: BaseRing, levels):
+        levels = list(levels)
+        names = [lvl.name for lvl in levels]
+        if len(set(names)) != len(names):
+            raise ValueError("duplicate level names")
         self.base = base
-        self.levels = list(levels)
-        self.validated = "unchecked"
-        self.validation_report = None
+        self.levels = tuple(
+            _normalised_level(base, len(levels), i, lvl) for i, lvl in enumerate(levels)
+        )
         self._mul_cache: dict = {}
-        self._check_structure()
+
+    @functools.cached_property
+    def validation(self) -> "ValidationReport":
+        """The validation report at the default sample budget, computed once."""
+        return validate_tower(self)
 
     # -- structure ---------------------------------------------------------
 
@@ -388,43 +382,6 @@ class OreTower:
             if lvl.name == name:
                 return i
         raise KeyError(name)
-
-    def _clean_terms(self, terms: dict, max_level: int, what: str) -> dict:
-        out = {}
-        for exp, coeff in terms.items():
-            exp = tuple(exp)
-            if len(exp) != self.height:
-                raise ValueError(f"exponent length mismatch in {what}")
-            if any(exp[k] for k in range(max_level, self.height)):
-                raise ValueError(f"{what} involves a level >= {max_level + 1}")
-            coeff = self.base.coerce(coeff)
-            if not _is_zero_elem(coeff):
-                out[exp] = coeff
-        return out
-
-    def _check_structure(self) -> None:
-        names = self.level_names()
-        if len(set(names)) != len(names):
-            raise ValueError("duplicate level names")
-        for i, lvl in enumerate(self.levels):
-            for j, (a, c_terms) in list(lvl.sigma_vars.items()):
-                if not 0 <= j < i:
-                    raise ValueError(f"level {i} maps variable {j} outside its scope")
-                lvl.sigma_vars[j] = (
-                    self.base.coerce(a),
-                    self._clean_terms(c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})"),
-                )
-            for j, d_terms in list(lvl.delta_vars.items()):
-                if not 0 <= j < i:
-                    raise ValueError(f"level {i} maps variable {j} outside its scope")
-                lvl.delta_vars[j] = self._clean_terms(
-                    d_terms, i, f"delta_{i + 1}(x_{j + 1})"
-                )
-            for j in range(i):
-                lvl.sigma_vars.setdefault(j, (self.base.one, {}))
-                lvl.delta_vars.setdefault(j, {})
-            if lvl.q is not None:
-                lvl.q = self.base.field.coerce(lvl.q)
 
     def __eq__(self, other):
         return (
@@ -492,8 +449,39 @@ class OreTower:
     def delta_var(self, i: int, j: int) -> SkewPoly:
         return SkewPoly(self, self.delta_var_raw(i, j))
 
-    def q_of(self, i: int) -> Scalar | None:
-        return self.levels[i].q
+
+def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> TowerLevel:
+    sigma_vars, delta_vars = {}, {}
+    for j, (a, c_terms) in lvl.sigma_vars.items():
+        if not 0 <= j < i:
+            raise ValueError(f"level {i} maps variable {j} outside its scope")
+        sigma_vars[j] = (
+            base.coerce(a),
+            _clean_terms(base, height, c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})"),
+        )
+    for j, d_terms in lvl.delta_vars.items():
+        if not 0 <= j < i:
+            raise ValueError(f"level {i} maps variable {j} outside its scope")
+        delta_vars[j] = _clean_terms(base, height, d_terms, i, f"delta_{i + 1}(x_{j + 1})")
+    for j in range(i):
+        sigma_vars.setdefault(j, (base.one, {}))
+        delta_vars.setdefault(j, {})
+    q = None if lvl.q is None else base.field.coerce(lvl.q)
+    return replace(lvl, sigma_vars=sigma_vars, delta_vars=delta_vars, q=q)
+
+
+def _clean_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
+    out = {}
+    for exp, coeff in terms.items():
+        exp = tuple(exp)
+        if len(exp) != height:
+            raise ValueError(f"exponent length mismatch in {what}")
+        if any(exp[k] for k in range(max_level, height)):
+            raise ValueError(f"{what} involves a level >= {max_level + 1}")
+        coeff = base.coerce(coeff)
+        if not _is_zero_elem(coeff):
+            out[exp] = coeff
+    return out
 
 
 # ---------------------------------------------------------------------------
@@ -641,6 +629,9 @@ def _level_generators(tower: OreTower, i: int) -> list[SkewPoly]:
 def validate_tower(tower: OreTower, sample_budget: int = 25) -> ValidationReport:
     """Run every level's axiom checks; exact identities throughout.
 
+    The report is returned, never stored on the tower; ``tower.validation``
+    memoises the report at the default ``sample_budget``.
+
     Checks per level i: (a) sigma_i is multiplicative on generator pairs,
     (b) sigma_i is bijective (invertible base action, invertible a_ij),
     (c) delta_i satisfies the twisted Leibniz rule on generator pairs,
@@ -710,8 +701,6 @@ def validate_tower(tower: OreTower, sample_budget: int = 25) -> ValidationReport
                 "" if ok_fix else f"sigma(q) = {sq}, delta(q) = {dq}",
             )
 
-    tower.validated = "valid" if report.ok else "invalid"
-    tower.validation_report = report
     return report
 
 

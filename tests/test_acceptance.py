@@ -122,7 +122,7 @@ def test_criterion_4_full_erasure():
         result = erase_all(tower)
 
         out = result.new_tower
-        assert out.validated == "valid"
+        assert out.validation.ok
         a, c = out.sigma_var(1, 0)
         assert a == z and not c
 
@@ -175,7 +175,7 @@ def test_criterion_7_graded_degeneration():
         tower = three_level_graded()
         pres = associated_graded_tower(tower)
         out = pres.result
-        assert out.validated == "valid"
+        assert out.validation.ok
         a32, c32 = out.sigma_var(2, 1)
         assert a32 == 5 and not c32
         a31, c31 = out.sigma_var(2, 0)

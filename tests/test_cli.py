@@ -26,7 +26,7 @@ def test_parse_minimal_quantum_plane():
     assert tower.base.field.n == 3
     a, c = tower.sigma_var(1, 0)
     assert a == CyclotomicField(3).gen and not c
-    assert tower.validated == "unchecked"
+    assert "validation" not in vars(tower)
 
 
 def test_parse_matrix_base():
@@ -189,8 +189,17 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     bad = tmp_path / "bad.tw"
     bad.write_text("[base]\nkind = field\nfield = Q\njunk\n", encoding="utf-8")
     assert run(["validate", "--tower", str(bad)]) == 2
-    assert run(["validate", "--tower", str(tmp_path / "missing.tw")]) == 2
     capsys.readouterr()
+    missing = str(tmp_path / "missing.tw")
+    assert run(["validate", "--tower", missing]) == 2
+    assert capsys.readouterr().err == f"error: no such file: {missing}\n"
+    assert run(["validate", "--tower", str(tmp_path)]) == 2
+    assert capsys.readouterr().err.startswith(f"error: cannot read {tmp_path}")
+    # a swap moves level k below level k - 1, so level 1 has nothing below it
+    assert run(["swap", "--tower", fixture("qplane_zeta3.tw"), "--level", "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and "level 1 out of range" in captured.err
+    assert captured.out == ""
 
 
 def test_erase_all_json_report(capsys):

@@ -287,7 +287,7 @@ def test_erase_all_two_level_weyl_zeta3():
     assert result.new_tower.level_names() == ["y1", "y2"]
     a, c = result.new_tower.sigma_var(1, 0)
     assert a == z and not c
-    assert result.new_tower.validated == "valid"
+    assert result.new_tower.validation.ok
     assert result.warnings == []
 
     # relations inside the original tower
@@ -346,7 +346,7 @@ def test_erase_all_three_level_delta_on_top():
     assert validate_tower(tower).ok
     result = erase_all(tower)
     assert result.new_tower.level_names() == ["y1", "y2", "y3"]
-    assert result.new_tower.validated == "valid"
+    assert result.new_tower.validation.ok
     y1, y2, y3 = result.y_elements
     assert y1 == tower.var(0) and y2 == tower.var(1)
     assert y3 == tower.poly({(0, 1, 1): z - 1, (0, 0, 0): field.one})
@@ -413,7 +413,7 @@ def test_erase_all_matrix_height_one():
     field = tower.base.field
     e12 = Matrix.unit(field, 2, 0, 1)
     assert result.y_elements[0] == tower.var(0) - SkewPoly.from_base(tower, e12)
-    assert result.new_tower.validated == "valid"
+    assert result.new_tower.validation.ok
 
 
 def test_erase_all_four_level_quantum_space():
@@ -436,7 +436,7 @@ def test_erase_all_four_level_quantum_space():
 
     result = erase_all(tower)
     assert result.new_tower.level_names() == ["y1", "y2", "y3", "y4"]
-    assert result.new_tower.validated == "valid"
+    assert result.new_tower.validation.ok
     for i in range(4):
         assert result.y_elements[i] == tower.var(i)
         for j in range(i):
@@ -450,3 +450,23 @@ def test_erase_all_four_level_quantum_space():
 
     assert pi_report(tower).verdict == "PI"
     assert pi_report(result.new_tower).verdict == "PI"
+
+
+def test_erase_all_validates_each_tower_once(monkeypatch):
+    import oretower.tower
+    from oretower.pi import pi_report
+
+    calls = []
+    original = oretower.tower.validate_tower
+
+    def counting(tower, *args, **kwargs):
+        calls.append(tower)
+        return original(tower, *args, **kwargs)
+
+    monkeypatch.setattr(oretower.tower, "validate_tower", counting)
+    field = CyclotomicField(3)
+    tower = qweyl(field, field.gen)
+    result = erase_all(tower)
+    assert calls == [tower, result.new_tower]
+    assert pi_report(tower).verdict == "PI"
+    assert len(calls) == 2

@@ -30,7 +30,7 @@ def test_three_level_degeneration():
     assert a31 == 2 and not c31
     for i in range(out.height):
         assert out.levels[i].delta_is_zero()
-    assert out.validated == "valid"
+    assert out.validation.ok
 
     # a data preserved entrywise
     for i in range(tower.height):

@@ -1,3 +1,4 @@
+import dataclasses
 import random
 
 import pytest
@@ -38,7 +39,7 @@ def test_quantum_weyl_is_valid_and_q_skew():
     tower = qweyl(field, q)
     report = validate_tower(tower)
     assert report.ok
-    assert tower.validated == "valid"
+    assert tower.validation.ok
     # the two sides of the q-skew identity on x1, evaluated directly
     x1 = tower.var(0)
     ds = apply_level_map("delta", 1, apply_level_map("sigma", 1, x1))
@@ -66,7 +67,7 @@ def test_wrong_q_skew_is_reported():
     )
     report = validate_tower(tower)
     assert not report.ok
-    assert tower.validated == "invalid"
+    assert not tower.validation.ok
     failure = report.first_failure
     assert failure.name == "q-skew identity"
     assert "q * x1" in failure.detail and "q^2 * x1" in failure.detail
@@ -282,3 +283,25 @@ def test_tower_structure_errors():
 def test_weyl_gf5_valid_without_q():
     report = validate_tower(weyl_gf5())
     assert report.ok
+
+
+def test_tower_copies_levels_and_leaves_caller_dicts_alone():
+    field = CyclotomicField(3)
+    z = field.gen
+    sigma_vars = {1: (z, {})}
+    delta_vars = {}
+    top = TowerLevel("x3", sigma_vars=sigma_vars, delta_vars=delta_vars)
+    tower = OreTower(BaseRing.field_ring(field), [TowerLevel("x1"), TowerLevel("x2"), top])
+    assert sigma_vars == {1: (z, {})} and delta_vars == {}
+    assert top.sigma_vars is sigma_vars and top.delta_vars is delta_vars
+    # the tower's own copy maps every lower variable
+    assert tower.levels[2].sigma_vars == {1: (z, {}), 0: (field.one, {})}
+    assert tower.levels[2].delta_vars == {0: {}, 1: {}}
+
+
+def test_tower_levels_are_frozen():
+    tower = qplane(QQ, 2)
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tower.levels[1].q = QQ.one
+    with pytest.raises(dataclasses.FrozenInstanceError):
+        tower.levels[1].sigma_base.field_action = QQ.one
