@@ -29,6 +29,7 @@ variables; adjacency multiplies, so rendered polynomials such as
 from __future__ import annotations
 
 import argparse
+import contextlib
 import json
 import sys
 import warnings as _warnings
@@ -74,6 +75,10 @@ class _Token:
 
 _SYMBOLS = "+-*/^()[],"
 
+# nesting of parentheses, matrix brackets and unary minus signs in one
+# expression; the parser recurses once per level
+MAX_EXPR_NESTING = 64
+
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     tokens = []
@@ -112,6 +117,7 @@ class _ExprParser:
         self.tokens = tokens
         self.pos = 0
         self.ctx = context
+        self.depth = 0
 
     def peek(self) -> _Token:
         return self.tokens[self.pos]
@@ -126,6 +132,14 @@ class _ExprParser:
         if tok.kind != kind:
             raise ParseError(tok.line, tok.col, f"expected {kind!r}, found {tok.value!r}")
         return tok
+
+    @contextlib.contextmanager
+    def nested(self, tok: _Token):
+        self.depth += 1
+        if self.depth > MAX_EXPR_NESTING:
+            raise ParseError(tok.line, tok.col, "expression nested too deeply")
+        yield
+        self.depth -= 1
 
     def parse(self):
         value = self.expr()
@@ -162,7 +176,8 @@ class _ExprParser:
         tok = self.peek()
         if tok.kind == "-":
             self.take()
-            return self._neg(self.unary())
+            with self.nested(tok):
+                return self._neg(self.unary())
         return self.power()
 
     def power(self):
@@ -182,11 +197,13 @@ class _ExprParser:
         if tok.kind == "num":
             return self.ctx.field.coerce(tok.value)
         if tok.kind == "(":
-            value = self.expr()
-            self.expect(")")
+            with self.nested(tok):
+                value = self.expr()
+                self.expect(")")
             return value
         if tok.kind == "[":
-            return self.matrix(tok)
+            with self.nested(tok):
+                return self.matrix(tok)
         if tok.kind == "ident":
             return self.ctx.resolve(tok)
         raise ParseError(tok.line, tok.col, f"unexpected {tok.value!r}")

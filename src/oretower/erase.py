@@ -33,7 +33,14 @@ from .errors import (
     UnsupportedErasure,
 )
 from .scalars import Matrix, solve_linear_system
-from .skewpoly import SkewPoly, _is_zero_elem, apply_level_map, degree_leading, is_central
+from .skewpoly import (
+    SkewPoly,
+    _is_zero_elem,
+    _substitute,
+    apply_level_map,
+    degree_leading,
+    is_central,
+)
 from .tower import BaseMap, OreTower, _level_generators, check_swap_compatibility
 
 
@@ -372,7 +379,7 @@ def erase_all(
         except (UnsupportedErasure, QEqualsOne) as exc:
             raise type(exc)(f"erasing level {orig[top] + 1}: {exc}") from exc
         _check_power_independence(working, y_w, wit, verify_degree)
-        y_orig = _eval_in(tower, y_w, embed)
+        y_orig = _substitute(tower, y_w, lambda coeff: coeff, embed.__getitem__)
         idx = orig[top]
         y_elements[idx] = y_orig
         witnesses[idx] = wit
@@ -488,17 +495,6 @@ def _check_power_independence(
                 f"powers of y are not left-independent at exponent {k}: "
                 f"leading form {lead}, expected {want}"
             )
-
-
-def _eval_in(target: OreTower, p: SkewPoly, images: list[SkewPoly]) -> SkewPoly:
-    total = SkewPoly.zero(target)
-    for exp, coeff in p.terms.items():
-        acc = SkewPoly.from_base(target, coeff)
-        for j, e in enumerate(exp):
-            if e:
-                acc = acc * images[j] ** e
-        total = total + acc
-    return total
 
 
 def _verify_relations(tower: OreTower, result_tower: OreTower, ys: list[SkewPoly]) -> None:

@@ -109,7 +109,7 @@ def rees_closure_check(
         mono = SkewPoly(tower, {exp: tower.base.one})
         image = the_map(mono)
         deg, _ = degree_leading(image, level)
-        if isinstance(deg, int) and deg > exp[level]:
+        if deg > exp[level]:
             return ReesCheck(False, mono)
     return ReesCheck(True)
 

@@ -11,10 +11,15 @@ defining relations
     x_i * b   = sigma_i(b) x_i + delta_i(b)          (b a base element)
     x_i * x_j = (a_ij x_j + c_ij) x_i + delta_i(x_j)  (j < i)
 
-Each rewrite strictly decreases the multidegree read lexicographically
-from the top variable (ties broken by inversion count), so the recursion
-terminates; expansions of x_i times a lower monomial recur constantly and
-are memoised per tower.
+A product of two terms is rewritten by a loop over the left word: its
+factors are applied to the right term from the right, top level first and
+one x_i at a time, merging like terms after every step.  Each step reads
+x_i * x^lower (lower supported below i) from a table the engine fills
+bottom-up, one lower factor at a time, and keeps in
+``OreTower._engine_table``; filling an entry at level i only multiplies
+by variables below i, so the call depth is bounded by the tower height and
+never by a degree.  Images of base elements under sigma_i and delta_i are
+memoised separately by ``OreTower.apply_sigma0`` / ``apply_delta0``.
 """
 
 from __future__ import annotations
@@ -25,32 +30,8 @@ from .errors import SupportTooHigh, TowerMismatch
 from .scalars import Matrix, Scalar
 
 
-class _MinusInfinity:
-    """Degree of the zero polynomial; compares below every integer."""
-
-    def __lt__(self, other):
-        return not isinstance(other, _MinusInfinity)
-
-    def __le__(self, other):
-        return True
-
-    def __gt__(self, other):
-        return False
-
-    def __ge__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __eq__(self, other):
-        return isinstance(other, _MinusInfinity)
-
-    def __hash__(self):
-        return hash("-inf")
-
-    def __repr__(self):
-        return "-inf"
-
-
-NEG_INF = _MinusInfinity()
+# degree of the zero polynomial; below every integer
+NEG_INF = float("-inf")
 
 
 class SkewPoly:
@@ -253,99 +234,76 @@ def _mul_terms(tower, left: dict, right: dict) -> dict:
 
 
 def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
-    """Normal form of x^word * (coeff x^mono)."""
-    top = _top_level(word)
-    if top is None:
-        return {mono: coeff}
-    inner = _var_times_term(tower, top, coeff, mono)
-    rest = _dec(word, top)
+    """Normal form of x^word * (coeff x^mono).
+
+    The factors of x^word = x_1^{w_1} ... x_n^{w_n} are applied from the
+    right, top level first and one x_i at a time, so like terms merge
+    after every step.
+    """
+    terms = {mono: coeff}
+    for i in range(len(word) - 1, -1, -1):
+        for _ in range(word[i]):
+            terms = _var_times_terms(tower, i, terms)
+    return terms
+
+
+def _var_times_terms(tower, i: int, terms: dict) -> dict:
+    """Normal form of x_i * terms, by x_i c = sigma_i(c) x_i + delta_i(c)."""
     acc: dict = {}
-    for exp, c in inner.items():
-        for exp2, c2 in _word_times_term(tower, rest, c, exp).items():
-            _add_term(acc, exp2, c2)
-    return acc
-
-
-def _var_times_term(tower, i: int, coeff, mono: tuple) -> dict:
-    """Normal form of x_i * (coeff x^mono)."""
-    acc: dict = {}
-    sig = tower.apply_sigma0(i, coeff)
-    for exp, c in _var_times_monomial(tower, i, mono).items():
-        _add_term(acc, exp, sig * c)
-    dlt = tower.apply_delta0(i, coeff)
-    if not _is_zero_elem(dlt):
-        _add_term(acc, mono, dlt)
-    return acc
-
-
-def _var_times_monomial(tower, i: int, mono: tuple) -> dict:
-    lower = tuple(e if j < i else 0 for j, e in enumerate(mono))
-    upper = tuple(e if j >= i else 0 for j, e in enumerate(mono))
-    acc: dict = {}
-    for exp, c in _var_times_lower(tower, i, lower).items():
-        shifted = tuple(a + b for a, b in zip(exp, upper))
-        _add_term(acc, shifted, c)
+    for exp, coeff in terms.items():
+        sig = tower.apply_sigma0(i, coeff)
+        # x_i x^exp = (x_i x^lower) x^upper, and x_i x^lower lives at levels <= i
+        upper = exp[i:]
+        for e, c in _var_times_lower(tower, i, exp[:i]).items():
+            shifted = e[:i] + (e[i] + upper[0],) + upper[1:]
+            _add_term(acc, shifted, sig * c)
+        dlt = tower.apply_delta0(i, coeff)
+        if not _is_zero_elem(dlt):
+            _add_term(acc, exp, dlt)
     return acc
 
 
 def _var_times_lower(tower, i: int, lower: tuple) -> dict:
-    """Memoised normal form of x_i * x^lower with support(lower) < i."""
-    cache = tower._mul_cache
-    key = (i, lower)
-    hit = cache.get(key)
+    """Normal form of x_i * x^lower, where lower holds the exponents below i.
+
+    Entries live in ``tower._engine_table`` under ``(i, lower)``.  A miss
+    peels the bottom variable off ``lower`` until it reaches a tail already
+    in the table (the empty tail gives x_i itself), then fills the table
+    back up one factor at a time with
+
+        x_i x_j x^rest = a_ij x_j (x_i x^rest) + c_ij (x_i x^rest) + delta_i(x_j) x^rest.
+    """
+    table = tower._engine_table
+    hit = table.get((i, lower))
     if hit is not None:
         return hit
-    j = _bottom_level(lower)
-    if j is None:
-        exp = tuple(1 if k == i else 0 for k in range(len(lower)))
-        result = {exp: tower.base.one}
-    else:
-        rest = _dec(lower, j)
-        tail = _var_times_lower(tower, i, rest)
+    height = tower.height
+    pending = []
+    tail = lower
+    while (i, tail) not in table:
+        if not any(tail):
+            table[(i, tail)] = {tail + (1,) + (0,) * (height - i - 1): tower.base.one}
+            break
+        j = next(k for k, e in enumerate(tail) if e)
+        rest = tail[:j] + (tail[j] - 1,) + tail[j + 1:]
+        pending.append((tail, j, rest))
+        tail = rest
+    for cur, j, rest in reversed(pending):
+        prev = table[(i, rest)]
         a, c_terms = tower.sigma_var_raw(i, j)
-        result = {}
-        # a_ij * x_j * (x_i x^rest)
-        for exp, coeff in _var_times_term_dict(tower, j, tail).items():
+        result: dict = {}
+        for exp, coeff in _var_times_terms(tower, j, prev).items():
             _add_term(result, exp, a * coeff)
-        # c_ij * (x_i x^rest)
         if c_terms:
-            for exp, coeff in _mul_terms(tower, c_terms, tail).items():
+            for exp, coeff in _mul_terms(tower, c_terms, prev).items():
                 _add_term(result, exp, coeff)
-        # delta_i(x_j) * x^rest
         d_terms = tower.delta_var_raw(i, j)
         if d_terms:
-            for exp, coeff in _mul_terms(tower, d_terms, {rest: tower.base.one}).items():
+            rest_mono = {rest + (0,) * (height - i): tower.base.one}
+            for exp, coeff in _mul_terms(tower, d_terms, rest_mono).items():
                 _add_term(result, exp, coeff)
-    cache[key] = result
-    return result
-
-
-def _var_times_term_dict(tower, i: int, terms: dict) -> dict:
-    acc: dict = {}
-    for exp, coeff in terms.items():
-        for exp2, c2 in _var_times_term(tower, i, coeff, exp).items():
-            _add_term(acc, exp2, c2)
-    return acc
-
-
-def _top_level(exp: tuple):
-    for i in range(len(exp) - 1, -1, -1):
-        if exp[i]:
-            return i
-    return None
-
-
-def _bottom_level(exp: tuple):
-    for i, e in enumerate(exp):
-        if e:
-            return i
-    return None
-
-
-def _dec(exp: tuple, i: int) -> tuple:
-    out = list(exp)
-    out[i] -= 1
-    return tuple(out)
+        table[(i, cur)] = result
+    return table[(i, lower)]
 
 
 # ---------------------------------------------------------------------------
@@ -368,56 +326,57 @@ def apply_level_map(kind: str, level: int, p: SkewPoly) -> SkewPoly:
             f"polynomial involves level {min(too_high)} but the map lives at level {level}"
         )
     if kind == "sigma":
-        return _apply_sigma(tower, level, p)
+        return _substitute(
+            tower,
+            p,
+            lambda coeff: tower.apply_sigma0(level, coeff),
+            lambda j: _sigma_var_poly(tower, level, j),
+        )
     return _apply_delta(tower, level, p)
 
 
 def _sigma_var_poly(tower, i: int, j: int) -> SkewPoly:
     a, c_terms = tower.sigma_var_raw(i, j)
-    exp = [0] * tower.height
-    exp[j] = 1
-    terms = dict(c_terms)
-    _add_term(terms, tuple(exp), a)
-    return SkewPoly(tower, terms)
+    x_j = tuple(1 if k == j else 0 for k in range(tower.height))
+    return SkewPoly(tower, {**c_terms, x_j: a})  # c_ij lives below x_j
 
 
-def _apply_sigma(tower, level: int, p: SkewPoly) -> SkewPoly:
-    total = SkewPoly.zero(tower)
+def _substitute(target, p: SkewPoly, base_image, var_image) -> SkewPoly:
+    """The image of p in ``target`` under a ring map given on generators.
+
+    Each term c x^e goes to base_image(c) * prod_j var_image(j)^{e_j};
+    var_image is called only for the variables that occur.
+    """
+    total = SkewPoly.zero(target)
     for exp, coeff in p.terms.items():
-        acc = SkewPoly.from_base(tower, tower.apply_sigma0(level, coeff))
+        acc = SkewPoly.from_base(target, base_image(coeff))
         for j, e in enumerate(exp):
             if e:
-                acc = acc * _sigma_var_poly(tower, level, j) ** e
+                acc = acc * var_image(j) ** e
         total = total + acc
     return total
 
 
 def _apply_delta(tower, level: int, p: SkewPoly) -> SkewPoly:
+    """delta(c w) for each term, w = x_{w_1} ... x_{w_k} in normal order:
+
+        delta(c) w + sum_t sigma(c x_{w_1} ... x_{w_{t-1}}) delta(x_{w_t}) x_{w_{t+1}} ... x_{w_k}
+
+    where every suffix of w is itself a normal-form monomial.
+    """
+    one = tower.base.one
     total = SkewPoly.zero(tower)
     for exp, coeff in p.terms.items():
-        factors = [("base", coeff)]
+        total = total + SkewPoly(tower, {exp: tower.apply_delta0(level, coeff)})
+        prefix = SkewPoly.from_base(tower, tower.apply_sigma0(level, coeff))
+        suffix = list(exp)
         for j, e in enumerate(exp):
-            factors.extend([("var", j)] * e)
-        suffix = [SkewPoly.one(tower)]
-        for kind_f, val in reversed(factors[1:]):
-            f_poly = (
-                SkewPoly.variable(tower, val)
-                if kind_f == "var"
-                else SkewPoly.from_base(tower, val)
-            )
-            suffix.append(f_poly * suffix[-1])
-        suffix.reverse()  # suffix[t] == product of factors[t+1:]
-        sigma_prefix = SkewPoly.one(tower)
-        for t, (kind_f, val) in enumerate(factors):
-            if kind_f == "base":
-                d = SkewPoly.from_base(tower, tower.apply_delta0(level, val))
-                s = SkewPoly.from_base(tower, tower.apply_sigma0(level, val))
-            else:
-                d = tower.delta_var(level, val)
-                s = _sigma_var_poly(tower, level, val)
-            if d:
-                total = total + sigma_prefix * d * suffix[t]
-            sigma_prefix = sigma_prefix * s
+            for _ in range(e):
+                suffix[j] -= 1
+                d = tower.delta_var(level, j)
+                if d:
+                    total = total + prefix * d * SkewPoly(tower, {tuple(suffix): one})
+                prefix = prefix * _sigma_var_poly(tower, level, j)
     return total
 
 

@@ -30,7 +30,7 @@ from .scalars import (
     _dot,
     solve_linear_system,
 )
-from .skewpoly import SkewPoly, _is_zero_elem, apply_level_map
+from .skewpoly import SkewPoly, _is_zero_elem, _substitute, apply_level_map
 
 
 # ---------------------------------------------------------------------------
@@ -262,24 +262,32 @@ def _field_auto_apply(field, image: Scalar | None, s: Scalar) -> Scalar:
     if image is None:
         return s
     if isinstance(field, CyclotomicFieldImpl):
-        acc = field.zero
-        for k in range(len(s.rep) - 1, -1, -1):
-            acc = acc * image + field.coerce(s.rep[k])
-        return acc
+        return _horner(field, s.rep, image)
     if isinstance(field, RationalFunctionField):
         num, den = s.rep
-        num_val = _eval_inner_poly(field, num, image)
-        den_val = _eval_inner_poly(field, den, image)
-        return num_val / den_val
+        return _horner(field, num, image) / _horner(field, den, image)
     # Q and GF(p) have no generator; only the identity is possible
     return s
 
 
-def _eval_inner_poly(field: RationalFunctionField, coeffs, x: Scalar) -> Scalar:
+def _horner(field, coeffs, x: Scalar) -> Scalar:
+    """sum_k coeffs[k] x^k in ``field``; the coefficients are coerced into it."""
     acc = field.zero
     for c in reversed(coeffs):
         acc = acc * x + field.coerce(c)
     return acc
+
+
+def _moebius(field: RationalFunctionField, image: Scalar) -> tuple:
+    """(a, b, c, d) with image = (a t + b) / (c t + d), for image of degree <= 1."""
+    num, den = image.rep
+    zero = field.inner.zero
+    return (
+        num[1] if len(num) == 2 else zero,
+        num[0] if num else zero,
+        den[1] if len(den) == 2 else zero,
+        den[0] if den else zero,
+    )
 
 
 def _field_deriv_apply(field, sigma_image: Scalar | None, d: Scalar | None, s: Scalar) -> Scalar:
@@ -361,7 +369,12 @@ class OreTower:
         self.levels = tuple(
             _normalised_level(base, len(levels), i, lvl) for i, lvl in enumerate(levels)
         )
-        self._mul_cache: dict = {}
+        # (i, exponents below i) -> x_i * x^lower; read and filled only by
+        # the rewriting engine in skewpoly
+        self._engine_table: dict = {}
+        # (i, is_delta, element) -> image under sigma_i or delta_i; owned by
+        # apply_sigma0 / apply_delta0
+        self._base_map_memo: dict = {}
 
     @functools.cached_property
     def validation(self) -> "ValidationReport":
@@ -419,22 +432,20 @@ class OreTower:
     # -- map access ----------------------------------------------------------
 
     def apply_sigma0(self, i: int, element):
-        key = ("s0", i, element)
-        cached = self._mul_cache.get(key)
-        if cached is None:
-            lvl = self.levels[i]
-            cached = _apply_base_map(self.base, lvl.sigma_base, None, element)
-            self._mul_cache[key] = cached
-        return cached
+        return self._base_map_image(i, False, element)
 
     def apply_delta0(self, i: int, element):
-        key = ("d0", i, element)
-        cached = self._mul_cache.get(key)
-        if cached is None:
+        return self._base_map_image(i, True, element)
+
+    def _base_map_image(self, i: int, is_delta: bool, element):
+        key = (i, is_delta, element)
+        image = self._base_map_memo.get(key)
+        if image is None:
             lvl = self.levels[i]
-            cached = _apply_base_map(self.base, lvl.delta_base, lvl.sigma_base, element)
-            self._mul_cache[key] = cached
-        return cached
+            bmap = lvl.delta_base if is_delta else lvl.sigma_base
+            image = _apply_base_map(self.base, bmap, lvl.sigma_base, element)
+            self._base_map_memo[key] = image
+        return image
 
     def sigma_var_raw(self, i: int, j: int):
         return self.levels[i].sigma_vars[j]
@@ -547,9 +558,7 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     image = lvl.sigma_base.field_action
     if image is not None:
         if isinstance(field, CyclotomicFieldImpl):
-            cyclo = tuple(field.coerce(c) for c in field.modulus)
-            value = _eval_scalar_poly(field, cyclo, image)
-            good = value.is_zero()
+            good = _horner(field, field.modulus, image).is_zero()
             report.add(
                 i,
                 "sigma_base automorphism",
@@ -561,10 +570,7 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
             num, den = image.rep
             good = len(num) <= 2 and len(den) <= 2 and (len(num) == 2 or len(den) == 2)
             if good:
-                a = num[1] if len(num) == 2 else field.inner.zero
-                b = num[0] if len(num) >= 1 else field.inner.zero
-                c = den[1] if len(den) == 2 else field.inner.zero
-                d = den[0] if len(den) >= 1 else field.inner.zero
+                a, b, c, d = _moebius(field, image)
                 good = not (a * d - b * c).is_zero()
             report.add(
                 i,
@@ -610,13 +616,6 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     else:
         report.add(i, "delta_base well-defined", True)
     return ok_all
-
-
-def _eval_scalar_poly(field, coeffs, x: Scalar) -> Scalar:
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + c
-    return acc
 
 
 def _level_generators(tower: OreTower, i: int) -> list[SkewPoly]:
@@ -828,8 +827,7 @@ def sigma_inverse_on(tower: OreTower, i: int, p: SkewPoly) -> SkewPoly:
     inv_base = _invert_base_map(tower.base, tower.levels[i].sigma_base)
     preimages: dict[int, SkewPoly] = {}
 
-    def inv_elem(el):
-        return _apply_base_map(tower.base, inv_base, None, el)
+    inv_elem = functools.partial(_apply_base_map, tower.base, inv_base, None)
 
     def var_preimage(j: int) -> SkewPoly:
         if j not in preimages:
@@ -837,21 +835,12 @@ def sigma_inverse_on(tower: OreTower, i: int, p: SkewPoly) -> SkewPoly:
             a_inv = tower.base.invert(a)
             head = SkewPoly.from_base(tower, inv_elem(a_inv)) * SkewPoly.variable(tower, j)
             if c:
-                head = head - inv_poly(SkewPoly.from_base(tower, a_inv) * c)
+                c_part = SkewPoly.from_base(tower, a_inv) * c
+                head = head - _substitute(tower, c_part, inv_elem, var_preimage)
             preimages[j] = head
         return preimages[j]
 
-    def inv_poly(poly: SkewPoly) -> SkewPoly:
-        total = SkewPoly.zero(tower)
-        for exp, coeff in poly.terms.items():
-            acc = SkewPoly.from_base(tower, inv_elem(coeff))
-            for j, e in enumerate(exp):
-                for _ in range(e):
-                    acc = acc * var_preimage(j)
-            total = total + acc
-        return total
-
-    return inv_poly(p)
+    return _substitute(tower, p, inv_elem, var_preimage)
 
 
 def _invert_base_map(base: BaseRing, bmap: BaseMap) -> BaseMap:
@@ -864,11 +853,7 @@ def _invert_base_map(base: BaseRing, bmap: BaseMap) -> BaseMap:
         return BaseMap.identity()
     field = base.field
     if isinstance(field, RationalFunctionField):
-        num, den = image.rep
-        a = num[1] if len(num) == 2 else field.inner.zero
-        b = num[0] if len(num) >= 1 else field.inner.zero
-        c = den[1] if len(den) == 2 else field.inner.zero
-        d = den[0] if len(den) >= 1 else field.inner.zero
+        a, b, c, d = _moebius(field, image)
         # the inverse of the Moebius map t -> (a t + b)/(c t + d)
         inv_image = field._make((-b, d), (a, -c))
         return BaseMap.field_auto(inv_image)

@@ -200,6 +200,24 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     captured = capsys.readouterr()
     assert captured.err.startswith("error: ") and "level 1 out of range" in captured.err
     assert captured.out == ""
+    # deep nesting is a parse error, not a RecursionError
+    minus_chain = "0 + " + "-" * 1200 + "x1"
+    assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), minus_chain, "x1"]) == 2
+    assert "expression nested too deeply" in capsys.readouterr().err
+    deep = tmp_path / "deep.tw"
+    deep.write_text(
+        "[base]\nkind = field\nfield = Q\n\n[[level]]\nvar = x1\n\n[[level]]\nvar = x2\n"
+        "delta x1 = " + "(" * 400 + "1" + ")" * 400 + "\n",
+        encoding="utf-8",
+    )
+    assert run(["validate", "--tower", str(deep)]) == 2
+    assert "expression nested too deeply" in capsys.readouterr().err
+
+
+def test_mul_deep_power_returns(capsys):
+    rc = run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "--json", "x2^1500", "x1"])
+    assert rc == 0
+    assert json.loads(capsys.readouterr().out)["product"] == "x1 x2^1500"
 
 
 def test_erase_all_json_report(capsys):

@@ -1,7 +1,10 @@
 import random
+import sys
+from pathlib import Path
 
 import pytest
 
+from oretower.cli import parse_tower_file
 from oretower.errors import SupportTooHigh, TowerMismatch
 from oretower.scalars import QQ, CyclotomicField, FunctionField
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
@@ -13,6 +16,9 @@ from conftest import (
     random_base_element,
     random_poly,
 )
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 @pytest.fixture
@@ -228,3 +234,23 @@ def test_rendering_shape():
     assert str(y) == "(z - 1) * x1 x2 + 1"
     assert str(tower.zero()) == "0"
     assert str(tower.var(0) ** 2) == "x1^2"
+
+
+@pytest.mark.parametrize(
+    "name, left, right, expected",
+    [
+        # x2 x1 = z x1 x2 + 1 with z^3 = 1: the 1 + z + ... + z^1499 terms cancel
+        ("qweyl_zeta3.tw", ((0, 1500),), ((1, 0),), {(1, 1500): 1}),
+        ("qweyl_zeta3.tw", ((0, 1),), ((1500, 0),), {(1500, 1): 1}),
+        # x3 x1 = 2 x1 x3
+        ("three_level.tw", ((0, 0, 1000),), ((1, 0, 0),), {(1, 0, 1000): 2**1000}),
+    ],
+    ids=["x2^1500*x1", "x2*x1^1500", "x3^1000*x1"],
+)
+def test_deep_products_at_default_recursion_limit(name, left, right, expected):
+    assert sys.getrecursionlimit() <= 1000
+    tower = parse_tower_file(str(FIXTURES / name))
+    one = tower.base.one
+    lhs = tower.poly({exp: one for exp in left})
+    rhs = tower.poly({exp: one for exp in right})
+    assert lhs * rhs == tower.poly(expected)
