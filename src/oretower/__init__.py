@@ -21,6 +21,7 @@ from .errors import (
     TowerMismatch,
     UnknownVariableReference,
     UnsupportedErasure,
+    VerificationFailed,
     ZeroInput,
 )
 from .scalars import (
@@ -89,6 +90,7 @@ __all__ = [
     "UnknownVariableReference",
     "UnsupportedErasure",
     "ValidationReport",
+    "VerificationFailed",
     "ZeroInput",
     "apply_level_map",
     "associated_graded_tower",

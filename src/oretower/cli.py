@@ -78,6 +78,11 @@ _SYMBOLS = "+-*/^()[],"
 # nesting of parentheses, matrix brackets and unary minus signs in one
 # expression; the parser recurses once per level
 MAX_EXPR_NESTING = 64
+# digits in one integer literal; checked before int() converts it
+MAX_LITERAL_DIGITS = 1000
+# |k| in a power a^k; products memoise x_i * x^lower for every exponent
+# up to k, so the bound caps that table
+MAX_EXPR_EXPONENT = 10_000
 
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
@@ -93,6 +98,10 @@ def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
             j = i
             while j < len(text) and text[j].isdigit():
                 j += 1
+            if j - i > MAX_LITERAL_DIGITS:
+                raise ParseError(
+                    line, col, f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
+                )
             tokens.append(_Token("num", int(text[i:j]), line, col))
             i = j
         elif ch.isalpha() or ch == "_":
@@ -189,6 +198,10 @@ class _ExprParser:
                 self.take()
                 sign = -1
             num = self.expect("num")
+            if num.value > MAX_EXPR_EXPONENT:
+                raise ParseError(
+                    num.line, num.col, f"exponent larger than {MAX_EXPR_EXPONENT}"
+                )
             value = self._pow(value, sign * num.value, op)
         return value
 
@@ -293,16 +306,9 @@ class _Context:
         name = tok.value
         if self.tower is not None and name in self.allowed_vars:
             return SkewPoly.variable(self.tower, self.allowed_vars.index(name))
-        gen_name = getattr(self.field, "gen_name", None)
-        if gen_name is not None and name == gen_name:
-            return self.field.gen
-        inner = getattr(self.field, "inner", None)
-        seen = set()
-        while inner is not None and id(inner) not in seen:
-            seen.add(id(inner))
-            if getattr(inner, "gen_name", None) == name:
-                return self.field.coerce(inner.gen)
-            inner = getattr(inner, "inner", None)
+        gen = self.field.generator_named(name)
+        if gen is not None:
+            return gen
         if name in self.all_vars:
             raise UnknownVariableReference(
                 tok.line, tok.col, f"variable {name!r} is not in scope here"

@@ -31,6 +31,7 @@ from .errors import (
     NotDiagonal,
     QEqualsOne,
     UnsupportedErasure,
+    VerificationFailed,
 )
 from .scalars import Matrix, solve_linear_system
 from .skewpoly import (
@@ -41,7 +42,7 @@ from .skewpoly import (
     degree_leading,
     is_central,
 )
-from .tower import BaseMap, OreTower, _level_generators, check_swap_compatibility
+from .tower import BaseMap, OreTower, _level_generators, _vec, check_swap_compatibility
 
 
 @dataclass
@@ -193,7 +194,6 @@ def _inner_branch(tower: OreTower):
     base = tower.base
     field = base.field
     m = base.size
-    lvl = tower.levels[0]
     units = base.basis()
 
     # delta must kill the center F*I (forced by q != 1; a failure here
@@ -207,19 +207,7 @@ def _inner_branch(tower: OreTower):
     # sigma(r) a = a r as a homogeneous system in the entries of a
     rows = []
     for e in units:
-        se = tower.apply_sigma0(0, e)
-        for s in range(m):
-            for t in range(m):
-                row = []
-                for k in range(m):
-                    for l in range(m):
-                        coeff = field.zero
-                        if l == t:
-                            coeff = coeff + se.rows[s][k]
-                        if k == s:
-                            coeff = coeff - e.rows[l][t]
-                        row.append(coeff)
-                rows.append(row)
+        rows.extend(_commutator_rows(tower.apply_sigma0(0, e), e))
     a_vec = solve_linear_system(
         Matrix(field, rows), [field.zero] * len(rows)
     )
@@ -237,20 +225,8 @@ def _inner_branch(tower: OreTower):
     # a^{-1} delta(r) = v r - r v as an inhomogeneous system in v
     rows, rhs = [], []
     for e in units:
-        w = a_inv * tower.apply_delta0(0, e)
-        for s in range(m):
-            for t in range(m):
-                row = []
-                for k in range(m):
-                    for l in range(m):
-                        coeff = field.zero
-                        if k == s:
-                            coeff = coeff + e.rows[l][t]
-                        if l == t:
-                            coeff = coeff - e.rows[s][k]
-                        row.append(coeff)
-                rows.append(row)
-                rhs.append(w.rows[s][t])
+        rows.extend(_commutator_rows(-e, -e))
+        rhs.extend(_vec(a_inv * tower.apply_delta0(0, e)))
     v_vec = solve_linear_system(Matrix(field, rows), rhs)
     if v_vec is None:
         raise UnsupportedErasure(
@@ -261,6 +237,29 @@ def _inner_branch(tower: OreTower):
     y = SkewPoly.variable(tower, 0) - SkewPoly.from_base(tower, b)
     _assert_sigma_relation(tower, 0, y)
     return y, _zero_top_delta(tower), ErasureWitness("inner", a=a, v=v, b=b)
+
+
+def _commutator_rows(left: Matrix, right: Matrix) -> list:
+    """Rows of the F-linear map X -> left X - X right on m x m matrices.
+
+    Rows are the entries of the image and columns the entries of X, both
+    in row-major order.
+    """
+    field, m = left.field, left.nrows
+    rows = []
+    for s in range(m):
+        for t in range(m):
+            row = []
+            for k in range(m):
+                for l in range(m):
+                    coeff = field.zero
+                    if l == t:
+                        coeff = coeff + left.rows[s][k]
+                    if k == s:
+                        coeff = coeff - right.rows[l][t]
+                    row.append(coeff)
+            rows.append(row)
+    return rows
 
 
 # ---------------------------------------------------------------------------
@@ -411,7 +410,7 @@ def erase_all(
 
     report = working.validation
     if not report.ok:
-        raise RuntimeError(
+        raise VerificationFailed(
             f"erasure produced an invalid tower: {report.first_failure}"
         )
 
@@ -491,7 +490,7 @@ def _check_power_independence(
         deg, lead = degree_leading(power, top)
         want = expected * SkewPoly.variable(working, top) ** k
         if deg != k or lead != want or lead.is_zero():
-            raise RuntimeError(
+            raise VerificationFailed(
                 f"powers of y are not left-independent at exponent {k}: "
                 f"leading form {lead}, expected {want}"
             )
@@ -507,7 +506,7 @@ def _verify_relations(tower: OreTower, result_tower: OreTower, ys: list[SkewPoly
             lhs = y_i * SkewPoly.from_base(tower, g)
             rhs = SkewPoly.from_base(tower, tau_g) * y_i
             if lhs != rhs:
-                raise RuntimeError(
+                raise VerificationFailed(
                     f"relation y_{i + 1} r = tau(r) y_{i + 1} fails for r = {g}"
                 )
         for j in range(i):
@@ -515,7 +514,7 @@ def _verify_relations(tower: OreTower, result_tower: OreTower, ys: list[SkewPoly
             lhs = y_i * ys[j]
             rhs = SkewPoly.from_base(tower, lam) * ys[j] * y_i
             if lhs != rhs:
-                raise RuntimeError(
+                raise VerificationFailed(
                     f"relation y_{i + 1} y_{j + 1} = lambda y_{j + 1} y_{i + 1} fails"
                 )
 

@@ -49,6 +49,10 @@ class HypothesisViolation(OreError):
     """A structural precondition of a tower transformation does not hold."""
 
 
+class VerificationFailed(OreError):
+    """A computed result fails the re-verification of its defining relations."""
+
+
 class ParseError(OreError):
     """Syntax error in a tower file or expression, annotated with a position."""
 

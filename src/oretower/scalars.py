@@ -352,8 +352,67 @@ class _FieldBase:
     def coerce(self, value) -> Scalar:
         raise NotImplementedError
 
+    def generator_named(self, name: str) -> Scalar | None:
+        """The generator called ``name`` of this field or of a field it is
+        built over, as an element of this field; None when there is none."""
+        return self.gen if name == self.gen_name else None
+
+    # -- maps given by the image of the generator ----------------------------
+    # sigma sends the generator to ``image`` (None: the identity), delta to d
+    # (None: zero).  Q and GF(p) have no generator and admit only those two.
+
+    def substitute(self, s: Scalar, image: Scalar | None) -> Scalar:
+        """sigma(s)."""
+        return s
+
+    def derive(self, s: Scalar, image: Scalar | None, d: Scalar | None) -> Scalar:
+        """delta(s) for the sigma-derivation sending the generator to d."""
+        return self.zero
+
+    def automorphism_defect(self, image: Scalar | None) -> str | None:
+        """Why ``image`` defines no automorphism, or None when it does."""
+        return None if image is None else "this field admits only the identity"
+
+    def derivation_defect(self, image: Scalar | None, d: Scalar | None) -> str | None:
+        """Why d defines no sigma-derivation, or None when it does."""
+        if d is None or d.is_zero():
+            return None
+        return "prime fields admit no nonzero derivations"
+
+    def inverse_image(self, image: Scalar | None) -> Scalar | None:
+        """The generator's image under sigma^{-1}."""
+        return None
+
     def __repr__(self):
         return self.name
+
+
+def _horner(field, coeffs, x: Scalar) -> Scalar:
+    """sum_k coeffs[k] x^k in ``field``; the coefficients are coerced into it."""
+    acc = field.zero
+    for c in reversed(coeffs):
+        acc = acc * x + field.coerce(c)
+    return acc
+
+
+def _power_rule(field, coeffs, image: Scalar | None, d: Scalar) -> Scalar:
+    """delta of a polynomial in the generator, by the twisted power rule.
+
+    delta(g^k) = sigma(g) delta(g^{k-1}) + d g^{k-1}; constants from the
+    prime field (or the inner field) are killed.
+    """
+    gen = field.gen
+    sigma_gen = gen if image is None else image
+    total = field.zero
+    power_deriv = field.zero  # delta(g^0)
+    gen_pow = field.one  # g^{k-1} tracker
+    for k, c in enumerate(coeffs):
+        if k > 0:
+            power_deriv = sigma_gen * power_deriv + d * gen_pow
+            gen_pow = gen_pow * gen
+        if c:
+            total = total + field.coerce(c) * power_deriv
+    return total
 
 
 class RationalField(_FieldBase):
@@ -514,6 +573,40 @@ class CyclotomicFieldImpl(_FieldBase):
     def render(self, a):
         return _render_poly(a.rep, "z", str)
 
+    def substitute(self, s, image):
+        if image is None:
+            return s
+        return _horner(self, s.rep, image)
+
+    def derive(self, s, image, d):
+        if d is None or d.is_zero():
+            return self.zero
+        return _power_rule(self, s.rep, image, d)
+
+    def automorphism_defect(self, image):
+        if image is None or _horner(self, self.modulus, image).is_zero():
+            return None
+        return f"generator image {image} is not a primitive root"
+
+    def derivation_defect(self, image, d):
+        if d is None or d.is_zero():
+            return None
+        value = _power_rule(self, self.modulus, image, d)
+        return None if value.is_zero() else f"delta(minimal polynomial) = {value} != 0"
+
+    def inverse_image(self, image):
+        # a valid image is a primitive root z^k, gcd(k, n) = 1, and the
+        # automorphisms of Q(zeta_n) compose as the units mod n do
+        if image is None:
+            return None
+        gen = self.gen
+        power = self.one
+        for k in range(1, self.n + 1):
+            power = power * gen
+            if power == image and math.gcd(k, self.n) == 1:
+                return gen ** pow(k, -1, self.n)
+        raise ScalarError("base automorphism is not invertible")
+
     def __eq__(self, other):
         return isinstance(other, CyclotomicFieldImpl) and other.n == self.n
 
@@ -549,16 +642,13 @@ class RationalFunctionField(_FieldBase):
     def gen(self) -> Scalar:
         return Scalar(self, ((self.inner.zero, self.inner.one), (self.inner.one,)))
 
-    def _one_tuple(self) -> tuple:
-        return (self.inner.one,)
-
     def _make(self, num, den) -> Scalar:
         num = _ptrim(num)
         den = _ptrim(den)
         if not den:
             raise DivisionByZero(f"zero denominator in {self.name}")
         if not num:
-            return Scalar(self, ((), self._one_tuple()))
+            return Scalar(self, ((), (self.inner.one,)))
         if len(den) == 1 and den[0] == self.inner.one:
             return Scalar(self, (num, den))
         g = _pgcd(num, den, self.inner.zero)
@@ -632,6 +722,61 @@ class RationalFunctionField(_FieldBase):
             return num_str
         den_str = _render_poly(den, self.var, lambda c: _wrap(str(c)))
         return f"({num_str})/({den_str})"
+
+    def generator_named(self, name):
+        if name == self.gen_name:
+            return self.gen
+        inner = self.inner.generator_named(name)
+        return None if inner is None else self.coerce(inner)
+
+    def substitute(self, s, image):
+        if image is None:
+            return s
+        num, den = s.rep
+        return _horner(self, num, image) / _horner(self, den, image)
+
+    def derive(self, s, image, d):
+        if d is None or d.is_zero():
+            return self.zero
+        num, den = s.rep
+        d_num = _power_rule(self, num, image, d)
+        if den == (self.inner.one,):
+            return d_num
+        d_den = _power_rule(self, den, image, d)
+        den_val = Scalar(self, (den, (self.inner.one,)))
+        return (d_num - self.substitute(s, image) * d_den) / den_val
+
+    def automorphism_defect(self, image):
+        if image is None:
+            return None
+        num, den = image.rep
+        if len(num) <= 2 and len(den) <= 2 and (len(num) == 2 or len(den) == 2):
+            a, b, c, d = self._moebius(image)
+            if not (a * d - b * c).is_zero():
+                return None
+        return f"generator image {image} is not a unit fraction"
+
+    def derivation_defect(self, image, d):
+        # t is transcendental over the inner field, so every image d extends
+        return None
+
+    def inverse_image(self, image):
+        if image is None:
+            return None
+        a, b, c, d = self._moebius(image)
+        # the inverse of the Moebius map t -> (a t + b)/(c t + d)
+        return self._make((-b, d), (a, -c))
+
+    def _moebius(self, image: Scalar) -> tuple:
+        """(a, b, c, d) with image = (a t + b) / (c t + d), for image of degree <= 1."""
+        num, den = image.rep
+        zero = self.inner.zero
+        return (
+            num[1] if len(num) == 2 else zero,
+            num[0] if num else zero,
+            den[1] if len(den) == 2 else zero,
+            den[0] if den else zero,
+        )
 
     def __eq__(self, other):
         return (
@@ -719,13 +864,10 @@ def canonicalize(s: Scalar) -> Scalar:
     acts as the equality normal form.
     """
     field = s.field
-    if field == QQ or isinstance(field, PrimeFieldImpl):
-        return field.coerce(s.rep if not isinstance(s.rep, tuple) else s.rep)
-    if isinstance(field, CyclotomicFieldImpl):
-        return field._reduce(s.rep)
     if isinstance(field, RationalFunctionField):
-        num, den = s.rep
-        return field._make(num, den)
+        return field._make(*s.rep)
+    if field == QQ or isinstance(field, (PrimeFieldImpl, CyclotomicFieldImpl)):
+        return field.coerce(s.rep)
     raise ScalarError(f"unknown field {field!r}")
 
 

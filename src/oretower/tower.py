@@ -17,19 +17,9 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field, replace
-from fractions import Fraction
 
 from .errors import NotDiagonal, ScalarError
-from .scalars import (
-    CyclotomicFieldImpl,
-    Matrix,
-    PrimeFieldImpl,
-    RationalField,
-    RationalFunctionField,
-    Scalar,
-    _dot,
-    solve_linear_system,
-)
+from .scalars import Matrix, Scalar, _dot
 from .skewpoly import SkewPoly, _is_zero_elem, _substitute, apply_level_map
 
 
@@ -189,27 +179,16 @@ class BaseMap:
     def conjugation(cls, a: Matrix) -> "BaseMap":
         """sigma(r) = a r a^{-1} on Mat_m."""
         a_inv = a.inverse()
-        m = a.nrows
-        cols = []
-        for i in range(m):
-            for j in range(m):
-                image = a * Matrix.unit(a.field, m, i, j) * a_inv
-                cols.append(_vec(image))
-        action = Matrix(a.field, [[cols[b][k] for b in range(m * m)] for k in range(m * m)])
+        action = _action_matrix(a.field, a.nrows, lambda u: a * u * a_inv)
         return cls("sigma", linear_action=action)
 
     @classmethod
     def inner_derivation(cls, b: Matrix, sigma: "BaseMap") -> "BaseMap":
         """delta(r) = b r - sigma(r) b on Mat_m, an inner sigma-derivation."""
-        m = b.nrows
-        base = BaseRing.matrix_ring(b.field, m)
-        cols = []
-        for i in range(m):
-            for j in range(m):
-                unit = Matrix.unit(b.field, m, i, j)
-                image = b * unit - _apply_base_map(base, sigma, None, unit) * b
-                cols.append(_vec(image))
-        action = Matrix(b.field, [[cols[c][k] for c in range(m * m)] for k in range(m * m)])
+        base = BaseRing.matrix_ring(b.field, b.nrows)
+        action = _action_matrix(
+            b.field, b.nrows, lambda u: b * u - _apply_base_map(base, sigma, None, u) * b
+        )
         return cls("delta", linear_action=action)
 
     def is_trivial(self) -> bool:
@@ -225,6 +204,12 @@ class BaseMap:
 
 def _is_identity_matrix(m: Matrix) -> bool:
     return m == Matrix.identity(m.field, m.nrows)
+
+
+def _action_matrix(field, m: int, image_of) -> Matrix:
+    """The m^2 x m^2 matrix whose columns are the images of the units of Mat_m."""
+    cols = [_vec(image_of(Matrix.unit(field, m, i, j))) for i in range(m) for j in range(m)]
+    return Matrix(field, zip(*cols))
 
 
 def _vec(m: Matrix) -> list:
@@ -246,85 +231,12 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap | No
         action = bmap.linear_action
         if action is None:
             return element if bmap.kind == "sigma" else base.zero
-        return _unvec(base.field, base.size, _vec_apply(action, _vec(element)))
-    # field base
+        vec = _vec(element)
+        return _unvec(base.field, base.size, [_dot(row, vec, base.field) for row in action.rows])
     if bmap.kind == "sigma":
-        return _field_auto_apply(base.field, bmap.field_action, element)
+        return base.field.substitute(element, bmap.field_action)
     sigma_image = companion_sigma.field_action if companion_sigma else None
-    return _field_deriv_apply(base.field, sigma_image, bmap.field_action, element)
-
-
-def _vec_apply(action: Matrix, vec: list) -> list:
-    return [_dot(row, vec, action.field) for row in action.rows]
-
-
-def _field_auto_apply(field, image: Scalar | None, s: Scalar) -> Scalar:
-    if image is None:
-        return s
-    if isinstance(field, CyclotomicFieldImpl):
-        return _horner(field, s.rep, image)
-    if isinstance(field, RationalFunctionField):
-        num, den = s.rep
-        return _horner(field, num, image) / _horner(field, den, image)
-    # Q and GF(p) have no generator; only the identity is possible
-    return s
-
-
-def _horner(field, coeffs, x: Scalar) -> Scalar:
-    """sum_k coeffs[k] x^k in ``field``; the coefficients are coerced into it."""
-    acc = field.zero
-    for c in reversed(coeffs):
-        acc = acc * x + field.coerce(c)
-    return acc
-
-
-def _moebius(field: RationalFunctionField, image: Scalar) -> tuple:
-    """(a, b, c, d) with image = (a t + b) / (c t + d), for image of degree <= 1."""
-    num, den = image.rep
-    zero = field.inner.zero
-    return (
-        num[1] if len(num) == 2 else zero,
-        num[0] if num else zero,
-        den[1] if len(den) == 2 else zero,
-        den[0] if den else zero,
-    )
-
-
-def _field_deriv_apply(field, sigma_image: Scalar | None, d: Scalar | None, s: Scalar) -> Scalar:
-    if d is None or d.is_zero():
-        return field.zero
-    gen = field.gen
-    sg = sigma_image if sigma_image is not None else gen
-    if isinstance(field, CyclotomicFieldImpl):
-        return _poly_deriv(field, s.rep, gen, sg, d, field.coerce)
-    if isinstance(field, RationalFunctionField):
-        num, den = s.rep
-        d_num = _poly_deriv(field, num, gen, sg, d, field.coerce)
-        if den == (field.inner.one,):
-            return d_num
-        d_den = _poly_deriv(field, den, gen, sg, d, field.coerce)
-        den_val = Scalar(field, (den, (field.inner.one,)))
-        sigma_s = _field_auto_apply(field, sigma_image, s)
-        return (d_num - sigma_s * d_den) / den_val
-    return field.zero
-
-
-def _poly_deriv(field, coeffs, gen, sigma_gen, d, lift):
-    """delta of a polynomial in the generator, by the twisted power rule.
-
-    delta(g^k) = sigma(g) delta(g^{k-1}) + d g^{k-1}; constants from the
-    prime field (or the inner field) are killed.
-    """
-    total = field.zero
-    power_deriv = field.zero  # delta(g^0)
-    gen_pow = field.one  # g^{k-1} tracker
-    for k, c in enumerate(coeffs):
-        if k > 0:
-            power_deriv = sigma_gen * power_deriv + d * gen_pow
-            gen_pow = gen_pow * gen
-        if not _is_zero_elem(c):
-            total = total + lift(c) * power_deriv
-    return total
+    return base.field.derive(element, sigma_image, bmap.field_action)
 
 
 # ---------------------------------------------------------------------------
@@ -540,8 +452,8 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     genuine automorphisms / derivations of the base field."""
     base = tower.base
     lvl = tower.levels[i]
-    ok_all = True
     if base.kind == "matrix":
+        ok_all = True
         for m, label in ((lvl.sigma_base, "sigma"), (lvl.delta_base, "delta")):
             if m.field_action is not None:
                 report.add(i, f"{label}_base F-linear", False, "field action on a matrix base")
@@ -554,68 +466,12 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
             report.add(i, "sigma_base invertible", True)
         return ok_all
 
-    field = base.field
     image = lvl.sigma_base.field_action
-    if image is not None:
-        if isinstance(field, CyclotomicFieldImpl):
-            good = _horner(field, field.modulus, image).is_zero()
-            report.add(
-                i,
-                "sigma_base automorphism",
-                good,
-                "" if good else f"generator image {image} is not a primitive root",
-            )
-            ok_all = ok_all and good
-        elif isinstance(field, RationalFunctionField):
-            num, den = image.rep
-            good = len(num) <= 2 and len(den) <= 2 and (len(num) == 2 or len(den) == 2)
-            if good:
-                a, b, c, d = _moebius(field, image)
-                good = not (a * d - b * c).is_zero()
-            report.add(
-                i,
-                "sigma_base automorphism",
-                good,
-                "" if good else f"generator image {image} is not a unit fraction",
-            )
-            ok_all = ok_all and good
-        else:
-            good = image == field.gen if field.gen is not None else False
-            report.add(i, "sigma_base automorphism", good,
-                       "" if good else "this field admits only the identity")
-            ok_all = ok_all and good
-    else:
-        report.add(i, "sigma_base automorphism", True)
-
-    d_img = lvl.delta_base.field_action
-    if d_img is not None and not d_img.is_zero():
-        if isinstance(field, CyclotomicFieldImpl):
-            cyclo = tuple(field.coerce(c) for c in field.modulus)
-            value = _poly_deriv(
-                field,
-                cyclo,
-                field.gen,
-                image if image is not None else field.gen,
-                d_img,
-                lambda c: c,
-            )
-            good = value.is_zero()
-            report.add(
-                i,
-                "delta_base well-defined",
-                good,
-                "" if good else f"delta(minimal polynomial) = {value} != 0",
-            )
-            ok_all = ok_all and good
-        elif isinstance(field, (RationalField, PrimeFieldImpl)):
-            report.add(i, "delta_base well-defined", False,
-                       "prime fields admit no nonzero derivations")
-            ok_all = False
-        else:
-            report.add(i, "delta_base well-defined", True)
-    else:
-        report.add(i, "delta_base well-defined", True)
-    return ok_all
+    sigma_defect = base.field.automorphism_defect(image)
+    report.add(i, "sigma_base automorphism", sigma_defect is None, sigma_defect or "")
+    delta_defect = base.field.derivation_defect(image, lvl.delta_base.field_action)
+    report.add(i, "delta_base well-defined", delta_defect is None, delta_defect or "")
+    return sigma_defect is None and delta_defect is None
 
 
 def _level_generators(tower: OreTower, i: int) -> list[SkewPoly]:
@@ -784,34 +640,25 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     if bmap.kind != "sigma":
         raise ValueError("map_order expects a sigma-like map")
     if base.kind == "matrix":
-        action = bmap.linear_action
-        if action is None:
+        image = bmap.linear_action
+        if image is None:
             return 1
-        ident = Matrix.identity(action.field, action.nrows)
-        seen = {action}
-        current = action
-        for n in range(1, bound + 1):
-            if current == ident:
-                return n
-            current = current * action
-            if current in seen and current != ident:
-                return None
-            seen.add(current)
-        return None
-    image = bmap.field_action
-    if image is None:
-        return 1
-    field = base.field
-    gen = field.gen
-    if gen is None:
-        return 1 if image == gen else None
+        identity, step = Matrix.identity(image.field, image.nrows), image.__mul__
+    else:
+        image = bmap.field_action
+        if image is None:
+            return 1
+        identity = base.field.gen
+        if identity is None:
+            return None  # Q and GF(p) admit only the identity
+        step = functools.partial(base.field.substitute, image=image)
     current = image
     seen = {current}
     for n in range(1, bound + 1):
-        if current == gen:
+        if current == identity:
             return n
-        current = _field_auto_apply(field, image, current)
-        if current in seen and current != gen:
+        current = step(current)
+        if current in seen and current != identity:
             return None
         seen.add(current)
     return None
@@ -848,31 +695,4 @@ def _invert_base_map(base: BaseRing, bmap: BaseMap) -> BaseMap:
         if bmap.linear_action is None:
             return BaseMap.identity()
         return BaseMap.linear("sigma", bmap.linear_action.inverse())
-    image = bmap.field_action
-    if image is None:
-        return BaseMap.identity()
-    field = base.field
-    if isinstance(field, RationalFunctionField):
-        a, b, c, d = _moebius(field, image)
-        # the inverse of the Moebius map t -> (a t + b)/(c t + d)
-        inv_image = field._make((-b, d), (a, -c))
-        return BaseMap.field_auto(inv_image)
-    if isinstance(field, CyclotomicFieldImpl):
-        # solve the Q-linear system sigma(w) = gen
-        deg = field.degree
-        cols = []
-        for k in range(deg):
-            basis_elem = field._reduce(tuple(Fraction(1 if t == k else 0) for t in range(k + 1)))
-            cols.append(_field_auto_apply(field, image, basis_elem))
-        from .scalars import QQ
-
-        mat = Matrix(QQ, [[cols[c_].rep[r] for c_ in range(deg)] for r in range(deg)])
-        target = [Fraction(1) if r == 1 else Fraction(0) for r in range(deg)]
-        if deg == 1:
-            target = [field.gen.rep[0]]
-        sol = solve_linear_system(mat, target)
-        if sol is None:
-            raise ScalarError("base automorphism is not invertible")
-        inv_image = field._reduce(tuple(s.rep for s in sol))
-        return BaseMap.field_auto(inv_image)
-    return BaseMap.identity()
+    return BaseMap.field_auto(base.field.inverse_image(bmap.field_action))

@@ -212,6 +212,29 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     )
     assert run(["validate", "--tower", str(deep)]) == 2
     assert "expression nested too deeply" in capsys.readouterr().err
+    # an over-long literal is refused before int() sees it
+    long_literal = "x1^" + "9" * 5000
+    assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x1", long_literal]) == 2
+    assert "integer literal longer than 1000 digits" in capsys.readouterr().err
+    # exponents are capped before any power is taken
+    for power in ("x1^10001", "x2^-10001", "z^10001"):
+        assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x1", power]) == 2
+        assert "exponent larger than 10000" in capsys.readouterr().err
+
+
+def test_failed_reverification_is_a_typed_error(capsys, monkeypatch):
+    from oretower import OreError, VerificationFailed, erase
+
+    assert issubclass(VerificationFailed, OreError)
+    verify = erase._verify_relations
+    monkeypatch.setattr(
+        erase, "_verify_relations", lambda tower, result, ys: verify(tower, result, ys[::-1])
+    )
+    rc = run(["erase-all", "--tower", fixture("qweyl_zeta3.tw"), "--json"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["status"] == "error"
+    assert payload["kind"] == "VerificationFailed"
 
 
 def test_mul_deep_power_returns(capsys):

@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix
+from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import (
     BaseMap,
@@ -203,6 +203,50 @@ def test_swap_compatibility_ratfunc_derivation():
     assert not result.q_preserved
 
 
+def _one_level_tower(field, sigma_image=None, d=None) -> OreTower:
+    return OreTower(
+        BaseRing.field_ring(field),
+        [TowerLevel("x", BaseMap("sigma", sigma_image), BaseMap("delta", d))],
+    )
+
+
+@pytest.mark.parametrize(
+    "make_tower, name, detail",
+    [
+        (
+            lambda: _one_level_tower(CyclotomicField(3), CyclotomicField(3).gen + 1),
+            "sigma_base automorphism",
+            "generator image z + 1 is not a primitive root",
+        ),
+        (
+            lambda: _one_level_tower(FunctionField(QQ, "t"), FunctionField(QQ, "t").gen ** 2),
+            "sigma_base automorphism",
+            "generator image t^2 is not a unit fraction",
+        ),
+        (
+            lambda: _one_level_tower(QQ, QQ.coerce(2)),
+            "sigma_base automorphism",
+            "this field admits only the identity",
+        ),
+        (
+            lambda: _one_level_tower(CyclotomicField(3), d=CyclotomicField(3).one),
+            "delta_base well-defined",
+            "delta(minimal polynomial) = 2*z + 1 != 0",
+        ),
+        (
+            lambda: _one_level_tower(GF(5), d=GF(5).one),
+            "delta_base well-defined",
+            "prime fields admit no nonzero derivations",
+        ),
+    ],
+)
+def test_base_map_failure_details(make_tower, name, detail):
+    report = validate_tower(make_tower())
+    assert not report.ok
+    failures = [(c.name, c.detail) for c in report.checks if not c.ok]
+    assert failures == [(name, detail)]
+
+
 # ---------------------------------------------------------------------------
 # map orders
 
@@ -243,6 +287,8 @@ def test_map_order_infinite_returns_none():
         lambda: qweyl(FunctionField(QQ, "q"), FunctionField(QQ, "q").gen),
         three_level_graded,
         zeta5_deriv_tower,
+        # n composite and sigma^{-1}(z) = z^5, so k^{-1} != k mod n
+        lambda: _one_level_tower(CyclotomicField(9), CyclotomicField(9).gen ** 2),
     ],
 )
 def test_sigma_inverse_round_trip(factory):
