@@ -83,6 +83,8 @@ MAX_LITERAL_DIGITS = 1000
 # |k| in a power a^k; products memoise x_i * x^lower for every exponent
 # up to k, so the bound caps that table
 MAX_EXPR_EXPONENT = 10_000
+# m of a Mat_m base; validation multiplies all pairs of the m^2 matrix units
+MAX_MATRIX_SIZE = 6
 
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
@@ -412,9 +414,13 @@ def _parse_base(items) -> BaseRing:
             except ValueError as exc:
                 raise ParseError(line, 1, str(exc)) from exc
         elif key == "size":
-            if not value.isdigit() or int(value) < 1:
+            digits = value.lstrip("0")
+            if not (value.isascii() and value.isdigit() and digits):
                 raise ParseError(line, 1, f"bad matrix size {value!r}")
-            size = int(value)
+            # the length is checked before int() converts the digits
+            if len(digits) > len(str(MAX_MATRIX_SIZE)) or int(digits) > MAX_MATRIX_SIZE:
+                raise ParseError(line, 1, f"matrix size larger than {MAX_MATRIX_SIZE}")
+            size = int(digits)
         else:
             raise ParseError(line, 1, f"unknown base key {key!r}")
     if field is None:

@@ -4,13 +4,19 @@ Four fields are available, all with decidable equality through canonical
 forms and no floating point anywhere:
 
 * ``QQ`` -- the rationals, backed by :class:`fractions.Fraction`;
-* ``CyclotomicField(n)`` -- Q(zeta_n), elements stored as coefficient
-  vectors of length phi(n) reduced modulo the n-th cyclotomic polynomial;
+* ``GF(p)`` -- the prime field, residues in ``[0, p)``;
+* ``CyclotomicField(n)`` -- Q(zeta_n), an element ``(nums, den)`` being
+  phi(n) integer numerators over one positive common denominator, with
+  ``gcd(den, *nums) == 1`` (the ``nf_elem`` layout of ANTIC); products are
+  integer schoolbook products reduced from the top by the monic integer
+  n-th cyclotomic polynomial;
 * ``FunctionField(inner, name)`` -- univariate rational functions over an
-  inner field, stored with coprime numerator/denominator and monic
-  denominator;
-* ``GF(p)`` -- the prime field, residues in ``[0, p)``.
+  inner field, ``(num, den)`` tuples of the inner field's reps, coprime,
+  with monic denominator.
 
+Each field computes on its own reps (``rep_add``, ``rep_mul``, ...); the
+polynomial helpers below take the coefficient field and call those, so a
+rational function never wraps its coefficients in :class:`Scalar`.
 Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields and backs both matrix-algebra
@@ -21,9 +27,13 @@ from __future__ import annotations
 
 import functools
 import math
+import operator
 from fractions import Fraction
 
 from .errors import DivisionByZero, ScalarError, ZeroInput
+
+# largest n accepted for Q(zeta_n); a product there costs O(phi(n)^2)
+MAX_CYCLOTOMIC_ORDER = 1000
 
 
 # ---------------------------------------------------------------------------
@@ -79,119 +89,121 @@ def is_prime(n: int) -> bool:
 # ---------------------------------------------------------------------------
 # dense univariate polynomial helpers
 #
-# Polynomials are tuples of coefficients, constant term first, with a
-# nonzero leading coefficient ([] is the zero polynomial).  Coefficients
-# are Fractions or Scalars; both support field division.
+# Polynomials are tuples of coefficient reps of one field F, constant term
+# first, with a nonzero leading coefficient (() is the zero polynomial).
+# Every helper takes F and computes with its rep-level operations.
 
 
-def _ptrim(cs) -> tuple:
-    cs = list(cs)
-    while cs and not cs[-1]:
-        cs.pop()
-    return tuple(cs)
+def _ptrim(cs, F) -> tuple:
+    n = len(cs)
+    while n and F.rep_is_zero(cs[n - 1]):
+        n -= 1
+    return tuple(cs[:n])
 
 
-def _padd(a, b) -> tuple:
+def _padd(a, b, F) -> tuple:
     if len(a) < len(b):
         a, b = b, a
+    add = F.rep_add
     out = list(a)
     for i, c in enumerate(b):
-        out[i] = out[i] + c
-    return _ptrim(out)
+        out[i] = add(out[i], c)
+    return _ptrim(out, F)
 
 
-def _pneg(a) -> tuple:
-    return tuple(-c for c in a)
+def _pneg(a, F) -> tuple:
+    return tuple(map(F.rep_neg, a))
 
 
-def _pmul(a, b, zero) -> tuple:
+def _pmul(a, b, F) -> tuple:
     if not a or not b:
         return ()
-    out = [zero] * (len(a) + len(b) - 1)
+    add, mul, is_zero = F.rep_add, F.rep_mul, F.rep_is_zero
+    right = [(j, d) for j, d in enumerate(b) if not is_zero(d)]
+    out = [F.rep_zero] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
-        if not c:
+        if is_zero(c):
             continue
-        for j, d in enumerate(b):
-            out[i + j] = out[i + j] + c * d
-    return _ptrim(out)
+        for j, d in right:
+            out[i + j] = add(out[i + j], mul(c, d))
+    return _ptrim(out, F)
 
 
-def _pdivmod(a, b, zero) -> tuple[tuple, tuple]:
+def _pdivmod(a, b, F) -> tuple[tuple, tuple]:
     if not b:
         raise DivisionByZero("polynomial division by zero")
-    lead_inv = _coeff_inv(b[-1])
+    add, mul, is_zero = F.rep_add, F.rep_mul, F.rep_is_zero
+    lead_inv = F.rep_inv(b[-1])
+    db = len(b) - 1
+    # rem[k + i] -= factor * b[i] for the nonzero lower coefficients of b
+    lower = [(i, F.rep_neg(c)) for i, c in enumerate(b[:db]) if not is_zero(c)]
     rem = list(a)
-    quot = [zero] * max(0, len(a) - len(b) + 1)
-    while len(rem) >= len(b):
-        if not rem[-1]:
-            rem.pop()
+    quot = [F.rep_zero] * max(0, len(a) - db)
+    for k in range(len(a) - len(b), -1, -1):
+        top = rem[k + db]
+        if is_zero(top):
             continue
-        k = len(rem) - len(b)
-        factor = rem[-1] * lead_inv
+        factor = mul(top, lead_inv)
         quot[k] = factor
-        for i, c in enumerate(b):
-            rem[k + i] = rem[k + i] - factor * c
-        rem.pop()
-    return _ptrim(quot), _ptrim(rem)
+        for i, c in lower:
+            rem[k + i] = add(rem[k + i], mul(factor, c))
+    return _ptrim(quot, F), _ptrim(rem[:db], F)
 
 
-def _coeff_inv(c):
-    if isinstance(c, Fraction):
-        return Fraction(1) / c
-    return c.inverse()
-
-
-def _pmonic(a) -> tuple:
-    if not a:
+def _pmonic(a, F) -> tuple:
+    if not a or a[-1] == F.rep_one:
         return a
-    inv = _coeff_inv(a[-1])
-    return tuple(c * inv for c in a)
+    inv = F.rep_inv(a[-1])
+    return tuple(F.rep_mul(c, inv) for c in a)
 
 
-def _pgcd(a, b, zero) -> tuple:
+def _pgcd(a, b, F) -> tuple:
     while b:
-        a, b = b, _pdivmod(a, b, zero)[1]
-    return _pmonic(a)
+        a, b = b, _pdivmod(a, b, F)[1]
+    return _pmonic(a, F)
 
 
-def _pxgcd(a, b, zero, one) -> tuple[tuple, tuple, tuple]:
+def _pxgcd(a, b, F) -> tuple[tuple, tuple, tuple]:
     """Monic g and s, t with s*a + t*b = g."""
     r0, r1 = a, b
-    s0, s1 = (one,), ()
-    t0, t1 = (), (one,)
+    s0, s1 = (F.rep_one,), ()
+    t0, t1 = (), (F.rep_one,)
     while r1:
-        q, r = _pdivmod(r0, r1, zero)
+        q, r = _pdivmod(r0, r1, F)
         r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1, zero)))
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1, zero)))
+        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1, F), F), F)
+        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1, F), F), F)
     if r0:
-        inv = _coeff_inv(r0[-1])
-        r0 = tuple(c * inv for c in r0)
-        s0 = tuple(c * inv for c in s0)
-        t0 = tuple(c * inv for c in t0)
+        inv = F.rep_inv(r0[-1])
+        r0, s0, t0 = (tuple(F.rep_mul(c, inv) for c in p) for p in (r0, s0, t0))
     return r0, s0, t0
 
 
 @functools.lru_cache(maxsize=None)
-def cyclotomic_polynomial(n: int) -> tuple[Fraction, ...]:
-    """Coefficients of the n-th cyclotomic polynomial, by Moebius-factored division."""
+def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
+    """Integer coefficients of the n-th cyclotomic polynomial, constant term first.
+
+    Phi_n = prod over d | n of (x^d - 1)^mu(n/d): the factors with mu = 1
+    are multiplied in first, then those with mu = -1 divided out exactly.
+    """
     if n < 1:
         raise ValueError("order must be positive")
-    num: tuple = (Fraction(1),)
-    den: tuple = (Fraction(1),)
-    for d in divisors(n):
-        mu = mobius(n // d)
-        if mu == 0:
-            continue
-        # x^d - 1
-        cyc = (Fraction(-1),) + (Fraction(0),) * (d - 1) + (Fraction(1),)
+    factors = [(d, mobius(n // d)) for d in divisors(n)]
+    poly = [1]
+    for d, mu in factors:
         if mu == 1:
-            num = _pmul(num, cyc, Fraction(0))
-        else:
-            den = _pmul(den, cyc, Fraction(0))
-    quot, rem = _pdivmod(num, den, Fraction(0))
-    assert not rem
-    return quot
+            poly = [
+                (poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
+                for i in range(len(poly) + d)
+            ]
+    for d, mu in factors:
+        if mu == -1:
+            # q (x^d - 1) = p  gives  q[i] = q[i - d] - p[i]
+            quot = [0] * (len(poly) - d)
+            for i in range(len(quot)):
+                quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
+            poly = quot
+    return tuple(poly)
 
 
 # ---------------------------------------------------------------------------
@@ -278,7 +290,7 @@ class Scalar:
         return self.field.inv(self)
 
     def is_zero(self) -> bool:
-        return self.field.is_zero(self)
+        return self.field.rep_is_zero(self.rep)
 
     def __bool__(self):
         return not self.is_zero()
@@ -287,7 +299,7 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            if other.field == self.field:
+            if other.field is self.field or other.field == self.field:
                 return self.rep == other.rep
             merged = _common_field(self.field, other.field)
             if merged is None:
@@ -304,7 +316,7 @@ class Scalar:
         return hash((self.field, self.rep))
 
     def __repr__(self):
-        return self.field.render(self)
+        return self.field.rep_str(self.rep)
 
     __str__ = __repr__
 
@@ -329,17 +341,23 @@ def _common_field(f, g):
 
 
 class _FieldBase:
-    """Shared behaviour of the concrete field classes."""
+    """Shared behaviour of the concrete field classes.
+
+    A field computes on its reps through ``rep_zero``, ``rep_one``,
+    ``rep_add``, ``rep_neg``, ``rep_mul``, ``rep_inv``, ``rep_is_zero`` and
+    ``rep_str``; Scalar and the operations here wrap them.  Fields are
+    singletons and scalars immutable, so ``zero`` and ``one`` are built once.
+    """
 
     gen_name: str | None = None
 
-    @property
+    @functools.cached_property
     def zero(self) -> Scalar:
-        return self.coerce(0)
+        return Scalar(self, self.rep_zero)
 
-    @property
+    @functools.cached_property
     def one(self) -> Scalar:
-        return self.coerce(1)
+        return Scalar(self, self.rep_one)
 
     @property
     def gen(self) -> Scalar | None:
@@ -351,6 +369,18 @@ class _FieldBase:
 
     def coerce(self, value) -> Scalar:
         raise NotImplementedError
+
+    def add(self, a, b):
+        return Scalar(self, self.rep_add(a.rep, b.rep))
+
+    def neg(self, a):
+        return Scalar(self, self.rep_neg(a.rep))
+
+    def mul(self, a, b):
+        return Scalar(self, self.rep_mul(a.rep, b.rep))
+
+    def inv(self, a):
+        return Scalar(self, self.rep_inv(a.rep))
 
     def generator_named(self, name: str) -> Scalar | None:
         """The generator called ``name`` of this field or of a field it is
@@ -417,6 +447,17 @@ def _power_rule(field, coeffs, image: Scalar | None, d: Scalar) -> Scalar:
 
 class RationalField(_FieldBase):
     name = "Q"
+    rep_zero = Fraction(0)
+    rep_one = Fraction(1)
+    rep_add = staticmethod(operator.add)
+    rep_neg = staticmethod(operator.neg)
+    rep_mul = staticmethod(operator.mul)
+    rep_is_zero = staticmethod(operator.not_)
+    rep_str = staticmethod(str)
+
+    @staticmethod
+    def rep_inv(x):
+        return Fraction(1) / x
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -426,24 +467,6 @@ class RationalField(_FieldBase):
         if isinstance(value, (int, Fraction)):
             return Scalar(self, Fraction(value))
         raise ScalarError(f"cannot coerce {value!r} into Q")
-
-    def add(self, a, b):
-        return Scalar(self, a.rep + b.rep)
-
-    def neg(self, a):
-        return Scalar(self, -a.rep)
-
-    def mul(self, a, b):
-        return Scalar(self, a.rep * b.rep)
-
-    def inv(self, a):
-        return Scalar(self, Fraction(1) / a.rep)
-
-    def is_zero(self, a):
-        return a.rep == 0
-
-    def render(self, a):
-        return str(a.rep)
 
     def __eq__(self, other):
         return isinstance(other, RationalField)
@@ -456,6 +479,11 @@ QQ = RationalField()
 
 
 class PrimeFieldImpl(_FieldBase):
+    rep_zero = 0
+    rep_one = 1
+    rep_is_zero = staticmethod(operator.not_)
+    rep_str = staticmethod(str)
+
     def __init__(self, p: int):
         if not is_prime(p):
             raise ValueError(f"{p} is not prime")
@@ -465,6 +493,18 @@ class PrimeFieldImpl(_FieldBase):
     @property
     def characteristic(self) -> int:
         return self.p
+
+    def rep_add(self, x, y):
+        return (x + y) % self.p
+
+    def rep_neg(self, x):
+        return -x % self.p
+
+    def rep_mul(self, x, y):
+        return x * y % self.p
+
+    def rep_inv(self, x):
+        return pow(x, -1, self.p)
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -483,24 +523,6 @@ class PrimeFieldImpl(_FieldBase):
             return Scalar(self, value.numerator * pow(den, -1, self.p) % self.p)
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
-    def add(self, a, b):
-        return Scalar(self, (a.rep + b.rep) % self.p)
-
-    def neg(self, a):
-        return Scalar(self, -a.rep % self.p)
-
-    def mul(self, a, b):
-        return Scalar(self, a.rep * b.rep % self.p)
-
-    def inv(self, a):
-        return Scalar(self, pow(a.rep, -1, self.p))
-
-    def is_zero(self, a):
-        return a.rep == 0
-
-    def render(self, a):
-        return str(a.rep)
-
     def __eq__(self, other):
         return isinstance(other, PrimeFieldImpl) and other.p == self.p
 
@@ -514,28 +536,69 @@ def GF(p: int) -> PrimeFieldImpl:
 
 
 class CyclotomicFieldImpl(_FieldBase):
-    """Q(zeta_n); elements are coefficient tuples of length phi(n)."""
+    """Q(zeta_n); an element is (nums, den), sum_k nums[k] z^k / den.
+
+    ``nums`` holds phi(n) ints, ``den > 0`` and ``gcd(den, *nums) == 1``,
+    so equal elements have equal reps.
+    """
 
     gen_name = "z"
 
     def __init__(self, n: int):
         if n < 1:
             raise ValueError("order must be positive")
+        if n > MAX_CYCLOTOMIC_ORDER:
+            raise ValueError(f"cyclotomic order {n} exceeds {MAX_CYCLOTOMIC_ORDER}")
         self.n = n
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({n})"
+        # z^degree = sum_j -modulus[j] z^j over the nonzero lower coefficients
+        self._fold = tuple((j, -c) for j, c in enumerate(self.modulus[:-1]) if c)
+        self.rep_zero = ((0,) * self.degree, 1)
+        self.rep_one = ((1,) + (0,) * (self.degree - 1), 1)
 
-    @property
+    @functools.cached_property
     def gen(self) -> Scalar:
-        return self._reduce((Fraction(0), Fraction(1)))
+        return Scalar(self, self._make([0, 1], 1))
 
-    def _reduce(self, coeffs) -> Scalar:
-        coeffs = _ptrim(tuple(Fraction(c) for c in coeffs))
-        if len(coeffs) >= len(self.modulus):
-            coeffs = _pdivmod(coeffs, self.modulus, Fraction(0))[1]
-        rep = tuple(coeffs) + (Fraction(0),) * (self.degree - len(coeffs))
-        return Scalar(self, rep)
+    def _fold_top(self, coeffs: list) -> list:
+        """Reduce an int coefficient list of length >= degree modulo Phi_n."""
+        d = self.degree
+        fold = self._fold
+        for k in range(len(coeffs) - 1, d - 1, -1):
+            c = coeffs[k]
+            if c:
+                base = k - d
+                for j, m in fold:
+                    coeffs[base + j] += c * m
+        return coeffs[:d]
+
+    @staticmethod
+    def _normal(nums, den: int) -> tuple:
+        """(nums, den) over a positive denominator coprime to the content."""
+        g = math.gcd(den, *nums)
+        if den < 0:
+            g = -g
+        if g != 1:
+            return tuple(c // g for c in nums), den // g
+        return tuple(nums), den
+
+    def _make(self, nums, den: int) -> tuple:
+        """The rep of (sum_k nums[k] z^k) / den, for ints nums and den."""
+        if not den:
+            raise DivisionByZero(f"zero denominator in {self.name}")
+        nums = list(nums)
+        if len(nums) > self.degree:
+            nums = self._fold_top(nums)
+        else:
+            nums += [0] * (self.degree - len(nums))
+        return self._normal(nums, den)
+
+    def _from_rationals(self, coeffs) -> tuple:
+        fracs = [Fraction(c) for c in coeffs]
+        den = math.lcm(*(c.denominator for c in fracs))
+        return self._make([c.numerator * (den // c.denominator) for c in fracs], den)
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -545,43 +608,71 @@ class CyclotomicFieldImpl(_FieldBase):
                 value = value.rep
             else:
                 raise ScalarError(f"cannot coerce {value!r} into {self.name}")
-        if isinstance(value, (int, Fraction)):
-            return self._reduce((Fraction(value),))
+        if isinstance(value, int):
+            return Scalar(self, self._make([value], 1))
+        if isinstance(value, Fraction):
+            return Scalar(self, self._make([value.numerator], value.denominator))
         if isinstance(value, (tuple, list)):
-            return self._reduce(value)
+            if all(type(c) is int for c in value):
+                return Scalar(self, self._make(value, 1))
+            return Scalar(self, self._from_rationals(value))
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
-    def add(self, a, b):
-        return Scalar(self, tuple(x + y for x, y in zip(a.rep, b.rep)))
+    def rep_add(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        if ad == bd:
+            nums = [a + b for a, b in zip(an, bn)]
+            return (tuple(nums), 1) if ad == 1 else self._normal(nums, ad)
+        return self._normal([a * bd + b * ad for a, b in zip(an, bn)], ad * bd)
 
-    def neg(self, a):
-        return Scalar(self, tuple(-x for x in a.rep))
+    def rep_neg(self, x):
+        nums, den = x
+        return tuple(-c for c in nums), den
 
-    def mul(self, a, b):
-        prod = _pmul(_ptrim(a.rep), _ptrim(b.rep), Fraction(0))
-        return self._reduce(prod)
+    def rep_mul(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        right = [(j, b) for j, b in enumerate(bn) if b]
+        prod = [0] * (2 * self.degree - 1)
+        for i, a in enumerate(an):
+            if a:
+                for j, b in right:
+                    prod[i + j] += a * b
+        nums = self._fold_top(prod)
+        den = ad * bd
+        return (tuple(nums), 1) if den == 1 else self._normal(nums, den)
 
-    def inv(self, a):
-        g, s, _ = _pxgcd(_ptrim(a.rep), self.modulus, Fraction(0), Fraction(1))
+    def rep_inv(self, x):
+        nums, den = x
+        g, s, _ = _pxgcd(
+            _ptrim([Fraction(c) for c in nums], QQ),
+            tuple(Fraction(c) for c in self.modulus),
+            QQ,
+        )
         if len(g) != 1:
-            raise DivisionByZero(f"{a!r} is not invertible in {self.name}")
-        return self._reduce(s)
+            raise DivisionByZero(f"{self.rep_str(x)} is not invertible in {self.name}")
+        # s * nums = 1 modulo Phi_n, so den * s inverts nums / den
+        return self._from_rationals([den * c for c in s])
 
-    def is_zero(self, a):
-        return all(c == 0 for c in a.rep)
+    def rep_is_zero(self, x):
+        return not any(x[0])
 
-    def render(self, a):
-        return _render_poly(a.rep, "z", str)
+    def rep_str(self, x):
+        nums, den = x
+        return _render_poly([Fraction(c, den) for c in nums], "z", QQ, str)
 
     def substitute(self, s, image):
         if image is None:
             return s
-        return _horner(self, s.rep, image)
+        nums, den = s.rep
+        value = _horner(self, nums, image)
+        return value if den == 1 else value * Fraction(1, den)
 
     def derive(self, s, image, d):
         if d is None or d.is_zero():
             return self.zero
-        return _power_rule(self, s.rep, image, d)
+        nums, den = s.rep
+        value = _power_rule(self, nums, image, d)
+        return value if den == 1 else value * Fraction(1, den)
 
     def automorphism_defect(self, image):
         if image is None or _horner(self, self.modulus, image).is_zero():
@@ -622,8 +713,8 @@ def CyclotomicField(n: int) -> CyclotomicFieldImpl:
 class RationalFunctionField(_FieldBase):
     """Univariate rational functions over an inner field.
 
-    Elements are (numerator, denominator) pairs of coefficient tuples over
-    the inner field, coprime, with monic denominator.
+    An element is a (numerator, denominator) pair of coefficient tuples of
+    inner-field reps, coprime, with monic denominator.
     """
 
     def __init__(self, inner, name: str):
@@ -633,95 +724,107 @@ class RationalFunctionField(_FieldBase):
         self.var = name
         self.name = f"{inner.name}({name})"
         self.gen_name = name
+        self._one_poly = (inner.rep_one,)
+        self.rep_zero = ((), self._one_poly)
+        self.rep_one = (self._one_poly, self._one_poly)
 
     @property
     def characteristic(self) -> int:
         return self.inner.characteristic
 
-    @property
+    @functools.cached_property
     def gen(self) -> Scalar:
-        return Scalar(self, ((self.inner.zero, self.inner.one), (self.inner.one,)))
+        return Scalar(self, ((self.inner.rep_zero, self.inner.rep_one), self._one_poly))
 
-    def _make(self, num, den) -> Scalar:
-        num = _ptrim(num)
-        den = _ptrim(den)
+    def _make(self, num, den) -> tuple:
+        """The rep of num/den: cancelled, with monic denominator."""
+        F = self.inner
+        num = _ptrim(num, F)
+        den = _ptrim(den, F)
         if not den:
             raise DivisionByZero(f"zero denominator in {self.name}")
         if not num:
-            return Scalar(self, ((), (self.inner.one,)))
-        if len(den) == 1 and den[0] == self.inner.one:
-            return Scalar(self, (num, den))
-        g = _pgcd(num, den, self.inner.zero)
-        if len(g) > 1:
-            num = _pdivmod(num, g, self.inner.zero)[0]
-            den = _pdivmod(den, g, self.inner.zero)[0]
-        lead_inv = _coeff_inv(den[-1])
-        num = tuple(c * lead_inv for c in num)
-        den = tuple(c * lead_inv for c in den)
-        return Scalar(self, (num, den))
+            return self.rep_zero
+        if den == self._one_poly:
+            return num, den
+        if all(map(F.rep_is_zero, den[:-1])):
+            # den = c t^k: the gcd is t^min(k, v), v the order of num at 0
+            v = next(i for i, c in enumerate(num) if not F.rep_is_zero(c))
+            m = min(len(den) - 1, v)
+            num = num[m:]
+            den = (F.rep_zero,) * (len(den) - 1 - m) + (den[-1],)
+        else:
+            g = _pgcd(num, den, F)
+            if len(g) > 1:
+                num = _pdivmod(num, g, F)[0]
+                den = _pdivmod(den, g, F)[0]
+        lead = den[-1]
+        if lead == F.rep_one:
+            return num, den
+        inv = F.rep_inv(lead)
+        return tuple(F.rep_mul(c, inv) for c in num), tuple(F.rep_mul(c, inv) for c in den)
 
     def from_polys(self, num_coeffs, den_coeffs=None) -> Scalar:
-        num = tuple(self.inner.coerce(c) for c in num_coeffs)
-        den = (
-            (self.inner.one,)
-            if den_coeffs is None
-            else tuple(self.inner.coerce(c) for c in den_coeffs)
-        )
-        return self._make(num, den)
+        coerce = self.inner.coerce
+        num = tuple(coerce(c).rep for c in num_coeffs)
+        den = self._one_poly if den_coeffs is None else tuple(coerce(c).rep for c in den_coeffs)
+        return Scalar(self, self._make(num, den))
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
             if value.field is self or value.field == self:
                 return value
-            inner_val = self.inner.coerce(value)
-            return Scalar(self, ((inner_val,), (self.inner.one,)) if inner_val else ((), (self.inner.one,)))
+            rep = self.inner.coerce(value).rep
+            if self.inner.rep_is_zero(rep):
+                return self.zero
+            return Scalar(self, ((rep,), self._one_poly))
         if isinstance(value, (int, Fraction)):
             return self.coerce(self.inner.coerce(value))
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
-    def add(self, a, b):
-        (an, ad), (bn, bd) = a.rep, b.rep
-        zero = self.inner.zero
+    def rep_add(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        F = self.inner
         if ad == bd:
-            num = _padd(an, bn)
-            if len(ad) == 1 and ad[0] == self.inner.one:
-                return Scalar(self, (num, ad)) if num else Scalar(self, ((), ad))
-            return self._make(num, ad)
-        num = _padd(_pmul(an, bd, zero), _pmul(bn, ad, zero))
-        return self._make(num, _pmul(ad, bd, zero))
+            num = _padd(an, bn, F)
+            return (num, ad) if ad == self._one_poly else self._make(num, ad)
+        return self._make(_padd(_pmul(an, bd, F), _pmul(bn, ad, F), F), _pmul(ad, bd, F))
 
-    def neg(self, a):
-        num, den = a.rep
-        return Scalar(self, (_pneg(num), den))
+    def rep_neg(self, x):
+        num, den = x
+        return _pneg(num, self.inner), den
 
-    def mul(self, a, b):
-        (an, ad), (bn, bd) = a.rep, b.rep
-        zero = self.inner.zero
-        if (
-            len(ad) == 1
-            and len(bd) == 1
-            and ad[0] == self.inner.one
-            and bd[0] == self.inner.one
-        ):
+    def rep_mul(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        F = self.inner
+        one = self._one_poly
+        if ad == one and bd == one:
             if len(an) == 1 and len(bn) == 1:
-                return Scalar(self, ((an[0] * bn[0],), ad))
-            return Scalar(self, (_pmul(an, bn, zero), ad))
-        return self._make(_pmul(an, bn, zero), _pmul(ad, bd, zero))
+                return (F.rep_mul(an[0], bn[0]),), one
+            return _pmul(an, bn, F), one
+        return self._make(_pmul(an, bn, F), _pmul(ad, bd, F))
 
-    def inv(self, a):
-        num, den = a.rep
+    def rep_inv(self, x):
+        num, den = x
         return self._make(den, num)
 
-    def is_zero(self, a):
-        return not a.rep[0]
+    def rep_is_zero(self, x):
+        return not x[0]
 
-    def render(self, a):
-        num, den = a.rep
-        num_str = _render_poly(num, self.var, lambda c: _wrap(str(c)))
-        if den == (self.inner.one,):
+    def rep_str(self, x):
+        num, den = x
+        F = self.inner
+
+        def coeff_str(c):
+            return _wrap(F.rep_str(c))
+
+        num_str = _render_poly(num, self.var, F, coeff_str)
+        if den == self._one_poly:
             return num_str
-        den_str = _render_poly(den, self.var, lambda c: _wrap(str(c)))
-        return f"({num_str})/({den_str})"
+        return f"({num_str})/({_render_poly(den, self.var, F, coeff_str)})"
+
+    def _inner_scalars(self, poly) -> list[Scalar]:
+        return [Scalar(self.inner, c) for c in poly]
 
     def generator_named(self, name):
         if name == self.gen_name:
@@ -733,17 +836,19 @@ class RationalFunctionField(_FieldBase):
         if image is None:
             return s
         num, den = s.rep
-        return _horner(self, num, image) / _horner(self, den, image)
+        return _horner(self, self._inner_scalars(num), image) / _horner(
+            self, self._inner_scalars(den), image
+        )
 
     def derive(self, s, image, d):
         if d is None or d.is_zero():
             return self.zero
         num, den = s.rep
-        d_num = _power_rule(self, num, image, d)
-        if den == (self.inner.one,):
+        d_num = _power_rule(self, self._inner_scalars(num), image, d)
+        if den == self._one_poly:
             return d_num
-        d_den = _power_rule(self, den, image, d)
-        den_val = Scalar(self, (den, (self.inner.one,)))
+        d_den = _power_rule(self, self._inner_scalars(den), image, d)
+        den_val = Scalar(self, (den, self._one_poly))
         return (d_num - self.substitute(s, image) * d_den) / den_val
 
     def automorphism_defect(self, image):
@@ -765,17 +870,20 @@ class RationalFunctionField(_FieldBase):
             return None
         a, b, c, d = self._moebius(image)
         # the inverse of the Moebius map t -> (a t + b)/(c t + d)
-        return self._make((-b, d), (a, -c))
+        return self.from_polys((-b, d), (a, -c))
 
     def _moebius(self, image: Scalar) -> tuple:
-        """(a, b, c, d) with image = (a t + b) / (c t + d), for image of degree <= 1."""
+        """(a, b, c, d) in the inner field with image = (a t + b) / (c t + d),
+        for image of degree <= 1."""
         num, den = image.rep
-        zero = self.inner.zero
-        return (
-            num[1] if len(num) == 2 else zero,
-            num[0] if num else zero,
-            den[1] if len(den) == 2 else zero,
-            den[0] if den else zero,
+        zero = self.inner.rep_zero
+        return tuple(
+            self._inner_scalars((
+                num[1] if len(num) == 2 else zero,
+                num[0] if num else zero,
+                den[1] if len(den) == 2 else zero,
+                den[0],
+            ))
         )
 
     def __eq__(self, other):
@@ -800,19 +908,22 @@ def _wrap(s: str) -> str:
     return s
 
 
-def _render_poly(coeffs, var: str, coeff_str) -> str:
+def _render_poly(coeffs, var: str, F, coeff_str) -> str:
+    """coeffs are reps of F; a coefficient 1 or -1 prints as a bare monomial."""
+    one = F.rep_one
+    minus_one = F.rep_neg(one)
     terms = []
     for k in range(len(coeffs) - 1, -1, -1):
         c = coeffs[k]
-        if not c:
+        if F.rep_is_zero(c):
             continue
         if k == 0:
             piece = coeff_str(c)
         else:
             mono = var if k == 1 else f"{var}^{k}"
-            if c == 1:
+            if c == one:
                 piece = mono
-            elif c == -1:
+            elif c == minus_one:
                 piece = f"-{mono}"
             else:
                 piece = f"{coeff_str(c)}*{mono}"
@@ -826,6 +937,15 @@ def _render_poly(coeffs, var: str, coeff_str) -> str:
         else:
             out += " + " + piece
     return out
+
+
+def _bounded_order(digits: str) -> int:
+    """The cyclotomic order spelled by ``digits``, checked against the cap
+    before the string is converted."""
+    too_long = len(digits.lstrip("0")) > len(str(MAX_CYCLOTOMIC_ORDER))
+    if too_long or int(digits) > MAX_CYCLOTOMIC_ORDER:
+        raise ValueError(f"cyclotomic order exceeds {MAX_CYCLOTOMIC_ORDER}")
+    return int(digits)
 
 
 def parse_field(descriptor: str):
@@ -851,7 +971,7 @@ def parse_field(descriptor: str):
             if head.lower() == "gf" and arg.isdigit():
                 return GF(int(arg))
             if head.lower() == "cyclotomic" and arg.isdigit():
-                return CyclotomicField(int(arg))
+                return CyclotomicField(_bounded_order(arg))
             if arg.isidentifier():
                 return FunctionField(parse_field(head), arg)
     raise ValueError(f"unrecognised field descriptor {descriptor!r}")
@@ -864,9 +984,9 @@ def canonicalize(s: Scalar) -> Scalar:
     acts as the equality normal form.
     """
     field = s.field
-    if isinstance(field, RationalFunctionField):
-        return field._make(*s.rep)
-    if field == QQ or isinstance(field, (PrimeFieldImpl, CyclotomicFieldImpl)):
+    if isinstance(field, (RationalFunctionField, CyclotomicFieldImpl)):
+        return Scalar(field, field._make(*s.rep))
+    if field == QQ or isinstance(field, PrimeFieldImpl):
         return field.coerce(s.rep)
     raise ScalarError(f"unknown field {field!r}")
 
@@ -897,8 +1017,8 @@ def root_of_unity_order(s: Scalar) -> int | None:
         return _order_dividing(s, math.lcm(2, field.n))
     if isinstance(field, RationalFunctionField):
         num, den = s.rep
-        if len(num) <= 1 and den == (field.inner.one,):
-            return root_of_unity_order(num[0])
+        if len(num) == 1 and den == field._one_poly:
+            return root_of_unity_order(Scalar(field.inner, num[0]))
         return None
     raise ScalarError(f"unknown field {field!r}")
 

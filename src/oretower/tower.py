@@ -285,8 +285,13 @@ class OreTower:
         # the rewriting engine in skewpoly
         self._engine_table: dict = {}
         # (i, is_delta, element) -> image under sigma_i or delta_i; owned by
-        # apply_sigma0 / apply_delta0
+        # apply_sigma0 / apply_delta0, which skip it for an identity sigma
+        # and a zero delta (flags per level, indexed by is_delta)
         self._base_map_memo: dict = {}
+        self._trivial_maps = tuple(
+            (lvl.sigma_base.is_trivial(), lvl.delta_base.is_trivial()) for lvl in self.levels
+        )
+        self._base_zero = base.zero
 
     @functools.cached_property
     def validation(self) -> "ValidationReport":
@@ -350,6 +355,8 @@ class OreTower:
         return self._base_map_image(i, True, element)
 
     def _base_map_image(self, i: int, is_delta: bool, element):
+        if self._trivial_maps[i][is_delta]:
+            return self._base_zero if is_delta else element
         key = (i, is_delta, element)
         image = self._base_map_memo.get(key)
         if image is None:

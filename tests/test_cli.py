@@ -415,3 +415,32 @@ def test_matrix_literal_parsing_in_expressions(capsys):
         tower, e21
     )
     assert out == str(expected)
+
+
+@pytest.mark.parametrize(
+    "base, message",
+    [
+        ("field = cyclotomic(1001)", "cyclotomic order exceeds 1000"),
+        ("field = cyclotomic(" + "9" * 5000 + ")", "cyclotomic order exceeds 1000"),
+        ("kind = matrix\nfield = Q\nsize = 7", "matrix size larger than 6"),
+        ("kind = matrix\nfield = Q\nsize = " + "9" * 5000, "matrix size larger than 6"),
+    ],
+    ids=["order_cap_plus_one", "order_5000_digits", "size_cap_plus_one", "size_5000_digits"],
+)
+def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path, monkeypatch):
+    from oretower import cli, scalars
+    from oretower.tower import BaseRing
+
+    assert scalars.MAX_CYCLOTOMIC_ORDER == 1000 and cli.MAX_MATRIX_SIZE == 6
+
+    def refuse(*args):
+        raise AssertionError("built past a cap")
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+    monkeypatch.setattr(BaseRing, "matrix_ring", classmethod(refuse))
+    path = tmp_path / "capped.tw"
+    path.write_text(f"[base]\n{base}\n\n[[level]]\nvar = x1\n", encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line ") and message in captured.err
+    assert captured.out == ""

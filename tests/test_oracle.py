@@ -126,11 +126,11 @@ def test_cyclotomic_polynomial_divisibility():
         phi = cyclotomic_polynomial(n)
         assert len(phi) - 1 == euler_phi(n)
         x_n_minus_1 = (Fraction(-1),) + (Fraction(0),) * (n - 1) + (Fraction(1),)
-        _quot, rem = _pdivmod(x_n_minus_1, phi, Fraction(0))
+        _quot, rem = _pdivmod(x_n_minus_1, phi, QQ)
         assert not rem
         product = (Fraction(1),)
         for d in divisors(n):
-            product = _pmul(product, cyclotomic_polynomial(d), Fraction(0))
+            product = _pmul(product, cyclotomic_polynomial(d), QQ)
         assert product == x_n_minus_1
 
 

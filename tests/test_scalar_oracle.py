@@ -1,0 +1,181 @@
+"""Field arithmetic against sympy on hypothesis-drawn elements.
+
+Products, sums and inverses in cyclotomic(n) are compared with sympy's
+remainder modulo the n-th cyclotomic polynomial, and in Q(t) with
+``cancel``.  Every result is also checked for the rep invariants: a
+cyclotomic rep is phi(n) integers over a positive denominator coprime to
+their content, and a rational-function rep holds inner-field reps (never
+a Scalar) with a monic denominator.
+"""
+
+import math
+from fractions import Fraction
+
+import pytest
+
+sympy = pytest.importorskip("sympy")
+pytest.importorskip("hypothesis")
+
+from hypothesis import given, settings, strategies as st  # noqa: E402
+
+from oretower.scalars import (  # noqa: E402
+    GF,
+    QQ,
+    CyclotomicField,
+    FunctionField,
+    Scalar,
+    euler_phi,
+)
+
+X = sympy.Symbol("x")
+ORDERS = (3, 4, 5, 7, 8, 9, 12)
+QT = FunctionField(QQ, "t")
+
+rationals = st.fractions(min_value=-12, max_value=12, max_denominator=6)
+small_ints = st.integers(min_value=-9, max_value=9)
+
+
+def _sym(c: Fraction):
+    return sympy.Rational(c.numerator, c.denominator)
+
+
+def _sym_poly(coeffs):
+    return sum((_sym(Fraction(c)) * X**k for k, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+# ---------------------------------------------------------------------------
+# cyclotomic(n)
+
+
+def cyclotomic_elements(n):
+    coeffs = st.lists(
+        st.one_of(small_ints, rationals), min_size=1, max_size=2 * euler_phi(n)
+    )
+    return coeffs.map(CyclotomicField(n).coerce)
+
+
+def _cyc_sym(s: Scalar):
+    nums, den = s.rep
+    return _sym_poly([Fraction(c, den) for c in nums])
+
+
+def _reduced(expr, n):
+    return sympy.Poly(sympy.rem(sympy.expand(expr), sympy.cyclotomic_poly(n, X), X), X, domain="QQ")
+
+
+def _assert_cyclotomic_rep(s: Scalar, n: int):
+    nums, den = s.rep
+    assert len(nums) == euler_phi(n)
+    assert all(type(c) is int for c in nums) and type(den) is int
+    assert den > 0 and math.gcd(den, *nums) == 1
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@settings(max_examples=25, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_arithmetic_matches_sympy(n, data):
+    a = data.draw(cyclotomic_elements(n))
+    b = data.draw(cyclotomic_elements(n))
+    for s in (a, b, a * b, a + b, a - b):
+        _assert_cyclotomic_rep(s, n)
+    assert _reduced(_cyc_sym(a * b), n) == _reduced(_cyc_sym(a) * _cyc_sym(b), n)
+    assert _reduced(_cyc_sym(a + b), n) == _reduced(_cyc_sym(a) + _cyc_sym(b), n)
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_cyclotomic_rep(inv, n)
+        assert _reduced(_cyc_sym(inv) * _cyc_sym(a), n) == sympy.Poly(1, X, domain="QQ")
+
+
+def test_cyclotomic_coerce_reduces_integer_lists():
+    field = CyclotomicField(5)
+    # z^4 = -1 - z - z^2 - z^3 and z^5 = 1
+    assert field.coerce([0, 0, 0, 0, 1]).rep == ((-1, -1, -1, -1), 1)
+    assert field.coerce([0, 0, 0, 0, 0, 2]).rep == ((2, 0, 0, 0), 1)
+    assert field.coerce([Fraction(2, 4), 3]).rep == ((1, 6, 0, 0), 2)
+    assert field.zero.rep == ((0, 0, 0, 0), 1)
+
+
+# ---------------------------------------------------------------------------
+# Q(t)
+
+
+def _qt_element(num, den_shape):
+    kind, payload = den_shape
+    if kind == "monomial":  # c t^k
+        c, k = payload
+        return QT.from_polys(num, [0] * k + [c])
+    return QT.from_polys(num, payload)
+
+
+nonzero_rationals = rationals.filter(bool)
+qt_elements = st.builds(
+    _qt_element,
+    st.lists(rationals, min_size=0, max_size=4),
+    st.one_of(
+        st.tuples(st.just("monomial"), st.tuples(nonzero_rationals, st.integers(0, 4))),
+        st.tuples(
+            st.just("dense"),
+            st.lists(rationals, min_size=1, max_size=3).filter(lambda cs: any(cs)),
+        ),
+    ),
+)
+
+
+def _qt_sym(s: Scalar):
+    num, den = s.rep
+    return _sym_poly(num) / _sym_poly(den)
+
+
+def _assert_qt_rep(s: Scalar):
+    num, den = s.rep
+    assert all(type(c) is Fraction for c in num + den)
+    assert den and den[-1] == 1
+    assert not num or num[-1] != 0
+    assert sympy.degree(sympy.gcd(_sym_poly(num), _sym_poly(den)), X) <= 0
+
+
+def _same(lhs, rhs) -> bool:
+    return sympy.cancel(lhs - rhs) == 0
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=qt_elements, b=qt_elements)
+def test_rational_functions_match_sympy(a, b):
+    for s in (a, b, a * b, a + b, a - b):
+        _assert_qt_rep(s)
+    assert _same(_qt_sym(a * b), _qt_sym(a) * _qt_sym(b))
+    assert _same(_qt_sym(a + b), _qt_sym(a) + _qt_sym(b))
+    if not a.is_zero():
+        inv = a.inverse()
+        _assert_qt_rep(inv)
+        assert _same(_qt_sym(inv) * _qt_sym(a), 1)
+
+
+def test_monomial_denominators_cancel_exactly():
+    t = QT.gen
+    a = (3 * t**5 + t**2) / (2 * t**4)
+    assert a.rep == ((Fraction(1, 2), 0, 0, Fraction(3, 2)), (0, 0, 1))
+    assert (t**3 / (5 * t**3)).rep == ((Fraction(1, 5),), (1,))
+    assert ((t + 1) / t**2).rep == ((1, 1), (0, 0, 1))
+
+
+def _holds_scalar(rep) -> bool:
+    if isinstance(rep, Scalar):
+        return True
+    return isinstance(rep, tuple) and any(_holds_scalar(part) for part in rep)
+
+
+@pytest.mark.parametrize(
+    "inner",
+    [QQ, GF(5), CyclotomicField(3), FunctionField(QQ, "q")],
+    ids=lambda f: f.name,
+)
+def test_no_scalar_inside_rational_function_reps(inner):
+    field = FunctionField(inner, "t")
+    t = field.gen
+    c = inner.gen if inner.gen is not None else inner.coerce(2)
+    values = [t, field.coerce(c), (c * t + 1) / (t**2 - c), (3 * t) / (2 * t + 2), t**3 / (c * t)]
+    for s in values + [v.inverse() for v in values] + [v * v + v for v in values]:
+        assert not _holds_scalar(s.rep)
+        num, den = s.rep
+        assert den[-1] == inner.one.rep

@@ -212,6 +212,64 @@ def test_cross_field_coercion():
     assert z + Fraction(1, 2) == CyclotomicField(3).coerce([Fraction(1, 2), 1])
 
 
+def test_render_pins():
+    # rendering reads coefficients through the inner field, so a gf(5)
+    # coefficient 4 prints as a minus sign
+    for inner, expected in (
+        (GF(5), "(-t)/(t + 1)"),
+        (CyclotomicField(3), "((3/2)*t)/(t + 1)"),
+        (FunctionField(QQ, "q"), "(((3/2))*t)/(t + 1)"),
+    ):
+        t = FunctionField(inner, "t").gen
+        assert str(3 * t / (2 * t + 2)) == expected
+    t = FunctionField(GF(5), "t").gen
+    assert str(4 * t**2 + 4) == "-t^2 + 4"
+    c5 = CyclotomicField(5).coerce([Fraction(1, 2), Fraction(-3, 4), 0, Fraction(5, 6)])
+    assert str(c5) == "5/6*z^3 - 3/4*z + 1/2"
+    assert str(c5.inverse()) == (
+        "27828/66361*z^3 + 60060/66361*z^2 + 32148/66361*z + 44460/66361"
+    )
+    z = CyclotomicField(3).gen
+    t = FunctionField(CyclotomicField(3), "t").gen
+    assert str((z * t + 1) / (t * t - z)) == "(z)/(t + (z + 1))"
+    q = FunctionField(QQ, "q").gen
+    t = FunctionField(FunctionField(QQ, "q"), "t").gen
+    assert str((q * t + 1) / (q * t * t - 1)) == "(t + ((1)/(q)))/(t^2 + ((-1)/(q)))"
+
+
+NESTED_FIELDS = [
+    FunctionField(GF(5), "t"),
+    FunctionField(CyclotomicField(3), "t"),
+    FunctionField(FunctionField(QQ, "q"), "t"),
+]
+
+
+@pytest.mark.parametrize("field", FIELDS + NESTED_FIELDS, ids=lambda f: f.name)
+def test_canonicalize_is_identity_on_every_field(field):
+    rng = random.Random(13)
+    for _ in range(20):
+        s = random_scalar(field, rng)
+        if not s.is_zero():
+            s = s + field.one / s  # a nontrivial denominator
+        once = canonicalize(s)
+        assert once.rep == s.rep
+        assert canonicalize(once).rep == once.rep
+
+
+def test_cyclotomic_order_cap(monkeypatch):
+    from oretower import scalars
+
+    def refuse(n):
+        raise AssertionError("cyclotomic polynomial built past the cap")
+
+    monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+    with pytest.raises(ValueError, match="exceeds 1000"):
+        scalars.CyclotomicFieldImpl(scalars.MAX_CYCLOTOMIC_ORDER + 1)
+    for digits in (str(scalars.MAX_CYCLOTOMIC_ORDER + 1), "9" * 5000):
+        with pytest.raises(ValueError, match="exceeds 1000"):
+            parse_field(f"cyclotomic({digits})")
+
+
 def test_function_field_normal_form():
     field = FunctionField(QQ, "t")
     t = field.gen
