@@ -30,6 +30,7 @@ from __future__ import annotations
 
 import argparse
 import contextlib
+import functools
 import json
 import sys
 import warnings as _warnings
@@ -83,8 +84,25 @@ MAX_LITERAL_DIGITS = 1000
 # |k| in a power a^k; products memoise x_i * x^lower for every exponent
 # up to k, so the bound caps that table
 MAX_EXPR_EXPONENT = 10_000
-# m of a Mat_m base; validation multiplies all pairs of the m^2 matrix units
+# m of a Mat_m base; validation multiplies every pair of the m^2 matrix
+# units, under sigma and delta of each level
 MAX_MATRIX_SIZE = 6
+# upper bounds of the integer flags, checked by argparse on the digit
+# string before any tower is read; at each cap a command on the test
+# fixtures takes about 2 s at most
+# random product pairs per level of validate
+MAX_SAMPLE_BUDGET = 1000
+# steps of a base map; above the order of every automorphism of Q(zeta_n)
+# for n up to scalars.MAX_CYCLOTOMIC_ORDER
+MAX_ORDER_BOUND = 1000
+# total degree of the erase candidate search
+MAX_SEARCH_DEGREE = 12
+# powers of each y checked after erasure
+MAX_VERIFY_DEGREE = 32
+# powers of each variable tested for centrality
+MAX_WITNESS_BOUND = 64
+# total degree of the filtration closure checks
+MAX_REES_DEGREE = 12
 
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
@@ -538,19 +556,22 @@ def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=
             m = _eval_expr(inner_text, line, matrix_ctx, col_offset=len(head) + 1)
             if not isinstance(m, Matrix):
                 raise ParseError(line, 1, f"{head}(...) takes a matrix")
-            if head == "conj":
-                if kind != "sigma":
-                    raise ParseError(line, 1, "conj(...) is a sigma form")
-                return BaseMap.conjugation(m)
-            if head == "inner":
-                if kind != "delta":
-                    raise ParseError(line, 1, "inner(...) is a delta form")
-                return BaseMap.inner_derivation(m, sigma_base or BaseMap.identity())
-            expected = base.size * base.size
+            if head == "conj" and kind != "sigma":
+                raise ParseError(line, 1, "conj(...) is a sigma form")
+            if head == "inner" and kind != "delta":
+                raise ParseError(line, 1, "inner(...) is a delta form")
+            # linear(...) acts on the size^2 matrix units, conj/inner multiply
+            expected = base.size * base.size if head == "linear" else base.size
             if m.nrows != expected or m.ncols != expected:
                 raise ParseError(
-                    line, 1, f"linear(...) needs a {expected}x{expected} matrix"
+                    line, 1, f"{head}(...) needs a {expected}x{expected} matrix"
                 )
+            if head == "conj":
+                if not m.is_invertible():
+                    raise ParseError(line, 1, "conj(...) needs an invertible matrix")
+                return BaseMap.conjugation(m)
+            if head == "inner":
+                return BaseMap.inner_derivation(m, sigma_base or BaseMap.identity())
             return BaseMap.linear(kind, m)
     if base.kind == "matrix":
         raise FieldMismatch(
@@ -627,7 +648,23 @@ def _coeff_str(el) -> str:
 # command driver
 
 
+def _count(cap: int):
+    """argparse type: an integer from 0 to ``cap``, refused on its digit
+    string before int() converts it."""
+
+    def parse(text: str) -> int:
+        digits = text.lstrip("0")
+        too_long = len(digits) > len(str(cap))
+        if not (text.isascii() and text.isdigit()) or too_long or int(text) > cap:
+            raise argparse.ArgumentTypeError(f"must be an integer from 0 to {cap}")
+        return int(text)
+
+    return parse
+
+
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
+    """The argument parser; built once, since parsing leaves it unchanged."""
     parser = argparse.ArgumentParser(
         prog="oretower",
         description="exact computations in iterated Ore extension towers",
@@ -641,7 +678,8 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the tower axiom checks")
     common(p)
-    p.add_argument("--sample-budget", type=int, default=25)
+    p.add_argument("--sample-budget", type=_count(MAX_SAMPLE_BUDGET), default=0,
+                   help="also spot-check the rewriting engine on this many random products")
 
     p = sub.add_parser("mul", help="multiply two polynomial expressions")
     common(p)
@@ -655,16 +693,16 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("order", help="order of a level's base automorphism")
     common(p)
     p.add_argument("--level", type=int, required=True, help="1-based level")
-    p.add_argument("--order-bound", type=int, default=60)
+    p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
 
     p = sub.add_parser("erase", help="erase the top level's delta")
     common(p)
-    p.add_argument("--search-degree", type=int, default=4)
+    p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
 
     p = sub.add_parser("erase-all", help="erase every delta in the tower")
     common(p)
-    p.add_argument("--search-degree", type=int, default=4)
-    p.add_argument("--verify-degree", type=int, default=4)
+    p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
+    p.add_argument("--verify-degree", type=_count(MAX_VERIFY_DEGREE), default=4)
 
     p = sub.add_parser("swap", help="exchange a sigma-only level with the one below")
     common(p)
@@ -672,12 +710,12 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gr", help="degenerate to the associated graded tower")
     common(p)
-    p.add_argument("--rees-degree", type=int, default=4)
+    p.add_argument("--rees-degree", type=_count(MAX_REES_DEGREE), default=4)
 
     p = sub.add_parser("pi-check", help="finite-order identity criteria")
     common(p)
-    p.add_argument("--order-bound", type=int, default=60)
-    p.add_argument("--witness-bound", type=int, default=0,
+    p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
+    p.add_argument("--witness-bound", type=_count(MAX_WITNESS_BOUND), default=0,
                    help="also search central variable powers up to this bound")
     return parser
 

@@ -26,6 +26,7 @@ coefficients and linear-system solving.
 from __future__ import annotations
 
 import functools
+import itertools
 import math
 import operator
 from fractions import Fraction
@@ -34,6 +35,9 @@ from .errors import DivisionByZero, ScalarError, ZeroInput
 
 # largest n accepted for Q(zeta_n); a product there costs O(phi(n)^2)
 MAX_CYCLOTOMIC_ORDER = 1000
+# digits of p accepted for gf(p); every such p is below _MR_EXACT_BELOW,
+# where is_prime is exact
+MAX_PRIME_DIGITS = 23
 
 
 # ---------------------------------------------------------------------------
@@ -54,16 +58,52 @@ def divisors(n: int) -> list[int]:
 
 
 def _factorize(n: int) -> dict[int, int]:
+    """Prime factorisation of 0 < n < _MR_EXACT_BELOW: trial division by
+    d < 1000, then Pollard's rho on the cofactors that are not prime."""
     out: dict[int, int] = {}
     d = 2
-    while d * d <= n:
+    while d * d <= n and d < 1000:
         while n % d == 0:
             out[d] = out.get(d, 0) + 1
             n //= d
         d += 1
-    if n > 1:
-        out[n] = out.get(n, 0) + 1
+    pending = [n] if n > 1 else []
+    while pending:
+        m = pending.pop()
+        if is_prime(m):
+            out[m] = out.get(m, 0) + 1
+        else:
+            f = _rho_factor(m)
+            pending += [f, m // f]
     return out
+
+
+def _rho_factor(n: int) -> int:
+    """A proper factor of a composite n with no prime factor below 1000:
+    Pollard's rho in Brent's form, gcds taken over batches of 128 steps
+    (Brent, BIT 20, 1980)."""
+    for c in itertools.count(1):
+        y, r, q, g = 2, 1, 1, 1
+        while g == 1:
+            x = y
+            for _ in range(r):
+                y = (y * y + c) % n
+            k = 0
+            while k < r and g == 1:
+                ys = y
+                for _ in range(min(128, r - k)):
+                    y = (y * y + c) % n
+                    q = q * abs(x - y) % n
+                g = math.gcd(q, n)
+                k += 128
+            r *= 2
+        if g == n:  # the batch overshot: retrace it one step at a time
+            g = 1
+            while g == 1:
+                ys = (ys * ys + c) % n
+                g = math.gcd(abs(x - ys), n)
+        if g != n:
+            return g
 
 
 def mobius(n: int) -> int:
@@ -80,10 +120,37 @@ def euler_phi(n: int) -> int:
     return result
 
 
+# Miller-Rabin with the first 12 primes as bases is exact below the least
+# strong pseudoprime to all of them (Sorenson and Webster, Math. Comp. 86,
+# 2017)
+_MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
+_MR_EXACT_BELOW = 318_665_857_834_031_151_167_461
+
+
 def is_prime(n: int) -> bool:
+    """Deterministic Miller-Rabin; exact, and refused, from _MR_EXACT_BELOW."""
+    if n >= _MR_EXACT_BELOW:
+        raise ValueError(f"is_prime is exact only below {_MR_EXACT_BELOW}")
     if n < 2:
         return False
-    return _factorize(n) == {n: 1}
+    for a in _MR_BASES:
+        if n % a == 0:
+            return n == a
+    d, s = n - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for a in _MR_BASES:
+        x = pow(a, d, n)
+        if x == 1 or x == n - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % n
+            if x == n - 1:
+                break
+        else:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------
@@ -969,6 +1036,9 @@ def parse_field(descriptor: str):
             head = text[:split].strip()
             arg = text[split + 1 : -1].strip()
             if head.lower() == "gf" and arg.isdigit():
+                # the length is checked before int() converts the digits
+                if len(arg.lstrip("0")) > MAX_PRIME_DIGITS:
+                    raise ValueError(f"gf(p) takes p of at most {MAX_PRIME_DIGITS} digits")
                 return GF(int(arg))
             if head.lower() == "cyclotomic" and arg.isdigit():
                 return CyclotomicField(_bounded_order(arg))
@@ -1024,13 +1094,16 @@ def root_of_unity_order(s: Scalar) -> int | None:
 
 
 def _order_dividing(s: Scalar, bound: int) -> int | None:
+    """The order of s when it divides ``bound``, else None; divides out
+    the prime factors of ``bound`` one at a time."""
     one = s.field.one
     if s ** bound != one:
         return None
-    for d in divisors(bound):
-        if s ** d == one:
-            return d
-    return None
+    order = bound
+    for r in _factorize(bound):
+        while order % r == 0 and s ** (order // r) == one:
+            order //= r
+    return order
 
 
 # ---------------------------------------------------------------------------

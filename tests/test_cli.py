@@ -220,6 +220,24 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     for power in ("x1^10001", "x2^-10001", "z^10001"):
         assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x1", power]) == 2
         assert "exponent larger than 10000" in capsys.readouterr().err
+    # conj/inner matrices are checked against the base before they are used
+    mat2 = Path(fixture("mat2_inner.tw")).read_text(encoding="utf-8")
+    for edited, message in (
+        (mat2.replace("[[1, 0], [0, q]]", "[[0, 0], [0, q]]"), "conj(...) needs an invertible"),
+        (mat2.replace("size = 2", "size = 3"), "conj(...) needs a 3x3 matrix"),
+        (
+            mat2.replace("size = 2", "size = 3").replace(
+                "[[1, 0], [0, q]]", "[[1, 0, 0], [0, q, 0], [0, 0, 1]]"
+            ),
+            "inner(...) needs a 3x3 matrix",
+        ),
+    ):
+        path = tmp_path / "edited.tw"
+        path.write_text(edited, encoding="utf-8")
+        assert run(["validate", "--tower", str(path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err.startswith("error: line ") and message in captured.err
+        assert captured.out == ""
 
 
 def test_failed_reverification_is_a_typed_error(capsys, monkeypatch):
@@ -424,19 +442,30 @@ def test_matrix_literal_parsing_in_expressions(capsys):
         ("field = cyclotomic(" + "9" * 5000 + ")", "cyclotomic order exceeds 1000"),
         ("kind = matrix\nfield = Q\nsize = 7", "matrix size larger than 6"),
         ("kind = matrix\nfield = Q\nsize = " + "9" * 5000, "matrix size larger than 6"),
+        ("field = gf(1" + "0" * 23 + ")", "gf(p) takes p of at most 23 digits"),
+        ("field = gf(" + "9" * 5000 + ")", "gf(p) takes p of at most 23 digits"),
     ],
-    ids=["order_cap_plus_one", "order_5000_digits", "size_cap_plus_one", "size_5000_digits"],
+    ids=[
+        "order_cap_plus_one",
+        "order_5000_digits",
+        "size_cap_plus_one",
+        "size_5000_digits",
+        "prime_24_digits",
+        "prime_5000_digits",
+    ],
 )
 def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path, monkeypatch):
     from oretower import cli, scalars
     from oretower.tower import BaseRing
 
     assert scalars.MAX_CYCLOTOMIC_ORDER == 1000 and cli.MAX_MATRIX_SIZE == 6
+    assert scalars.MAX_PRIME_DIGITS == 23
 
     def refuse(*args):
         raise AssertionError("built past a cap")
 
     monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
+    monkeypatch.setattr(scalars, "is_prime", refuse)
     monkeypatch.setattr(BaseRing, "matrix_ring", classmethod(refuse))
     path = tmp_path / "capped.tw"
     path.write_text(f"[base]\n{base}\n\n[[level]]\nvar = x1\n", encoding="utf-8")
@@ -444,3 +473,50 @@ def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path,
     captured = capsys.readouterr()
     assert captured.err.startswith("error: line ") and message in captured.err
     assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "command, flag, cap",
+    [
+        ("validate", "--sample-budget", 1000),
+        ("order", "--order-bound", 1000),
+        ("pi-check", "--order-bound", 1000),
+        ("erase", "--search-degree", 12),
+        ("erase-all", "--search-degree", 12),
+        ("erase-all", "--verify-degree", 32),
+        ("pi-check", "--witness-bound", 64),
+        ("gr", "--rees-degree", 12),
+    ],
+)
+def test_integer_flags_are_capped(command, flag, cap, capsys, monkeypatch):
+    from oretower import cli
+
+    assert getattr(cli, "MAX_" + flag[2:].replace("-", "_").upper()) == cap
+
+    def refuse(path):
+        raise AssertionError("work started past a cap")
+
+    monkeypatch.setattr(cli, "parse_tower_file", refuse)
+    argv = [command, "--tower", fixture("three_level.tw")]
+    if command == "order":
+        argv += ["--level", "2"]
+    for value in (str(cap + 1), "-1", "9" * 5000):
+        assert run(argv + [flag, value]) == 2
+        captured = capsys.readouterr()
+        assert f"argument {flag}: must be an integer from 0 to {cap}" in captured.err
+        assert captured.out == ""
+
+
+def test_cached_parser_carries_no_state(capsys):
+    from oretower import cli
+
+    argv = ["erase-all", "--tower", fixture("qweyl_zeta3.tw"), "--json"]
+    assert run(argv) == 0
+    first = capsys.readouterr().out
+    assert run(["validate"]) == 2
+    capsys.readouterr()
+    assert run(["erase-all", "--tower", fixture("qweyl_zeta3.tw"), "--search-degree", "0"]) == 1
+    capsys.readouterr()
+    assert run(argv) == 0
+    assert capsys.readouterr().out == first
+    assert cli._build_parser() is cli._build_parser()

@@ -2,7 +2,8 @@
 
 Products, sums and inverses in cyclotomic(n) are compared with sympy's
 remainder modulo the n-th cyclotomic polynomial, and in Q(t) with
-``cancel``.  Every result is also checked for the rep invariants: a
+``cancel``; primality, factorisation and multiplicative orders in gf(p)
+with ``isprime``, ``factorint`` and ``n_order``.  Every result is also checked for the rep invariants: a
 cyclotomic rep is phi(n) integers over a positive denominator coprime to
 their content, and a rational-function rep holds inner-field reps (never
 a Scalar) with a monic denominator.
@@ -24,7 +25,11 @@ from oretower.scalars import (  # noqa: E402
     CyclotomicField,
     FunctionField,
     Scalar,
+    _factorize,
+    _MR_EXACT_BELOW,
     euler_phi,
+    is_prime,
+    root_of_unity_order,
 )
 
 X = sympy.Symbol("x")
@@ -179,3 +184,49 @@ def test_no_scalar_inside_rational_function_reps(inner):
         assert not _holds_scalar(s.rep)
         num, den = s.rep
         assert den[-1] == inner.one.rep
+
+
+# ---------------------------------------------------------------------------
+# gf(p): primality, factorisation and orders up to the 23-digit cap
+
+below_bound = st.integers(min_value=-3, max_value=_MR_EXACT_BELOW - 1)
+up_to_cap = st.integers(min_value=2, max_value=10**23 - 1)
+
+
+@settings(max_examples=200, deadline=None)
+@given(n=st.one_of(st.integers(min_value=-3, max_value=10**6), below_bound))
+def test_is_prime_matches_sympy(n):
+    assert is_prime(n) == sympy.isprime(n)
+
+
+@settings(max_examples=60, deadline=None)
+@given(a=st.integers(min_value=2, max_value=10**11), b=st.integers(min_value=2, max_value=10**11))
+def test_is_prime_on_primes_and_their_products(a, b):
+    p, q = sympy.nextprime(a), sympy.nextprime(b)
+    assert is_prime(p) and is_prime(q)
+    assert not is_prime(p * q)
+
+
+def test_is_prime_strong_pseudoprimes_and_bound():
+    # the least strong pseudoprimes to the bases 2..7 and to 2..23; the
+    # bound itself is the least one to the bases 2..37
+    for n in (3215031751, 3825123056546413051):
+        assert not is_prime(n)
+    with pytest.raises(ValueError, match="exact only below"):
+        is_prime(_MR_EXACT_BELOW)
+    assert not sympy.isprime(_MR_EXACT_BELOW)
+
+
+@settings(max_examples=40, deadline=None)
+@given(n=up_to_cap)
+def test_factorize_matches_sympy(n):
+    assert _factorize(n) == sympy.factorint(n)
+
+
+@settings(max_examples=20, deadline=None)
+@given(n=up_to_cap, a=st.integers(min_value=1, max_value=10**6))
+def test_root_of_unity_order_in_large_prime_fields(n, a):
+    p = sympy.prevprime(n + 1)
+    a %= p
+    if a:
+        assert root_of_unity_order(GF(p).coerce(a)) == sympy.n_order(a, p)

@@ -279,3 +279,23 @@ def test_function_field_normal_form():
     b = field.one / (2 * t + 2)
     num, den = b.rep
     assert den[-1] == QQ.one
+
+
+def test_prime_field_cap(monkeypatch):
+    from oretower import scalars
+
+    largest = 99999999999999999999977  # the largest prime below 10^23
+    assert 10**scalars.MAX_PRIME_DIGITS <= scalars._MR_EXACT_BELOW
+    assert parse_field(f"gf({largest})").p == largest
+    with pytest.raises(ValueError, match="not prime"):
+        parse_field(f"gf({largest + 2})")
+    with pytest.raises(ValueError, match="exact only below"):
+        scalars.PrimeFieldImpl(scalars._MR_EXACT_BELOW + 2)
+
+    def refuse(n):
+        raise AssertionError("primality tested past the cap")
+
+    monkeypatch.setattr(scalars, "is_prime", refuse)
+    for digits in ("1" + "0" * 23, "9" * 5000):
+        with pytest.raises(ValueError, match="at most 23 digits"):
+            parse_field(f"gf({digits})")

@@ -1,8 +1,12 @@
 import dataclasses
 import random
+import re
+from pathlib import Path
 
 import pytest
 
+from oretower.cli import parse_tower_file, parse_tower_text, run
+from oretower.errors import OreError
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import (
@@ -10,6 +14,8 @@ from oretower.tower import (
     BaseRing,
     OreTower,
     TowerLevel,
+    _level_generators,
+    _relation_pairs,
     check_swap_compatibility,
     map_order,
     sigma_inverse_on,
@@ -160,6 +166,83 @@ def test_validation_is_deterministic_and_idempotent():
     assert [(c.level, c.name, c.ok) for c in r1.checks] == [
         (c.level, c.name, c.ok) for c in r2.checks
     ]
+
+
+FIXTURES = Path(__file__).parent / "fixtures"
+# an integer literal that is not part of a name such as x1
+_LITERAL = re.compile(r"(?<![\w.])\d+")
+# level 3 must respect the level-2 relation x2 x1 = l x1 x2, which only the
+# pair (x2, x1) tests; no fixture has a level above such a relation
+_THREE_LEVEL_SEED = """\
+[base]
+kind = field
+field = Q
+
+[[level]]
+var = x1
+
+[[level]]
+var = x2
+sigma x1 = 1 * x1
+
+[[level]]
+var = x3
+sigma x1 = 3 * x1
+sigma x2 = 5 * x2 + 1 * x1
+delta x2 = 0 * x1
+"""
+
+
+def _numeric_mutants(count: int, seed: int):
+    """Seeded tower texts: a fixture or the seed above with one or two
+    integer literals replaced by small integers; texts that fail to parse
+    are skipped."""
+    rng = random.Random(seed)
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
+    texts = [text for text in texts if _LITERAL.search(text)] + [_THREE_LEVEL_SEED]
+    made = 0
+    while made < count:
+        text = rng.choice(texts)
+        for _ in range(rng.randint(1, 2)):
+            spans = [m.span() for m in _LITERAL.finditer(text)]
+            start, end = rng.choice(spans)
+            text = text[:start] + str(rng.randint(0, 6)) + text[end:]
+        try:
+            parse_tower_text(text)
+        except (OreError, ValueError):
+            continue
+        made += 1
+        yield text
+
+
+def test_relation_pairs_decide_validity(tmp_path, capsys):
+    """The random products of ``sample_budget`` never change a report."""
+    path = tmp_path / "mutant.tw"
+    verdicts = set()
+    for text in _numeric_mutants(200, seed=6):
+        path.write_text(text, encoding="utf-8")
+        reports = []
+        for budget in ([], ["--sample-budget", "25"]):
+            rc = run(["validate", "--tower", str(path), "--json", *budget])
+            reports.append((rc, capsys.readouterr().out))
+        assert reports[0] == reports[1], text
+        verdicts.add(reports[0][0])
+    assert verdicts == {0, 1}
+
+
+@pytest.mark.parametrize(
+    "name, per_level",
+    # three_level over Q: the base generator 1 and (x_k, v) for v before x_k;
+    # mat2_inner: the 4 x 4 pairs of matrix units
+    [("three_level", [1, 2, 4]), ("mat2_inner", [16])],
+)
+def test_relation_pair_counts(name, per_level):
+    tower = parse_tower_file(str(FIXTURES / f"{name}.tw"))
+    n_base = len(tower.base.generators())
+    counts = [
+        len(_relation_pairs(_level_generators(tower, i), n_base)) for i in range(tower.height)
+    ]
+    assert counts == per_level
 
 
 # ---------------------------------------------------------------------------
