@@ -12,11 +12,16 @@ forms and no floating point anywhere:
   n-th cyclotomic polynomial;
 * ``FunctionField(inner, name)`` -- univariate rational functions over an
   inner field, ``(num, den)`` tuples of the inner field's reps, coprime,
-  with monic denominator.
+  with monic denominator; over Q, ``(num, den)`` tuples of ints, coprime,
+  with ``den[-1] > 0`` and joint content 1.
 
 Each field computes on its own reps (``rep_add``, ``rep_mul``, ...); the
 polynomial helpers below take the coefficient field and call those, so a
-rational function never wraps its coefficients in :class:`Scalar`.
+rational function never wraps its coefficients in :class:`Scalar`.  The
+cyclotomic fields and Q(t) over Q compute on ints alone: their gcds and
+inverses are fraction-free remainder sequences in Z[t], and
+:class:`fractions.Fraction` appears only where values are parsed or
+rendered.
 Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields and backs both matrix-algebra
@@ -230,20 +235,76 @@ def _pgcd(a, b, F) -> tuple:
     return _pmonic(a, F)
 
 
-def _pxgcd(a, b, F) -> tuple[tuple, tuple, tuple]:
-    """Monic g and s, t with s*a + t*b = g."""
-    r0, r1 = a, b
-    s0, s1 = (F.rep_one,), ()
-    t0, t1 = (), (F.rep_one,)
-    while r1:
-        q, r = _pdivmod(r0, r1, F)
-        r0, r1 = r1, r
-        s0, s1 = s1, _padd(s0, _pneg(_pmul(q, s1, F), F), F)
-        t0, t1 = t1, _padd(t0, _pneg(_pmul(q, t1, F), F), F)
-    if r0:
-        inv = F.rep_inv(r0[-1])
-        r0, s0, t0 = (tuple(F.rep_mul(c, inv) for c in p) for p in (r0, s0, t0))
-    return r0, s0, t0
+class _IntegerRing:
+    """Z as a coefficient domain of the helpers above (a ring: no rep_inv)."""
+
+    rep_zero = 0
+    rep_add = staticmethod(operator.add)
+    rep_neg = staticmethod(operator.neg)
+    rep_mul = staticmethod(operator.mul)
+    rep_is_zero = staticmethod(operator.not_)
+
+
+_ZZ = _IntegerRing()
+
+# Z[t] helpers: fraction-free remainder sequences (Knuth, TAOCP vol. 2,
+# 4.6.1), on trimmed int tuples.
+
+
+def _zreduce(a, b, sa=(), sb=()) -> tuple[tuple, tuple]:
+    """(r, s) with r = c*a - q*b of degree below deg b, for a nonzero int c
+    and q in Z[t]; s = c*sa - q*sb by the same row operations.  Both are
+    divided by their joint content, so s*x = r modulo m whenever sa*x = a
+    and sb*x = b modulo m."""
+    lead, db = b[-1], len(b) - 1
+    r, s = list(a), list(sa)
+    while len(r) > db:
+        top = r[-1]
+        g = math.gcd(lead, top)
+        m, f = lead // g, top // g
+        k = len(r) - 1 - db
+        if m != 1:
+            r = [m * c for c in r]
+            s = [m * c for c in s]
+        for i, c in enumerate(b):
+            r[k + i] -= f * c
+        if sb:
+            s += [0] * (len(sb) + k - len(s))
+            for i, c in enumerate(sb):
+                s[k + i] -= f * c
+        while r and not r[-1]:
+            r.pop()
+    while s and not s[-1]:
+        s.pop()
+    g = math.gcd(*r, *s)
+    if g > 1:
+        return tuple(c // g for c in r), tuple(c // g for c in s)
+    return tuple(r), tuple(s)
+
+
+def _zgcd(a, b) -> tuple:
+    """A primitive gcd of nonzero a and b in Z[t], of either sign."""
+    if len(a) < len(b):
+        a, b = b, a
+    while b:
+        a, b = b, _zreduce(a, b)[0]
+    g = math.gcd(*a)
+    return a if g == 1 else tuple(c // g for c in a)
+
+
+def _zexquo(a, b) -> tuple:
+    """a / b in Z[t], for a primitive b that divides a in Q[t] (Gauss's
+    lemma makes the quotient integral)."""
+    rem = list(a)
+    lead, db = b[-1], len(b) - 1
+    quot = [0] * (len(a) - db)
+    for k in range(len(quot) - 1, -1, -1):
+        c = rem[k + db] // lead
+        if c:
+            quot[k] = c
+            for i in range(db):
+                rem[k + i] -= c * b[i]
+    return tuple(quot)
 
 
 @functools.lru_cache(maxsize=None)
@@ -556,6 +617,7 @@ class PrimeFieldImpl(_FieldBase):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"gf({p})"
+        self._hash = hash(("gf", p))
 
     @property
     def characteristic(self) -> int:
@@ -594,7 +656,7 @@ class PrimeFieldImpl(_FieldBase):
         return isinstance(other, PrimeFieldImpl) and other.p == self.p
 
     def __hash__(self):
-        return hash(("gf", self.p))
+        return self._hash
 
 
 @functools.lru_cache(maxsize=None)
@@ -620,6 +682,7 @@ class CyclotomicFieldImpl(_FieldBase):
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({n})"
+        self._hash = hash(("cyclotomic", n))
         # z^degree = sum_j -modulus[j] z^j over the nonzero lower coefficients
         self._fold = tuple((j, -c) for j, c in enumerate(self.modulus[:-1]) if c)
         self.rep_zero = ((0,) * self.degree, 1)
@@ -710,15 +773,16 @@ class CyclotomicFieldImpl(_FieldBase):
 
     def rep_inv(self, x):
         nums, den = x
-        g, s, _ = _pxgcd(
-            _ptrim([Fraction(c) for c in nums], QQ),
-            tuple(Fraction(c) for c in self.modulus),
-            QQ,
-        )
-        if len(g) != 1:
+        # a fraction-free extended remainder sequence from (Phi_n, nums)
+        # that tracks only the cofactor of nums: s * nums = r modulo Phi_n
+        r0, s0 = self.modulus, ()
+        r1, s1 = _ptrim(nums, _ZZ), (1,)
+        while len(r1) > 1:
+            r0, s0, (r1, s1) = r1, s1, _zreduce(r0, r1, s0, s1)
+        if not r1:
             raise DivisionByZero(f"{self.rep_str(x)} is not invertible in {self.name}")
-        # s * nums = 1 modulo Phi_n, so den * s inverts nums / den
-        return self._from_rationals([den * c for c in s])
+        # s * nums = c modulo Phi_n for the int c, so den * s / c inverts nums / den
+        return self._make([den * c for c in s1], r1[0])
 
     def rep_is_zero(self, x):
         return not any(x[0])
@@ -769,7 +833,7 @@ class CyclotomicFieldImpl(_FieldBase):
         return isinstance(other, CyclotomicFieldImpl) and other.n == self.n
 
     def __hash__(self):
-        return hash(("cyclotomic", self.n))
+        return self._hash
 
 
 @functools.lru_cache(maxsize=None)
@@ -781,7 +845,8 @@ class RationalFunctionField(_FieldBase):
     """Univariate rational functions over an inner field.
 
     An element is a (numerator, denominator) pair of coefficient tuples of
-    inner-field reps, coprime, with monic denominator.
+    inner-field reps, coprime, with monic denominator.  Over Q the field is
+    :class:`RationalFunctionFieldOverQ`, which stores integer polynomials.
     """
 
     def __init__(self, inner, name: str):
@@ -791,6 +856,7 @@ class RationalFunctionField(_FieldBase):
         self.var = name
         self.name = f"{inner.name}({name})"
         self.gen_name = name
+        self._hash = hash(("ratfunc", inner, name))
         self._one_poly = (inner.rep_one,)
         self.rep_zero = ((), self._one_poly)
         self.rep_one = (self._one_poly, self._one_poly)
@@ -878,8 +944,12 @@ class RationalFunctionField(_FieldBase):
     def rep_is_zero(self, x):
         return not x[0]
 
+    def _view(self, x) -> tuple:
+        """(num, den) as inner-field reps with monic den: the rep itself."""
+        return x
+
     def rep_str(self, x):
-        num, den = x
+        num, den = self._view(x)
         F = self.inner
 
         def coeff_str(c):
@@ -902,7 +972,7 @@ class RationalFunctionField(_FieldBase):
     def substitute(self, s, image):
         if image is None:
             return s
-        num, den = s.rep
+        num, den = self._view(s.rep)
         return _horner(self, self._inner_scalars(num), image) / _horner(
             self, self._inner_scalars(den), image
         )
@@ -910,12 +980,12 @@ class RationalFunctionField(_FieldBase):
     def derive(self, s, image, d):
         if d is None or d.is_zero():
             return self.zero
-        num, den = s.rep
+        num, den = self._view(s.rep)
         d_num = _power_rule(self, self._inner_scalars(num), image, d)
         if den == self._one_poly:
             return d_num
         d_den = _power_rule(self, self._inner_scalars(den), image, d)
-        den_val = Scalar(self, (den, self._one_poly))
+        den_val = self.from_polys(self._inner_scalars(den))
         return (d_num - self.substitute(s, image) * d_den) / den_val
 
     def automorphism_defect(self, image):
@@ -942,7 +1012,7 @@ class RationalFunctionField(_FieldBase):
     def _moebius(self, image: Scalar) -> tuple:
         """(a, b, c, d) in the inner field with image = (a t + b) / (c t + d),
         for image of degree <= 1."""
-        num, den = image.rep
+        num, den = self._view(image.rep)
         zero = self.inner.rep_zero
         return tuple(
             self._inner_scalars((
@@ -961,11 +1031,118 @@ class RationalFunctionField(_FieldBase):
         )
 
     def __hash__(self):
-        return hash(("ratfunc", self.inner, self.var))
+        return self._hash
+
+
+class RationalFunctionFieldOverQ(RationalFunctionField):
+    """Q(t), computed on integer polynomials.
+
+    An element is a (num, den) pair of int tuples, constant term first,
+    trimmed, with ``den[-1] > 0``, joint content ``gcd(*num, *den) == 1``
+    and num, den coprime in Q[t]; zero is ``((), (1,))``.  So equal
+    elements have equal reps.  Cancellation takes a primitive remainder
+    sequence gcd in Z[t]; :class:`fractions.Fraction` appears only where
+    values enter (``coerce``, ``from_polys``) and in ``_view``, the
+    monic-denominator rep of the generic class, which rendering and the
+    generator maps read.
+    """
+
+    def __init__(self, name: str):
+        super().__init__(QQ, name)
+        self._one_poly = (1,)
+        self.rep_zero = ((), (1,))
+        self.rep_one = ((1,), (1,))
+
+    @functools.cached_property
+    def gen(self) -> Scalar:
+        return Scalar(self, ((0, 1), (1,)))
+
+    def _make(self, num, den) -> tuple:
+        """The rep of num/den for int coefficient sequences num and den."""
+        num = _ptrim(num, _ZZ)
+        den = _ptrim(den, _ZZ)
+        if not den:
+            raise DivisionByZero(f"zero denominator in {self.name}")
+        if not num:
+            return self.rep_zero
+        if den == (1,):
+            return num, den
+        if len(den) > 1:
+            if not any(den[:-1]):
+                # den = c t^k: the gcd is t^min(k, v), v the order of num at 0
+                v = next(i for i, c in enumerate(num) if c)
+                m = min(len(den) - 1, v)
+                num, den = num[m:], den[m:]
+            else:
+                g = _zgcd(num, den)
+                if len(g) > 1:
+                    num, den = _zexquo(num, g), _zexquo(den, g)
+        g = math.gcd(*num, *den)
+        if den[-1] < 0:
+            g = -g
+        if g != 1:
+            return tuple(c // g for c in num), tuple(c // g for c in den)
+        return num, den
+
+    @staticmethod
+    def _integral(coeffs) -> tuple[list, int]:
+        """(ints, m) with ints / m == coeffs, for ints, Fractions or rational
+        scalars."""
+        fracs = [QQ.coerce(c).rep for c in coeffs]
+        m = math.lcm(*(c.denominator for c in fracs))
+        return [c.numerator * (m // c.denominator) for c in fracs], m
+
+    def from_polys(self, num_coeffs, den_coeffs=None) -> Scalar:
+        num, m = self._integral(num_coeffs)
+        den, k = ([1], 1) if den_coeffs is None else self._integral(den_coeffs)
+        # (num / m) / (den / k) = (k num) / (m den)
+        return Scalar(self, self._make([k * c for c in num], [m * c for c in den]))
+
+    def coerce(self, value) -> Scalar:
+        if isinstance(value, Scalar) and (value.field is self or value.field == self):
+            return value
+        if isinstance(value, (int, Fraction, Scalar)):
+            c = QQ.coerce(value).rep
+            return Scalar(self, ((c.numerator,), (c.denominator,)) if c else self.rep_zero)
+        raise ScalarError(f"cannot coerce {value!r} into {self.name}")
+
+    def rep_add(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        if ad == bd:
+            num = _padd(an, bn, _ZZ)
+            return (num, ad) if ad == (1,) else self._make(num, ad)
+        return self._make(_padd(_pmul(an, bd, _ZZ), _pmul(bn, ad, _ZZ), _ZZ), _pmul(ad, bd, _ZZ))
+
+    def rep_neg(self, x):
+        num, den = x
+        return _pneg(num, _ZZ), den
+
+    def rep_mul(self, x, y):
+        (an, ad), (bn, bd) = x, y
+        if ad == (1,) and bd == (1,):
+            return _pmul(an, bn, _ZZ), ad
+        return self._make(_pmul(an, bn, _ZZ), _pmul(ad, bd, _ZZ))
+
+    def rep_inv(self, x):
+        num, den = x
+        if not num:
+            raise DivisionByZero(f"zero denominator in {self.name}")
+        # num and den stay coprime with joint content 1; only the sign moves
+        if num[-1] < 0:
+            return _pneg(den, _ZZ), _pneg(num, _ZZ)
+        return den, num
+
+    def _view(self, x) -> tuple:
+        """(num, den) as Fractions with monic den, the generic rep."""
+        num, den = x
+        lead = den[-1]
+        return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
 
 
 @functools.lru_cache(maxsize=None)
 def FunctionField(inner, name: str) -> RationalFunctionField:
+    if inner == QQ:
+        return RationalFunctionFieldOverQ(name)
     return RationalFunctionField(inner, name)
 
 
@@ -1086,7 +1263,7 @@ def root_of_unity_order(s: Scalar) -> int | None:
     if isinstance(field, CyclotomicFieldImpl):
         return _order_dividing(s, math.lcm(2, field.n))
     if isinstance(field, RationalFunctionField):
-        num, den = s.rep
+        num, den = field._view(s.rep)
         if len(num) == 1 and den == field._one_poly:
             return root_of_unity_order(Scalar(field.inner, num[0]))
         return None

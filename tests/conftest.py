@@ -6,7 +6,17 @@ import random
 
 import pytest
 
-from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, Scalar
+from oretower.scalars import (
+    GF,
+    QQ,
+    CyclotomicField,
+    CyclotomicFieldImpl,
+    FunctionField,
+    Matrix,
+    PrimeFieldImpl,
+    RationalFunctionField,
+    Scalar,
+)
 from oretower.skewpoly import SkewPoly
 from oretower.tower import BaseMap, BaseRing, OreTower, TowerLevel
 
@@ -197,13 +207,12 @@ def any_tower(request) -> OreTower:
 def random_scalar(field, rng: random.Random) -> Scalar:
     if field is QQ or field == QQ:
         return QQ.coerce(rng.randint(-6, 6))
-    name = type(field).__name__
-    if name == "PrimeFieldImpl":
+    if isinstance(field, PrimeFieldImpl):
         return field.coerce(rng.randrange(field.p))
-    if name == "CyclotomicFieldImpl":
+    if isinstance(field, CyclotomicFieldImpl):
         coeffs = [rng.randint(-3, 3) for _ in range(field.degree)]
         return field.coerce(coeffs)
-    if name == "RationalFunctionField":
+    if isinstance(field, RationalFunctionField):
         num = [random_scalar(field.inner, rng) for _ in range(rng.randint(1, 2))]
         return field.from_polys(num)
     raise AssertionError(f"no sampler for {field!r}")

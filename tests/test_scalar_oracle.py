@@ -3,12 +3,16 @@
 Products, sums and inverses in cyclotomic(n) are compared with sympy's
 remainder modulo the n-th cyclotomic polynomial, and in Q(t) with
 ``cancel``; primality, factorisation and multiplicative orders in gf(p)
-with ``isprime``, ``factorint`` and ``n_order``.  Every result is also checked for the rep invariants: a
+with ``isprime``, ``factorint`` and ``n_order``; root-of-unity orders in
+cyclotomic(n) with the factored characteristic polynomial and in Q(t)
+with ``cancel``.  Every result is also checked for the rep invariants: a
 cyclotomic rep is phi(n) integers over a positive denominator coprime to
 their content, and a rational-function rep holds inner-field reps (never
-a Scalar) with a monic denominator.
+a Scalar) with a monic denominator, and over Q integers with a positive
+leading denominator coefficient and joint content 1.
 """
 
+import functools
 import math
 from fractions import Fraction
 
@@ -91,6 +95,48 @@ def test_cyclotomic_arithmetic_matches_sympy(n, data):
         assert _reduced(_cyc_sym(inv) * _cyc_sym(a), n) == sympy.Poly(1, X, domain="QQ")
 
 
+@functools.lru_cache(maxsize=None)
+def _cyclotomic_orders(search=200):
+    """{coefficients of Phi_N: N} for N < search, from sympy."""
+    return {
+        tuple(sympy.Poly(sympy.cyclotomic_poly(N, X), X).all_coeffs()): N
+        for N in range(1, search)
+    }
+
+
+def _sympy_root_order(charpoly):
+    """N when the irreducible factors of ``charpoly`` are all the N-th
+    cyclotomic polynomial, else None: a root of unity of order N has
+    minimal polynomial Phi_N."""
+    _, factors = sympy.factor_list(charpoly, X)
+    if len({f for f, _ in factors}) != 1:
+        return None
+    coeffs = tuple(sympy.Poly(factors[0][0], X).all_coeffs())
+    return _cyclotomic_orders().get(coeffs)
+
+
+def roots_of_unity_or_not(n):
+    field = CyclotomicField(n)
+    roots = st.tuples(st.sampled_from((1, -1)), st.integers(0, 2 * n - 1)).map(
+        lambda e: e[0] * field.gen ** e[1]
+    )
+    return st.one_of(roots, cyclotomic_elements(n).filter(lambda s: not s.is_zero()))
+
+
+@pytest.mark.parametrize("n", ORDERS)
+@settings(max_examples=20, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_root_of_unity_order_matches_sympy(n, data):
+    s = data.draw(roots_of_unity_or_not(n))
+    nums, den = s.rep
+    y = sympy.Symbol("y")
+    # the characteristic polynomial of s = nums(z) / den, a power of its
+    # minimal polynomial: Res_y(Phi_n(y), den * x - nums(y))
+    numer = sum((c * y**k for k, c in enumerate(nums)), sympy.Integer(0))
+    charpoly = sympy.resultant(sympy.cyclotomic_poly(n, y), den * X - numer, y)
+    assert root_of_unity_order(s) == _sympy_root_order(charpoly)
+
+
 def test_cyclotomic_coerce_reduces_integer_lists():
     field = CyclotomicField(5)
     # z^4 = -1 - z - z^2 - z^3 and z^5 = 1
@@ -133,9 +179,10 @@ def _qt_sym(s: Scalar):
 
 def _assert_qt_rep(s: Scalar):
     num, den = s.rep
-    assert all(type(c) is Fraction for c in num + den)
-    assert den and den[-1] == 1
+    assert all(type(c) is int for c in num + den)
+    assert den and den[-1] > 0
     assert not num or num[-1] != 0
+    assert math.gcd(*num, *den) == 1
     assert sympy.degree(sympy.gcd(_sym_poly(num), _sym_poly(den)), X) <= 0
 
 
@@ -156,11 +203,26 @@ def test_rational_functions_match_sympy(a, b):
         assert _same(_qt_sym(inv) * _qt_sym(a), 1)
 
 
+qt_constants = st.builds(
+    lambda c, p: QT.from_polys([c * a for a in p], p),
+    st.sampled_from((1, -1, 2, Fraction(-1, 3))),
+    st.lists(rationals, min_size=1, max_size=3).filter(any),
+)
+
+
+@settings(max_examples=25, deadline=None)
+@given(s=st.one_of(qt_elements, qt_constants).filter(lambda s: not s.is_zero()))
+def test_rational_function_root_of_unity_order_matches_sympy(s):
+    expr = _qt_sym(s)
+    expected = next((N for N in range(1, 7) if sympy.cancel(expr**N - 1) == 0), None)
+    assert root_of_unity_order(s) == expected
+
+
 def test_monomial_denominators_cancel_exactly():
     t = QT.gen
     a = (3 * t**5 + t**2) / (2 * t**4)
-    assert a.rep == ((Fraction(1, 2), 0, 0, Fraction(3, 2)), (0, 0, 1))
-    assert (t**3 / (5 * t**3)).rep == ((Fraction(1, 5),), (1,))
+    assert a.rep == ((1, 0, 0, 3), (0, 0, 2))
+    assert (t**3 / (5 * t**3)).rep == ((1,), (5,))
     assert ((t + 1) / t**2).rep == ((1, 1), (0, 0, 1))
 
 
@@ -183,7 +245,11 @@ def test_no_scalar_inside_rational_function_reps(inner):
     for s in values + [v.inverse() for v in values] + [v * v + v for v in values]:
         assert not _holds_scalar(s.rep)
         num, den = s.rep
-        assert den[-1] == inner.one.rep
+        if inner == QQ:
+            assert all(type(c) is int for c in num + den)
+            assert den[-1] > 0 and math.gcd(*num, *den) == 1
+        else:
+            assert den[-1] == inner.one.rep
 
 
 # ---------------------------------------------------------------------------

@@ -1,8 +1,11 @@
+import ast
+import inspect
 import random
 from fractions import Fraction
 
 import pytest
 
+from oretower import scalars
 from oretower.errors import DivisionByZero, ZeroInput
 from oretower.scalars import (
     GF,
@@ -237,6 +240,38 @@ def test_render_pins():
     assert str((q * t + 1) / (q * t * t - 1)) == "(t + ((1)/(q)))/(t^2 + ((-1)/(q)))"
 
 
+def test_rational_functions_over_q_render_with_monic_denominator():
+    t = FunctionField(QQ, "t").gen
+    assert str(3 * t / (2 * t + 2)) == "((3/2)*t)/(t + 1)"
+    assert str(t / (-2 * t**2 + 4)) == "((-1/2)*t)/(t^2 - 2)"
+    assert str((t**2 - 1) / (3 * t)) == "((1/3)*t^2 + (-1/3))/(t)"
+    assert str(Fraction(-3, 4) / (t**3 - Fraction(1, 2))) == "((-3/4))/(t^3 + (-1/2))"
+    assert str((2 * t + 2) / (4 * t + 4)) == "(1/2)"
+
+
+def test_dense_cyclotomic_inverse():
+    field = CyclotomicField(97)
+    rng = random.Random(1)
+    a = field.coerce([rng.randint(-3, 3) for _ in range(field.degree)])
+    assert a * a.inverse() == field.one
+
+
+def test_integer_kernels_hold_no_fraction():
+    """The arithmetic of cyclotomic(n) and of Q(t) over Q runs on ints;
+    Fraction belongs to the parse and render boundaries only."""
+    tree = ast.parse(inspect.getsource(scalars))
+    classes = {node.name: node for node in tree.body if isinstance(node, ast.ClassDef)}
+    for cls in ("CyclotomicFieldImpl", "RationalFunctionFieldOverQ"):
+        methods = {f.name: f for f in classes[cls].body if isinstance(f, ast.FunctionDef)}
+        for name in ("rep_add", "rep_mul", "rep_inv", "_make"):
+            used = {
+                node.id if isinstance(node, ast.Name) else node.attr
+                for node in ast.walk(methods[name])
+                if isinstance(node, (ast.Name, ast.Attribute))
+            }
+            assert "Fraction" not in used, f"{cls}.{name} computes with Fraction"
+
+
 NESTED_FIELDS = [
     FunctionField(GF(5), "t"),
     FunctionField(CyclotomicField(3), "t"),
@@ -275,10 +310,9 @@ def test_function_field_normal_form():
     t = field.gen
     a = (t**2 + 2 * t + 1) / (t + 1)
     assert a == t + 1
-    # denominator is kept monic
-    b = field.one / (2 * t + 2)
-    num, den = b.rep
-    assert den[-1] == QQ.one
+    # integer coefficients, positive leading denominator, joint content 1
+    b = field.one / (-2 * t - 2)
+    assert b.rep == ((-1,), (2, 2))
 
 
 def test_prime_field_cap(monkeypatch):
