@@ -298,6 +298,8 @@ class _ExprParser:
             raise ParseError(op.line, op.col, "division by zero")
         if isinstance(a, SkewPoly):
             return a * SkewPoly.from_base(a.tower, a.tower.base.scalar(b.inverse()))
+        if isinstance(a, Matrix):
+            return a * b.inverse()
         return a / b
 
     def _neg(self, a):

@@ -408,8 +408,9 @@ class Scalar:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def inverse(self) -> "Scalar":
@@ -1382,8 +1383,9 @@ class Matrix:
         while k:
             if k & 1:
                 acc = acc * base
-            base = base * base
             k >>= 1
+            if k:
+                base = base * base
         return acc
 
     def __eq__(self, other):

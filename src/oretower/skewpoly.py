@@ -20,6 +20,16 @@ bottom-up, one lower factor at a time, and keeps in
 by variables below i, so the call depth is bounded by the tower height and
 never by a degree.  Images of base elements under sigma_i and delta_i are
 memoised separately by ``OreTower.apply_sigma0`` / ``apply_delta0``.
+
+A run x_i^k (k >= 2) on a level whose sigma is the identity and whose
+delta is zero on the base takes one step for every term whose table entry
+is a single monomial, x_i x^lower = a x^lower x_i:
+
+    x_i^k * c x^e = c a^k x^{e + k e_i}
+
+This covers the diagonal sigma-only towers that erasing ends in, and the
+diagonal pairs of other towers; the remaining terms take the
+one-x_i-at-a-time loop.
 """
 
 from __future__ import annotations
@@ -238,13 +248,50 @@ def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
 
     The factors of x^word = x_1^{w_1} ... x_n^{w_n} are applied from the
     right, top level first and one x_i at a time, so like terms merge
-    after every step.
+    after every step.  A run x_i^k with k >= 2 on a level whose sigma is
+    the identity and whose delta is zero on the base (``_trivial_maps[i]``)
+    goes through ``_power_times_terms`` instead, which moves each term
+    that x_i passes as a single monomial in one step.
     """
     terms = {mono: coeff}
+    trivial = tower._trivial_maps
     for i in range(len(word) - 1, -1, -1):
-        for _ in range(word[i]):
+        k = word[i]
+        if k > 1 and trivial[i] == (True, True):
+            terms = _power_times_terms(tower, i, k, terms)
+            continue
+        for _ in range(k):
             terms = _var_times_terms(tower, i, terms)
     return terms
+
+
+def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
+    """Normal form of x_i^k * terms, for a level that fixes the base.
+
+    With sigma_i the identity and delta_i zero on the base, a term
+    c x^e whose table entry x_i x^{e[:i]} is a single monomial
+    a x^{e[:i]} x_i goes to c a^k x^{e + k e_i} (a can be a matrix, so
+    the order is c a^k).  Every other term is collected into one dict and
+    takes the one-x_i-at-a-time loop, so its like terms still merge.
+    """
+    acc: dict = {}
+    rest: dict = {}
+    for exp, coeff in terms.items():
+        lower = exp[:i]
+        entry = _var_times_lower(tower, i, lower)
+        if len(entry) == 1:
+            (e, a), = entry.items()
+            # an unvalidated tower can send x^lower to another monomial
+            if e[:i] == lower and e[i] == 1:
+                _add_term(acc, lower + (exp[i] + k,) + exp[i + 1:], coeff * a ** k)
+                continue
+        rest[exp] = coeff
+    if rest:
+        for _ in range(k):
+            rest = _var_times_terms(tower, i, rest)
+        for exp, coeff in rest.items():
+            _add_term(acc, exp, coeff)
+    return acc
 
 
 def _var_times_terms(tower, i: int, terms: dict) -> dict:

@@ -47,13 +47,15 @@ class BaseRing:
 
     # -- elements --------------------------------------------------------
 
-    @property
+    # cached: both are immutable, and a matrix base would build a new one
+    # on every access
+    @functools.cached_property
     def one(self):
         if self.kind == "field":
             return self.field.one
         return Matrix.identity(self.field, self.size)
 
-    @property
+    @functools.cached_property
     def zero(self):
         if self.kind == "field":
             return self.field.zero

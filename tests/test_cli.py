@@ -520,3 +520,20 @@ def test_cached_parser_carries_no_state(capsys):
     assert run(argv) == 0
     assert capsys.readouterr().out == first
     assert cli._build_parser() is cli._build_parser()
+
+
+def test_matrix_literal_divided_by_scalar(capsys, tmp_path):
+    tower = fixture("mat2_inner.tw")
+    assert run(["mul", "--tower", tower, "[[1, 0], [0, q]] / 2", "x"]) == 0
+    divided = capsys.readouterr().out
+    assert run(["mul", "--tower", tower, "[[1/2, 0], [0, q/2]]", "x"]) == 0
+    assert divided == capsys.readouterr().out
+    assert run(["mul", "--tower", tower, "[[1, 0], [0, q]] / 0", "x"]) == 2
+    assert "division by zero" in capsys.readouterr().err
+    mat2 = Path(tower).read_text(encoding="utf-8")
+    halved = mat2.replace("conj([[1, 0], [0, q]])", "conj([[1, 0], [0, q]] / 2)")
+    assert halved != mat2
+    path = tmp_path / "halved.tw"
+    path.write_text(halved, encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 0
+    assert capsys.readouterr().out.startswith("valid")

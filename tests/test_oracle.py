@@ -7,13 +7,15 @@ path.  The cyclotomic checks confirm the modulus construction against
 divisibility facts it must satisfy.
 """
 
+import math
 import random
 from fractions import Fraction
 
 import pytest
 
-from oretower.scalars import QQ, cyclotomic_polynomial, euler_phi, _pdivmod, _pmul
+from oretower.scalars import QQ, Matrix, cyclotomic_polynomial, euler_phi, _pdivmod, _pmul
 from oretower.skewpoly import SkewPoly
+from oretower.tower import BaseRing, OreTower, TowerLevel
 from oretower.cli import parse_tower_text, render_tower_file
 
 from conftest import ARITHMETIC_FIXTURES, mat2_twolevel, random_poly
@@ -115,6 +117,37 @@ def test_engine_matches_naive_word_reduction(name):
         p = random_poly(tower, rng, max_degree=2)
         q = random_poly(tower, rng, max_degree=2)
         assert (p * q).terms == naive_product(tower, p, q)
+
+
+def mat2_scalar_lambda() -> OreTower:
+    """Mat2(Q)[x1][x2; sigma2] with identity base maps and sigma2(x1) = 3 x1.
+
+    lambda_21 = 3 * 1 is a scalar matrix, so the power step takes it to
+    the k-th power as a matrix.
+    """
+    field = QQ
+    return OreTower(
+        BaseRing.matrix_ring(field, 2),
+        [
+            TowerLevel("x1"),
+            TowerLevel("x2", sigma_vars={0: (Matrix.identity(field, 2) * 3, {})}),
+        ],
+    )
+
+
+@pytest.mark.parametrize("name", sorted(ORACLE_FIXTURES) + ["mat2_scalar_lambda"])
+def test_variable_powers_match_naive_word_reduction(name):
+    tower = ORACLE_FIXTURES.get(name, mat2_scalar_lambda)()
+    rng = random.Random(7)
+    xs = [tower.var(i) for i in range(tower.height)]
+    # mixes terms the power step moves with terms it does not: on
+    # three_level, x3 x1 = 2 x1 x3 but x3 x2 = 5 x2 x3 + x1 x3
+    mixed = sum(xs[1:], xs[0]) + 4 * math.prod(xs)
+    for i in range(tower.height):
+        for k in range(2, 10):
+            power = xs[i] ** k
+            for p in (mixed, random_poly(tower, rng, max_degree=2)):
+                assert (power * p).terms == naive_product(tower, power, p)
 
 
 def test_cyclotomic_polynomial_divisibility():

@@ -4,10 +4,12 @@ from pathlib import Path
 
 import pytest
 
+from oretower import skewpoly
 from oretower.cli import parse_tower_file
 from oretower.errors import SupportTooHigh, TowerMismatch
-from oretower.scalars import QQ, CyclotomicField, FunctionField
+from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
+from oretower.tower import BaseRing, OreTower, TowerLevel
 
 from conftest import (
     mat2_twolevel,
@@ -254,3 +256,62 @@ def test_deep_products_at_default_recursion_limit(name, left, right, expected):
     lhs = tower.poly({exp: one for exp in left})
     rhs = tower.poly({exp: one for exp in right})
     assert lhs * rhs == tower.poly(expected)
+
+
+@pytest.mark.parametrize(
+    "name, top, k, expected",
+    [
+        # x2 x1 = z x1 x2 with z^3 = 1, so z^5000 = z^2 = -z - 1
+        ("qplane_zeta3.tw", 1, 5000, lambda f: -f.gen - 1),
+        # x3 x1 = 2 x1 x3, although x3 x2 = 5 x2 x3 + x1 x3 is not diagonal
+        ("three_level.tw", 2, 1000, lambda f: f.coerce(2**1000)),
+    ],
+    ids=["qplane_zeta3", "three_level"],
+)
+def test_power_step_moves_monomials_in_one_step(name, top, k, expected, monkeypatch):
+    steps = []
+    one_step = skewpoly._var_times_terms
+    monkeypatch.setattr(
+        skewpoly, "_var_times_terms", lambda *args: steps.append(args[1]) or one_step(*args)
+    )
+
+    def table_size_after(power):
+        tower = parse_tower_file(str(FIXTURES / name))
+        product = tower.var(top) ** power * tower.var(0)
+        return tower, product, len(tower._engine_table)
+
+    tower, product, size = table_size_after(k)
+    exp = [0] * tower.height
+    exp[0], exp[top] = 1, k
+    assert product == tower.poly({tuple(exp): expected(tower.base.field)})
+    # one step each for x_top x_top and for filling the table entry x_top x1;
+    # applying x_top^k one factor at a time would take k steps
+    assert len(steps) <= 2
+    assert size == table_size_after(2)[2]
+
+
+E12, E21 = Matrix.unit(QQ, 2, 0, 1), Matrix.unit(QQ, 2, 1, 0)
+
+
+@pytest.mark.parametrize(
+    "sigma_x1, right",
+    [
+        # x2 x1^2 = x1 x2: a single monomial with another lower part
+        ((E12, {(0, 0): E21}), {(2, 0): Matrix.identity(QQ, 2)}),
+        # x2 x1 = (1 + e12) x1 x2 with a coefficient that does not commute with it
+        ((Matrix.identity(QQ, 2) + E12, {}), {(1, 0): E21}),
+    ],
+    ids=["other_lower_monomial", "noncentral_lambda"],
+)
+def test_power_step_agrees_with_single_steps_on_unvalidated_towers(sigma_x1, right):
+    # validate rejects both towers, but mul does not validate, so the power
+    # step must give what applying x2 one factor at a time gives
+    tower = OreTower(
+        BaseRing.matrix_ring(QQ, 2),
+        [TowerLevel("x1"), TowerLevel("x2", sigma_vars={0: sigma_x1})],
+    )
+    x2, p = tower.var(1), tower.poly(right)
+    one_at_a_time = p
+    for k in range(1, 6):
+        one_at_a_time = x2 * one_at_a_time
+        assert x2**k * p == one_at_a_time
