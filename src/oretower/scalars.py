@@ -404,14 +404,14 @@ class Scalar:
         if k < 0:
             base = self.inverse()
             k = -k
-        acc = self.field.one
+        acc = None
         while k:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             k >>= 1
             if k:
                 base = base * base
-        return acc
+        return self.field.one if acc is None else acc
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -1378,15 +1378,15 @@ class Matrix:
             raise ValueError("power of a non-square matrix")
         if k < 0:
             return self.inverse() ** (-k)
-        acc = Matrix.identity(self.field, self.nrows)
+        acc = None
         base = self
         while k:
             if k & 1:
-                acc = acc * base
+                acc = base if acc is None else acc * base
             k >>= 1
             if k:
                 base = base * base
-        return acc
+        return Matrix.identity(self.field, self.nrows) if acc is None else acc
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):

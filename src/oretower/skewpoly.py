@@ -30,6 +30,18 @@ is a single monomial, x_i x^lower = a x^lower x_i:
 This covers the diagonal sigma-only towers that erasing ends in, and the
 diagonal pairs of other towers; the remaining terms take the
 one-x_i-at-a-time loop.
+
+When every level has an identity sigma and a zero delta on the base, base
+elements commute with the variables, so
+
+    (c x^a)(d x^b) = (c d)(x^a x^b)
+
+and a product of terms reads x^a x^b from a second per-tower table,
+``OreTower._product_table``, keyed ``(a, b)``.  The engine owns it: a miss
+is computed by the word loop with coefficient one and stored while the
+table holds at most ``PRODUCT_TABLE_TERMS`` terms in all; past that,
+products are computed and not stored.  No engine step multiplies by the
+base's one.
 """
 
 from __future__ import annotations
@@ -42,6 +54,9 @@ from .scalars import Matrix, Scalar
 
 # degree of the zero polynomial; below every integer
 NEG_INF = float("-inf")
+
+# most terms OreTower._product_table stores, summed over its entries
+PRODUCT_TABLE_TERMS = 50_000
 
 
 class SkewPoly:
@@ -159,14 +174,15 @@ class SkewPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        acc = SkewPoly.one(self.tower)
+        acc = None
         base = self
         while k:
             if k & 1:
-                acc = acc * base
-            base = base * base if k > 1 else base
+                acc = base if acc is None else acc * base
             k >>= 1
-        return acc
+            if k:
+                base = base * base
+        return SkewPoly.one(self.tower) if acc is None else acc
 
     def __eq__(self, other):
         rhs = self._coerce_operand(other) if not isinstance(other, SkewPoly) else other
@@ -233,14 +249,52 @@ def _add_term(acc: dict, exp: tuple, coeff) -> None:
 # the rewriting engine (term dicts in, term dicts out)
 
 
+def _times(a, b, one):
+    """a * b, skipping the product when a factor is the base's one."""
+    if a is one:
+        return b
+    if b is one:
+        return a
+    return a * b
+
+
 def _mul_terms(tower, left: dict, right: dict) -> dict:
+    one = tower.base.one
+    table = tower._product_table
     acc: dict = {}
     for exp_l, cl in left.items():
         for exp_r, cr in right.items():
-            moved = _word_times_term(tower, exp_l, cr, exp_r)
-            for exp, coeff in moved.items():
-                _add_term(acc, exp, cl * coeff)
+            if table is None:
+                for exp, coeff in _word_times_term(tower, exp_l, cr, exp_r).items():
+                    _add_term(acc, exp, _times(cl, coeff, one))
+                continue
+            # base elements commute with the variables: c x^a d x^b = cd x^a x^b,
+            # and the order c, d, e keeps a matrix base right
+            c = _times(cl, cr, one)
+            for exp, e in _monomial_product(tower, table, exp_l, exp_r).items():
+                _add_term(acc, exp, _times(c, e, one))
     return acc
+
+
+def _monomial_product(tower, table: dict, a: tuple, b: tuple) -> dict:
+    """Normal form of x^a x^b, read from ``table`` (``tower._product_table``).
+
+    A miss runs the word loop with coefficient one and is stored unless
+    that would take the table past ``PRODUCT_TABLE_TERMS`` terms.  An empty
+    word (x^0 x^b = x^b) is not stored: filling ``_engine_table``
+    multiplies a constant delta_i(x_j) by x^rest once per lower factor,
+    which would leave one entry each.
+    """
+    hit = table.get((a, b))
+    if hit is None:
+        if not any(a):
+            return {b: tower.base.one}
+        hit = _word_times_term(tower, a, tower.base.one, b)
+        size = tower._product_table_terms + len(hit)
+        if hit and size <= PRODUCT_TABLE_TERMS:
+            table[(a, b)] = hit
+            tower._product_table_terms = size
+    return hit
 
 
 def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
@@ -274,6 +328,7 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
     the order is c a^k).  Every other term is collected into one dict and
     takes the one-x_i-at-a-time loop, so its like terms still merge.
     """
+    one = tower.base.one
     acc: dict = {}
     rest: dict = {}
     for exp, coeff in terms.items():
@@ -283,7 +338,8 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
             (e, a), = entry.items()
             # an unvalidated tower can send x^lower to another monomial
             if e[:i] == lower and e[i] == 1:
-                _add_term(acc, lower + (exp[i] + k,) + exp[i + 1:], coeff * a ** k)
+                moved = coeff if a is one else _times(coeff, a**k, one)
+                _add_term(acc, lower + (exp[i] + k,) + exp[i + 1:], moved)
                 continue
         rest[exp] = coeff
     if rest:
@@ -296,6 +352,7 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
 
 def _var_times_terms(tower, i: int, terms: dict) -> dict:
     """Normal form of x_i * terms, by x_i c = sigma_i(c) x_i + delta_i(c)."""
+    one = tower.base.one
     acc: dict = {}
     for exp, coeff in terms.items():
         sig = tower.apply_sigma0(i, coeff)
@@ -303,7 +360,7 @@ def _var_times_terms(tower, i: int, terms: dict) -> dict:
         upper = exp[i:]
         for e, c in _var_times_lower(tower, i, exp[:i]).items():
             shifted = e[:i] + (e[i] + upper[0],) + upper[1:]
-            _add_term(acc, shifted, sig * c)
+            _add_term(acc, shifted, _times(sig, c, one))
         dlt = tower.apply_delta0(i, coeff)
         if not _is_zero_elem(dlt):
             _add_term(acc, exp, dlt)
@@ -324,12 +381,13 @@ def _var_times_lower(tower, i: int, lower: tuple) -> dict:
     hit = table.get((i, lower))
     if hit is not None:
         return hit
+    one = tower.base.one
     height = tower.height
     pending = []
     tail = lower
     while (i, tail) not in table:
         if not any(tail):
-            table[(i, tail)] = {tail + (1,) + (0,) * (height - i - 1): tower.base.one}
+            table[(i, tail)] = {tail + (1,) + (0,) * (height - i - 1): one}
             break
         j = next(k for k, e in enumerate(tail) if e)
         rest = tail[:j] + (tail[j] - 1,) + tail[j + 1:]
@@ -340,13 +398,13 @@ def _var_times_lower(tower, i: int, lower: tuple) -> dict:
         a, c_terms = tower.sigma_var_raw(i, j)
         result: dict = {}
         for exp, coeff in _var_times_terms(tower, j, prev).items():
-            _add_term(result, exp, a * coeff)
+            _add_term(result, exp, _times(a, coeff, one))
         if c_terms:
             for exp, coeff in _mul_terms(tower, c_terms, prev).items():
                 _add_term(result, exp, coeff)
         d_terms = tower.delta_var_raw(i, j)
         if d_terms:
-            rest_mono = {rest + (0,) * (height - i): tower.base.one}
+            rest_mono = {rest + (0,) * (height - i): one}
             for exp, coeff in _mul_terms(tower, d_terms, rest_mono).items():
                 _add_term(result, exp, coeff)
         table[(i, cur)] = result

@@ -244,6 +244,10 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap | No
 # ---------------------------------------------------------------------------
 # levels and towers
 
+# most images OreTower._base_map_memo stores; past it, images are computed
+# and not stored
+BASE_MAP_MEMO_ENTRIES = 50_000
+
 
 @dataclass(frozen=True)
 class TowerLevel:
@@ -288,11 +292,21 @@ class OreTower:
         self._engine_table: dict = {}
         # (i, is_delta, element) -> image under sigma_i or delta_i; owned by
         # apply_sigma0 / apply_delta0, which skip it for an identity sigma
-        # and a zero delta (flags per level, indexed by is_delta)
+        # and a zero delta (flags per level, indexed by is_delta) and store
+        # at most BASE_MAP_MEMO_ENTRIES images
         self._base_map_memo: dict = {}
         self._trivial_maps = tuple(
             (lvl.sigma_base.is_trivial(), lvl.delta_base.is_trivial()) for lvl in self.levels
         )
+        # (a, b) -> x^a x^b; read and filled only by the rewriting engine in
+        # skewpoly, which stores at most skewpoly.PRODUCT_TABLE_TERMS terms in
+        # all (counted in _product_table_terms).  None unless every level has
+        # an identity sigma and a zero delta on the base, the towers where
+        # (c x^a)(d x^b) = (c d)(x^a x^b)
+        self._product_table: dict | None = (
+            {} if all(maps == (True, True) for maps in self._trivial_maps) else None
+        )
+        self._product_table_terms = 0
         self._base_zero = base.zero
 
     @functools.cached_property
@@ -366,7 +380,8 @@ class OreTower:
             lvl = self.levels[i]
             bmap = lvl.delta_base if is_delta else lvl.sigma_base
             image = _apply_base_map(self.base, bmap, lvl.sigma_base, element)
-            self._base_map_memo[key] = image
+            if len(self._base_map_memo) < BASE_MAP_MEMO_ENTRIES:
+                self._base_map_memo[key] = image
         return image
 
     def sigma_var_raw(self, i: int, j: int):

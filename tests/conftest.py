@@ -85,6 +85,27 @@ def mat2_twolevel() -> OreTower:
     )
 
 
+E12, E21 = Matrix.unit(QQ, 2, 0, 1), Matrix.unit(QQ, 2, 1, 0)
+
+# sigma2(x1) = (a, c part) of Mat2(Q)[x1][x2; sigma2] towers with identity
+# base maps that validate rejects; mul does not validate, so the engine's
+# fast paths must still agree with applying x2 one factor at a time
+UNVALIDATED_SIGMA_X1 = {
+    # x2 x1 = e12 x1 x2 + e21, so x2 x1^2 = x1 x2: a single monomial with
+    # another lower part
+    "other_lower_monomial": (E12, {(0, 0): E21}),
+    # x2 x1 = (1 + e12) x1 x2, with 1 + e12 not central
+    "noncentral_lambda": (Matrix.identity(QQ, 2) + E12, {}),
+}
+
+
+def mat2_unvalidated(name: str) -> OreTower:
+    return OreTower(
+        BaseRing.matrix_ring(QQ, 2),
+        [TowerLevel("x1"), TowerLevel("x2", sigma_vars={0: UNVALIDATED_SIGMA_X1[name]})],
+    )
+
+
 def weyl_gf5() -> OreTower:
     """GF(5)[x][y; delta = d/dx]; no q declared."""
     field = GF(5)

@@ -1,4 +1,7 @@
 import json
+import os
+import subprocess
+import sys
 from pathlib import Path
 
 import pytest
@@ -14,6 +17,7 @@ from oretower.scalars import CyclotomicField, Matrix
 from oretower.tower import validate_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
+ROOT = Path(__file__).resolve().parent.parent
 
 
 def fixture(name: str) -> str:
@@ -537,3 +541,22 @@ def test_matrix_literal_divided_by_scalar(capsys, tmp_path):
     path.write_text(halved, encoding="utf-8")
     assert run(["validate", "--tower", str(path)]) == 0
     assert capsys.readouterr().out.startswith("valid")
+
+
+@pytest.mark.parametrize("module", ["oretower", "oretower.cli"])
+def test_python_dash_m_runs_the_cli(module, capsys, monkeypatch):
+    argv = ["validate", "--tower", "tests/fixtures/qplane_zeta3.tw", "--json"]
+    monkeypatch.chdir(ROOT)
+    code = run(argv)
+    out = capsys.readouterr().out
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run(
+        [sys.executable, "-m", module, *argv],
+        cwd=ROOT,
+        env={**os.environ, "PYTHONPATH": path},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert (proc.returncode, proc.stdout) == (code, out)
+    assert code == 0 and json.loads(out)["valid"] is True

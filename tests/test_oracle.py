@@ -15,10 +15,18 @@ import pytest
 
 from oretower.scalars import QQ, Matrix, cyclotomic_polynomial, euler_phi, _pdivmod, _pmul
 from oretower.skewpoly import SkewPoly
-from oretower.tower import BaseRing, OreTower, TowerLevel
+from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
 from oretower.cli import parse_tower_text, render_tower_file
 
-from conftest import ARITHMETIC_FIXTURES, mat2_twolevel, random_poly
+from conftest import (
+    ARITHMETIC_FIXTURES,
+    E12,
+    E21,
+    UNVALIDATED_SIGMA_X1,
+    mat2_twolevel,
+    mat2_unvalidated,
+    random_poly,
+)
 
 ORACLE_FIXTURES = dict(ARITHMETIC_FIXTURES, mat2_twolevel=mat2_twolevel)
 
@@ -148,6 +156,74 @@ def test_variable_powers_match_naive_word_reduction(name):
             power = xs[i] ** k
             for p in (mixed, random_poly(tower, rng, max_degree=2)):
                 assert (power * p).terms == naive_product(tower, power, p)
+
+
+# the towers whose products read x^a x^b from the product table: every
+# level has an identity sigma and a zero delta on the base
+TABLE_FIXTURES = {
+    name: build
+    for name, build in dict(ORACLE_FIXTURES, mat2_scalar_lambda=mat2_scalar_lambda).items()
+    if build()._product_table is not None
+}
+
+
+def _noncommuting_pair(tower):
+    """Two products whose left coefficients do not commute with the right
+    ones on a matrix base: e12 e21 = e11 but e21 e12 = e22."""
+    one = tower.base.one
+    if tower.base.kind == "field":
+        e12 = e21 = tower.base.scalar(3)
+    else:
+        e12, e21 = E12, E21
+    top, bottom = [0] * tower.height, [0] * tower.height
+    top[-1], bottom[0] = 2, 1
+    left = tower.poly({tuple(top): e12, (0,) * tower.height: one + e21})
+    right = tower.poly({tuple(bottom): e21, tuple(top): e12 + e21})
+    return left, right
+
+
+def test_product_table_covers_the_towers_that_fix_the_base():
+    assert sorted(TABLE_FIXTURES) == sorted(
+        set(ORACLE_FIXTURES) - {"mat2_inner", "mat2_twolevel"} | {"mat2_scalar_lambda"}
+    )
+
+
+@pytest.mark.parametrize("name", sorted(TABLE_FIXTURES))
+def test_product_table_matches_naive_word_reduction(name):
+    tower = TABLE_FIXTURES[name]()
+    rng = random.Random(31)
+    pairs = [_noncommuting_pair(tower)]
+    pairs += [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(10)]
+    for _ in range(2):  # cold table, then warm
+        for p, q in pairs:
+            assert (p * q).terms == naive_product(tower, p, q)
+    assert tower._product_table
+
+
+def _one_variable_at_a_time(tower, left: SkewPoly, right: SkewPoly) -> dict:
+    """left * right, applying the factors of each x^a to right one variable
+    at a time, top level first, then the left coefficient."""
+    total = tower.zero()
+    for exp, coeff in left.terms.items():
+        moved = right
+        for i in reversed(range(tower.height)):
+            for _ in range(exp[i]):
+                moved = tower.var(i) * moved
+        total = total + tower.from_base(coeff) * moved
+    return total.terms
+
+
+@pytest.mark.parametrize("name", sorted(UNVALIDATED_SIGMA_X1))
+def test_product_table_matches_single_steps_on_unvalidated_towers(name):
+    tower = mat2_unvalidated(name)
+    assert not validate_tower(tower).ok
+    assert tower._product_table is not None
+    rng = random.Random(17)
+    pairs = [_noncommuting_pair(tower)]
+    pairs += [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(10)]
+    for _ in range(2):
+        for p, q in pairs:
+            assert (p * q).terms == _one_variable_at_a_time(tower, p, q)
 
 
 def test_cyclotomic_polynomial_divisibility():

@@ -4,15 +4,16 @@ from pathlib import Path
 
 import pytest
 
-from oretower import skewpoly
+from oretower import skewpoly, tower as tower_module
 from oretower.cli import parse_tower_file
 from oretower.errors import SupportTooHigh, TowerMismatch
 from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
-from oretower.tower import BaseRing, OreTower, TowerLevel
 
 from conftest import (
+    E21,
     mat2_twolevel,
+    mat2_unvalidated,
     qplane,
     qweyl,
     random_base_element,
@@ -290,28 +291,84 @@ def test_power_step_moves_monomials_in_one_step(name, top, k, expected, monkeypa
     assert size == table_size_after(2)[2]
 
 
-E12, E21 = Matrix.unit(QQ, 2, 0, 1), Matrix.unit(QQ, 2, 1, 0)
-
-
 @pytest.mark.parametrize(
-    "sigma_x1, right",
+    "name, right",
     [
-        # x2 x1^2 = x1 x2: a single monomial with another lower part
-        ((E12, {(0, 0): E21}), {(2, 0): Matrix.identity(QQ, 2)}),
-        # x2 x1 = (1 + e12) x1 x2 with a coefficient that does not commute with it
-        ((Matrix.identity(QQ, 2) + E12, {}), {(1, 0): E21}),
+        ("other_lower_monomial", {(2, 0): Matrix.identity(QQ, 2)}),
+        # a coefficient that does not commute with lambda = 1 + e12
+        ("noncentral_lambda", {(1, 0): E21}),
     ],
     ids=["other_lower_monomial", "noncentral_lambda"],
 )
-def test_power_step_agrees_with_single_steps_on_unvalidated_towers(sigma_x1, right):
+def test_power_step_agrees_with_single_steps_on_unvalidated_towers(name, right):
     # validate rejects both towers, but mul does not validate, so the power
     # step must give what applying x2 one factor at a time gives
-    tower = OreTower(
-        BaseRing.matrix_ring(QQ, 2),
-        [TowerLevel("x1"), TowerLevel("x2", sigma_vars={0: sigma_x1})],
-    )
+    tower = mat2_unvalidated(name)
     x2, p = tower.var(1), tower.poly(right)
     one_at_a_time = p
     for k in range(1, 6):
         one_at_a_time = x2 * one_at_a_time
         assert x2**k * p == one_at_a_time
+
+
+def _random_pairs(tower, seed: int, count: int) -> list:
+    rng = random.Random(seed)
+    return [(random_poly(tower, rng, 2), random_poly(tower, rng, 2)) for _ in range(count)]
+
+
+def test_mat2_inner_leaves_the_product_table_empty():
+    # sigma and delta act on the Mat2 base, so base elements do not commute
+    # with x and every product takes the word loop
+    tower = parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
+    for p, q in _random_pairs(tower, 3, 6):
+        assert (p * q) * p == p * (q * p)
+    assert not tower._product_table
+    assert tower._product_table_terms == 0
+
+
+def test_product_table_stops_storing_at_its_bound(monkeypatch):
+    def load():
+        return parse_tower_file(str(FIXTURES / "qweyl_zeta3.tw"))
+
+    # 36 distinct pairs x2^a * x1^b; the 30 with a > 0 are stored, with 50
+    # terms in all
+    words = [(a, b) for a in range(6) for b in range(6)]
+    reference = load()
+    expected = [reference.poly({(0, a): 1}) * reference.poly({(b, 0): 1}) for a, b in words]
+    assert reference._product_table_terms == 50
+
+    monkeypatch.setattr(skewpoly, "PRODUCT_TABLE_TERMS", 20)
+    tower = load()
+    for _ in range(2):  # the second round reads what the first stored
+        for (a, b), want in zip(words, expected):
+            got = tower.poly({(0, a): 1}) * tower.poly({(b, 0): 1})
+            assert got.terms == want.terms
+        table = tower._product_table
+        assert tower._product_table_terms == sum(len(entry) for entry in table.values())
+        assert 0 < tower._product_table_terms <= 20
+        assert len(table) < len(words)
+
+
+def test_product_table_leaves_out_empty_words():
+    # filling the engine table for x2 x1^300 multiplies delta(x1) = 1 by
+    # x1^k for k < 300; only the product asked for is stored
+    tower = parse_tower_file(str(FIXTURES / "qweyl_zeta3.tw"))
+    tower.var(1) * tower.poly({(300, 0): 1})
+    assert len(tower._engine_table) > 300
+    assert list(tower._product_table) == [((0, 1), (300, 0))]
+
+
+def test_base_map_memo_stops_storing_at_its_bound(monkeypatch):
+    def load():
+        return parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
+
+    reference = load()
+    expected = [(p * q).terms for p, q in _random_pairs(reference, 8, 6)]
+    assert len(reference._base_map_memo) > 10
+
+    monkeypatch.setattr(tower_module, "BASE_MAP_MEMO_ENTRIES", 10)
+    tower = load()
+    for _ in range(2):
+        got = [(p * q).terms for p, q in _random_pairs(tower, 8, 6)]
+        assert got == expected
+        assert len(tower._base_map_memo) == 10
