@@ -959,7 +959,3 @@ def _witness_json(wit) -> dict:
 
 def main() -> None:
     sys.exit(run(sys.argv[1:]))
-
-
-if __name__ == "__main__":
-    main()

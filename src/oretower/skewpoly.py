@@ -31,17 +31,13 @@ This covers the diagonal sigma-only towers that erasing ends in, and the
 diagonal pairs of other towers; the remaining terms take the
 one-x_i-at-a-time loop.
 
-When every level has an identity sigma and a zero delta on the base, base
-elements commute with the variables, so
+When every level has an identity sigma and a zero delta on the base
+(``OreTower._fixes_base``), base elements commute with the variables, so
 
     (c x^a)(d x^b) = (c d)(x^a x^b)
 
-and a product of terms reads x^a x^b from a second per-tower table,
-``OreTower._product_table``, keyed ``(a, b)``.  The engine owns it: a miss
-is computed by the word loop with coefficient one and stored while the
-table holds at most ``PRODUCT_TABLE_TERMS`` terms in all; past that,
-products are computed and not stored.  No engine step multiplies by the
-base's one.
+and the word loop runs on x^b with coefficient one; c d multiplies each
+term of the result once.  No engine step multiplies by the base's one.
 """
 
 from __future__ import annotations
@@ -54,9 +50,6 @@ from .scalars import Matrix, Scalar
 
 # degree of the zero polynomial; below every integer
 NEG_INF = float("-inf")
-
-# most terms OreTower._product_table stores, summed over its entries
-PRODUCT_TABLE_TERMS = 50_000
 
 
 class SkewPoly:
@@ -260,41 +253,17 @@ def _times(a, b, one):
 
 def _mul_terms(tower, left: dict, right: dict) -> dict:
     one = tower.base.one
-    table = tower._product_table
+    fixes_base = tower._fixes_base
     acc: dict = {}
     for exp_l, cl in left.items():
         for exp_r, cr in right.items():
-            if table is None:
-                for exp, coeff in _word_times_term(tower, exp_l, cr, exp_r).items():
-                    _add_term(acc, exp, _times(cl, coeff, one))
-                continue
-            # base elements commute with the variables: c x^a d x^b = cd x^a x^b,
-            # and the order c, d, e keeps a matrix base right
-            c = _times(cl, cr, one)
-            for exp, e in _monomial_product(tower, table, exp_l, exp_r).items():
+            # c x^a * d x^b = c (x^a d x^b); where base elements commute with
+            # the variables it is cd (x^a x^b), and the order c, d, e keeps a
+            # matrix base right
+            c, d = (_times(cl, cr, one), one) if fixes_base else (cl, cr)
+            for exp, e in _word_times_term(tower, exp_l, d, exp_r).items():
                 _add_term(acc, exp, _times(c, e, one))
     return acc
-
-
-def _monomial_product(tower, table: dict, a: tuple, b: tuple) -> dict:
-    """Normal form of x^a x^b, read from ``table`` (``tower._product_table``).
-
-    A miss runs the word loop with coefficient one and is stored unless
-    that would take the table past ``PRODUCT_TABLE_TERMS`` terms.  An empty
-    word (x^0 x^b = x^b) is not stored: filling ``_engine_table``
-    multiplies a constant delta_i(x_j) by x^rest once per lower factor,
-    which would leave one entry each.
-    """
-    hit = table.get((a, b))
-    if hit is None:
-        if not any(a):
-            return {b: tower.base.one}
-        hit = _word_times_term(tower, a, tower.base.one, b)
-        size = tower._product_table_terms + len(hit)
-        if hit and size <= PRODUCT_TABLE_TERMS:
-            table[(a, b)] = hit
-            tower._product_table_terms = size
-    return hit
 
 
 def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:

@@ -298,15 +298,10 @@ class OreTower:
         self._trivial_maps = tuple(
             (lvl.sigma_base.is_trivial(), lvl.delta_base.is_trivial()) for lvl in self.levels
         )
-        # (a, b) -> x^a x^b; read and filled only by the rewriting engine in
-        # skewpoly, which stores at most skewpoly.PRODUCT_TABLE_TERMS terms in
-        # all (counted in _product_table_terms).  None unless every level has
-        # an identity sigma and a zero delta on the base, the towers where
-        # (c x^a)(d x^b) = (c d)(x^a x^b)
-        self._product_table: dict | None = (
-            {} if all(maps == (True, True) for maps in self._trivial_maps) else None
-        )
-        self._product_table_terms = 0
+        # every level has an identity sigma and a zero delta on the base, so
+        # (c x^a)(d x^b) = (c d)(x^a x^b); read by the rewriting engine in
+        # skewpoly, which then multiplies the coefficients once per term pair
+        self._fixes_base = all(maps == (True, True) for maps in self._trivial_maps)
         self._base_zero = base.zero
 
     @functools.cached_property

@@ -543,15 +543,14 @@ def test_matrix_literal_divided_by_scalar(capsys, tmp_path):
     assert capsys.readouterr().out.startswith("valid")
 
 
-@pytest.mark.parametrize("module", ["oretower", "oretower.cli"])
-def test_python_dash_m_runs_the_cli(module, capsys, monkeypatch):
+def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     argv = ["validate", "--tower", "tests/fixtures/qplane_zeta3.tw", "--json"]
     monkeypatch.chdir(ROOT)
     code = run(argv)
     out = capsys.readouterr().out
     path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run(
-        [sys.executable, "-m", module, *argv],
+        [sys.executable, "-m", "oretower", *argv],
         cwd=ROOT,
         env={**os.environ, "PYTHONPATH": path},
         capture_output=True,

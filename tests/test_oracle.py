@@ -158,12 +158,12 @@ def test_variable_powers_match_naive_word_reduction(name):
                 assert (power * p).terms == naive_product(tower, power, p)
 
 
-# the towers whose products read x^a x^b from the product table: every
-# level has an identity sigma and a zero delta on the base
-TABLE_FIXTURES = {
+# the towers whose term products factor as (c d)(x^a x^b): every level has
+# an identity sigma and a zero delta on the base
+FIXED_BASE_FIXTURES = {
     name: build
     for name, build in dict(ORACLE_FIXTURES, mat2_scalar_lambda=mat2_scalar_lambda).items()
-    if build()._product_table is not None
+    if build()._fixes_base
 }
 
 
@@ -182,22 +182,21 @@ def _noncommuting_pair(tower):
     return left, right
 
 
-def test_product_table_covers_the_towers_that_fix_the_base():
-    assert sorted(TABLE_FIXTURES) == sorted(
+def test_factored_products_cover_the_towers_that_fix_the_base():
+    assert sorted(FIXED_BASE_FIXTURES) == sorted(
         set(ORACLE_FIXTURES) - {"mat2_inner", "mat2_twolevel"} | {"mat2_scalar_lambda"}
     )
 
 
-@pytest.mark.parametrize("name", sorted(TABLE_FIXTURES))
-def test_product_table_matches_naive_word_reduction(name):
-    tower = TABLE_FIXTURES[name]()
+@pytest.mark.parametrize("name", sorted(FIXED_BASE_FIXTURES))
+def test_factored_products_match_naive_word_reduction(name):
+    tower = FIXED_BASE_FIXTURES[name]()
     rng = random.Random(31)
     pairs = [_noncommuting_pair(tower)]
     pairs += [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(10)]
-    for _ in range(2):  # cold table, then warm
+    for _ in range(2):  # cold engine table, then warm
         for p, q in pairs:
             assert (p * q).terms == naive_product(tower, p, q)
-    assert tower._product_table
 
 
 def _one_variable_at_a_time(tower, left: SkewPoly, right: SkewPoly) -> dict:
@@ -214,10 +213,10 @@ def _one_variable_at_a_time(tower, left: SkewPoly, right: SkewPoly) -> dict:
 
 
 @pytest.mark.parametrize("name", sorted(UNVALIDATED_SIGMA_X1))
-def test_product_table_matches_single_steps_on_unvalidated_towers(name):
+def test_factored_products_match_single_steps_on_unvalidated_towers(name):
     tower = mat2_unvalidated(name)
     assert not validate_tower(tower).ok
-    assert tower._product_table is not None
+    assert tower._fixes_base
     rng = random.Random(17)
     pairs = [_noncommuting_pair(tower)]
     pairs += [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(10)]

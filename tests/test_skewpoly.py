@@ -316,48 +316,6 @@ def _random_pairs(tower, seed: int, count: int) -> list:
     return [(random_poly(tower, rng, 2), random_poly(tower, rng, 2)) for _ in range(count)]
 
 
-def test_mat2_inner_leaves_the_product_table_empty():
-    # sigma and delta act on the Mat2 base, so base elements do not commute
-    # with x and every product takes the word loop
-    tower = parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
-    for p, q in _random_pairs(tower, 3, 6):
-        assert (p * q) * p == p * (q * p)
-    assert not tower._product_table
-    assert tower._product_table_terms == 0
-
-
-def test_product_table_stops_storing_at_its_bound(monkeypatch):
-    def load():
-        return parse_tower_file(str(FIXTURES / "qweyl_zeta3.tw"))
-
-    # 36 distinct pairs x2^a * x1^b; the 30 with a > 0 are stored, with 50
-    # terms in all
-    words = [(a, b) for a in range(6) for b in range(6)]
-    reference = load()
-    expected = [reference.poly({(0, a): 1}) * reference.poly({(b, 0): 1}) for a, b in words]
-    assert reference._product_table_terms == 50
-
-    monkeypatch.setattr(skewpoly, "PRODUCT_TABLE_TERMS", 20)
-    tower = load()
-    for _ in range(2):  # the second round reads what the first stored
-        for (a, b), want in zip(words, expected):
-            got = tower.poly({(0, a): 1}) * tower.poly({(b, 0): 1})
-            assert got.terms == want.terms
-        table = tower._product_table
-        assert tower._product_table_terms == sum(len(entry) for entry in table.values())
-        assert 0 < tower._product_table_terms <= 20
-        assert len(table) < len(words)
-
-
-def test_product_table_leaves_out_empty_words():
-    # filling the engine table for x2 x1^300 multiplies delta(x1) = 1 by
-    # x1^k for k < 300; only the product asked for is stored
-    tower = parse_tower_file(str(FIXTURES / "qweyl_zeta3.tw"))
-    tower.var(1) * tower.poly({(300, 0): 1})
-    assert len(tower._engine_table) > 300
-    assert list(tower._product_table) == [((0, 1), (300, 0))]
-
-
 def test_base_map_memo_stops_storing_at_its_bound(monkeypatch):
     def load():
         return parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
