@@ -45,7 +45,7 @@ from .errors import (
 from .erase import erase_all, erase_top, swap_adjacent
 from .graded import associated_graded_tower, level_sigma, rees_closure_check
 from .pi import centrality_witness, pi_report
-from .scalars import Matrix, Scalar, parse_field
+from .scalars import Matrix, Scalar, _wrap, parse_field
 from .skewpoly import SkewPoly, is_central
 from .tower import (
     BaseMap,
@@ -53,7 +53,6 @@ from .tower import (
     OreTower,
     TowerLevel,
     map_order,
-    validate_tower,
 )
 
 
@@ -90,8 +89,6 @@ MAX_MATRIX_SIZE = 6
 # upper bounds of the integer flags, checked by argparse on the digit
 # string before any tower is read; at each cap a command on the test
 # fixtures takes about 2 s at most
-# random product pairs per level of validate
-MAX_SAMPLE_BUDGET = 1000
 # steps of a base map; above the order of every automorphism of Q(zeta_n)
 # for n up to scalars.MAX_CYCLOTOMIC_ORDER
 MAX_ORDER_BOUND = 1000
@@ -617,7 +614,8 @@ def render_tower_file(tower: OreTower) -> str:
             if a == tower.base.one and not c:
                 pass
             else:
-                entry = f"{_coeff_str(a)} * {names[j]}"
+                coeff = str(a) if isinstance(a, Matrix) else _wrap(str(a))
+                entry = f"{coeff} * {names[j]}"
                 if c:
                     entry += f" + {c}"
                 lines.append(f"sigma {names[j]} = {entry}")
@@ -635,15 +633,6 @@ def _render_base_map(bmap: BaseMap) -> str | None:
     if bmap.field_action is not None:
         return str(bmap.field_action)
     return None
-
-
-def _coeff_str(el) -> str:
-    s = str(el)
-    if isinstance(el, Matrix):
-        return s
-    if any(ch in s[1:] for ch in "+- ") or "/" in s:
-        return f"({s})"
-    return s
 
 
 # ---------------------------------------------------------------------------
@@ -680,8 +669,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("validate", help="run the tower axiom checks")
     common(p)
-    p.add_argument("--sample-budget", type=_count(MAX_SAMPLE_BUDGET), default=0,
-                   help="also spot-check the rewriting engine on this many random products")
 
     p = sub.add_parser("mul", help="multiply two polynomial expressions")
     common(p)
@@ -779,7 +766,7 @@ def _emit(args, report: dict, human: str) -> None:
 def _dispatch(args, tower: OreTower):
     command = args.command
     if command == "validate":
-        rep = validate_tower(tower, sample_budget=args.sample_budget)
+        rep = tower.validation
         report = {
             "command": command,
             "valid": rep.ok,

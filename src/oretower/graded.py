@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
-from .erase import _erased_name
+from .erase import _erased_name, _exponents
 from .errors import HypothesisViolation
 from .skewpoly import SkewPoly, degree_leading
 from .tower import BaseMap, OreTower
@@ -103,26 +103,17 @@ def rees_closure_check(
 
     Every monomial in the variables up to ``level`` with total degree at
     most ``degree_bound`` must map to something of no larger x_level
-    degree.  The first violating monomial is returned as the witness.
+    degree.  The first violating monomial in lexicographic exponent order
+    is returned as the witness.
     """
-    for exp in _bounded_exponents(level + 1, degree_bound, tower.height):
+    totals = range(degree_bound + 1)
+    for exp in sorted(e for t in totals for e in _exponents(level + 1, t, tower.height)):
         mono = SkewPoly(tower, {exp: tower.base.one})
         image = the_map(mono)
         deg, _ = degree_leading(image, level)
         if deg > exp[level]:
             return ReesCheck(False, mono)
     return ReesCheck(True)
-
-
-def _bounded_exponents(nvars: int, bound: int, height: int):
-    def rec(prefix, remaining, k):
-        if k == nvars:
-            yield tuple(prefix) + (0,) * (height - nvars)
-            return
-        for e in range(remaining + 1):
-            yield from rec(prefix + [e], remaining - e, k + 1)
-
-    yield from rec([], bound, 0)
 
 
 def level_sigma(tower: OreTower, level: int) -> Callable[[SkewPoly], SkewPoly]:

@@ -1148,6 +1148,8 @@ def FunctionField(inner, name: str) -> RationalFunctionField:
 
 
 def _wrap(s: str) -> str:
+    """A printed coefficient, in parentheses when it holds a sum, a space or a
+    quotient, so that it reads as one factor."""
     if any(ch in s[1:] for ch in "+- ") or "/" in s:
         return f"({s})"
     return s
@@ -1407,17 +1409,8 @@ class Matrix:
             raise ValueError("inverse of a non-square matrix")
         n = self.nrows
         aug = [list(row) + list(ident) for row, ident in zip(self.rows, Matrix.identity(self.field, n).rows)]
-        for col in range(n):
-            pivot = next((r for r in range(col, n) if not aug[r][col].is_zero()), None)
-            if pivot is None:
-                raise DivisionByZero("matrix is singular")
-            aug[col], aug[pivot] = aug[pivot], aug[col]
-            inv = aug[col][col].inverse()
-            aug[col] = [a * inv for a in aug[col]]
-            for r in range(n):
-                if r != col and not aug[r][col].is_zero():
-                    factor = aug[r][col]
-                    aug[r] = [a - factor * b for a, b in zip(aug[r], aug[col])]
+        if len(_reduce_rows(aug, n)) < n:
+            raise DivisionByZero("matrix is singular")
         return Matrix(self.field, [row[n:] for row in aug])
 
     def is_invertible(self) -> bool:
@@ -1442,6 +1435,29 @@ class Matrix:
     __str__ = __repr__
 
 
+def _reduce_rows(rows: list, ncols: int) -> list[int]:
+    """Bring ``rows`` (lists of Scalars, changed in place) to reduced row
+    echelon form in their first ``ncols`` columns by Gauss-Jordan
+    elimination; the pivot columns, in order."""
+    pivots: list[int] = []
+    for col in range(ncols):
+        r = len(pivots)
+        if r == len(rows):
+            break
+        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        if pivot is None:
+            continue
+        rows[r], rows[pivot] = rows[pivot], rows[r]
+        inv = rows[r][col].inverse()
+        rows[r] = [v * inv for v in rows[r]]
+        for i in range(len(rows)):
+            if i != r and not rows[i][col].is_zero():
+                factor = rows[i][col]
+                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
+        pivots.append(col)
+    return pivots
+
+
 def _dot(row, col, field):
     acc = None
     for a, b in zip(row, col):
@@ -1463,29 +1479,11 @@ def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
     b = [field.coerce(c) for c in b]
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
-    nrows, ncols = a.nrows, a.ncols
+    ncols = a.ncols
     aug = [list(row) + [rhs] for row, rhs in zip(a.rows, b)]
-
-    pivots: list[int] = []
-    r = 0
-    for col in range(ncols):
-        pivot = next((i for i in range(r, nrows) if not aug[i][col].is_zero()), None)
-        if pivot is None:
-            continue
-        aug[r], aug[pivot] = aug[pivot], aug[r]
-        inv = aug[r][col].inverse()
-        aug[r] = [v * inv for v in aug[r]]
-        for i in range(nrows):
-            if i != r and not aug[i][col].is_zero():
-                factor = aug[i][col]
-                aug[i] = [v - factor * w for v, w in zip(aug[i], aug[r])]
-        pivots.append(col)
-        r += 1
-        if r == nrows:
-            break
-    for i in range(r, nrows):
-        if not aug[i][ncols].is_zero():
-            return None
+    pivots = _reduce_rows(aug, ncols)
+    if any(not row[ncols].is_zero() for row in aug[len(pivots):]):
+        return None
 
     free_cols = [c for c in range(ncols) if c not in pivots]
 

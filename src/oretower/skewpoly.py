@@ -45,7 +45,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SupportTooHigh, TowerMismatch
-from .scalars import Matrix, Scalar
+from .scalars import Matrix, Scalar, _wrap
 
 
 # degree of the zero polynomial; below every integer
@@ -204,23 +204,17 @@ class SkewPoly:
             )
             cs = str(coeff)
             if not mono:
-                pieces.append(_paren(cs))
+                pieces.append(_wrap(cs))
             elif cs == "1":
                 pieces.append(mono)
             else:
-                pieces.append(f"{_paren(cs)} * {mono}")
+                pieces.append(f"{_wrap(cs)} * {mono}")
         out = pieces[0]
         for piece in pieces[1:]:
             out += " + " + piece
         return out
 
     __str__ = __repr__
-
-
-def _paren(cs: str) -> str:
-    if any(ch in cs[1:] for ch in "+-") or " " in cs or "/" in cs:
-        return f"({cs})"
-    return cs
 
 
 def _is_zero_elem(coeff) -> bool:

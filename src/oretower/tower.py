@@ -306,8 +306,7 @@ class OreTower:
 
     @functools.cached_property
     def validation(self) -> "ValidationReport":
-        """``validate_tower(self)`` computed once: the checks that decide
-        validity, with no engine spot checks."""
+        """``validate_tower(self)`` computed once."""
         return validate_tower(self)
 
     # -- structure ---------------------------------------------------------
@@ -463,10 +462,6 @@ class ValidationReport:
         return "\n".join(lines)
 
 
-def _identity_detail(lhs, rhs) -> str:
-    return f"lhs = {lhs} ; rhs = {rhs}"
-
-
 def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     """Well-formedness of the level's base maps; field actions must define
     genuine automorphisms / derivations of the base field."""
@@ -501,11 +496,11 @@ def _level_generators(tower: OreTower, i: int) -> list[SkewPoly]:
     return gens
 
 
-def validate_tower(tower: OreTower, sample_budget: int = 0) -> ValidationReport:
+def validate_tower(tower: OreTower) -> ValidationReport:
     """Run every level's axiom checks; exact identities throughout.
 
     The report is returned, never stored on the tower; ``tower.validation``
-    memoises the report at the default ``sample_budget``.
+    memoises it.
 
     Checks per level i: (a) sigma_i is multiplicative on generator pairs,
     (b) sigma_i is bijective (invertible base action, invertible a_ij),
@@ -522,10 +517,6 @@ def validate_tower(tower: OreTower, sample_budget: int = 0) -> ValidationReport:
     (Goodearl and Warfield, *An Introduction to Noncommutative Noetherian
     Rings*, 2nd ed., 2004, ch. 2), and it applies because normal forms
     are unique (Bergman's diamond lemma, Adv. Math. 29, 1978).
-
-    ``sample_budget`` adds that many pseudo-random products to (a) and
-    (c).  They can only fail if the rewriting engine is wrong, so they
-    spot-check the engine, not the tower.
     """
     report = ValidationReport()
     for i in range(tower.height):
@@ -537,47 +528,19 @@ def validate_tower(tower: OreTower, sample_budget: int = 0) -> ValidationReport:
             ok = tower.base.is_invertible(a)
             report.add(i, f"a[{i + 1},{j + 1}] invertible", ok, "" if ok else f"a = {a}")
 
+        sigma = functools.partial(apply_level_map, "sigma", i)
+        delta = functools.partial(apply_level_map, "delta", i)
         gens = _level_generators(tower, i)
         pairs = _relation_pairs(gens, len(gens) - i)
-        extra = _sample_pairs(tower, i, sample_budget)
-
-        ok_mult = True
-        for u, v in pairs + extra:
-            lhs = apply_level_map("sigma", i, u * v)
-            rhs = apply_level_map("sigma", i, u) * apply_level_map("sigma", i, v)
-            if lhs != rhs:
-                report.add(i, "sigma multiplicative", False, _identity_detail(lhs, rhs))
-                ok_mult = False
-                break
-        if ok_mult:
-            report.add(i, "sigma multiplicative", True)
-
-        ok_leib = True
-        for u, v in pairs + extra:
-            lhs = apply_level_map("delta", i, u * v)
-            rhs = (
-                apply_level_map("sigma", i, u) * apply_level_map("delta", i, v)
-                + apply_level_map("delta", i, u) * v
-            )
-            if lhs != rhs:
-                report.add(i, "delta twisted Leibniz", False, _identity_detail(lhs, rhs))
-                ok_leib = False
-                break
-        if ok_leib:
-            report.add(i, "delta twisted Leibniz", True)
+        mult = ((sigma(u * v), sigma(u) * sigma(v)) for u, v in pairs)
+        leibniz = ((delta(u * v), sigma(u) * delta(v) + delta(u) * v) for u, v in pairs)
+        _check_identity(report, i, "sigma multiplicative", mult)
+        _check_identity(report, i, "delta twisted Leibniz", leibniz)
 
         if lvl.q is not None:
             q_poly = tower.from_scalar(lvl.q)
-            ok_q = True
-            for g in gens:
-                lhs = apply_level_map("delta", i, apply_level_map("sigma", i, g))
-                rhs = q_poly * apply_level_map("sigma", i, apply_level_map("delta", i, g))
-                if lhs != rhs:
-                    report.add(i, "q-skew identity", False, _identity_detail(lhs, rhs))
-                    ok_q = False
-                    break
-            if ok_q:
-                report.add(i, "q-skew identity", True)
+            q_skew = ((delta(sigma(g)), q_poly * sigma(delta(g))) for g in gens)
+            _check_identity(report, i, "q-skew identity", q_skew)
             q_elem = tower.base.scalar(lvl.q)
             sq = tower.apply_sigma0(i, q_elem)
             dq = tower.apply_delta0(i, q_elem)
@@ -592,6 +555,17 @@ def validate_tower(tower: OreTower, sample_budget: int = 0) -> ValidationReport:
     return report
 
 
+def _check_identity(report: ValidationReport, i: int, name: str, cases) -> None:
+    """Record check ``name`` of level i: a failure with the first (lhs, rhs)
+    of ``cases`` whose sides differ, else a pass.  ``cases`` is lazy, so
+    no case after the first failure is computed."""
+    for lhs, rhs in cases:
+        if lhs != rhs:
+            report.add(i, name, False, f"lhs = {lhs} ; rhs = {rhs}")
+            return
+    report.add(i, name, True)
+
+
 def _relation_pairs(gens: list, n_base: int) -> list:
     """The generator pairs checked by (a) and (c), in the order of the full
     product gens x gens: base by base, which tests the base maps, and
@@ -604,31 +578,6 @@ def _relation_pairs(gens: list, n_base: int) -> list:
     ``_apply_delta`` satisfy (a) and (c) by construction.
     """
     return [(u, v) for pos, u in enumerate(gens) for v in gens[: max(pos, n_base)]]
-
-
-def _sample_pairs(tower: OreTower, i: int, budget: int) -> list:
-    """Deterministic pseudo-random low-degree pairs below level i."""
-    if budget <= 0 or i == 0:
-        return []
-    import random
-
-    rng = random.Random(20_000 + i)
-    gens = _level_generators(tower, i)
-    out = []
-    for _ in range(budget):
-        u = _random_product(tower, gens, rng)
-        v = _random_product(tower, gens, rng)
-        out.append((u, v))
-    return out
-
-
-def _random_product(tower: OreTower, gens: list, rng) -> SkewPoly:
-    acc = SkewPoly.one(tower)
-    for _ in range(rng.randint(1, 2)):
-        acc = acc * rng.choice(gens)
-    if rng.random() < 0.5:
-        acc = acc + rng.choice(gens)
-    return acc
 
 
 # ---------------------------------------------------------------------------

@@ -1,3 +1,4 @@
+import ast
 import json
 import os
 import subprocess
@@ -482,7 +483,6 @@ def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path,
 @pytest.mark.parametrize(
     "command, flag, cap",
     [
-        ("validate", "--sample-budget", 1000),
         ("order", "--order-bound", 1000),
         ("pi-check", "--order-bound", 1000),
         ("erase", "--search-degree", 12),
@@ -509,6 +509,13 @@ def test_integer_flags_are_capped(command, flag, cap, capsys, monkeypatch):
         captured = capsys.readouterr()
         assert f"argument {flag}: must be an integer from 0 to {cap}" in captured.err
         assert captured.out == ""
+
+
+def test_validate_has_no_sample_budget(capsys):
+    assert run(["validate", "--tower", fixture("three_level.tw"), "--sample-budget", "5"]) == 2
+    captured = capsys.readouterr()
+    assert "unrecognized arguments: --sample-budget 5" in captured.err
+    assert captured.out == ""
 
 
 def test_cached_parser_carries_no_state(capsys):
@@ -559,3 +566,34 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     )
     assert (proc.returncode, proc.stdout) == (code, out)
     assert code == 0 and json.loads(out)["valid"] is True
+
+
+def test_every_private_helper_has_a_caller():
+    """A private module-level function or class of the package is named
+    somewhere in the package outside its own definition."""
+    trees = {
+        path.name: ast.parse(path.read_text(encoding="utf-8"))
+        for path in (ROOT / "src" / "oretower").glob("*.py")
+    }
+    uses = []  # (module, line, name) of every name, attribute and import
+    for module, tree in trees.items():
+        for node in ast.walk(tree):
+            if isinstance(node, ast.Name):
+                uses.append((module, node.lineno, node.id))
+            elif isinstance(node, ast.Attribute):
+                uses.append((module, node.lineno, node.attr))
+            elif isinstance(node, ast.alias):
+                uses.append((module, node.lineno, node.name))
+    dead = [
+        f"{module}:{node.lineno} {node.name}"
+        for module, tree in trees.items()
+        for node in tree.body
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef))
+        and node.name.startswith("_")
+        and not node.name.startswith("__")
+        and not any(
+            name == node.name and not (mod == module and node.lineno <= line <= node.end_lineno)
+            for mod, line, name in uses
+        )
+    ]
+    assert dead == []

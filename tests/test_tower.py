@@ -5,7 +5,7 @@ from pathlib import Path
 
 import pytest
 
-from oretower.cli import parse_tower_file, parse_tower_text, run
+from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.errors import OreError
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
@@ -215,19 +215,45 @@ def _numeric_mutants(count: int, seed: int):
         yield text
 
 
-def test_relation_pairs_decide_validity(tmp_path, capsys):
-    """The random products of ``sample_budget`` never change a report."""
-    path = tmp_path / "mutant.tw"
-    verdicts = set()
+def _random_product(tower, gens, rng):
+    """A product of one or two generators, plus a generator half the time."""
+    acc = tower.one()
+    for _ in range(rng.randint(1, 2)):
+        acc = acc * rng.choice(gens)
+    if rng.random() < 0.5:
+        acc = acc + rng.choice(gens)
+    return acc
+
+
+def test_relation_pairs_decide_validity():
+    """A level whose relation pairs pass "sigma multiplicative" or "delta
+    twisted Leibniz" satisfies that identity on 25 seeded pairs of random
+    products below the level as well."""
+    verdicts, products_checked = set(), 0
     for text in _numeric_mutants(200, seed=6):
-        path.write_text(text, encoding="utf-8")
-        reports = []
-        for budget in ([], ["--sample-budget", "25"]):
-            rc = run(["validate", "--tower", str(path), "--json", *budget])
-            reports.append((rc, capsys.readouterr().out))
-        assert reports[0] == reports[1], text
-        verdicts.add(reports[0][0])
-    assert verdicts == {0, 1}
+        tower = parse_tower_text(text)
+        report = validate_tower(tower)
+        verdicts.add(report.ok)
+        passed = {(c.level, c.name) for c in report.checks if c.ok}
+        for i in range(tower.height):
+            mult = (i, "sigma multiplicative") in passed
+            leib = (i, "delta twisted Leibniz") in passed
+            if not (mult or leib):
+                continue
+            rng = random.Random(20_000 + i)
+            gens = _level_generators(tower, i)
+            for _ in range(25):
+                u = _random_product(tower, gens, rng)
+                v = _random_product(tower, gens, rng)
+                su, sv = apply_level_map("sigma", i, u), apply_level_map("sigma", i, v)
+                if mult:
+                    assert apply_level_map("sigma", i, u * v) == su * sv, text
+                if leib:
+                    du, dv = apply_level_map("delta", i, u), apply_level_map("delta", i, v)
+                    assert apply_level_map("delta", i, u * v) == su * dv + du * v, text
+                products_checked += 1
+    assert verdicts == {True, False}
+    assert products_checked > 0
 
 
 @pytest.mark.parametrize(
