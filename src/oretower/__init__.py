@@ -31,7 +31,6 @@ from .scalars import (
     FunctionField,
     Matrix,
     Scalar,
-    canonicalize,
     cyclotomic_polynomial,
     parse_field,
     root_of_unity_order,
@@ -94,7 +93,6 @@ __all__ = [
     "ZeroInput",
     "apply_level_map",
     "associated_graded_tower",
-    "canonicalize",
     "centrality_witness",
     "check_swap_compatibility",
     "cyclotomic_polynomial",

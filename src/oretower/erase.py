@@ -36,7 +36,6 @@ from .errors import (
 from .scalars import Matrix, solve_linear_system
 from .skewpoly import (
     SkewPoly,
-    _is_zero_elem,
     _substitute,
     apply_level_map,
     degree_leading,
@@ -458,7 +457,7 @@ def _check_erase_hypotheses(tower: OreTower, search_degree_bound: int) -> None:
                     raise HypothesisViolation(
                         f"sigma_{k + 1} moves lambda[{i + 1},{j + 1}]"
                     )
-                if not _is_zero_elem(tower.apply_delta0(k, lam)):
+                if not tower.apply_delta0(k, lam).is_zero():
                     raise HypothesisViolation(
                         f"delta_{k + 1} does not kill lambda[{i + 1},{j + 1}]"
                     )

@@ -1227,20 +1227,6 @@ def parse_field(descriptor: str):
     raise ValueError(f"unrecognised field descriptor {descriptor!r}")
 
 
-def canonicalize(s: Scalar) -> Scalar:
-    """Rebuild a scalar through its field's canonical constructor.
-
-    Construction already stores canonical forms, so this is idempotent and
-    acts as the equality normal form.
-    """
-    field = s.field
-    if isinstance(field, (RationalFunctionField, CyclotomicFieldImpl)):
-        return Scalar(field, field._make(*s.rep))
-    if field == QQ or isinstance(field, PrimeFieldImpl):
-        return field.coerce(s.rep)
-    raise ScalarError(f"unknown field {field!r}")
-
-
 # ---------------------------------------------------------------------------
 # roots of unity
 

@@ -38,6 +38,12 @@ When every level has an identity sigma and a zero delta on the base
 
 and the word loop runs on x^b with coefficient one; c d multiplies each
 term of the result once.  No engine step multiplies by the base's one.
+
+``SkewPoly(tower, terms)`` coerces and checks: keys become tuples of the
+tower's height of non-negative ints, coefficients are coerced into the
+base, like keys merge and zero terms drop (``_clean_terms``).  Ring
+operations build clean term dicts by construction and return them through
+``SkewPoly._of``, which does not check them again.
 """
 
 from __future__ import annotations
@@ -58,39 +64,33 @@ class SkewPoly:
     __slots__ = ("tower", "terms")
 
     def __init__(self, tower, terms):
-        cleaned = {}
-        height = tower.height
-        for exp, coeff in terms.items():
-            exp = tuple(exp)
-            if len(exp) != height:
-                raise ValueError(f"exponent vector {exp} does not match tower height {height}")
-            coeff = tower.base.coerce(coeff)
-            if _is_zero_elem(coeff):
-                continue
-            if exp in cleaned:
-                coeff = cleaned[exp] + coeff
-                if _is_zero_elem(coeff):
-                    del cleaned[exp]
-                    continue
-            cleaned[exp] = coeff
         self.tower = tower
-        self.terms = cleaned
+        self.terms = _clean_terms(tower.base, tower.height, terms)
+
+    @classmethod
+    def _of(cls, tower, terms: dict) -> "SkewPoly":
+        """The polynomial with ``terms``, a dict that is already clean (see
+        ``_clean_terms``), stored as it is; for ring results only."""
+        p = object.__new__(cls)
+        p.tower = tower
+        p.terms = terms
+        return p
 
     # -- construction helpers -------------------------------------------
 
     @classmethod
     def zero(cls, tower) -> "SkewPoly":
-        return cls(tower, {})
+        return cls._of(tower, {})
 
     @classmethod
     def one(cls, tower) -> "SkewPoly":
-        return cls(tower, {(0,) * tower.height: tower.base.one})
+        return cls._of(tower, {(0,) * tower.height: tower.base.one})
 
     @classmethod
     def variable(cls, tower, level: int) -> "SkewPoly":
         exp = [0] * tower.height
         exp[level] = 1
-        return cls(tower, {tuple(exp): tower.base.one})
+        return cls._of(tower, {tuple(exp): tower.base.one})
 
     @classmethod
     def from_base(cls, tower, element) -> "SkewPoly":
@@ -133,12 +133,12 @@ class SkewPoly:
         terms = dict(self.terms)
         for exp, coeff in rhs.terms.items():
             _add_term(terms, exp, coeff)
-        return SkewPoly(self.tower, terms)
+        return SkewPoly._of(self.tower, terms)
 
     __radd__ = __add__
 
     def __neg__(self):
-        return SkewPoly(self.tower, {e: -c for e, c in self.terms.items()})
+        return SkewPoly._of(self.tower, {e: -c for e, c in self.terms.items()})
 
     def __sub__(self, other):
         rhs = self._coerce_operand(other)
@@ -156,7 +156,7 @@ class SkewPoly:
         rhs = self._coerce_operand(other)
         if rhs is None:
             return NotImplemented
-        return SkewPoly(self.tower, _mul_terms(self.tower, self.terms, rhs.terms))
+        return SkewPoly._of(self.tower, _mul_terms(self.tower, self.terms, rhs.terms))
 
     def __rmul__(self, other):
         lhs = self._coerce_operand(other)
@@ -217,18 +217,27 @@ class SkewPoly:
     __str__ = __repr__
 
 
-def _is_zero_elem(coeff) -> bool:
-    return coeff.is_zero() if hasattr(coeff, "is_zero") else not coeff
+def _clean_terms(base, height: int, terms: dict) -> dict:
+    """``terms`` as a clean term dict: keys are tuples of ``height``
+    non-negative ints, coefficients are coerced into ``base``, like keys
+    are merged and zero coefficients dropped."""
+    out: dict = {}
+    for exp, coeff in terms.items():
+        exp = tuple(exp)
+        if len(exp) != height or not all(type(e) is int and e >= 0 for e in exp):
+            raise ValueError(f"exponent vector {exp} is not {height} non-negative integers")
+        _add_term(out, exp, base.coerce(coeff))
+    return out
 
 
 def _add_term(acc: dict, exp: tuple, coeff) -> None:
     if exp in acc:
         total = acc[exp] + coeff
-        if _is_zero_elem(total):
+        if total.is_zero():
             del acc[exp]
         else:
             acc[exp] = total
-    elif not _is_zero_elem(coeff):
+    elif not coeff.is_zero():
         acc[exp] = coeff
 
 
@@ -325,7 +334,7 @@ def _var_times_terms(tower, i: int, terms: dict) -> dict:
             shifted = e[:i] + (e[i] + upper[0],) + upper[1:]
             _add_term(acc, shifted, _times(sig, c, one))
         dlt = tower.apply_delta0(i, coeff)
-        if not _is_zero_elem(dlt):
+        if not dlt.is_zero():
             _add_term(acc, exp, dlt)
     return acc
 
@@ -405,8 +414,10 @@ def apply_level_map(kind: str, level: int, p: SkewPoly) -> SkewPoly:
 
 def _sigma_var_poly(tower, i: int, j: int) -> SkewPoly:
     a, c_terms = tower.sigma_var_raw(i, j)
-    x_j = tuple(1 if k == j else 0 for k in range(tower.height))
-    return SkewPoly(tower, {**c_terms, x_j: a})  # c_ij lives below x_j
+    terms = dict(c_terms)  # c_ij lives below x_j
+    if not a.is_zero():  # an unvalidated tower can have a_ij = 0
+        terms[tuple(1 if k == j else 0 for k in range(tower.height))] = a
+    return SkewPoly._of(tower, terms)
 
 
 def _substitute(target, p: SkewPoly, base_image, var_image) -> SkewPoly:
@@ -443,7 +454,7 @@ def _apply_delta(tower, level: int, p: SkewPoly) -> SkewPoly:
                 suffix[j] -= 1
                 d = tower.delta_var(level, j)
                 if d:
-                    total = total + prefix * d * SkewPoly(tower, {tuple(suffix): one})
+                    total = total + prefix * d * SkewPoly._of(tower, {tuple(suffix): one})
                 prefix = prefix * _sigma_var_poly(tower, level, j)
     return total
 
@@ -481,4 +492,4 @@ def degree_leading(p: SkewPoly, level: int):
         return NEG_INF, SkewPoly.zero(p.tower)
     deg = max(exp[level] for exp in p.terms)
     lead = {exp: c for exp, c in p.terms.items() if exp[level] == deg}
-    return deg, SkewPoly(p.tower, lead)
+    return deg, SkewPoly._of(p.tower, lead)

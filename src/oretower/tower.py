@@ -20,7 +20,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import NotDiagonal, ScalarError
 from .scalars import Matrix, Scalar, _dot
-from .skewpoly import SkewPoly, _is_zero_elem, _substitute, apply_level_map
+from .skewpoly import SkewPoly, _clean_terms, _substitute, apply_level_map
 
 
 # ---------------------------------------------------------------------------
@@ -352,7 +352,7 @@ class OreTower:
         return SkewPoly(self, terms)
 
     def from_base(self, element) -> SkewPoly:
-        return SkewPoly.from_base(self, self.base.coerce(element))
+        return SkewPoly.from_base(self, element)
 
     def from_scalar(self, s) -> SkewPoly:
         return self.from_base(self.base.scalar(s))
@@ -384,12 +384,13 @@ class OreTower:
     def delta_var_raw(self, i: int, j: int):
         return self.levels[i].delta_vars[j]
 
+    # the level dicts are clean; a copy keeps callers from writing into them
     def sigma_var(self, i: int, j: int):
         a, c_terms = self.sigma_var_raw(i, j)
-        return a, SkewPoly(self, c_terms)
+        return a, SkewPoly._of(self, dict(c_terms))
 
     def delta_var(self, i: int, j: int) -> SkewPoly:
-        return SkewPoly(self, self.delta_var_raw(i, j))
+        return SkewPoly._of(self, dict(self.delta_var_raw(i, j)))
 
 
 def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> TowerLevel:
@@ -399,12 +400,12 @@ def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> T
             raise ValueError(f"level {i} maps variable {j} outside its scope")
         sigma_vars[j] = (
             base.coerce(a),
-            _clean_terms(base, height, c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})"),
+            _level_terms(base, height, c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})"),
         )
     for j, d_terms in lvl.delta_vars.items():
         if not 0 <= j < i:
             raise ValueError(f"level {i} maps variable {j} outside its scope")
-        delta_vars[j] = _clean_terms(base, height, d_terms, i, f"delta_{i + 1}(x_{j + 1})")
+        delta_vars[j] = _level_terms(base, height, d_terms, i, f"delta_{i + 1}(x_{j + 1})")
     for j in range(i):
         sigma_vars.setdefault(j, (base.one, {}))
         delta_vars.setdefault(j, {})
@@ -412,17 +413,11 @@ def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> T
     return replace(lvl, sigma_vars=sigma_vars, delta_vars=delta_vars, q=q)
 
 
-def _clean_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
-    out = {}
-    for exp, coeff in terms.items():
-        exp = tuple(exp)
-        if len(exp) != height:
-            raise ValueError(f"exponent length mismatch in {what}")
-        if any(exp[k] for k in range(max_level, height)):
-            raise ValueError(f"{what} involves a level >= {max_level + 1}")
-        coeff = base.coerce(coeff)
-        if not _is_zero_elem(coeff):
-            out[exp] = coeff
+def _level_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
+    """``terms`` cleaned as ``SkewPoly`` cleans them, supported below ``max_level``."""
+    out = _clean_terms(base, height, terms)
+    if any(any(exp[max_level:]) for exp in out):
+        raise ValueError(f"{what} involves a level >= {max_level + 1}")
     return out
 
 
@@ -544,7 +539,7 @@ def validate_tower(tower: OreTower) -> ValidationReport:
             q_elem = tower.base.scalar(lvl.q)
             sq = tower.apply_sigma0(i, q_elem)
             dq = tower.apply_delta0(i, q_elem)
-            ok_fix = sq == q_elem and _is_zero_elem(dq)
+            ok_fix = sq == q_elem and dq.is_zero()
             report.add(
                 i,
                 "q fixed by maps",
@@ -624,7 +619,7 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
             witness = g
             break
     d_lam = tower.apply_delta0(i - 1, lam)
-    return SwapCompatibility(witness is None, witness, _is_zero_elem(d_lam))
+    return SwapCompatibility(witness is None, witness, d_lam.is_zero())
 
 
 def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:

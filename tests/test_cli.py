@@ -597,3 +597,19 @@ def test_every_private_helper_has_a_caller():
         )
     ]
     assert dead == []
+
+
+def test_only_skewpoly_and_tower_name_the_trusted_constructor():
+    """``SkewPoly._of`` stores a term dict unchecked, for ring results that
+    are clean by construction; cli, erase, graded and pi, which handle
+    parsed or user input, go through the checking ``SkewPoly(tower, terms)``."""
+    named = {
+        path.name
+        for path in (ROOT / "src" / "oretower").glob("*.py")
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8")))
+        if (isinstance(node, ast.Attribute) and node.attr == "_of")
+        or (isinstance(node, ast.Name) and node.id == "_of")
+        or (isinstance(node, ast.Constant) and node.value == "_of")
+    }
+    assert "skewpoly.py" in named  # the gate looks for the right name
+    assert named <= {"skewpoly.py", "tower.py"}

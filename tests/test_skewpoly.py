@@ -1,5 +1,7 @@
 import random
+import re
 import sys
+from fractions import Fraction
 from pathlib import Path
 
 import pytest
@@ -7,10 +9,12 @@ import pytest
 from oretower import skewpoly, tower as tower_module
 from oretower.cli import parse_tower_file
 from oretower.errors import SupportTooHigh, TowerMismatch
-from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix
+from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix, Scalar
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
+from oretower.tower import BaseRing, OreTower, TowerLevel
 
 from conftest import (
+    ARITHMETIC_FIXTURES,
     E21,
     mat2_twolevel,
     mat2_unvalidated,
@@ -330,3 +334,75 @@ def test_base_map_memo_stops_storing_at_its_bound(monkeypatch):
         got = [(p * q).terms for p, q in _random_pairs(tower, 8, 6)]
         assert got == expected
         assert len(tower._base_map_memo) == 10
+
+
+@pytest.mark.parametrize("exp", [(-1, 0), (1.5, 0)], ids=["negative", "fractional"])
+def test_exponents_must_be_non_negative_integers(exp):
+    field = FunctionField(QQ, "q")
+    tower = qweyl(field, field.gen)
+    for build in (tower.poly, lambda terms: SkewPoly(tower, terms)):
+        with pytest.raises(ValueError, match=re.escape(str(exp))):
+            build({exp: 1})
+    # sigma_3(x_2) = x_2 + c with c below x_2
+    c_exp = exp + (0,)
+    with pytest.raises(ValueError, match=re.escape(str(c_exp))):
+        OreTower(
+            BaseRing.field_ring(QQ),
+            [TowerLevel("x1"), TowerLevel("x2"), TowerLevel("x3", sigma_vars={1: (1, {c_exp: 1})})],
+        )
+
+
+CLEAN_TERM_TOWERS = {
+    **ARITHMETIC_FIXTURES,
+    **{path.name: lambda path=path: parse_tower_file(str(path)) for path in FIXTURES.glob("*.tw")},
+    # unvalidated: sigma_2(x_1) = 0
+    "zero_a": lambda: OreTower(
+        BaseRing.field_ring(QQ), [TowerLevel("x1"), TowerLevel("x2", sigma_vars={0: (0, {})})]
+    ),
+}
+
+
+def _assert_clean(tower, p):
+    """p holds no zero coefficient, int tuple keys of the tower's height and
+    coefficients of the base, and is what the checking constructor builds."""
+    base = tower.base
+    assert isinstance(p, SkewPoly) and p.tower is tower
+    for exp, coeff in p.terms.items():
+        assert type(exp) is tuple and len(exp) == tower.height
+        assert all(type(e) is int and e >= 0 for e in exp)
+        if base.kind == "field":
+            assert isinstance(coeff, Scalar) and coeff.field == base.field
+        else:
+            assert isinstance(coeff, Matrix) and coeff.field == base.field
+            assert coeff.nrows == coeff.ncols == base.size
+        assert not coeff.is_zero()
+    assert SkewPoly(tower, p.terms).terms == p.terms
+
+
+@pytest.mark.parametrize("name", sorted(CLEAN_TERM_TOWERS))
+def test_ring_results_hold_clean_terms(name):
+    tower = CLEAN_TERM_TOWERS[name]()
+    rng = random.Random(21)
+    for _ in range(4):
+        p = random_poly(tower, rng, max_degree=2)
+        q = random_poly(tower, rng, max_degree=2)
+        results = [p + q, p - q, p - p, -p, p * q, q * p, p**2, p**0]
+        results += [p + 1, 1 + p, p - 1, 1 - p, 2 * p, p * 0, p * Fraction(1, 3)]
+        results += [degree_leading(p, level)[1] for level in range(tower.height)]
+        for level in range(tower.height):
+            u = _poly_below(tower, level, rng)
+            results += [apply_level_map(kind, level, u) for kind in ("sigma", "delta")]
+        for result in results:
+            _assert_clean(tower, result)
+        assert (p - p == 0) and (p * 0 == 0) and (p == 0) == p.is_zero()
+    for i in range(tower.height):
+        for j in range(i):
+            _assert_clean(tower, tower.sigma_var(i, j)[1])
+            _assert_clean(tower, skewpoly._sigma_var_poly(tower, i, j))
+            _assert_clean(tower, tower.delta_var(i, j))
+            # copies: writing into them leaves the tower as it was
+            c_before, d_before = dict(tower.sigma_var_raw(i, j)[1]), dict(tower.delta_var_raw(i, j))
+            tower.sigma_var(i, j)[1].terms[(0,) * tower.height] = tower.base.one
+            tower.delta_var(i, j).terms[(0,) * tower.height] = tower.base.one
+            assert tower.sigma_var_raw(i, j)[1] == c_before
+            assert tower.delta_var_raw(i, j) == d_before
