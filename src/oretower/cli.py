@@ -33,7 +33,6 @@ import contextlib
 import functools
 import json
 import sys
-import warnings as _warnings
 
 from .errors import (
     FieldMismatch,
@@ -42,7 +41,7 @@ from .errors import (
     ScalarError,
     UnknownVariableReference,
 )
-from .erase import erase_all, erase_top, swap_adjacent
+from .erase import _swap_collect, erase_all, erase_top
 from .graded import associated_graded_tower, level_sigma, rees_closure_check
 from .pi import centrality_witness, pi_report
 from .scalars import Matrix, Scalar, _wrap, parse_field
@@ -80,8 +79,9 @@ _SYMBOLS = "+-*/^()[],"
 MAX_EXPR_NESTING = 64
 # digits in one integer literal; checked before int() converts it
 MAX_LITERAL_DIGITS = 1000
-# |k| in a power a^k; products memoise x_i * x^lower for every exponent
-# up to k, so the bound caps that table
+# |k| in a power a^k, and each variable's exponent in the top monomial of a
+# polynomial product or power the parser computes; products memoise
+# x_i * x^lower for every exponent up to k, so the bound caps that table
 MAX_EXPR_EXPONENT = 10_000
 # m of a Mat_m base; validation multiplies every pair of the m^2 matrix
 # units, under sigma and delta of each level
@@ -286,6 +286,8 @@ class _ExprParser:
 
     def _mul(self, a, b, op):
         a, b = self._promote_pair(a, b, op)
+        if isinstance(a, SkewPoly):
+            self._cap_exponents(map(sum, zip(_top_exponents(a), _top_exponents(b))), op)
         return a * b
 
     def _div(self, a, b, op):
@@ -302,13 +304,26 @@ class _ExprParser:
     def _neg(self, a):
         return -a
 
+    def _cap_exponents(self, exponents, op):
+        """Refuse, before it is computed, a product or power of polynomials
+        whose top monomial has a variable exponent above MAX_EXPR_EXPONENT."""
+        if any(e > MAX_EXPR_EXPONENT for e in exponents):
+            raise ParseError(op.line, op.col, f"exponent larger than {MAX_EXPR_EXPONENT}")
+
     def _pow(self, a, k, op):
-        if isinstance(a, SkewPoly) and k < 0:
-            raise ParseError(op.line, op.col, "negative powers of polynomials")
+        if isinstance(a, SkewPoly):
+            if k < 0:
+                raise ParseError(op.line, op.col, "negative powers of polynomials")
+            self._cap_exponents((k * e for e in _top_exponents(a)), op)
         try:
             return a ** k
         except (ScalarError, ValueError) as exc:
             raise ParseError(op.line, op.col, str(exc)) from exc
+
+
+def _top_exponents(p: SkewPoly) -> list[int]:
+    """The highest exponent of each variable in p (empty for zero)."""
+    return [max(column) for column in zip(*p.terms)]
 
 
 class _Context:
@@ -360,7 +375,7 @@ def parse_tower_text(text: str) -> OreTower:
     if not sections or sections[0][0] != "base":
         raise ParseError(1, 1, "file must start with a [base] section")
     base = _parse_base(sections[0][1])
-    level_sections = [s for s in sections[1:]]
+    level_sections = sections[1:]
     for kind, _items, line in level_sections:
         if kind != "level":
             raise ParseError(line, 1, f"unexpected section [{kind}]")
@@ -611,9 +626,7 @@ def render_tower_file(tower: OreTower) -> str:
             lines.append(f"delta_base = {db}")
         for j in range(i):
             a, c = tower.sigma_var(i, j)
-            if a == tower.base.one and not c:
-                pass
-            else:
+            if a != tower.base.one or c:
                 coeff = str(a) if isinstance(a, Matrix) else _wrap(str(a))
                 entry = f"{coeff} * {names[j]}"
                 if c:
@@ -845,10 +858,7 @@ def _dispatch(args, tower: OreTower):
     if command == "swap":
         level = _level_arg(args, tower, lowest=2)
         caught: list[str] = []
-        with _warnings.catch_warnings(record=True) as records:
-            _warnings.simplefilter("always")
-            swapped = swap_adjacent(tower, level)
-        caught.extend(str(r.message) for r in records)
+        swapped = _swap_collect(tower, level, caught)
         report = {
             "command": command,
             "tower": render_tower_file(swapped),

@@ -21,6 +21,11 @@ by variables below i, so the call depth is bounded by the tower height and
 never by a degree.  Images of base elements under sigma_i and delta_i are
 memoised separately by ``OreTower.apply_sigma0`` / ``apply_delta0``.
 
+The level maps on polynomials are read off the same table:
+x_i x^e = sigma_i(x^e) x_i + delta_i(x^e), so ``apply_level_map`` takes
+sigma_i(x^e) from the entry's terms with x_i-exponent 1 and delta_i(x^e)
+from those with exponent 0.
+
 A run x_i^k (k >= 2) on a level whose sigma is the identity and whose
 delta is zero on the base takes one step for every term whose table entry
 is a single monomial, x_i x^lower = a x^lower x_i:
@@ -390,9 +395,13 @@ def _var_times_lower(tower, i: int, lower: tuple) -> dict:
 def apply_level_map(kind: str, level: int, p: SkewPoly) -> SkewPoly:
     """Apply sigma_level or delta_level to a polynomial supported below it.
 
-    sigma is extended multiplicatively monomial by monomial; delta by the
-    twisted Leibniz rule delta(uv) = sigma(u) delta(v) + delta(u) v applied
-    left to right over each monomial's factor sequence.
+    Both maps are read off the engine table: x_i x^e = sigma_i(x^e) x_i +
+    delta_i(x^e), so the terms of ``_var_times_lower(tower, i, e)`` with
+    x_i-exponent 1 give sigma_i(x^e) and those with exponent 0 give
+    delta_i(x^e).  On a term c x^e,
+
+        sigma_i(c x^e) = sigma_i(c) sigma_i(x^e)
+        delta_i(c x^e) = delta_i(c) x^e + sigma_i(c) delta_i(x^e).
     """
     if kind not in ("sigma", "delta"):
         raise ValueError(f"unknown map kind {kind!r}")
@@ -402,22 +411,17 @@ def apply_level_map(kind: str, level: int, p: SkewPoly) -> SkewPoly:
         raise SupportTooHigh(
             f"polynomial involves level {min(too_high)} but the map lives at level {level}"
         )
-    if kind == "sigma":
-        return _substitute(
-            tower,
-            p,
-            lambda coeff: tower.apply_sigma0(level, coeff),
-            lambda j: _sigma_var_poly(tower, level, j),
-        )
-    return _apply_delta(tower, level, p)
-
-
-def _sigma_var_poly(tower, i: int, j: int) -> SkewPoly:
-    a, c_terms = tower.sigma_var_raw(i, j)
-    terms = dict(c_terms)  # c_ij lives below x_j
-    if not a.is_zero():  # an unvalidated tower can have a_ij = 0
-        terms[tuple(1 if k == j else 0 for k in range(tower.height))] = a
-    return SkewPoly._of(tower, terms)
+    one = tower.base.one
+    wanted = 1 if kind == "sigma" else 0
+    acc: dict = {}
+    for exp, coeff in p.terms.items():
+        if kind == "delta":
+            _add_term(acc, exp, tower.apply_delta0(level, coeff))
+        sig = tower.apply_sigma0(level, coeff)
+        for e, c in _var_times_lower(tower, level, exp[:level]).items():
+            if e[level] == wanted:
+                _add_term(acc, e[:level] + (0,) + e[level + 1:], _times(sig, c, one))
+    return SkewPoly._of(tower, acc)
 
 
 def _substitute(target, p: SkewPoly, base_image, var_image) -> SkewPoly:
@@ -433,29 +437,6 @@ def _substitute(target, p: SkewPoly, base_image, var_image) -> SkewPoly:
             if e:
                 acc = acc * var_image(j) ** e
         total = total + acc
-    return total
-
-
-def _apply_delta(tower, level: int, p: SkewPoly) -> SkewPoly:
-    """delta(c w) for each term, w = x_{w_1} ... x_{w_k} in normal order:
-
-        delta(c) w + sum_t sigma(c x_{w_1} ... x_{w_{t-1}}) delta(x_{w_t}) x_{w_{t+1}} ... x_{w_k}
-
-    where every suffix of w is itself a normal-form monomial.
-    """
-    one = tower.base.one
-    total = SkewPoly.zero(tower)
-    for exp, coeff in p.terms.items():
-        total = total + SkewPoly(tower, {exp: tower.apply_delta0(level, coeff)})
-        prefix = SkewPoly.from_base(tower, tower.apply_sigma0(level, coeff))
-        suffix = list(exp)
-        for j, e in enumerate(exp):
-            for _ in range(e):
-                suffix[j] -= 1
-                d = tower.delta_var(level, j)
-                if d:
-                    total = total + prefix * d * SkewPoly._of(tower, {tuple(suffix): one})
-                prefix = prefix * _sigma_var_poly(tower, level, j)
     return total
 
 

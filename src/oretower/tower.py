@@ -504,8 +504,12 @@ def validate_tower(tower: OreTower) -> ValidationReport:
     (e) sigma_i(q) = q and delta_i(q) = 0.
 
     The generator pairs of (a) and (c) are those of ``_relation_pairs``,
-    and they decide validity.  sigma_i and delta_i are defined by
-    substitution on normal forms, so they are a ring endomorphism and a
+    and they decide validity.  ``apply_level_map`` reads sigma_i and
+    delta_i off the engine table: the entry x_i x^e = sigma_i(x^e) x_i +
+    delta_i(x^e) is filled one normal-order factor of x^e at a time, so
+    sigma_i(x^e) is the product of the generator images sigma_i(x_j) and
+    delta_i(x^e) follows the twisted Leibniz rule left to right.  Maps so
+    defined on normal forms are a ring endomorphism and a
     sigma_i-derivation of R_{i-1} exactly when they act as such on the base
     and respect each defining relation x_k g = sigma_k(g) x_k + delta_k(g)
     of R_{i-1}: this is the universal property of skew polynomial rings
@@ -569,8 +573,8 @@ def _relation_pairs(gens: list, n_base: int) -> list:
 
     ``gens`` is ``_level_generators`` output, its ``n_base`` base
     generators first.  The pairs left out, (g, x_k), (x_j, x_k) with j < k
-    and (x_j, x_j), multiply to normal forms, on which ``_substitute`` and
-    ``_apply_delta`` satisfy (a) and (c) by construction.
+    and (x_j, x_j), multiply to normal forms, on which the maps read off the
+    engine table satisfy (a) and (c) by construction.
     """
     return [(u, v) for pos, u in enumerate(gens) for v in gens[: max(pos, n_base)]]
 

@@ -261,3 +261,15 @@ def random_poly(tower: OreTower, rng: random.Random, max_degree: int = 3) -> Ske
             exp[rng.randrange(tower.height)] += 1
         terms[tuple(exp)] = random_base_element(tower, rng)
     return SkewPoly(tower, terms)
+
+
+def random_poly_below(tower: OreTower, level: int, rng: random.Random) -> SkewPoly:
+    """One or two terms of degree at most 2 in the variables below ``level``."""
+    terms = {}
+    for _ in range(rng.randint(1, 2)):
+        exp = [0] * tower.height
+        for _ in range(rng.randint(0, 2)):
+            if level > 0:
+                exp[rng.randrange(level)] += 1
+        terms[tuple(exp)] = random_base_element(tower, rng)
+    return SkewPoly(tower, terms)

@@ -221,10 +221,13 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     long_literal = "x1^" + "9" * 5000
     assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x1", long_literal]) == 2
     assert "integer literal longer than 1000 digits" in capsys.readouterr().err
-    # exponents are capped before any power is taken
-    for power in ("x1^10001", "x2^-10001", "z^10001"):
+    # exponents are capped before any power is taken, also where a power
+    # or a product of polynomials adds them up
+    for power in ("x1^10001", "x2^-10001", "z^10001", "(x1^10000)^2", "x1^6000 x1^6000"):
         assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x1", power]) == 2
         assert "exponent larger than 10000" in capsys.readouterr().err
+    assert run(["mul", "--tower", fixture("qweyl_zeta3.tw"), "x2", "x1^10000"]) == 0
+    assert capsys.readouterr().out == "z * x1^10000 x2 + x1^9999\n"
     # conj/inner matrices are checked against the base before they are used
     mat2 = Path(fixture("mat2_inner.tw")).read_text(encoding="utf-8")
     for edited, message in (

@@ -14,7 +14,7 @@ from fractions import Fraction
 import pytest
 
 from oretower.scalars import QQ, Matrix, cyclotomic_polynomial, euler_phi, _pdivmod, _pmul
-from oretower.skewpoly import SkewPoly
+from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
 from oretower.cli import parse_tower_text, render_tower_file
 
@@ -26,6 +26,7 @@ from conftest import (
     mat2_twolevel,
     mat2_unvalidated,
     random_poly,
+    random_poly_below,
 )
 
 ORACLE_FIXTURES = dict(ARITHMETIC_FIXTURES, mat2_twolevel=mat2_twolevel)
@@ -125,6 +126,25 @@ def test_engine_matches_naive_word_reduction(name):
         p = random_poly(tower, rng, max_degree=2)
         q = random_poly(tower, rng, max_degree=2)
         assert (p * q).terms == naive_product(tower, p, q)
+
+
+VALID_ORACLE_FIXTURES = sorted(
+    name for name, build in ORACLE_FIXTURES.items() if validate_tower(build()).ok
+)
+
+
+@pytest.mark.parametrize("name", VALID_ORACLE_FIXTURES)
+def test_level_maps_match_naive_word_reduction(name):
+    """x_i p = sigma_i(p) x_i + delta_i(p) for p below level i, with the
+    left side reduced word by word from the presentation alone."""
+    tower = ORACLE_FIXTURES[name]()
+    rng = random.Random(41)
+    for i in range(tower.height):
+        xi = tower.var(i)
+        for _ in range(10):
+            p = random_poly_below(tower, i, rng)
+            image = apply_level_map("sigma", i, p) * xi + apply_level_map("delta", i, p)
+            assert naive_product(tower, xi, p) == image.terms
 
 
 def mat2_scalar_lambda() -> OreTower:
