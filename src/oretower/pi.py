@@ -28,7 +28,6 @@ class PIReport:
     base_orders: dict = dc_field(default_factory=dict)  # i -> int | None
     verdict: str = "Undecided"  # "PI" | "NotPI" | "Undecided"
     reason: str | None = None
-    witnesses: list = dc_field(default_factory=list)  # (SkewPoly, exponent)
     notes: list = dc_field(default_factory=list)
 
 

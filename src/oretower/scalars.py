@@ -400,18 +400,9 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        base = self
         if k < 0:
-            base = self.inverse()
-            k = -k
-        acc = None
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return self.field.one if acc is None else acc
+            return _power(self.inverse(), -k)
+        return _power(self, k) if k else self.field.one
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -1365,16 +1356,8 @@ class Matrix:
         if not self.is_square():
             raise ValueError("power of a non-square matrix")
         if k < 0:
-            return self.inverse() ** (-k)
-        acc = None
-        base = self
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return Matrix.identity(self.field, self.nrows) if acc is None else acc
+            return _power(self.inverse(), -k)
+        return _power(self, k) if k else Matrix.identity(self.field, self.nrows)
 
     def __eq__(self, other):
         if not isinstance(other, Matrix):
@@ -1383,6 +1366,20 @@ class Matrix:
 
     def __hash__(self):
         return hash((self.field, self.rows))
+
+    def transpose(self) -> "Matrix":
+        return Matrix(self.field, zip(*self.rows))
+
+    def kron(self, other: "Matrix") -> "Matrix":
+        """The Kronecker product, the block matrix [self[i][j] * other]."""
+        return Matrix(
+            self.field,
+            [
+                [a * b for a in row_a for b in row_b]
+                for row_a in self.rows
+                for row_b in other.rows
+            ],
+        )
 
     def is_zero(self) -> bool:
         return all(a.is_zero() for row in self.rows for a in row)
@@ -1442,6 +1439,19 @@ def _reduce_rows(rows: list, ncols: int) -> list[int]:
                 rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
         pivots.append(col)
     return pivots
+
+
+def _power(x, k: int):
+    """x ** k for k >= 1 by square-and-multiply: the product starts from
+    the first factor needed, and nothing is squared after the top bit."""
+    acc = None
+    while True:
+        if k & 1:
+            acc = x if acc is None else acc * x
+        k >>= 1
+        if not k:
+            return acc
+        x = x * x
 
 
 def _dot(row, col, field):

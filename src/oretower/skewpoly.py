@@ -56,7 +56,7 @@ from __future__ import annotations
 from fractions import Fraction
 
 from .errors import SupportTooHigh, TowerMismatch
-from .scalars import Matrix, Scalar, _wrap
+from .scalars import Matrix, Scalar, _power, _wrap
 
 
 # degree of the zero polynomial; below every integer
@@ -172,15 +172,7 @@ class SkewPoly:
     def __pow__(self, k: int):
         if not isinstance(k, int) or k < 0:
             raise ValueError("polynomial powers take non-negative integer exponents")
-        acc = None
-        base = self
-        while k:
-            if k & 1:
-                acc = base if acc is None else acc * base
-            k >>= 1
-            if k:
-                base = base * base
-        return SkewPoly.one(self.tower) if acc is None else acc
+        return _power(self, k) if k else SkewPoly.one(self.tower)
 
     def __eq__(self, other):
         rhs = self._coerce_operand(other) if not isinstance(other, SkewPoly) else other

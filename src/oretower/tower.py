@@ -103,14 +103,6 @@ class BaseRing:
             return not el.is_zero()
         return el.is_invertible()
 
-    def invert(self, el):
-        return el.inverse()
-
-    def is_central_element(self, el) -> bool:
-        if self.kind == "field":
-            return True
-        return el.scalar_part() is not None
-
     def as_scalar(self, el) -> Scalar | None:
         """The field scalar z with el == z * 1, or None."""
         if self.kind == "field":
@@ -151,6 +143,9 @@ class BaseMap:
     For a matrix-algebra base the map is F-linear and carried entirely by
     ``linear_action``, an m^2 x m^2 matrix acting on the units in
     row-major order (None meaning identity for sigma, zero for delta).
+    In that layout r -> l r is the Kronecker product l (x) 1 and r -> r l
+    is 1 (x) l^T, so r -> l r l' is l (x) l'^T (Horn and Johnson, *Topics
+    in Matrix Analysis*, 1991, section 4.3).
     """
 
     kind: str  # "sigma" | "delta"
@@ -180,18 +175,16 @@ class BaseMap:
     @classmethod
     def conjugation(cls, a: Matrix) -> "BaseMap":
         """sigma(r) = a r a^{-1} on Mat_m."""
-        a_inv = a.inverse()
-        action = _action_matrix(a.field, a.nrows, lambda u: a * u * a_inv)
-        return cls("sigma", linear_action=action)
+        return cls("sigma", linear_action=a.kron(a.inverse().transpose()))
 
     @classmethod
     def inner_derivation(cls, b: Matrix, sigma: "BaseMap") -> "BaseMap":
         """delta(r) = b r - sigma(r) b on Mat_m, an inner sigma-derivation."""
-        base = BaseRing.matrix_ring(b.field, b.nrows)
-        action = _action_matrix(
-            b.field, b.nrows, lambda u: b * u - _apply_base_map(base, sigma, None, u) * b
-        )
-        return cls("delta", linear_action=action)
+        one = Matrix.identity(b.field, b.nrows)
+        right_b = one.kron(b.transpose())
+        if sigma.linear_action is not None:
+            right_b = right_b * sigma.linear_action
+        return cls("delta", linear_action=b.kron(one) - right_b)
 
     def is_trivial(self) -> bool:
         """Identity (sigma) or zero map (delta)."""
@@ -206,12 +199,6 @@ class BaseMap:
 
 def _is_identity_matrix(m: Matrix) -> bool:
     return m == Matrix.identity(m.field, m.nrows)
-
-
-def _action_matrix(field, m: int, image_of) -> Matrix:
-    """The m^2 x m^2 matrix whose columns are the images of the units of Mat_m."""
-    cols = [_vec(image_of(Matrix.unit(field, m, i, j))) for i in range(m) for j in range(m)]
-    return Matrix(field, zip(*cols))
 
 
 def _vec(m: Matrix) -> list:
@@ -606,7 +593,7 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
         raise NotDiagonal(f"sigma of level {i + 1} on x_{i} has a nonzero c part")
     lam = tower.base.coerce(lam)
     lam_poly = SkewPoly.from_base(tower, lam)
-    lam_inv_poly = SkewPoly.from_base(tower, tower.base.invert(lam))
+    lam_inv_poly = SkewPoly.from_base(tower, lam.inverse())
 
     gens = [SkewPoly.from_base(tower, b) for b in tower.base.basis()]
     gens.extend(SkewPoly.variable(tower, j) for j in range(i - 1))
@@ -674,7 +661,7 @@ def sigma_inverse_on(tower: OreTower, i: int, p: SkewPoly) -> SkewPoly:
     def var_preimage(j: int) -> SkewPoly:
         if j not in preimages:
             a, c = tower.sigma_var(i, j)
-            a_inv = tower.base.invert(a)
+            a_inv = a.inverse()
             head = SkewPoly.from_base(tower, inv_elem(a_inv)) * SkewPoly.variable(tower, j)
             if c:
                 c_part = SkewPoly.from_base(tower, a_inv) * c

@@ -6,6 +6,7 @@ from pathlib import Path
 import pytest
 
 from oretower.cli import parse_tower_file, parse_tower_text
+from oretower.erase import _commutator_rows
 from oretower.errors import OreError
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
@@ -354,6 +355,62 @@ def test_base_map_failure_details(make_tower, name, detail):
     assert not report.ok
     failures = [(c.name, c.detail) for c in report.checks if not c.ok]
     assert failures == [(name, detail)]
+
+
+# ---------------------------------------------------------------------------
+# matrix-base actions
+
+
+def _vec_entries(m: Matrix) -> list:
+    return [entry for row in m.rows for entry in row]
+
+
+def _unit_by_unit(field, m: int, image_of) -> Matrix:
+    """The m^2 x m^2 matrix whose columns are vec(image_of(e_kl)), the
+    units e_kl taken in row-major order."""
+    cols = [
+        _vec_entries(image_of(Matrix.unit(field, m, k, l)))
+        for k in range(m)
+        for l in range(m)
+    ]
+    return Matrix(field, zip(*cols))
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+@pytest.mark.parametrize("field_name", ["QQ", "gf5", "Qq"])
+def test_matrix_base_actions_match_unit_images(field_name, m):
+    field = {"QQ": QQ, "gf5": GF(5), "Qq": FunctionField(QQ, "q")}[field_name]
+    gen = field.gen if field.gen is not None else field.one
+    rng = random.Random(f"{field_name}-{m}")
+
+    def random_matrix():
+        return Matrix(
+            field,
+            [
+                [field.coerce(rng.randint(-3, 3)) + gen * rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(m)
+            ],
+        )
+
+    a = random_matrix()
+    while not a.is_invertible():
+        a = random_matrix()
+    a_inv = a.inverse()
+    b = random_matrix()
+
+    conj = BaseMap.conjugation(a)
+    assert conj.linear_action == _unit_by_unit(field, m, lambda e: a * e * a_inv)
+    for sigma, sigma_of in (
+        (BaseMap.identity(), lambda e: e),
+        (conj, lambda e: a * e * a_inv),
+    ):
+        delta = BaseMap.inner_derivation(b, sigma)
+        expected = _unit_by_unit(field, m, lambda e: b * e - sigma_of(e) * b)
+        assert delta.linear_action == expected
+
+    for left, right in ((a, b), (b, a_inv), (a * b * a_inv, b)):
+        expected = _unit_by_unit(field, m, lambda x: left * x - x * right)
+        assert [tuple(row) for row in _commutator_rows(left, right)] == list(expected.rows)
 
 
 # ---------------------------------------------------------------------------
