@@ -45,7 +45,6 @@ from .tower import (
     ValidationReport,
     check_swap_compatibility,
     map_order,
-    sigma_inverse_on,
     validate_tower,
 )
 from .erase import ErasureResult, ErasureWitness, erase_all, erase_top, swap_adjacent
@@ -110,7 +109,6 @@ __all__ = [
     "rees_closure_check",
     "root_of_unity_order",
     "run",
-    "sigma_inverse_on",
     "solve_linear_system",
     "swap_adjacent",
     "validate_tower",

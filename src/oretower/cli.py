@@ -52,6 +52,7 @@ from .tower import (
     OreTower,
     TowerLevel,
     map_order,
+    require_base_automorphism,
 )
 
 
@@ -482,6 +483,8 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
         all_vars=names,
         allow_matrix=base.kind == "matrix",
     )
+    # resolves no variables and refuses matrix literals, so every value it
+    # yields (q, a field sigma_base or delta_base image) is a field scalar
     scalar_ctx = _Context(field, all_vars=names)
     matrix_ctx = _Context(field, all_vars=names, allow_matrix=True)
 
@@ -493,10 +496,7 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
         elif key == "delta_base":
             delta_base_entry = (value, line)
         elif key == "q":
-            q_val = _eval_expr(value, line, scalar_ctx)
-            if not isinstance(q_val, Scalar):
-                raise FieldMismatch("q must be a scalar")
-            q = q_val
+            q = _eval_expr(value, line, scalar_ctx)
         elif key.startswith("sigma ") or key.startswith("delta "):
             target = key.split(None, 1)[1].strip()
             if target not in names:
@@ -514,7 +514,7 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
             if key.startswith("sigma "):
                 sigma_vars[j] = _split_sigma_image(val, j, line)
             else:
-                _check_support(val, index, line)
+                # poly_ctx resolves only the variables below this level
                 delta_vars[j] = val.terms
         else:
             raise ParseError(line, 1, f"unknown level key {key!r}")
@@ -549,11 +549,6 @@ def _split_sigma_image(poly: SkewPoly, j: int, line: int):
             )
         c_terms[exp] = coeff
     return a, c_terms
-
-
-def _check_support(poly: SkewPoly, level: int, line: int) -> None:
-    if any(k >= level for k in poly.support_levels()):
-        raise ParseError(line, 1, f"delta image must live below level {level + 1}")
 
 
 def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=None):
@@ -593,8 +588,6 @@ def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=
             f"inner(...) or linear(...)"
         )
     image = _eval_expr(text, line, scalar_ctx)
-    if not isinstance(image, Scalar):
-        raise FieldMismatch(f"{kind}_base image must be a scalar")
     if base.field.gen is None:
         raise FieldMismatch(
             f"{base.field.name} has no generator; only id/zero base maps exist"
@@ -794,6 +787,12 @@ def _dispatch(args, tower: OreTower):
         return report, 1, (
             f"invalid: level {ff.level + 1} {ff.name}: {ff.detail}"
         )
+
+    if command in ("mul", "central") and tower.base.kind == "field":
+        # a field map that is no automorphism can blow up the degree of
+        # sigma^k(gen) in k; matrix-base maps are linear and cannot
+        for i, lvl in enumerate(tower.levels):
+            require_base_automorphism(tower.base, lvl.sigma_base, f"sigma_{i + 1}")
 
     if command == "mul":
         ctx = _expr_context(tower)

@@ -365,7 +365,7 @@ def erase_all(
         except (UnsupportedErasure, QEqualsOne) as exc:
             raise type(exc)(f"erasing level {orig[top] + 1}: {exc}") from exc
         _check_power_independence(working, y_w, wit, verify_degree)
-        y_orig = _substitute(tower, y_w, lambda coeff: coeff, embed.__getitem__)
+        y_orig = _substitute(tower, y_w, embed.__getitem__)
         idx = orig[top]
         y_elements[idx] = y_orig
         witnesses[idx] = wit

@@ -529,10 +529,6 @@ class _FieldBase:
             return None
         return "prime fields admit no nonzero derivations"
 
-    def inverse_image(self, image: Scalar | None) -> Scalar | None:
-        """The generator's image under sigma^{-1}."""
-        return None
-
     def __repr__(self):
         return self.name
 
@@ -808,19 +804,6 @@ class CyclotomicFieldImpl(_FieldBase):
         value = _power_rule(self, self.modulus, image, d)
         return None if value.is_zero() else f"delta(minimal polynomial) = {value} != 0"
 
-    def inverse_image(self, image):
-        # a valid image is a primitive root z^k, gcd(k, n) = 1, and the
-        # automorphisms of Q(zeta_n) compose as the units mod n do
-        if image is None:
-            return None
-        gen = self.gen
-        power = self.one
-        for k in range(1, self.n + 1):
-            power = power * gen
-            if power == image and math.gcd(k, self.n) == 1:
-                return gen ** pow(k, -1, self.n)
-        raise ScalarError("base automorphism is not invertible")
-
     def __eq__(self, other):
         return isinstance(other, CyclotomicFieldImpl) and other.n == self.n
 
@@ -993,13 +976,6 @@ class RationalFunctionField(_FieldBase):
     def derivation_defect(self, image, d):
         # t is transcendental over the inner field, so every image d extends
         return None
-
-    def inverse_image(self, image):
-        if image is None:
-            return None
-        a, b, c, d = self._moebius(image)
-        # the inverse of the Moebius map t -> (a t + b)/(c t + d)
-        return self.from_polys((-b, d), (a, -c))
 
     def _moebius(self, image: Scalar) -> tuple:
         """(a, b, c, d) in the inner field with image = (a t + b) / (c t + d),

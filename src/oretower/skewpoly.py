@@ -416,15 +416,16 @@ def apply_level_map(kind: str, level: int, p: SkewPoly) -> SkewPoly:
     return SkewPoly._of(tower, acc)
 
 
-def _substitute(target, p: SkewPoly, base_image, var_image) -> SkewPoly:
-    """The image of p in ``target`` under a ring map given on generators.
+def _substitute(target, p: SkewPoly, var_image) -> SkewPoly:
+    """The image of p in ``target`` under the ring map that fixes the base
+    and sends x_j to var_image(j).
 
-    Each term c x^e goes to base_image(c) * prod_j var_image(j)^{e_j};
-    var_image is called only for the variables that occur.
+    Each term c x^e goes to c * prod_j var_image(j)^{e_j}; var_image is
+    called only for the variables that occur.
     """
     total = SkewPoly.zero(target)
     for exp, coeff in p.terms.items():
-        acc = SkewPoly.from_base(target, base_image(coeff))
+        acc = SkewPoly.from_base(target, coeff)
         for j, e in enumerate(exp):
             if e:
                 acc = acc * var_image(j) ** e

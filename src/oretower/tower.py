@@ -18,9 +18,9 @@ from __future__ import annotations
 import functools
 from dataclasses import dataclass, field as dc_field, replace
 
-from .errors import NotDiagonal, ScalarError
+from .errors import HypothesisViolation, NotDiagonal, ScalarError
 from .scalars import Matrix, Scalar, _dot
-from .skewpoly import SkewPoly, _clean_terms, _substitute, apply_level_map
+from .skewpoly import SkewPoly, _clean_terms, apply_level_map
 
 
 # ---------------------------------------------------------------------------
@@ -210,11 +210,11 @@ def _unvec(field, size: int, entries) -> Matrix:
     return Matrix(field, [[next(it) for _ in range(size)] for _ in range(size)])
 
 
-def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap | None, element):
+def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, element):
     """Apply a base map to a base element.
 
-    ``companion_sigma`` supplies the twisting automorphism when applying a
-    delta to a field element; it is ignored for sigma maps.
+    ``companion_sigma`` is the level's sigma, the twisting automorphism when
+    applying a delta to a field element; it is ignored for sigma maps.
     """
     if base.kind == "matrix":
         action = bmap.linear_action
@@ -224,8 +224,22 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap | No
         return _unvec(base.field, base.size, [_dot(row, vec, base.field) for row in action.rows])
     if bmap.kind == "sigma":
         return base.field.substitute(element, bmap.field_action)
-    sigma_image = companion_sigma.field_action if companion_sigma else None
-    return base.field.derive(element, sigma_image, bmap.field_action)
+    return base.field.derive(element, companion_sigma.field_action, bmap.field_action)
+
+
+def _sigma_base_defect(base: BaseRing, sigma: BaseMap) -> str | None:
+    """Why ``sigma`` is not an automorphism of the base, or None when it is."""
+    if base.kind == "matrix":
+        act = sigma.linear_action
+        return None if act is None or act.is_invertible() else "linear action is singular"
+    return base.field.automorphism_defect(sigma.field_action)
+
+
+def require_base_automorphism(base: BaseRing, sigma: BaseMap, name: str = "sigma") -> None:
+    """Raise HypothesisViolation unless ``sigma`` is an automorphism of the base."""
+    defect = _sigma_base_defect(base, sigma)
+    if defect is not None:
+        raise HypothesisViolation(f"{name} is not an automorphism of the base: {defect}")
 
 
 # ---------------------------------------------------------------------------
@@ -449,23 +463,18 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     genuine automorphisms / derivations of the base field."""
     base = tower.base
     lvl = tower.levels[i]
+    sigma_defect = _sigma_base_defect(base, lvl.sigma_base)
     if base.kind == "matrix":
-        ok_all = True
+        ok_all = sigma_defect is None
         for m, label in ((lvl.sigma_base, "sigma"), (lvl.delta_base, "delta")):
             if m.field_action is not None:
                 report.add(i, f"{label}_base F-linear", False, "field action on a matrix base")
                 ok_all = False
-        act = lvl.sigma_base.linear_action
-        if act is not None and not act.is_invertible():
-            report.add(i, "sigma_base invertible", False, "linear action is singular")
-            ok_all = False
-        else:
-            report.add(i, "sigma_base invertible", True)
+        report.add(i, "sigma_base invertible", sigma_defect is None, sigma_defect or "")
         return ok_all
 
-    image = lvl.sigma_base.field_action
-    sigma_defect = base.field.automorphism_defect(image)
     report.add(i, "sigma_base automorphism", sigma_defect is None, sigma_defect or "")
+    image = lvl.sigma_base.field_action
     delta_defect = base.field.derivation_defect(image, lvl.delta_base.field_action)
     report.add(i, "delta_base well-defined", delta_defect is None, delta_defect or "")
     return sigma_defect is None and delta_defect is None
@@ -616,11 +625,16 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
 def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     """Least N <= bound with bmap^N = identity on the base, else None.
 
-    Iterates the action with cycle detection; a revisited non-identity
-    state proves the order infinite (or beyond the bound).
+    bmap must be an automorphism of the base (validation's "sigma_base
+    invertible" / "sigma_base automorphism" check); HypothesisViolation is
+    raised otherwise, before any power is computed.  The powers of an
+    automorphism form a cyclic group, so bmap^m = bmap^n with m < n gives
+    bmap^(n-m) = identity: the first repeated power is the identity
+    itself, and the loop needs no record of the powers it has seen.
     """
     if bmap.kind != "sigma":
         raise ValueError("map_order expects a sigma-like map")
+    require_base_automorphism(base, bmap)
     if base.kind == "matrix":
         image = bmap.linear_action
         if image is None:
@@ -630,51 +644,13 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
         image = bmap.field_action
         if image is None:
             return 1
+        # the image passed the precondition, so the field has a generator:
+        # Q and GF(p) admit only the identity
         identity = base.field.gen
-        if identity is None:
-            return None  # Q and GF(p) admit only the identity
         step = functools.partial(base.field.substitute, image=image)
     current = image
-    seen = {current}
     for n in range(1, bound + 1):
         if current == identity:
             return n
         current = step(current)
-        if current in seen and current != identity:
-            return None
-        seen.add(current)
     return None
-
-
-def sigma_inverse_on(tower: OreTower, i: int, p: SkewPoly) -> SkewPoly:
-    """Apply sigma_i^{-1} to a polynomial supported below level i.
-
-    Computed by triangular inversion: the base action is inverted
-    directly, and sigma(x_j) = a x_j + c gives
-    sigma^{-1}(x_j) = sigma^{-1}(a^{-1}) x_j - sigma^{-1}(a^{-1} c).
-    """
-    inv_base = _invert_base_map(tower.base, tower.levels[i].sigma_base)
-    preimages: dict[int, SkewPoly] = {}
-
-    inv_elem = functools.partial(_apply_base_map, tower.base, inv_base, None)
-
-    def var_preimage(j: int) -> SkewPoly:
-        if j not in preimages:
-            a, c = tower.sigma_var(i, j)
-            a_inv = a.inverse()
-            head = SkewPoly.from_base(tower, inv_elem(a_inv)) * SkewPoly.variable(tower, j)
-            if c:
-                c_part = SkewPoly.from_base(tower, a_inv) * c
-                head = head - _substitute(tower, c_part, inv_elem, var_preimage)
-            preimages[j] = head
-        return preimages[j]
-
-    return _substitute(tower, p, inv_elem, var_preimage)
-
-
-def _invert_base_map(base: BaseRing, bmap: BaseMap) -> BaseMap:
-    if base.kind == "matrix":
-        if bmap.linear_action is None:
-            return BaseMap.identity()
-        return BaseMap.linear("sigma", bmap.linear_action.inverse())
-    return BaseMap.field_auto(base.field.inverse_image(bmap.field_action))

@@ -3,6 +3,7 @@ import json
 import os
 import subprocess
 import sys
+import time
 from pathlib import Path
 
 import pytest
@@ -178,6 +179,99 @@ def test_render_parse_round_trip(name):
     assert render_tower_file(again) == text
 
 
+_FIELD_BASE = "[base]\nkind = field\nfield = Q(q)\n\n"
+_MATRIX_BASE = "[base]\nkind = matrix\nfield = Q(q)\nsize = 2\n\n"
+_LEVEL = "[[level]]\nvar = x1\n"
+_LEVEL_2 = "[[level]]\nvar = x2\n"
+
+
+def _one_level_file(tmp_path, sigma_base: str) -> str:
+    path = tmp_path / "one_level.tw"
+    path.write_text(f"{_FIELD_BASE}{_LEVEL}sigma_base = {sigma_base}\n", encoding="utf-8")
+    return str(path)
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_LEVEL, "file must start with a [base] section"),
+        (_FIELD_BASE + "[extra]\n", "unexpected section [extra]"),
+        (_FIELD_BASE + "[[level]]\nq = 2\n", "level section missing 'var'"),
+        (_FIELD_BASE + "[[level]]\nvar = 1x\n", "bad variable name '1x'"),
+        (_FIELD_BASE + _LEVEL + _LEVEL, "duplicate variable names"),
+        (_FIELD_BASE + "[[level]\nvar = x1\n", "unterminated section header"),
+        ("[base\nfield = Q\n", "unterminated section header"),
+        ("field = Q\n[base]\n", "content before the first section"),
+        ("[base]\njunk\n", "expected 'key = value'"),
+        ("[base]\nkind = ring\nfield = Q\n", "unknown base kind 'ring'"),
+        ("[base]\nfield = R\n", "unrecognised field descriptor 'R'"),
+        ("[base]\nkind = matrix\nfield = Q\nsize = 2x\n", "bad matrix size '2x'"),
+        ("[base]\nkind = matrix\nfield = Q\nsize = 0\n", "bad matrix size '0'"),
+        ("[base]\nfield = Q\nflavour = sour\n", "unknown base key 'flavour'"),
+        ("[base]\nkind = field\n", "base section missing 'field'"),
+        ("[base]\nkind = matrix\nfield = Q\n", "matrix base missing 'size'"),
+        ("[base]\nfield = Q\nsize = 2\n", "'size' is only valid for matrix bases"),
+        (_FIELD_BASE + _LEVEL + "sigma x3 = x3\n", "unknown variable 'x3'"),
+        (_FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x2 = x2\n", "variable 'x2' is not below level 2"),
+        (_FIELD_BASE + _LEVEL + "flavour = sour\n", "unknown level key 'flavour'"),
+        (
+            _FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x1 = x1^2\n",
+            "sigma image must be a * x1 + (terms below x1)",
+        ),
+        # a delta image sees only lower variables, and q and field base
+        # images see no variables and no matrices
+        (_FIELD_BASE + _LEVEL + _LEVEL_2 + "delta x1 = x2\n", "variable 'x2' is not in scope here"),
+        (_FIELD_BASE + _LEVEL + "q = x1\n", "variable 'x1' is not in scope here"),
+        (_FIELD_BASE + _LEVEL + "sigma_base = [[1]]\n", "matrix literal where a scalar is required"),
+        (_FIELD_BASE + _LEVEL + "sigma_base = conj([[1]])\n", "conj(...) requires a matrix base"),
+        (_MATRIX_BASE + _LEVEL + "sigma_base = conj(q)\n", "conj(...) takes a matrix"),
+        (
+            _MATRIX_BASE + _LEVEL + "delta_base = conj([[1, 0], [0, 1]])\n",
+            "conj(...) is a sigma form",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base = inner([[1, 0], [0, 1]])\n",
+            "inner(...) is a delta form",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base = linear([[1, 0], [0, 1]])\n",
+            "linear(...) needs a 4x4 matrix",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base = q\n",
+            "sigma_base on a matrix base must be id/zero, conj(...), inner(...) or linear(...)",
+        ),
+        (
+            "[base]\nfield = Q\n\n" + _LEVEL + "sigma_base = 2\n",
+            "Q has no generator; only id/zero base maps exist",
+        ),
+    ],
+)
+def test_malformed_tower_files_exit_two(text, message, capsys, tmp_path):
+    path = tmp_path / "bad.tw"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: ") and message in captured.err
+    assert captured.out == ""
+
+
+def test_field_base_map_expressions_round_trip(capsys, tmp_path):
+    path = tmp_path / "scaled.tw"
+    path.write_text(
+        f"{_FIELD_BASE}{_LEVEL}sigma_base = 2 * q\ndelta_base = zero\n", encoding="utf-8"
+    )
+    tower = parse_tower_file(str(path))
+    q = tower.base.field.gen
+    assert tower.levels[0].sigma_base.field_action == 2 * q
+    assert tower.levels[0].delta_base.is_trivial()
+    assert validate_tower(tower).ok
+    text = render_tower_file(tower)
+    assert parse_tower_text(text) == tower
+    identity = parse_tower_text(f"{_FIELD_BASE}{_LEVEL}sigma_base = id\n")
+    assert identity.levels[0].sigma_base.is_trivial()
+
+
 def test_validate_command_exit_codes(capsys):
     assert run(["validate", "--tower", fixture("qweyl_zeta3.tw")]) == 0
     out = capsys.readouterr().out
@@ -339,6 +433,52 @@ def test_order_command(capsys):
     assert rc == 0
     payload = json.loads(capsys.readouterr().out)
     assert payload["order"] == 1  # identity on the base field
+
+
+@pytest.mark.parametrize(
+    "sigma_base, valid, order",
+    [
+        ("2 * q", True, None),
+        ("1/q", True, 2),
+        ("(q + 1)/(q - 1)", True, 2),
+        ("q + 1", True, None),
+        ("q^2", False, None),
+    ],
+)
+def test_moebius_base_maps(sigma_base, valid, order, capsys, tmp_path):
+    """Q(q) has the automorphisms q -> (a q + b)/(c q + d), a d != b c;
+    validate and order agree on which images are automorphisms."""
+    path = _one_level_file(tmp_path, sigma_base)
+    assert run(["validate", "--tower", path, "--json"]) == (0 if valid else 1)
+    checks = json.loads(capsys.readouterr().out)["checks"]
+    assert checks[0]["name"] == "sigma_base automorphism" and checks[0]["ok"] is valid
+    rc = run(["order", "--tower", path, "--level", "1", "--json"])
+    payload = json.loads(capsys.readouterr().out)
+    if valid:
+        assert rc == 0 and payload["order"] == order
+    else:
+        assert rc == 1 and payload["kind"] == "HypothesisViolation"
+        assert "not an automorphism" in payload["error"]
+
+
+def test_non_automorphism_fails_fast(capsys, tmp_path):
+    """sigma(q) = q^2 gives sigma^k(q) = q^(2^k): order, mul and central
+    refuse it with exit 1 instead of computing those powers."""
+    order_path = _one_level_file(tmp_path, "q^2")
+    start = time.perf_counter()
+    for bound in ("60", "1000"):
+        assert run(["order", "--tower", order_path, "--level", "1", "--order-bound", bound]) == 1
+        assert "error[HypothesisViolation]" in capsys.readouterr().out
+    path = tmp_path / "square.tw"
+    path.write_text(
+        "[base]\nkind = field\nfield = Q(t)\n\n" + _LEVEL + "sigma_base = t^2\n",
+        encoding="utf-8",
+    )
+    assert run(["mul", "--tower", str(path), "x1^16", "t"]) == 1
+    assert "sigma_1 is not an automorphism" in capsys.readouterr().out
+    assert run(["central", "--tower", str(path), "x1^16", "--json"]) == 1
+    assert json.loads(capsys.readouterr().out)["kind"] == "HypothesisViolation"
+    assert time.perf_counter() - start < 1.0
 
 
 def test_gr_command(capsys):
@@ -616,3 +756,43 @@ def test_only_skewpoly_and_tower_name_the_trusted_constructor():
     }
     assert "skewpoly.py" in named  # the gate looks for the right name
     assert named <= {"skewpoly.py", "tower.py"}
+
+
+def test_traced_names_resolve():
+    """Every (module, attribute) the benchmark tracer patches by name
+    exists, and every field class takes add, mul and inv from a class
+    holding all three in its own ``__dict__``, where the tracer patches
+    them.  The tracer file is read, not imported."""
+    import importlib
+
+    from oretower import scalars
+
+    tree = ast.parse((ROOT / "benchmarks" / "tracing.py").read_text(encoding="utf-8"))
+    consts = {
+        node.targets[0].id: ast.literal_eval(node.value)
+        for node in tree.body
+        if isinstance(node, ast.Assign)
+        and isinstance(node.targets[0], ast.Name)
+        and node.targets[0].id in ("TARGETS", "FIELD_METHODS")
+    }
+    assert consts["TARGETS"]
+    for module_name, path, _span in consts["TARGETS"]:
+        owner = importlib.import_module(module_name)
+        if "." in path:
+            cls_name, attr = path.split(".")
+            assert attr in vars(getattr(owner, cls_name)), path
+        else:
+            assert callable(getattr(owner, path, None)), f"{module_name}.{path}"
+
+    methods = [method for method, _span in consts["FIELD_METHODS"]]
+    field_classes = [
+        cls
+        for cls in vars(scalars).values()
+        if isinstance(cls, type) and issubclass(cls, scalars._FieldBase)
+    ]
+    assert len(field_classes) >= 5
+    for cls in field_classes:
+        for method in methods:
+            holder = next(k for k in cls.__mro__ if method in vars(k))
+            assert all(m in vars(holder) for m in methods), (cls, method)
+            assert getattr(scalars, holder.__name__) is holder

@@ -323,3 +323,32 @@ def test_prime_field_cap(monkeypatch):
     for digits in ("1" + "0" * 23, "9" * 5000):
         with pytest.raises(ValueError, match="at most 23 digits"):
             parse_field(f"gf({digits})")
+
+
+@pytest.mark.parametrize("inner", [QQ, CyclotomicField(3)], ids=lambda f: f.name)
+def test_rational_function_derive_is_twisted_leibniz(inner):
+    """delta(a b) = sigma(a) delta(b) + delta(a) b for the sigma-derivation
+    of F(t) with sigma(t) a Moebius image and delta(t) = d, on quotients
+    with non-constant denominators."""
+    field = FunctionField(inner, "t")
+    t = field.gen
+    rng = random.Random(29)
+
+    def sample():
+        """A quotient whose reduced denominator has degree >= 1."""
+        while True:
+            num = [random_scalar(inner, rng) for _ in range(rng.randint(1, 3))]
+            den = [random_scalar(inner, rng) for _ in range(rng.randint(1, 2))] + [inner.one]
+            value = field.from_polys(num, den)
+            if len(value.rep[1]) > 1:
+                return value
+
+    images = [None, 2 * t, field.one / t, (t + 1) / (t - 1), t + 1]
+    for image in images:
+        assert field.automorphism_defect(image) is None
+        for _ in range(6):
+            a, b, d = sample(), sample(), sample()
+            sigma_a = field.substitute(a, image)
+            lhs = field.derive(a * b, image, d)
+            rhs = sigma_a * field.derive(b, image, d) + field.derive(a, image, d) * b
+            assert lhs == rhs, (image, a, b, d)

@@ -1,13 +1,14 @@
 import dataclasses
 import random
 import re
+import time
 from pathlib import Path
 
 import pytest
 
 from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.erase import _commutator_rows
-from oretower.errors import OreError
+from oretower.errors import HypothesisViolation, OreError
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import (
@@ -19,7 +20,6 @@ from oretower.tower import (
     _relation_pairs,
     check_swap_compatibility,
     map_order,
-    sigma_inverse_on,
     validate_tower,
 )
 
@@ -442,32 +442,22 @@ def test_map_order_infinite_returns_none():
     assert map_order(gf_base, shift, 12) is None
 
 
-# ---------------------------------------------------------------------------
-# triangular sigma inversion
-
-
-@pytest.mark.parametrize(
-    "factory",
-    [
-        lambda: qplane(CyclotomicField(3), CyclotomicField(3).gen),
-        lambda: qweyl(FunctionField(QQ, "q"), FunctionField(QQ, "q").gen),
-        three_level_graded,
-        zeta5_deriv_tower,
-        # n composite and sigma^{-1}(z) = z^5, so k^{-1} != k mod n
-        lambda: _one_level_tower(CyclotomicField(9), CyclotomicField(9).gen ** 2),
-    ],
-)
-def test_sigma_inverse_round_trip(factory):
-    tower = factory()
-    assert validate_tower(tower).ok
-    rng = random.Random(21)
-    for i in range(tower.height):
-        for g in tower.base.generators():
-            p = SkewPoly.from_base(tower, g)
-            assert sigma_inverse_on(tower, i, apply_level_map("sigma", i, p)) == p
-        for j in range(i):
-            xj = tower.var(j)
-            assert sigma_inverse_on(tower, i, apply_level_map("sigma", i, xj)) == xj
+def test_map_order_requires_an_automorphism():
+    """map_order refuses a base map that is no automorphism before taking
+    any power.  The projection P (P^2 = P) on Mat_6(Q(q)) would otherwise
+    run all 1000 steps, each a product of two 36 x 36 matrices."""
+    qq = FunctionField(QQ, "q")
+    q = qq.gen
+    with pytest.raises(HypothesisViolation, match="generator image q\\^2 is not a unit fraction"):
+        map_order(BaseRing.field_ring(qq), BaseMap.field_auto(q ** 2), 60)
+    with pytest.raises(HypothesisViolation, match="this field admits only the identity"):
+        map_order(BaseRing.field_ring(QQ), BaseMap.field_auto(QQ.coerce(2)), 60)
+    proj = Matrix.identity(qq, 36) - Matrix.unit(qq, 36, 35, 35) + Matrix.unit(qq, 36, 0, 35) * q
+    assert proj * proj == proj
+    start = time.perf_counter()
+    with pytest.raises(HypothesisViolation, match="linear action is singular"):
+        map_order(BaseRing.matrix_ring(qq, 6), BaseMap.linear("sigma", proj), 1000)
+    assert time.perf_counter() - start < 1.0
 
 
 def test_tower_structure_errors():
