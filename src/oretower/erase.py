@@ -12,17 +12,17 @@ order:
 * inner conjugator (height-1 matrix bases only): sigma is inner via some
   a, a^{-1} delta is an inner derivation via some v, and y = x - a v.
 
-The full pass repeatedly erases the current top level, swaps the new
-automorphism-only variable below the remaining delta levels, and finally
-reorders so that the output tower lists y_1 ... y_n bottom to top.  Every
-claimed relation is re-verified by explicit multiplication in the
-original tower.
+The full pass repeatedly erases the current top level and swaps the new
+automorphism-only variable below the remaining delta levels.  There is no
+final reorder: the output tower lists y_1 ... y_n bottom to top and is read
+off the input presentation (each delta dropped, each sigma kept), taking
+only the q values that the swaps left.  Every claimed relation is
+re-verified by explicit multiplication in the original tower.
 """
 
 from __future__ import annotations
 
 import itertools
-import warnings as _warnings
 from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import (
@@ -33,6 +33,7 @@ from .errors import (
     UnsupportedErasure,
     VerificationFailed,
 )
+from .pi import pi_report
 from .scalars import Matrix, solve_linear_system
 from .skewpoly import (
     SkewPoly,
@@ -259,7 +260,8 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     The upper level must be automorphism-only with a diagonal action
     sigma(x_below) = lam * x_below; the moved-up level acquires
     sigma(x_moved) = lam^{-1} * x_moved and delta(x_moved) = 0.  Its q is
-    dropped (with a warning) when delta_lower(lam) != 0.
+    dropped when delta_lower(lam) != 0, which shows as
+    ``levels[upper].q is None`` in the result; no Python warning is issued.
     """
     if not 1 <= upper < tower.height:
         raise ValueError("swap index out of range")
@@ -299,18 +301,11 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
         sigma_vars={j: v for j, v in hi.sigma_vars.items() if j < p},
         delta_vars={j: v for j, v in hi.delta_vars.items() if j < p},
     )
-    q_kept = lo.q if (lo.q is None or compat.q_preserved) else None
-    if lo.q is not None and q_kept is None:
-        _warnings.warn(
-            f"q of level {upper} dropped: delta({lam}) != 0 so the moved map "
-            f"is no longer q-skew",
-            stacklevel=2,
-        )
     moved_up = replace(
         lo,
         sigma_vars={**lo.sigma_vars, p: (lam.inverse(), {})},
         delta_vars={**lo.delta_vars, p: {}},
-        q=q_kept,
+        q=lo.q if compat.q_preserved else None,
     )
     new_levels.extend([moved_down, moved_up])
 
@@ -351,61 +346,53 @@ def erase_all(
     n = tower.height
     collected_warnings: list[str] = []
 
+    # round k erases original level n-1-k, then pushes it down to position
+    # k, so the working tower ends with the original levels in reverse
     working = tower
     embed = [SkewPoly.variable(tower, i) for i in range(n)]
-    orig = list(range(n))
     y_elements: list[SkewPoly | None] = [None] * n
     witnesses: list[ErasureWitness | None] = [None] * n
-
-    done = 0
-    while done < n:
-        top = n - 1
+    top = n - 1
+    for k in range(n):
+        level = top - k
         try:
             y_w, new_working, wit = erase_top(working, search_degree_bound)
         except (UnsupportedErasure, QEqualsOne) as exc:
-            raise type(exc)(f"erasing level {orig[top] + 1}: {exc}") from exc
+            raise type(exc)(f"erasing level {level + 1}: {exc}") from exc
         _check_power_independence(working, y_w, wit, verify_degree)
         y_orig = _substitute(tower, y_w, embed.__getitem__)
-        idx = orig[top]
-        y_elements[idx] = y_orig
-        witnesses[idx] = wit
+        y_elements[level] = y_orig
+        witnesses[level] = wit
         embed[top] = y_orig
         working = new_working
-        for pos in range(top, done, -1):
+        for pos in range(top, k, -1):
             working = _swap_collect(working, pos, collected_warnings)
             embed[pos - 1], embed[pos] = embed[pos], embed[pos - 1]
-            orig[pos - 1], orig[pos] = orig[pos], orig[pos - 1]
-        done += 1
 
-    # bubble-sort back into original order; every level is sigma-only now
-    changed = True
-    while changed:
-        changed = False
-        for pos in range(n - 1):
-            if orig[pos] > orig[pos + 1]:
-                working = _swap_collect(working, pos + 1, collected_warnings)
-                embed[pos], embed[pos + 1] = embed[pos + 1], embed[pos]
-                orig[pos], orig[pos + 1] = orig[pos + 1], orig[pos]
-                changed = True
-
-    # trivially-erased levels kept their variable name; settle on y names
-    renamed = [
-        replace(lvl, name=_erased_name(tower.levels[orig[pos]].name))
-        for pos, lvl in enumerate(working.levels)
-    ]
-    working = OreTower(working.base, renamed)
-
-    report = working.validation
+    result_tower = OreTower(
+        tower.base,
+        [
+            replace(
+                lvl,
+                name=_erased_name(lvl.name),
+                delta_base=BaseMap.zero(),
+                delta_vars={},
+                q=working.levels[top - i].q,
+            )
+            for i, lvl in enumerate(tower.levels)
+        ],
+    )
+    report = result_tower.validation
     if not report.ok:
         raise VerificationFailed(
             f"erasure produced an invalid tower: {report.first_failure}"
         )
 
-    _verify_relations(tower, working, y_elements)
+    _verify_relations(tower, y_elements)
 
     result = ErasureResult(
         y_elements=list(y_elements),
-        new_tower=working,
+        new_tower=result_tower,
         witnesses=list(witnesses),
         warnings=collected_warnings,
     )
@@ -414,11 +401,16 @@ def erase_all(
 
 
 def _swap_collect(working: OreTower, upper: int, sink: list[str]) -> OreTower:
-    with _warnings.catch_warnings(record=True) as caught:
-        _warnings.simplefilter("always")
-        out = swap_adjacent(working, upper)
-    sink.extend(str(w.message) for w in caught)
-    return out
+    """``swap_adjacent``, appending a note to ``sink`` when the level moved
+    up loses its q."""
+    swapped = swap_adjacent(working, upper)
+    if working.levels[upper - 1].q is not None and swapped.levels[upper].q is None:
+        lam, _ = working.sigma_var(upper, upper - 1)
+        sink.append(
+            f"q of level {upper} dropped: delta({lam}) != 0 so the moved map "
+            f"is no longer q-skew"
+        )
+    return swapped
 
 
 def _check_erase_hypotheses(tower: OreTower, search_degree_bound: int) -> None:
@@ -436,8 +428,6 @@ def _check_erase_hypotheses(tower: OreTower, search_degree_bound: int) -> None:
                     f"sigma_{i + 1}(x_{j + 1}) has a nonzero c part; the "
                     f"diagonal hypothesis fails"
                 )
-            if not base.is_invertible(lam):
-                raise HypothesisViolation(f"lambda[{i + 1},{j + 1}] is not invertible")
             if base.as_scalar(lam) is None:
                 raise HypothesisViolation(f"lambda[{i + 1},{j + 1}] is not central")
             for k in range(i, n):
@@ -483,7 +473,7 @@ def _check_power_independence(
             )
 
 
-def _verify_relations(tower: OreTower, result_tower: OreTower, ys: list[SkewPoly]) -> None:
+def _verify_relations(tower: OreTower, ys: list[SkewPoly]) -> None:
     base = tower.base
     n = tower.height
     for i in range(n):
@@ -507,8 +497,6 @@ def _verify_relations(tower: OreTower, result_tower: OreTower, ys: list[SkewPoly
 
 
 def _attach_quantisation_warning(tower: OreTower, result: ErasureResult) -> None:
-    from .pi import pi_report
-
     report = pi_report(tower, order_bound=60)
     if report.verdict != "PI":
         result.warnings.append(

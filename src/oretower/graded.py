@@ -15,7 +15,7 @@ from typing import Callable
 
 from .erase import _erased_name, _exponents
 from .errors import HypothesisViolation
-from .skewpoly import SkewPoly, degree_leading
+from .skewpoly import SkewPoly, apply_level_map, degree_leading
 from .tower import BaseMap, OreTower
 
 
@@ -118,6 +118,4 @@ def rees_closure_check(
 
 def level_sigma(tower: OreTower, level: int) -> Callable[[SkewPoly], SkewPoly]:
     """The sigma of a tower level as a polynomial map, for closure checks."""
-    from .skewpoly import apply_level_map
-
     return lambda p: apply_level_map("sigma", level, p)

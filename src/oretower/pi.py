@@ -71,7 +71,7 @@ def pi_report(tower: OreTower, order_bound: int = 60) -> PIReport:
                 )
                 return report
             lam = base.as_scalar(lam_elem)
-            if lam is None or lam.is_zero():
+            if lam is None:
                 report.reason = f"lambda[{i + 1},{j + 1}] is not a nonzero scalar"
                 return report
             report.lambda_orders[(i, j)] = root_of_unity_order(lam)

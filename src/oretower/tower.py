@@ -591,7 +591,8 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
 
     Verifies sigma_i sigma_{i-1}(r) = lam sigma_{i-1} sigma_i(r) lam^{-1}
     and sigma_i delta_{i-1}(r) = lam delta_{i-1} sigma_i(r) on the base
-    basis elements and the variables below both levels, and reports
+    generators (the field generator, or every matrix unit) and the
+    variables below both levels, and reports
     whether delta_{i-1}(lam) = 0 (the condition for the lower level to
     keep its q).
     """
@@ -604,7 +605,7 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
     lam_poly = SkewPoly.from_base(tower, lam)
     lam_inv_poly = SkewPoly.from_base(tower, lam.inverse())
 
-    gens = [SkewPoly.from_base(tower, b) for b in tower.base.basis()]
+    gens = [SkewPoly.from_base(tower, b) for b in tower.base.generators()]
     gens.extend(SkewPoly.variable(tower, j) for j in range(i - 1))
     witness = None
     for g in gens:

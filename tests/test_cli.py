@@ -348,7 +348,7 @@ def test_failed_reverification_is_a_typed_error(capsys, monkeypatch):
     assert issubclass(VerificationFailed, OreError)
     verify = erase._verify_relations
     monkeypatch.setattr(
-        erase, "_verify_relations", lambda tower, result, ys: verify(tower, result, ys[::-1])
+        erase, "_verify_relations", lambda tower, ys: verify(tower, ys[::-1])
     )
     rc = run(["erase-all", "--tower", fixture("qweyl_zeta3.tw"), "--json"])
     assert rc == 1
@@ -410,6 +410,46 @@ def test_swap_command(capsys):
     assert swapped.level_names() == ["x2", "x1"]
     a, _ = swapped.sigma_var(1, 0)
     assert a == swapped.base.field.coerce(1) / 2
+
+
+_QT_BASE = "[base]\nkind = field\nfield = Q(t)\n\n"
+
+
+def test_swap_command_reports_a_dropped_q(capsys, tmp_path):
+    # delta1(-t^2) = -2t != 0, so x1 loses its q when it moves up
+    path = tmp_path / "dropq.tw"
+    path.write_text(
+        f"{_QT_BASE}{_LEVEL}delta_base = 1\nq = 1\n\n"
+        f"{_LEVEL_2}sigma_base = 1/t\nsigma x1 = -t^2 * x1\n",
+        encoding="utf-8",
+    )
+    assert run(["validate", "--tower", str(path)]) == 0
+    capsys.readouterr()
+    rc = run(["swap", "--tower", str(path), "--level", "2", "--json"])
+    assert rc == 0
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["warnings"] == [
+        "q of level 1 dropped: delta(-t^2) != 0 so the moved map is no longer q-skew"
+    ]
+    swapped = parse_tower_text(payload["tower"])
+    assert swapped.level_names() == ["x2", "x1"]
+    assert swapped.levels[1].q is None
+    assert "q =" not in payload["tower"]
+
+
+def test_swap_command_checks_the_field_generator(capsys, tmp_path):
+    # sigma2 delta1(t) = 1 but t * delta1(sigma2(t)) = t: a check on the
+    # field basis {1} alone would let this swap through
+    path = tmp_path / "ratfunc.tw"
+    path.write_text(
+        f"{_QT_BASE}{_LEVEL}delta_base = 1\n\n{_LEVEL_2}sigma x1 = t * x1\n",
+        encoding="utf-8",
+    )
+    rc = run(["swap", "--tower", str(path), "--level", "2", "--json"])
+    assert rc == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "CompatibilityFailed"
+    assert payload["error"].endswith("witness t")
 
 
 def test_mul_and_central_commands(capsys):

@@ -304,12 +304,14 @@ def test_swap_compatibility_matrix_failure():
 
 
 def test_swap_compatibility_ratfunc_derivation():
-    # base basis of a field is {1}, so the identity checks pass; the
-    # q-preservation flag reports delta(lambda) = d/dt(t) = 1 != 0
+    # on the field generator t, sigma2 delta1(t) = 1 but t delta1(sigma2(t))
+    # = t, so the check fails with witness t; the q-preservation flag
+    # reports delta(lambda) = d/dt(t) = 1 != 0
     tower = ratfunc_deriv_tower()
     t = tower.base.field.gen
     result = check_swap_compatibility(tower, 1, t)
-    assert result.ok
+    assert not result.ok
+    assert result.witness == SkewPoly.from_base(tower, t)
     assert not result.q_preserved
 
 
