@@ -48,12 +48,7 @@ from .tower import (
     validate_tower,
 )
 from .erase import ErasureResult, ErasureWitness, erase_all, erase_top, swap_adjacent
-from .graded import (
-    GradedPresentation,
-    associated_graded_tower,
-    level_sigma,
-    rees_closure_check,
-)
+from .graded import GradedPresentation, associated_graded_tower, rees_closure_check
 from .pi import PIReport, centrality_witness, pi_report
 from .cli import parse_tower_file, parse_tower_text, render_tower_file, run
 
@@ -100,7 +95,6 @@ __all__ = [
     "erase_top",
     "pi_report",
     "is_central",
-    "level_sigma",
     "map_order",
     "parse_field",
     "parse_tower_file",

@@ -42,10 +42,10 @@ from .errors import (
     UnknownVariableReference,
 )
 from .erase import _swap_collect, erase_all, erase_top
-from .graded import associated_graded_tower, level_sigma, rees_closure_check
+from .graded import associated_graded_tower, rees_closure_check
 from .pi import centrality_witness, pi_report
 from .scalars import Matrix, Scalar, _wrap, parse_field
-from .skewpoly import SkewPoly, is_central
+from .skewpoly import SkewPoly, apply_level_map, is_central
 from .tower import (
     BaseMap,
     BaseRing,
@@ -99,8 +99,6 @@ MAX_SEARCH_DEGREE = 12
 MAX_VERIFY_DEGREE = 32
 # powers of each variable tested for centrality
 MAX_WITNESS_BOUND = 64
-# total degree of the filtration closure checks
-MAX_REES_DEGREE = 12
 
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
@@ -383,12 +381,16 @@ def parse_tower_text(text: str) -> OreTower:
 
     names = []
     for _kind, items, line in level_sections:
-        var_entry = next((v for k, v, _l in items if k == "var"), None)
+        var_entry = next(((v, l) for k, v, l in items if k == "var"), None)
         if var_entry is None:
             raise ParseError(line, 1, "level section missing 'var'")
-        if not var_entry.strip().isidentifier():
-            raise ParseError(line, 1, f"bad variable name {var_entry!r}")
-        names.append(var_entry.strip())
+        value, var_line = var_entry
+        name = value.strip()
+        if not name.isidentifier():
+            raise ParseError(line, 1, f"bad variable name {value!r}")
+        if base.field.generator_named(name) is not None:
+            raise ParseError(var_line, 1, f"variable {name!r} names a generator of the field")
+        names.append(name)
     if len(set(names)) != len(names):
         raise ParseError(1, 1, "duplicate variable names")
 
@@ -705,7 +707,6 @@ def _build_parser() -> argparse.ArgumentParser:
 
     p = sub.add_parser("gr", help="degenerate to the associated graded tower")
     common(p)
-    p.add_argument("--rees-degree", type=_count(MAX_REES_DEGREE), default=4)
 
     p = sub.add_parser("pi-check", help="finite-order identity criteria")
     common(p)
@@ -751,22 +752,27 @@ def run(argv) -> int:
             "kind": type(exc).__name__,
             "error": str(exc),
         }
-        _emit(args, report, f"error[{type(exc).__name__}]: {exc}")
-        return 1
+        return _emit(args, report, f"error[{type(exc).__name__}]: {exc}", 1)
 
-    _emit(args, report, human)
-    return exit_code
+    return _emit(args, report, human, exit_code)
 
 
-def _emit(args, report: dict, human: str) -> None:
+def _emit(args, report: dict, human: str, exit_code: int) -> int:
+    """Write the report to ``--out`` and stdout; returns the exit code, 2
+    when ``--out`` cannot be written."""
     payload = json.dumps(report, sort_keys=True, indent=2) + "\n"
     if args.out:
-        with open(args.out, "w", encoding="utf-8") as fh:
-            fh.write(payload)
+        try:
+            with open(args.out, "w", encoding="utf-8") as fh:
+                fh.write(payload)
+        except OSError as exc:
+            print(f"error: cannot write {args.out}: {exc.strerror or exc}", file=sys.stderr)
+            return 2
     if args.json:
         sys.stdout.write(payload)
     else:
         print(human)
+    return exit_code
 
 
 def _dispatch(args, tower: OreTower):
@@ -871,12 +877,12 @@ def _dispatch(args, tower: OreTower):
         closure = []
         for i in range(tower.height):
             for lvl in range(i):
-                check = rees_closure_check(
-                    tower, lvl, level_sigma(tower, i), args.rees_degree
+                witness = rees_closure_check(
+                    tower, lvl, functools.partial(apply_level_map, "sigma", i)
                 )
                 closure.append(
-                    {"sigma": i + 1, "filtration": lvl + 1, "ok": check.ok,
-                     "witness": None if check.witness is None else str(check.witness)}
+                    {"sigma": i + 1, "filtration": lvl + 1, "ok": witness is None,
+                     "witness": None if witness is None else str(witness)}
                 )
         report = {
             "command": command,

@@ -1,4 +1,5 @@
 import ast
+import errno
 import json
 import os
 import subprocess
@@ -672,7 +673,6 @@ def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path,
         ("erase-all", "--search-degree", 12),
         ("erase-all", "--verify-degree", 32),
         ("pi-check", "--witness-bound", 64),
-        ("gr", "--rees-degree", 12),
     ],
 )
 def test_integer_flags_are_capped(command, flag, cap, capsys, monkeypatch):
@@ -694,10 +694,62 @@ def test_integer_flags_are_capped(command, flag, cap, capsys, monkeypatch):
         assert captured.out == ""
 
 
-def test_validate_has_no_sample_budget(capsys):
-    assert run(["validate", "--tower", fixture("three_level.tw"), "--sample-budget", "5"]) == 2
+@pytest.mark.parametrize(
+    "command, flag, value",
+    [("validate", "--sample-budget", "5"), ("gr", "--rees-degree", "4")],
+)
+def test_removed_flags_are_usage_errors(command, flag, value, capsys):
+    assert run([command, "--tower", fixture("three_level.tw"), flag, value]) == 2
     captured = capsys.readouterr()
-    assert "unrecognized arguments: --sample-budget 5" in captured.err
+    assert f"unrecognized arguments: {flag} {value}" in captured.err
+    assert captured.out == ""
+
+
+def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
+    no_q = tmp_path / "noq.tw"
+    no_q.write_text(
+        "[base]\nkind = field\nfield = Q\n\n"
+        "[[level]]\nvar = x1\n\n"
+        "[[level]]\nvar = x2\ndelta x1 = 1\n",
+        encoding="utf-8",
+    )
+    missing = tmp_path / "missing" / "x.json"
+    validate = ["validate", "--tower", fixture("qplane_zeta3.tw")]
+    cases = [
+        (validate, missing, errno.ENOENT),
+        (validate, tmp_path, errno.EISDIR),
+        # an OreError report (exit 1 when written) meets the same check
+        (["erase", "--tower", str(no_q), "--json"], missing, errno.ENOENT),
+    ]
+    for argv, out, code in cases:
+        assert run(argv + ["--out", str(out)]) == 2
+        captured = capsys.readouterr()
+        assert captured.err == f"error: cannot write {out}: {os.strerror(code)}\n"
+        assert captured.out == ""
+
+
+@pytest.mark.parametrize(
+    "base, name",
+    [
+        ("kind = field\nfield = Q(t)", "t"),
+        ("kind = field\nfield = cyclotomic(3)", "z"),
+        ("kind = field\nfield = cyclotomic(3)(t)", "z"),
+        ("kind = matrix\nsize = 2\nfield = Q(q)", "q"),
+    ],
+)
+def test_tower_variable_cannot_shadow_a_field_generator(base, name, capsys, tmp_path):
+    text = f"[base]\n{base}\n\n[[level]]\nvar = x1\n\n[[level]]\nvar = {name}\n"
+    line = text.splitlines().index(f"var = {name}") + 1
+    with pytest.raises(ParseError) as exc:
+        parse_tower_text(text)
+    assert (exc.value.line, exc.value.column) == (line, 1)
+    path = tmp_path / "shadow.tw"
+    path.write_text(text + "delta_base = 1\n", encoding="utf-8")
+    assert run(["central", "--tower", str(path), name]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == (
+        f"error: line {line}, column 1: variable {name!r} names a generator of the field\n"
+    )
     assert captured.out == ""
 
 
@@ -836,3 +888,4 @@ def test_traced_names_resolve():
             holder = next(k for k in cls.__mro__ if method in vars(k))
             assert all(m in vars(holder) for m in methods), (cls, method)
             assert getattr(scalars, holder.__name__) is holder
+

@@ -1,12 +1,16 @@
+import functools
 import random
+from pathlib import Path
 
 import pytest
 
+from oretower.cli import parse_tower_file, parse_tower_text
+from oretower.erase import _exponents
 from oretower.errors import HypothesisViolation
-from oretower.graded import associated_graded_tower, level_sigma, rees_closure_check
+from oretower.graded import associated_graded_tower, rees_closure_check
 from oretower.pi import pi_report
 from oretower.scalars import GF, QQ, CyclotomicField
-from oretower.skewpoly import degree_leading
+from oretower.skewpoly import SkewPoly, apply_level_map, degree_leading
 from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
 
 from conftest import (
@@ -16,6 +20,9 @@ from conftest import (
     three_level_graded,
     weyl_gf5,
 )
+from test_tower import _numeric_mutants
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 def test_three_level_degeneration():
@@ -87,25 +94,57 @@ def test_leading_form_multiplicativity(name):
     assert checked > 10
 
 
+def _sigma(i):
+    return functools.partial(apply_level_map, "sigma", i)
+
+
+def _sweep_witness(tower, level, the_map, degree_bound=4):
+    """Reference check: the first monomial in the lowest level + 1
+    variables of total degree at most ``degree_bound``, in lexicographic
+    exponent order, whose image has larger degree in variable ``level``
+    than itself; None when there is none."""
+    totals = range(degree_bound + 1)
+    for exp in sorted(e for t in totals for e in _exponents(level + 1, t, tower.height)):
+        mono = SkewPoly(tower, {exp: tower.base.one})
+        if degree_leading(the_map(mono), level)[0] > exp[level]:
+            return mono
+    return None
+
+
 def test_rees_closure_diagonal_sigma():
     tower = three_level_graded()
-    assert rees_closure_check(tower, 0, level_sigma(tower, 2), 4).ok
-    assert rees_closure_check(tower, 1, level_sigma(tower, 2), 4).ok
+    assert rees_closure_check(tower, 0, _sigma(2)) is None
+    assert rees_closure_check(tower, 1, _sigma(2)) is None
 
 
 def test_rees_closure_with_c_term():
     # sigma3(x2) = 5 x2 + x1 does not raise the x2 degree
     tower = three_level_graded()
-    check = rees_closure_check(tower, 1, level_sigma(tower, 2), 4)
-    assert check.ok
+    assert rees_closure_check(tower, 1, _sigma(2)) is None
 
 
 def test_rees_closure_detects_degree_raise():
     tower = three_level_graded()
     square = lambda p: p * p
-    check = rees_closure_check(tower, 0, square, 2)
-    assert not check.ok
-    assert check.witness == tower.var(0)
+    assert rees_closure_check(tower, 0, square) == tower.var(0)
+    assert _sweep_witness(tower, 0, square, 2) == tower.var(0)
+
+
+def test_rees_closure_agrees_with_the_sweep():
+    """The generator check and the degree-4 monomial sweep give the same
+    verdict on every (sigma_i, filtration l) pair of the fixtures and of
+    400 seeded numeric mutants."""
+    towers = [parse_tower_file(path) for path in sorted(FIXTURES.glob("*.tw"))]
+    towers += [parse_tower_text(text) for text in _numeric_mutants(400, seed=11)]
+    pairs = 0
+    for tower in towers:
+        for i in range(tower.height):
+            for level in range(i):
+                exact = rees_closure_check(tower, level, _sigma(i))
+                sweep = _sweep_witness(tower, level, _sigma(i))
+                assert (exact is None) == (sweep is None), (tower, i, level)
+                pairs += 1
+    assert pairs > 500
 
 
 def test_pi_transfer_source_to_result():
