@@ -72,10 +72,22 @@ class ErasureResult:
     warnings: list[str] = dc_field(default_factory=list)
 
 
-def _erased_name(name: str) -> str:
-    if name.startswith("x"):
-        return "y" + name[1:]
-    return "y_" + name
+def _erased_names(tower: OreTower, renamed) -> list[str]:
+    """The level names of ``tower`` with the levels in ``renamed`` given
+    their erased names (x1 -> y1, v -> y_v), each followed by as many
+    underscores as it takes to name no field generator and no other level,
+    so the rendered tower parses back."""
+    names = tower.level_names()
+    field = tower.base.field
+    taken = {name for i, name in enumerate(names) if i not in renamed}
+    for i in renamed:
+        name = names[i]
+        new = "y" + name[1:] if name.startswith("x") else "y_" + name
+        while new in taken or field.generator_named(new) is not None:
+            new += "_"
+        taken.add(new)
+        names[i] = new
+    return names
 
 
 # ---------------------------------------------------------------------------
@@ -190,9 +202,8 @@ def _assert_sigma_relation(tower: OreTower, top: int, y: SkewPoly) -> None:
 
 def _zero_top_delta(tower: OreTower) -> OreTower:
     top = tower.levels[-1]
-    erased = replace(
-        top, name=_erased_name(top.name), delta_base=BaseMap.zero(), delta_vars={}
-    )
+    name = _erased_names(tower, [tower.height - 1])[-1]
+    erased = replace(top, name=name, delta_base=BaseMap.zero(), delta_vars={})
     return OreTower(tower.base, tower.levels[:-1] + (erased,))
 
 
@@ -369,12 +380,13 @@ def erase_all(
             working = _swap_collect(working, pos, collected_warnings)
             embed[pos - 1], embed[pos] = embed[pos], embed[pos - 1]
 
+    names = _erased_names(tower, range(n))
     result_tower = OreTower(
         tower.base,
         [
             replace(
                 lvl,
-                name=_erased_name(lvl.name),
+                name=names[i],
                 delta_base=BaseMap.zero(),
                 delta_vars={},
                 q=working.levels[top - i].q,

@@ -23,7 +23,7 @@ from __future__ import annotations
 from dataclasses import dataclass, field as dc_field, replace
 from typing import Callable
 
-from .erase import _erased_name
+from .erase import _erased_names
 from .errors import HypothesisViolation
 from .skewpoly import SkewPoly, degree_leading
 from .tower import BaseMap, OreTower, _level_generators
@@ -77,16 +77,17 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
             )
         )
 
+    names = _erased_names(tower, range(tower.height))
     new_levels = [
         replace(
             lvl,
-            name=_erased_name(lvl.name),
+            name=name,
             delta_base=BaseMap.zero(),
             sigma_vars={j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
             delta_vars={},
             q=None,
         )
-        for lvl in tower.levels
+        for lvl, name in zip(tower.levels, names)
     ]
     result = OreTower(base, new_levels)
     report = result.validation

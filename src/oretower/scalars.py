@@ -1246,7 +1246,9 @@ def _order_dividing(s: Scalar, bound: int) -> int | None:
 class Matrix:
     """Immutable exact matrix over one of the scalar fields."""
 
-    __slots__ = ("field", "rows")
+    # _hash is set by the first __hash__: the base-map memo hashes its
+    # matrix keys on every lookup, most other matrices are never hashed
+    __slots__ = ("field", "rows", "_hash")
 
     def __init__(self, field, rows):
         self.field = field
@@ -1341,7 +1343,11 @@ class Matrix:
         return self.field == other.field and self.rows == other.rows
 
     def __hash__(self):
-        return hash((self.field, self.rows))
+        try:
+            return self._hash
+        except AttributeError:
+            self._hash = hash((self.field, self.rows))
+            return self._hash
 
     def transpose(self) -> "Matrix":
         return Matrix(self.field, zip(*self.rows))

@@ -33,8 +33,13 @@ is a single monomial, x_i x^lower = a x^lower x_i:
     x_i^k * c x^e = c a^k x^{e + k e_i}
 
 This covers the diagonal sigma-only towers that erasing ends in, and the
-diagonal pairs of other towers; the remaining terms take the
-one-x_i-at-a-time loop.
+diagonal pairs of other towers.  On such a level x_i commutes with the
+base, so x_i^k acts on the remaining terms through x_i^k x^lower for the
+few lower parts the table entries reach from theirs (on the q-Weyl and
+Weyl levels delta lowers degrees, so x2^k x1 reaches x1 and 1 only).  The
+run builds those by square and multiply, in O(log k) compositions of a
+table local to the run, when that costs less than k single steps;
+otherwise the terms take the one-x_i-at-a-time loop.
 
 When every level has an identity sigma and a zero delta on the base
 (``OreTower._fixes_base``), base elements commute with the variables, so
@@ -273,8 +278,11 @@ def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
     right, top level first and one x_i at a time, so like terms merge
     after every step.  A run x_i^k with k >= 2 on a level whose sigma is
     the identity and whose delta is zero on the base (``_trivial_maps[i]``)
-    goes through ``_power_times_terms`` instead, which moves each term
-    that x_i passes as a single monomial in one step.
+    goes through ``_power_times_terms`` instead: there x_i^k acts linearly
+    over the base, so each term that x_i passes as a single monomial moves
+    in one step, and the others take x_i^k by square and multiply where
+    their lower parts reach few others, O(log k) compositions in place of
+    k steps.
     """
     terms = {mono: coeff}
     trivial = tower._trivial_maps
@@ -291,11 +299,22 @@ def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
 def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
     """Normal form of x_i^k * terms, for a level that fixes the base.
 
-    With sigma_i the identity and delta_i zero on the base, a term
-    c x^e whose table entry x_i x^{e[:i]} is a single monomial
+    With sigma_i the identity and delta_i zero on the base, x_i c = c x_i
+    for every base element c, so left multiplication by x_i is a
+    left-base-linear map L on term dicts, and L commutes with the right
+    shift by x_i^t x^upper (t >= 0, upper above i):
+
+        x_i^k (c x^lower x_i^t x^upper) = c (L^k(x^lower)) x_i^t x^upper.
+
+    A term c x^e whose table entry x_i x^{e[:i]} is a single monomial
     a x^{e[:i]} x_i goes to c a^k x^{e + k e_i} (a can be a matrix, so
-    the order is c a^k).  Every other term is collected into one dict and
-    takes the one-x_i-at-a-time loop, so its like terms still merge.
+    the order is c a^k).  The other terms share one run table
+    ``_power_run_table``: L^k(x^w) for every lower part w in R, the
+    lower parts the table entries reach from theirs.  It is built by
+    square and multiply when that is cheaper than stepping; otherwise the
+    terms are collected into one dict and take the one-x_i-at-a-time
+    loop, so their like terms still merge.  Either way the result is
+    L^k term for term, on unvalidated towers too.
     """
     one = tower.base.one
     acc: dict = {}
@@ -311,12 +330,78 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
                 _add_term(acc, lower + (exp[i] + k,) + exp[i + 1:], moved)
                 continue
         rest[exp] = coeff
-    if rest:
+    if not rest:
+        return acc
+    run = _power_run_table(tower, i, k, {exp[:i] for exp in rest})
+    if run is None:
         for _ in range(k):
             rest = _var_times_terms(tower, i, rest)
         for exp, coeff in rest.items():
             _add_term(acc, exp, coeff)
+        return acc
+    for exp, coeff in rest.items():
+        t, tail = exp[i], exp[i + 1:]
+        for e, c in run[exp[:i]].items():
+            _add_term(acc, e[:i] + (e[i] + t,) + tail, _times(coeff, c, one))
     return acc
+
+
+def _power_run_table(tower, i: int, k: int, lowers: set) -> dict | None:
+    """L^k(x^w) for w in R, by square and multiply, or None when stepping
+    is cheaper.
+
+    L is left multiplication by x_i on a level that fixes the base (see
+    ``_power_times_terms``), and R is the closure of ``lowers`` under the
+    table entries x_i x^w = sum c x^u (w -> u[:i]).  With T_m(w) =
+    L^m(x^w), supported at levels <= i,
+
+        T_{m+n}(w) = sum over c x^u in T_m(w) of c T_n(u[:i]) x_i^{u[i]},
+
+    so T_k follows from T_1 (the table entries) over the bits of k, as
+    ``scalars._power`` does, in about |R|^2 term products per bit.
+    Stepping costs about |R| term steps per factor, k in all, so the
+    table is built only when |R| * k.bit_length() <= k.  The search for R
+    gives up once R passes that size.  Until then each layer of the search
+    adds a lower part, so it reads only entries within the k layers that
+    stepping would read too.  The table is a local of the run.
+    """
+    limit = k // k.bit_length()
+    if len(lowers) > limit:
+        return None
+    reach = set(lowers)
+    queue = list(lowers)
+    step = {}
+    for w in queue:
+        step[w] = entry = _var_times_lower(tower, i, w)
+        for u in entry:
+            v = u[:i]
+            if v not in reach:
+                if len(reach) == limit:
+                    return None
+                reach.add(v)
+                queue.append(v)
+    one = tower.base.one
+    run = step
+    for bit in bin(k)[3:]:
+        run = _compose_runs(run, run, i, one)
+        if bit == "1":
+            run = _compose_runs(run, step, i, one)
+    return run
+
+
+def _compose_runs(first: dict, then: dict, i: int, one) -> dict:
+    """T_{m+n} from T_m (``first``) and T_n (``then``), both keyed by
+    every lower part of R."""
+    out = {}
+    for w, terms in first.items():
+        acc: dict = {}
+        for u, c in terms.items():
+            # c x^u = c x^{u[:i]} x_i^{u[i]}, as u is zero above i
+            t, tail = u[i], u[i + 1:]
+            for e, d in then[u[:i]].items():
+                _add_term(acc, e[:i] + (e[i] + t,) + tail, _times(c, d, one))
+        out[w] = acc
+    return out
 
 
 def _var_times_terms(tower, i: int, terms: dict) -> dict:

@@ -221,6 +221,15 @@ def any_tower(request) -> OreTower:
     return ARITHMETIC_FIXTURES[request.param]()
 
 
+def count_calls(monkeypatch, module, name: str) -> list:
+    """Patch ``module.name`` to record the arguments of each call in the
+    returned list."""
+    calls = []
+    real = getattr(module, name)
+    monkeypatch.setattr(module, name, lambda *args: calls.append(args) or real(*args))
+    return calls
+
+
 # ---------------------------------------------------------------------------
 # random sampling (seeded; no floats anywhere)
 

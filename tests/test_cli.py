@@ -273,6 +273,36 @@ def test_field_base_map_expressions_round_trip(capsys, tmp_path):
     assert identity.levels[0].sigma_base.is_trivial()
 
 
+# x1 -> y1 would name the field generator; x2 -> y2 would name level 1
+_ERASED_NAME_CLASHES = {
+    "field_generator": "[base]\nkind = field\nfield = Q(y1)\n\n"
+    "[[level]]\nvar = x1\n\n[[level]]\nvar = x2\nsigma x1 = 2 * x1\n",
+    "level_name": f"{_FIELD_BASE}[[level]]\nvar = y2\n\n"
+    "[[level]]\nvar = x2\nsigma y2 = q * y2\ndelta y2 = 1\nq = q\n",
+}
+
+
+@pytest.mark.parametrize(
+    "clash, command, names",
+    [
+        ("field_generator", "gr", ["y1_", "y2"]),
+        ("field_generator", "erase-all", ["y1_", "y2"]),
+        ("level_name", "gr", ["y_y2", "y2"]),
+        ("level_name", "erase-all", ["y_y2", "y2"]),
+        ("level_name", "erase", ["y2", "y2_"]),
+    ],
+)
+def test_erased_names_parse_back(capsys, tmp_path, clash, command, names):
+    path = tmp_path / "clash.tw"
+    path.write_text(_ERASED_NAME_CLASHES[clash], encoding="utf-8")
+    assert run([command, "--json", "--tower", str(path)]) == 0
+    rendered = json.loads(capsys.readouterr().out)["tower"]
+    tower = parse_tower_text(rendered)
+    assert tower.level_names() == names
+    assert render_tower_file(tower) == rendered
+    assert validate_tower(tower).ok
+
+
 def test_validate_command_exit_codes(capsys):
     assert run(["validate", "--tower", fixture("qweyl_zeta3.tw")]) == 0
     out = capsys.readouterr().out
@@ -520,6 +550,18 @@ def test_non_automorphism_fails_fast(capsys, tmp_path):
     assert run(["central", "--tower", str(path), "x1^16", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["kind"] == "HypothesisViolation"
     assert time.perf_counter() - start < 1.0
+
+
+def test_long_power_run_time_gate(capsys):
+    """x2^10000 x1 = q^10000 x1 x2^10000 + [10000]_q x2^9999 on the
+    q-Weyl tower over Q(q), by square and multiply in under 2 s."""
+    start = time.perf_counter()
+    assert run(["mul", "--tower", fixture("qweyl_q.tw"), "x2^10000", "x1"]) == 0
+    elapsed = time.perf_counter() - start
+    q_integer = " + ".join([f"q^{j}" for j in range(9999, 1, -1)] + ["q", "1"])
+    expected = f"q^10000 * x1 x2^10000 + ({q_integer}) * x2^9999\n"
+    assert capsys.readouterr().out == expected
+    assert elapsed < 2.0
 
 
 def test_gr_command(capsys):

@@ -10,19 +10,22 @@ divisibility facts it must satisfy.
 import math
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
+from oretower import skewpoly
 from oretower.scalars import QQ, Matrix, cyclotomic_polynomial, euler_phi, _pdivmod, _pmul
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
-from oretower.cli import parse_tower_text, render_tower_file
+from oretower.cli import parse_tower_file, parse_tower_text, render_tower_file
 
 from conftest import (
     ARITHMETIC_FIXTURES,
     E12,
     E21,
     UNVALIDATED_SIGMA_X1,
+    count_calls,
     mat2_twolevel,
     mat2_unvalidated,
     random_poly,
@@ -243,6 +246,83 @@ def test_factored_products_match_single_steps_on_unvalidated_towers(name):
     for _ in range(2):
         for p, q in pairs:
             assert (p * q).terms == _one_variable_at_a_time(tower, p, q)
+
+
+# ---------------------------------------------------------------------------
+# power runs x_i^k on levels that fix the base: square and multiply against
+# one factor at a time
+
+FIXTURE_DIR = Path(__file__).parent / "fixtures"
+HALVING_K = (2, 3, 5, 16, 33, 64, 1000)
+# the single-step reference slows with the size of its coefficients (Q(q)
+# powers, and three_level's integer binomials in x3^k x2^40), so there it
+# stops early; on qweyl_zeta3 and weyl_gf5 both right factors run to 1000
+REFERENCE_CAP = {
+    ("broken_qskew", 1): 64,
+    ("broken_qskew", 40): 16,
+    ("qweyl_q", 40): 16,
+    ("three_level", 40): 64,
+}
+# the cases where some run halves; elsewhere the table entries are single
+# monomials (the quantum planes, three_level's x3 x1 and x2 x1, and x^40,
+# central in weyl_gf5), or x_j^40 reaches 41 lower parts, too many for the
+# k that the reference reaches (qweyl_q, three_level's x3 x2^40)
+HALVED = {
+    ("broken_qskew", 1, 1),
+    ("broken_qskew", 1, 40),
+    ("qweyl_q", 1, 1),
+    ("qweyl_zeta3", 1, 1),
+    ("qweyl_zeta3", 1, 40),
+    ("three_level", 2, 1),
+    ("weyl_gf5", 1, 1),
+}
+BASE_FIXING_LEVELS = [
+    (path.stem, i)
+    for path in sorted(FIXTURE_DIR.glob("*.tw"))
+    for i, maps in enumerate(parse_tower_file(str(path))._trivial_maps)
+    if i and maps == (True, True)
+]
+
+
+@pytest.mark.parametrize("exponent", [1, 40], ids=["x_j", "x_j^40"])
+@pytest.mark.parametrize("name, level", BASE_FIXING_LEVELS)
+def test_halved_runs_match_single_steps(name, level, exponent, monkeypatch):
+    """x_i^k x_j^e by the power run against x_i applied k times; the run
+    halves wherever the closure of the right factor is small for k."""
+    composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
+    tower = parse_tower_file(str(FIXTURE_DIR / f"{name}.tw"))
+    cap = REFERENCE_CAP.get((name, exponent), max(HALVING_K))
+    x = tower.var(level)
+    for j in range(level):
+        right = tower.var(j) ** exponent
+        stepped = right
+        for k in range(1, cap + 1):
+            stepped = x * stepped
+            if k in HALVING_K:
+                assert (x**k * right).terms == stepped.terms, (j, k)
+    assert bool(composed) == ((name, level, exponent) in HALVED)
+
+
+def test_degree_raising_derivation_steps_one_factor_at_a_time(monkeypatch):
+    """delta(x1) = x1^2 sends x1^a to a x1^(a+1), so the closure of x1
+    under the table entries never ends and the run must step."""
+    text = "[base]\nkind = field\nfield = Q\n\n[[level]]\nvar = x1\n\n"
+    text += "[[level]]\nvar = x2\ndelta x1 = x1^2\n"
+    composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
+    stepped_tower, tower = parse_tower_text(text), parse_tower_text(text)
+    x2 = stepped_tower.var(1)
+    stepped = stepped_tower.var(0)
+    # x2^k x1 has about k^2 / 2 terms, so the check stops at k = 33
+    for k in range(1, 34):
+        stepped = x2 * stepped
+        if k in HALVING_K:
+            product = tower.var(1) ** k * tower.var(0)
+            assert product.terms == stepped.terms
+            assert len(tower._engine_table) <= len(stepped_tower._engine_table)
+    assert not composed
+    assert naive_product(tower, tower.var(1) ** 5, tower.var(0)) == (
+        tower.var(1) ** 5 * tower.var(0)
+    ).terms
 
 
 def test_cyclotomic_polynomial_divisibility():

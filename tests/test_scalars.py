@@ -179,6 +179,25 @@ def test_matrix_inverse_round_trip():
         assert m.inverse() * m == Matrix.identity(field, 2)
 
 
+def test_equal_matrices_hash_equal():
+    field = FunctionField(QQ, "q")
+    q = field.gen
+    m = Matrix(field, [[q, 1], [0, q + 1]])
+    built = [
+        Matrix(field, [[q, field.one], [field.zero, 1 + q]]),
+        m.transpose().transpose(),
+        (m * m) * m.inverse(),
+        m + Matrix.zero(field, 2, 2),
+        Matrix.identity(field, 2) * q + Matrix.unit(field, 2, 0, 1) + Matrix.unit(field, 2, 1, 1),
+    ]
+    # m keeps its hash from the first call; each other matrix computes its own
+    first = hash(m)
+    for other in built:
+        assert other == m and hash(other) == first
+    memo = {m: "m"}
+    assert all(memo[other] == "m" for other in built)
+
+
 def test_matrix_scalar_part():
     ident = Matrix.identity(QQ, 2)
     assert (ident * QQ.coerce(3)).scalar_part() == 3

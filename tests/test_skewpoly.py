@@ -16,6 +16,7 @@ from oretower.tower import BaseRing, OreTower, TowerLevel
 from conftest import (
     ARITHMETIC_FIXTURES,
     E21,
+    count_calls,
     mat2_twolevel,
     mat2_unvalidated,
     qplane,
@@ -264,11 +265,7 @@ def test_deep_products_at_default_recursion_limit(name, left, right, expected):
     ids=["qplane_zeta3", "three_level"],
 )
 def test_power_step_moves_monomials_in_one_step(name, top, k, expected, monkeypatch):
-    steps = []
-    one_step = skewpoly._var_times_terms
-    monkeypatch.setattr(
-        skewpoly, "_var_times_terms", lambda *args: steps.append(args[1]) or one_step(*args)
-    )
+    steps = count_calls(monkeypatch, skewpoly, "_var_times_terms")
 
     def table_size_after(power):
         tower = parse_tower_file(str(FIXTURES / name))
@@ -294,15 +291,63 @@ def test_power_step_moves_monomials_in_one_step(name, top, k, expected, monkeypa
     ],
     ids=["other_lower_monomial", "noncentral_lambda"],
 )
-def test_power_step_agrees_with_single_steps_on_unvalidated_towers(name, right):
+def test_power_step_agrees_with_single_steps_on_unvalidated_towers(name, right, monkeypatch):
     # validate rejects both towers, but mul does not validate, so the power
     # step must give what applying x2 one factor at a time gives
+    composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
     tower = mat2_unvalidated(name)
     x2, p = tower.var(1), tower.poly(right)
     one_at_a_time = p
-    for k in range(1, 6):
+    for k in range(1, 41):
         one_at_a_time = x2 * one_at_a_time
         assert x2**k * p == one_at_a_time
+    # x2 x1^2 = x1 x2 and x2 x1 = e12 x1 x2 + e21 x2 reach three lower
+    # parts, so runs from k = 12 halve; x2 x1 = (1 + e12) x1 x2 is a single
+    # monomial and moves in one step
+    assert bool(composed) == (name == "other_lower_monomial")
+
+
+def _q_integer(field, k: int):
+    """[k]_q = 1 + q + ... + q^(k-1) in ``field``, whose generator is q."""
+    return field.from_polys([1] * k)
+
+
+@pytest.mark.parametrize(
+    "name, expected",
+    [
+        # x2 x1 = q x1 x2 + 1, so x2^k x1 = q^k x1 x2^k + [k]_q x2^(k-1)
+        ("qweyl_q.tw", lambda f, k: (f.gen**k, _q_integer(f, k))),
+        # with q = z, z^3 = 1 and 1024 = 1 mod 3: z^1024 = z, [1024]_z = 1
+        ("qweyl_zeta3.tw", lambda f, k: (f.gen, f.one)),
+        # y x = x y + 1 in characteristic 5: y^k x = x y^k + k y^(k-1)
+        ("weyl_gf5.tw", lambda f, k: (f.one, f.coerce(k))),
+    ],
+    ids=["qweyl_q", "qweyl_zeta3", "weyl_gf5"],
+)
+def test_power_runs_halve_on_levels_with_a_derivation(name, expected, monkeypatch):
+    composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
+    steps = count_calls(monkeypatch, skewpoly, "_var_times_terms")
+    tower = parse_tower_file(str(FIXTURES / name))
+    k = 1024
+    product = tower.poly({(0, k): tower.base.one}) * tower.var(0)
+    lead, lower = expected(tower.base.field, k)
+    assert product == tower.poly({(1, k): lead, (0, k - 1): lower})
+    # 1024 = 2^10: ten squarings, where k single steps would take 1024
+    assert len(composed) <= 2 * k.bit_length()
+    assert all(args[1] != 1 for args in steps)
+
+
+def test_big_closure_steps_and_fills_the_table_as_single_steps_do(monkeypatch):
+    # x2 x1^40 reaches x1^40, ..., x1, 1: 41 lower parts, and
+    # 41 * bit_length(40) > 40, so the run steps one factor at a time
+    composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
+    tower = parse_tower_file(str(FIXTURES / "qweyl_q.tw"))
+    product = tower.poly({(0, 40): tower.base.one}) * tower.poly({(40, 0): tower.base.one})
+    assert not composed
+    q = tower.base.field.gen
+    assert product.terms[(40, 40)] == q**1600 and len(product.terms) == 41
+    # x1 itself and x2 x1^j for j = 0..40, the entries stepping fills
+    assert sorted(tower._engine_table) == [(0, ())] + [(1, (j,)) for j in range(41)]
 
 
 def _random_pairs(tower, seed: int, count: int) -> list:
