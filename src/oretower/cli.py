@@ -35,6 +35,7 @@ import json
 import sys
 
 from .errors import (
+    DivisionByZero,
     FieldMismatch,
     OreError,
     ParseError,
@@ -578,9 +579,10 @@ def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=
                     line, 1, f"{head}(...) needs a {expected}x{expected} matrix"
                 )
             if head == "conj":
-                if not m.is_invertible():
-                    raise ParseError(line, 1, "conj(...) needs an invertible matrix")
-                return BaseMap.conjugation(m)
+                try:
+                    return BaseMap.conjugation(m)
+                except DivisionByZero:
+                    raise ParseError(line, 1, "conj(...) needs an invertible matrix") from None
             if head == "inner":
                 return BaseMap.inner_derivation(m, sigma_base or BaseMap.identity())
             return BaseMap.linear(kind, m)

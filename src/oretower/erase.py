@@ -27,6 +27,7 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import (
     CompatibilityFailed,
+    DivisionByZero,
     HypothesisViolation,
     NotDiagonal,
     QEqualsOne,
@@ -226,13 +227,18 @@ def _inner_branch(tower: OreTower):
     for e in units:
         rows.extend(_commutator_rows(tower.apply_sigma0(0, e), e))
     a_vec = solve_linear_system(Matrix(field, rows), [field.zero] * len(rows))
-    a = _unvec(field, m, a_vec) if a_vec else None
-    if a is None or not a.is_invertible():
+    a = a_inv = None
+    if a_vec:
+        a = _unvec(field, m, a_vec)
+        try:
+            a_inv = a.inverse()
+        except DivisionByZero:
+            pass
+    if a_inv is None:
         raise UnsupportedErasure(
             "no invertible conjugator a with sigma(r) a = a r exists; "
             "sigma is not an inner automorphism of the matrix base"
         )
-    a_inv = a.inverse()
     for e in units:
         if tower.apply_sigma0(0, e) != a * e * a_inv:
             raise UnsupportedErasure("conjugator solution does not reproduce sigma")

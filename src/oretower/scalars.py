@@ -247,8 +247,43 @@ class _IntegerRing:
 
 _ZZ = _IntegerRing()
 
-# Z[t] helpers: fraction-free remainder sequences (Knuth, TAOCP vol. 2,
-# 4.6.1), on trimmed int tuples.
+# Z[t] helpers on trimmed int tuples: the ring operations as plain integer
+# loops (the generic helpers with _ZZ are their test oracle), and
+# fraction-free remainder sequences (Knuth, TAOCP vol. 2, 4.6.1).
+
+
+def _zadd(a, b) -> tuple:
+    if len(a) < len(b):
+        a, b = b, a
+    out = list(a)
+    for i, c in enumerate(b):
+        out[i] += c
+    while out and not out[-1]:
+        out.pop()
+    return tuple(out)
+
+
+def _zmul(a, b) -> tuple:
+    if not a or not b:
+        return ()
+    if len(b) == 1:
+        a, b = b, a
+    if len(a) == 1:
+        c = a[0]
+        return tuple(c * d for d in b)
+    right = [(j, d) for j, d in enumerate(b) if d]
+    out = [0] * (len(a) + len(b) - 1)
+    for i, c in enumerate(a):
+        if c:
+            for j, d in right:
+                out[i + j] += c * d
+    # Z is a domain: the leading coefficient is the nonzero product of leads
+    return tuple(out)
+
+
+def _zscale(a, c: int, shift: int) -> tuple:
+    """c t^shift a, for a nonzero int c."""
+    return (0,) * shift + tuple(c * d for d in a)
 
 
 def _zreduce(a, b, sa=(), sb=()) -> tuple[tuple, tuple]:
@@ -1074,12 +1109,20 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
             return Scalar(self, ((c.numerator,), (c.denominator,)) if c else self.rep_zero)
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
+    # denominators c t^k (conj(diag(1, q)) makes only these) add over
+    # lcm(c, c') t^max(k, k') and multiply by shifting: no gcd in Z[t]
+
     def rep_add(self, x, y):
         (an, ad), (bn, bd) = x, y
         if ad == bd:
-            num = _padd(an, bn, _ZZ)
+            num = _zadd(an, bn)
             return (num, ad) if ad == (1,) else self._make(num, ad)
-        return self._make(_padd(_pmul(an, bd, _ZZ), _pmul(bn, ad, _ZZ), _ZZ), _pmul(ad, bd, _ZZ))
+        if any(ad[:-1]) or any(bd[:-1]):
+            return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
+        (ca, ka), (cb, kb) = (ad[-1], len(ad)), (bd[-1], len(bd))
+        lcm, k = math.lcm(ca, cb), max(ka, kb)
+        num = _zadd(_zscale(an, lcm // ca, k - ka), _zscale(bn, lcm // cb, k - kb))
+        return self._make(num, (0,) * (k - 1) + (lcm,))
 
     def rep_neg(self, x):
         num, den = x
@@ -1088,8 +1131,12 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
     def rep_mul(self, x, y):
         (an, ad), (bn, bd) = x, y
         if ad == (1,) and bd == (1,):
-            return _pmul(an, bn, _ZZ), ad
-        return self._make(_pmul(an, bn, _ZZ), _pmul(ad, bd, _ZZ))
+            return _zmul(an, bn), ad
+        if any(ad[:-1]) or any(bd[:-1]):
+            den = _zmul(ad, bd)
+        else:
+            den = (0,) * (len(ad) + len(bd) - 2) + (ad[-1] * bd[-1],)
+        return self._make(_zmul(an, bn), den)
 
     def rep_inv(self, x):
         num, den = x
@@ -1288,36 +1335,57 @@ class Matrix:
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
+    @classmethod
+    def _from_reps(cls, field, rows) -> "Matrix":
+        """The matrix whose rows hold the reps ``rows`` of ``field``, each
+        wrapped once and not checked; for results of rep arithmetic."""
+        m = object.__new__(cls)
+        m.field = field
+        m.rows = tuple(tuple(Scalar(field, a) for a in row) for row in rows)
+        return m
+
+    def _reps(self) -> list:
+        return [[a.rep for a in row] for row in self.rows]
+
+    def _other_reps(self, other: "Matrix") -> list:
+        """The reps of ``other``'s entries, coerced into this field."""
+        if other.field is not self.field and other.field != self.field:
+            other = Matrix(self.field, other.rows)
+        return other._reps()
+
     def __add__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(
+        add = self.field.rep_add
+        return Matrix._from_reps(
             self.field,
-            [[a + b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [map(add, r1, r2) for r1, r2 in zip(self._reps(), self._other_reps(other))],
         )
 
     def __sub__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return Matrix(
+        add, neg = self.field.rep_add, self.field.rep_neg
+        return Matrix._from_reps(
             self.field,
-            [[a - b for a, b in zip(r1, r2)] for r1, r2 in zip(self.rows, other.rows)],
+            [
+                [add(a, neg(b)) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._reps(), self._other_reps(other))
+            ],
         )
 
     def __neg__(self):
-        return Matrix(self.field, [[-a for a in row] for row in self.rows])
+        neg = self.field.rep_neg
+        return Matrix._from_reps(self.field, [map(neg, row) for row in self._reps()])
 
     def __mul__(self, other):
         if isinstance(other, Matrix):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimension mismatch")
-            cols = list(zip(*other.rows))
-            return Matrix(
-                self.field,
-                [
-                    [_dot(row, col, self.field) for col in cols]
-                    for row in self.rows
-                ],
+            field = self.field
+            cols = list(zip(*self._other_reps(other)))
+            return Matrix._from_reps(
+                field, [[_rep_dot(field, row, col) for col in cols] for row in self._reps()]
             )
         if isinstance(other, (Scalar, int, Fraction)):
             s = self.field.coerce(other)
@@ -1364,7 +1432,8 @@ class Matrix:
         )
 
     def is_zero(self) -> bool:
-        return all(a.is_zero() for row in self.rows for a in row)
+        is_zero = self.field.rep_is_zero
+        return all(is_zero(a.rep) for row in self.rows for a in row)
 
     def __bool__(self):
         return not self.is_zero()
@@ -1390,8 +1459,12 @@ class Matrix:
         if not self.is_square() or self.nrows == 0:
             return None
         z = self.rows[0][0]
-        expected = Matrix.identity(self.field, self.nrows) * z
-        return z if self == expected else None
+        is_zero = self.field.rep_is_zero
+        for i, row in enumerate(self.rows):
+            for j, a in enumerate(row):
+                if a.rep != z.rep if i == j else not is_zero(a.rep):
+                    return None
+        return z
 
     def __repr__(self):
         inner = ", ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.rows)
@@ -1436,14 +1509,16 @@ def _power(x, k: int):
         x = x * x
 
 
-def _dot(row, col, field):
+def _rep_dot(field, xs, ys):
+    """sum_k xs[k] ys[k] for reps of ``field``, skipping zero factors."""
+    is_zero, mul, add = field.rep_is_zero, field.rep_mul, field.rep_add
     acc = None
-    for a, b in zip(row, col):
-        if a.is_zero() or b.is_zero():
+    for a, b in zip(xs, ys):
+        if is_zero(a) or is_zero(b):
             continue
-        term = a * b
-        acc = term if acc is None else acc + term
-    return acc if acc is not None else field.zero
+        term = mul(a, b)
+        acc = term if acc is None else add(acc, term)
+    return field.rep_zero if acc is None else acc
 
 
 def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:

@@ -49,6 +49,16 @@ When every level has an identity sigma and a zero delta on the base
 and the word loop runs on x^b with coefficient one; c d multiplies each
 term of the result once.  No engine step multiplies by the base's one.
 
+On the other towers (a matrix base with conj and inner maps, or a field
+automorphism) d must pass through x^a, so the left words of one right
+term d x^b share one walk: x^w (d x^b) = x_j (x^{w - e_j} (d x^b)) for
+the lowest level j of w, filled iteratively into a dict that lives for
+one product, and c x^a (d x^b) is c times the stored x^a (d x^b).  A left
+operand x + x^2 + x^3 then takes three x steps per right term, not six.
+The towers that fix the base keep one walk per term pair: their walk
+carries coefficient one and no base map, so a step costs little and the
+shared dict's bookkeeping would cost more than it saves.
+
 ``SkewPoly(tower, terms)`` coerces and checks: keys become tuples of the
 tower's height of non-negative ints, coefficients are coerced into the
 base, like keys merge and zero terms drop (``_clean_terms``).  Ring
@@ -258,21 +268,59 @@ def _times(a, b, one):
 
 def _mul_terms(tower, left: dict, right: dict) -> dict:
     one = tower.base.one
-    fixes_base = tower._fixes_base
     acc: dict = {}
-    for exp_l, cl in left.items():
-        for exp_r, cr in right.items():
-            # c x^a * d x^b = c (x^a d x^b); where base elements commute with
-            # the variables it is cd (x^a x^b), and the order c, d, e keeps a
-            # matrix base right
-            c, d = (_times(cl, cr, one), one) if fixes_base else (cl, cr)
-            for exp, e in _word_times_term(tower, exp_l, d, exp_r).items():
-                _add_term(acc, exp, _times(c, e, one))
+    if tower._fixes_base:
+        # c x^a * d x^b = (c d)(x^a x^b), as base elements commute with the
+        # variables
+        for exp_l, cl in left.items():
+            for exp_r, cr in right.items():
+                c = _times(cl, cr, one)
+                for exp, e in _word_times_term(tower, exp_l, exp_r).items():
+                    _add_term(acc, exp, _times(c, e, one))
+        return acc
+    # c x^a * d x^b = c (x^a d x^b): every left word of one right term
+    # shares the walk, and the order c, e keeps a matrix base right
+    for exp_r, cr in right.items():
+        walk = {(0,) * tower.height: {exp_r: cr}}
+        for exp_l, cl in left.items():
+            for exp, e in _walk_word(tower, walk, exp_l).items():
+                _add_term(acc, exp, _times(cl, e, one))
     return acc
 
 
-def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
-    """Normal form of x^word * (coeff x^mono).
+def _walk_word(tower, walk: dict, word: tuple) -> dict:
+    """x^word * T, where ``walk`` maps words w to x^w * T and holds the
+    empty word; the words on the way are added to it.
+
+    x^w = x_j x^{w - e_j} for the lowest level j of w, so a miss peels
+    x_j off until it reaches a word in ``walk``, then fills the words back
+    up one step at a time.  A run x_j^k (k >= 2) on a level that fixes the
+    base goes in one move through ``_power_times_terms``, as in
+    ``_word_times_term``.
+    """
+    hit = walk.get(word)
+    if hit is not None:
+        return hit
+    trivial = tower._trivial_maps
+    pending = []
+    w = word
+    while w not in walk:
+        j = next(k for k, e in enumerate(w) if e)
+        k = w[j] if w[j] > 1 and trivial[j] == (True, True) else 1
+        prev = w[:j] + (w[j] - k,) + w[j + 1:]
+        pending.append((w, j, k, prev))
+        w = prev
+    for w, j, k, prev in reversed(pending):
+        terms = walk[prev]
+        if k > 1:
+            walk[w] = _power_times_terms(tower, j, k, terms)
+        else:
+            walk[w] = _var_times_terms(tower, j, terms)
+    return walk[word]
+
+
+def _word_times_term(tower, word: tuple, mono: tuple) -> dict:
+    """Normal form of x^word * x^mono.
 
     The factors of x^word = x_1^{w_1} ... x_n^{w_n} are applied from the
     right, top level first and one x_i at a time, so like terms merge
@@ -284,7 +332,7 @@ def _word_times_term(tower, word: tuple, coeff, mono: tuple) -> dict:
     their lower parts reach few others, O(log k) compositions in place of
     k steps.
     """
-    terms = {mono: coeff}
+    terms = {mono: tower.base.one}
     trivial = tower._trivial_maps
     for i in range(len(word) - 1, -1, -1):
         k = word[i]

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
-from .scalars import Matrix, Scalar, _dot
+from .scalars import Matrix, Scalar, _power, _rep_dot
 from .skewpoly import SkewPoly, _clean_terms, apply_level_map
 
 
@@ -186,6 +186,13 @@ class BaseMap:
             right_b = right_b * sigma.linear_action
         return cls("delta", linear_action=b.kron(one) - right_b)
 
+    # validation, map_order and the commands all ask; a frozen dataclass
+    # keeps the answer in its __dict__, outside the compared fields
+    @functools.cached_property
+    def action_is_invertible(self) -> bool:
+        """Whether ``linear_action`` is invertible, decided once per map."""
+        return self.linear_action.is_invertible()
+
     def is_trivial(self) -> bool:
         """Identity (sigma) or zero map (delta)."""
         if self.kind == "sigma":
@@ -198,7 +205,8 @@ class BaseMap:
 
 
 def _is_identity_matrix(m: Matrix) -> bool:
-    return m == Matrix.identity(m.field, m.nrows)
+    z = m.scalar_part()
+    return z is not None and z == m.field.one
 
 
 def _vec(m: Matrix) -> list:
@@ -220,8 +228,10 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, ele
         action = bmap.linear_action
         if action is None:
             return element if bmap.kind == "sigma" else base.zero
-        vec = _vec(element)
-        return _unvec(base.field, base.size, [_dot(row, vec, base.field) for row in action.rows])
+        field, m = base.field, base.size
+        vec = [a.rep for row in element.rows for a in row]
+        image = [_rep_dot(field, row, vec) for row in action._reps()]
+        return Matrix._from_reps(field, [image[r * m : (r + 1) * m] for r in range(m)])
     if bmap.kind == "sigma":
         return base.field.substitute(element, bmap.field_action)
     return base.field.derive(element, companion_sigma.field_action, bmap.field_action)
@@ -230,8 +240,8 @@ def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, ele
 def _sigma_base_defect(base: BaseRing, sigma: BaseMap) -> str | None:
     """Why ``sigma`` is not an automorphism of the base, or None when it is."""
     if base.kind == "matrix":
-        act = sigma.linear_action
-        return None if act is None or act.is_invertible() else "linear action is singular"
+        invertible = sigma.linear_action is None or sigma.action_is_invertible
+        return None if invertible else "linear action is singular"
     return base.field.automorphism_defect(sigma.field_action)
 
 
@@ -631,27 +641,56 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     raised otherwise, before any power is computed.  The powers of an
     automorphism form a cyclic group, so bmap^m = bmap^n with m < n gives
     bmap^(n-m) = identity: the first repeated power is the identity
-    itself, and the loop needs no record of the powers it has seen.
+    itself, and the loop needs no record of the powers it has seen.  On a
+    matrix base the powers of the linear action are screened first
+    (``_matrix_order``).
     """
     if bmap.kind != "sigma":
         raise ValueError("map_order expects a sigma-like map")
     require_base_automorphism(base, bmap)
     if base.kind == "matrix":
-        image = bmap.linear_action
-        if image is None:
-            return 1
-        identity, step = Matrix.identity(image.field, image.nrows), image.__mul__
-    else:
-        image = bmap.field_action
-        if image is None:
-            return 1
-        # the image passed the precondition, so the field has a generator:
-        # Q and GF(p) admit only the identity
-        identity = base.field.gen
-        step = functools.partial(base.field.substitute, image=image)
+        action = bmap.linear_action
+        return 1 if action is None else _matrix_order(action, bound)
+    image = bmap.field_action
+    if image is None:
+        return 1
+    # the image passed the precondition, so the field has a generator:
+    # Q and GF(p) admit only the identity
+    identity = base.field.gen
+    step = functools.partial(base.field.substitute, image=image)
     current = image
     for n in range(1, bound + 1):
         if current == identity:
             return n
         current = step(current)
     return None
+
+
+def _matrix_order(a: Matrix, bound: int) -> int | None:
+    """Least n <= bound with a^n = 1, else None, for an invertible a.
+
+    Each n is screened by a^n v = v for the fixed vector v = (1, 2, ...,
+    N), at N^2 scalar products a step where a full power takes N^3, and
+    the first n that passes is confirmed by computing a^n.  a^n = 1 implies
+    a^n v = v, so no smaller n can have a^n = 1.  If a^n != 1, v is fixed
+    by a power that is not 1, and from there the loop steps full powers as
+    the field case does, so the screen adds at most its own steps and one
+    power to that cost.
+    """
+    field = a.field
+    rows = a._reps()
+    start = [field.coerce(k).rep for k in range(1, a.nrows + 1)]
+    vec = start
+    for n in range(1, bound + 1):
+        vec = [_rep_dot(field, row, vec) for row in rows]
+        if vec == start:
+            break
+    else:
+        return None
+    power = _power(a, n)
+    while not _is_identity_matrix(power):
+        if n == bound:
+            return None
+        n += 1
+        power = a * power
+    return n

@@ -231,6 +231,10 @@ def _one_level_file(tmp_path, sigma_base: str) -> str:
             "conj(...) is a sigma form",
         ),
         (
+            _MATRIX_BASE + _LEVEL + "sigma_base = conj([[1, q], [2, 2 * q]])\n",
+            "line 8, column 1: conj(...) needs an invertible matrix",
+        ),
+        (
             _MATRIX_BASE + _LEVEL + "sigma_base = inner([[1, 0], [0, 1]])\n",
             "inner(...) is a delta form",
         ),
@@ -562,6 +566,25 @@ def test_long_power_run_time_gate(capsys):
     expected = f"q^10000 * x1 x2^10000 + ({q_integer}) * x2^9999\n"
     assert capsys.readouterr().out == expected
     assert elapsed < 2.0
+
+
+def test_matrix_order_time_gate(capsys, tmp_path):
+    """order on Mat_6(Q(q)) with sigma = conj(u), u ones on and above the
+    diagonal and q in the bottom-left corner: conj(u) has no order within
+    200, found in under 10 s (stepping the 36 x 36 powers took about 110 s
+    on a 2-vCPU x86-64 VM)."""
+    rows = [["1" if j >= i else "0" for j in range(6)] for i in range(6)]
+    rows[5][0] = "q"
+    u = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
+    path = tmp_path / "mat6.tw"
+    text = "[base]\nkind = matrix\nfield = Q(q)\nsize = 6\n\n"
+    path.write_text(f"{text}[[level]]\nvar = x\nsigma_base = conj({u})\n", encoding="utf-8")
+    start = time.perf_counter()
+    argv = ["order", "--tower", str(path), "--level", "1", "--order-bound", "200"]
+    assert run(argv) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == "no order within bound 200\n"
+    assert elapsed < 10.0
 
 
 def test_gr_command(capsys):

@@ -7,6 +7,7 @@ path.  The cyclotomic checks confirm the modulus construction against
 divisibility facts it must satisfy.
 """
 
+import itertools
 import math
 import random
 from fractions import Fraction
@@ -220,6 +221,73 @@ def test_factored_products_match_naive_word_reduction(name):
     for _ in range(2):  # cold engine table, then warm
         for p, q in pairs:
             assert (p * q).terms == naive_product(tower, p, q)
+
+
+# Q(t)[x1; t -> 2t][x2; x1 -> 3 x1, delta x1 = x1]: x2 fixes the base and
+# x1 does not, so products share the left-word walk and run x2^k in it
+MIXED_WALK_TOWER = """[base]
+kind = field
+field = Q(t)
+
+[[level]]
+var = x1
+sigma_base = 2 * t
+
+[[level]]
+var = x2
+sigma x1 = 3 * x1
+delta x1 = x1
+"""
+
+WALK_TOWERS = {
+    "mat2_inner": ORACLE_FIXTURES["mat2_inner"],
+    "mat2_twolevel": mat2_twolevel,
+    "mixed_walk": lambda: parse_tower_text(MIXED_WALK_TOWER),
+}
+
+
+def _walk_operands(tower, rng):
+    """A left operand on every word of a box, so that the words share
+    prefixes, and a right operand of three terms; on a matrix base their
+    coefficients include e12 and e21, which do not commute."""
+    field = tower.base.field
+    if tower.base.kind == "matrix":
+        e12, e21 = Matrix.unit(field, 2, 0, 1), Matrix.unit(field, 2, 1, 0)
+        coeffs = [e12, e21, e12 + tower.base.one, e21 * 3]
+    else:
+        coeffs = [tower.base.scalar(c) for c in (1, -2, 3, field.gen)]
+    box = itertools.product(range(3), repeat=tower.height)
+    left = tower.poly({w: rng.choice(coeffs) for w in box})
+    words = [(0,) * tower.height, (1,) * tower.height, (2,) + (0,) * (tower.height - 1)]
+    right = tower.poly({w: rng.choice(coeffs) for w in words})
+    return left, right
+
+
+@pytest.mark.parametrize("name", sorted(WALK_TOWERS))
+def test_shared_walk_matches_naive_word_reduction(name, monkeypatch):
+    runs = count_calls(monkeypatch, skewpoly, "_power_times_terms")
+    tower = WALK_TOWERS[name]()
+    assert not tower._fixes_base
+    rng = random.Random(53)
+    pairs = [_walk_operands(tower, rng) for _ in range(3)]
+    pairs += [(random_poly(tower, rng), random_poly(tower, rng)) for _ in range(6)]
+    for _ in range(2):  # cold engine table, then warm
+        for p, q in pairs:
+            assert (p * q).terms == naive_product(tower, p, q)
+    assert bool(runs) == (name == "mixed_walk")
+
+
+def test_shared_walk_steps_once_per_left_word(monkeypatch):
+    """On Mat2(Q(q))[x; conj(diag(1, q)), inner(e12)], x + x^2 + x^3 times
+    a right term takes three x steps (x^3 d = x (x (x d))), not 1 + 2 + 3."""
+    steps = count_calls(monkeypatch, skewpoly, "_var_times_terms")
+    tower = WALK_TOWERS["mat2_inner"]()
+    e12 = Matrix.unit(tower.base.field, 2, 0, 1)
+    left = tower.poly({(1,): tower.base.one, (2,): e12, (3,): tower.base.one})
+    right = tower.poly({(0,): e12, (2,): tower.base.one + e12})
+    product = left * right
+    assert len(steps) == 3 * len(right.terms)
+    assert product.terms == naive_product(tower, left, right)
 
 
 def _one_variable_at_a_time(tower, left: SkewPoly, right: SkewPoly) -> dict:

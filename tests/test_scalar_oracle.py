@@ -28,8 +28,16 @@ from oretower.scalars import (  # noqa: E402
     QQ,
     CyclotomicField,
     FunctionField,
+    Matrix,
     Scalar,
+    _ZZ,
     _factorize,
+    _padd,
+    _pmul,
+    _pneg,
+    _ptrim,
+    _zadd,
+    _zmul,
     _MR_EXACT_BELOW,
     euler_phi,
     is_prime,
@@ -224,6 +232,73 @@ def test_monomial_denominators_cancel_exactly():
     assert a.rep == ((1, 0, 0, 3), (0, 0, 2))
     assert (t**3 / (5 * t**3)).rep == ((1,), (5,))
     assert ((t + 1) / t**2).rep == ((1, 1), (0, 0, 1))
+
+
+int_polys = st.lists(
+    st.one_of(st.integers(-9, 9), st.integers(-(10**30), 10**30)), max_size=6
+).map(lambda cs: _ptrim(cs, _ZZ))
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=int_polys, b=int_polys)
+def test_integer_kernels_match_the_generic_helpers(a, b):
+    assert _zmul(a, b) == _pmul(a, b, _ZZ)
+    assert _zadd(a, b) == _padd(a, b, _ZZ)
+    # a sum whose top terms cancel is trimmed
+    assert _zadd(_zadd(a, b), _pneg(b, _ZZ)) == a
+
+
+@settings(max_examples=100, deadline=None)
+@given(a=qt_elements, b=qt_elements)
+def test_rational_function_kernels_match_the_dense_formulas(a, b):
+    """Sums and products over monomial denominators c t^k skip the Z[t]
+    gcd; the canonical rep is the one the dense formulas give."""
+    (an, ad), (bn, bd) = a.rep, b.rep
+    cross = _padd(_pmul(an, bd, _ZZ), _pmul(bn, ad, _ZZ), _ZZ)
+    assert (a + b).rep == QT._make(cross, _pmul(ad, bd, _ZZ))
+    assert (a * b).rep == QT._make(_pmul(an, bn, _ZZ), _pmul(ad, bd, _ZZ))
+
+
+# Matrix arithmetic runs on the entries' reps; the oracle is entrywise
+# Scalar arithmetic
+MATRIX_FIELDS = {
+    "Q": (QQ, rationals.map(QQ.coerce)),
+    "gf5": (GF(5), st.integers(0, 4).map(GF(5).coerce)),
+    "cyclotomic3": (CyclotomicField(3), cyclotomic_elements(3)),
+    "Qt": (QT, qt_elements),
+}
+
+
+@pytest.mark.parametrize("name", sorted(MATRIX_FIELDS))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
+    field, elements = MATRIX_FIELDS[name]
+    entries = st.one_of(st.just(field.zero), elements)
+    m = data.draw(st.integers(1, 3))
+    square = st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m)
+    a, b = Matrix(field, data.draw(square)), Matrix(field, data.draw(square))
+    ra, rb = a.rows, b.rows
+    expected = {
+        "sum": [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)],
+        "difference": [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)],
+        "negation": [[-x for x in r] for r in ra],
+        "product": [
+            [sum((ra[i][k] * rb[k][j] for k in range(m)), field.zero) for j in range(m)]
+            for i in range(m)
+        ],
+    }
+    got = {"sum": a + b, "difference": a - b, "negation": -a, "product": a * b}
+    for what, matrix in got.items():
+        assert [list(row) for row in matrix.rows] == expected[what], what
+        assert all(type(x) is Scalar and x.field is field for row in matrix.rows for x in row)
+        checked = Matrix(field, matrix.rows)
+        assert matrix == checked and hash(matrix) == hash(checked)
+    assert a.is_zero() == all(x.is_zero() for row in ra for x in row)
+    z = ra[0][0]
+    central = Matrix.identity(field, m) * z
+    assert central.scalar_part() == z
+    assert (a.scalar_part() is not None) == (a == central)
 
 
 def _holds_scalar(rep) -> bool:

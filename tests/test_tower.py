@@ -6,6 +6,7 @@ from pathlib import Path
 
 import pytest
 
+from oretower import tower as tower_module
 from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.erase import _commutator_rows
 from oretower.errors import HypothesisViolation, OreError
@@ -24,6 +25,7 @@ from oretower.tower import (
 )
 
 from conftest import (
+    count_calls,
     mat2_inner_tower,
     qplane,
     qweyl,
@@ -460,6 +462,68 @@ def test_map_order_requires_an_automorphism():
     with pytest.raises(HypothesisViolation, match="linear action is singular"):
         map_order(BaseRing.matrix_ring(qq, 6), BaseMap.linear("sigma", proj), 1000)
     assert time.perf_counter() - start < 1.0
+
+
+def _order_by_full_powers(action: Matrix, bound: int):
+    """The least n <= bound with action^n = 1, stepping full powers."""
+    identity = Matrix.identity(action.field, action.nrows)
+    power = action
+    for n in range(1, bound + 1):
+        if power == identity:
+            return n
+        power = action * power
+    return None
+
+
+def _permutation(field, images):
+    size = len(images)
+    return Matrix(field, [[int(images[i] == j) for j in range(size)] for i in range(size)])
+
+
+Z3, Z5, GF7 = CyclotomicField(3), CyclotomicField(5), GF(7)
+# conjugators whose conj(...) has finite order; v = (1, 2, 3, 4) read as
+# a 2 x 2 matrix is [[1, 2], [3, 4]], which commutes with itself, so conj
+# by it fixes v while being no identity, and the screen's candidate fails
+FINITE_ORDER_CONJUGATORS = {
+    "3-cycle over Q": lambda: _permutation(QQ, [1, 2, 0]),
+    "4-cycle over gf(7)": lambda: _permutation(GF7, [1, 2, 3, 0]),
+    "diag(1, z) over cyclotomic(5)": lambda: Matrix(Z5, [[1, 0], [0, Z5.gen]]),
+    "antidiag(z, 1) over cyclotomic(3)": lambda: Matrix(Z3, [[0, Z3.gen], [1, 0]]),
+    "diag(1, 2, 4) over gf(7)": lambda: Matrix(GF7, [[1, 0, 0], [0, 2, 0], [0, 0, 4]]),
+    "3-cycle times diag(1, 1, z) over cyclotomic(3)": lambda: _permutation(Z3, [1, 2, 0])
+    * Matrix(Z3, [[1, 0, 0], [0, 1, 0], [0, 0, Z3.gen]]),
+    "commutes with the screen over gf(7)": lambda: Matrix(GF7, [[1, 2], [3, 4]]),
+}
+
+
+@pytest.mark.parametrize("name", sorted(FINITE_ORDER_CONJUGATORS))
+def test_map_order_matches_full_powers(name, monkeypatch):
+    powers = count_calls(monkeypatch, tower_module, "_power")
+    a = FINITE_ORDER_CONJUGATORS[name]()
+    conj = BaseMap.conjugation(a)
+    base = BaseRing.matrix_ring(a.field, a.nrows)
+    order = _order_by_full_powers(conj.linear_action, 60)
+    assert order is not None
+    for bound in (order - 1, order, 60):
+        assert map_order(base, conj, bound) == _order_by_full_powers(conj.linear_action, bound)
+    # one power per call that reached a candidate; only the matrix that
+    # commutes with the screen reaches a candidate below its order
+    assert all(n == (1 if name.startswith("commutes") else order) for _a, n in powers)
+    assert powers
+
+
+def test_matrix_base_inverses_are_computed_once(monkeypatch):
+    """Parsing conj(diag(1, q)) inverts the 2 x 2 matrix once; validation,
+    map_order and the cli's automorphism check share one inverse of the
+    4 x 4 action."""
+    inverses = count_calls(monkeypatch, Matrix, "inverse")
+    tower = parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
+    assert [m.nrows for (m,) in inverses] == [2]
+    assert tower.validation.ok
+    sigma = tower.levels[0].sigma_base
+    assert map_order(tower.base, sigma, 5) is None
+    assert map_order(tower.base, sigma, 5) is None
+    assert [m.nrows for (m,) in inverses] == [2, 4]
 
 
 def test_tower_structure_errors():
