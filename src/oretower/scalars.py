@@ -281,11 +281,6 @@ def _zmul(a, b) -> tuple:
     return tuple(out)
 
 
-def _zscale(a, c: int, shift: int) -> tuple:
-    """c t^shift a, for a nonzero int c."""
-    return (0,) * shift + tuple(c * d for d in a)
-
-
 def _zreduce(a, b, sa=(), sb=()) -> tuple[tuple, tuple]:
     """(r, s) with r = c*a - q*b of degree below deg b, for a nonzero int c
     and q in Z[t]; s = c*sa - q*sb by the same row operations.  Both are
@@ -1109,20 +1104,12 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
             return Scalar(self, ((c.numerator,), (c.denominator,)) if c else self.rep_zero)
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
-    # denominators c t^k (conj(diag(1, q)) makes only these) add over
-    # lcm(c, c') t^max(k, k') and multiply by shifting: no gcd in Z[t]
-
     def rep_add(self, x, y):
         (an, ad), (bn, bd) = x, y
         if ad == bd:
             num = _zadd(an, bn)
             return (num, ad) if ad == (1,) else self._make(num, ad)
-        if any(ad[:-1]) or any(bd[:-1]):
-            return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
-        (ca, ka), (cb, kb) = (ad[-1], len(ad)), (bd[-1], len(bd))
-        lcm, k = math.lcm(ca, cb), max(ka, kb)
-        num = _zadd(_zscale(an, lcm // ca, k - ka), _zscale(bn, lcm // cb, k - kb))
-        return self._make(num, (0,) * (k - 1) + (lcm,))
+        return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
 
     def rep_neg(self, x):
         num, den = x
@@ -1132,11 +1119,7 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
         (an, ad), (bn, bd) = x, y
         if ad == (1,) and bd == (1,):
             return _zmul(an, bn), ad
-        if any(ad[:-1]) or any(bd[:-1]):
-            den = _zmul(ad, bd)
-        else:
-            den = (0,) * (len(ad) + len(bd) - 2) + (ad[-1] * bd[-1],)
-        return self._make(_zmul(an, bn), den)
+        return self._make(_zmul(an, bn), _zmul(ad, bd))
 
     def rep_inv(self, x):
         num, den = x

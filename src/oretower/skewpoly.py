@@ -53,7 +53,8 @@ On the other towers (a matrix base with conj and inner maps, or a field
 automorphism) d must pass through x^a, so the left words of one right
 term d x^b share one walk: x^w (d x^b) = x_j (x^{w - e_j} (d x^b)) for
 the lowest level j of w, filled iteratively into a dict that lives for
-one product, and c x^a (d x^b) is c times the stored x^a (d x^b).  A left
+one product and keeps only the left operand's words, and c x^a (d x^b)
+is c times the stored x^a (d x^b).  A left
 operand x + x^2 + x^3 then takes three x steps per right term, not six.
 The towers that fix the base keep one walk per term pair: their walk
 carries coefficient one and no base map, so a step costs little and the
@@ -283,20 +284,21 @@ def _mul_terms(tower, left: dict, right: dict) -> dict:
     for exp_r, cr in right.items():
         walk = {(0,) * tower.height: {exp_r: cr}}
         for exp_l, cl in left.items():
-            for exp, e in _walk_word(tower, walk, exp_l).items():
+            for exp, e in _walk_word(tower, walk, exp_l, left).items():
                 _add_term(acc, exp, _times(cl, e, one))
     return acc
 
 
-def _walk_word(tower, walk: dict, word: tuple) -> dict:
+def _walk_word(tower, walk: dict, word: tuple, keep) -> dict:
     """x^word * T, where ``walk`` maps words w to x^w * T and holds the
-    empty word; the words on the way are added to it.
+    empty word; the words on the way that are in ``keep`` are added to it.
 
     x^w = x_j x^{w - e_j} for the lowest level j of w, so a miss peels
-    x_j off until it reaches a word in ``walk``, then fills the words back
-    up one step at a time.  A run x_j^k (k >= 2) on a level that fixes the
-    base goes in one move through ``_power_times_terms``, as in
-    ``_word_times_term``.
+    x_j off until it reaches a word in ``walk``, then steps back up one
+    move at a time.  A run x_j^k (k >= 2) on a level that fixes the base
+    goes in one move through ``_power_times_terms``, as in
+    ``_word_times_term``.  Only the words of ``keep`` (the left operand's)
+    are stored, so the walk holds at most one term dict per left word.
     """
     hit = walk.get(word)
     if hit is not None:
@@ -307,16 +309,17 @@ def _walk_word(tower, walk: dict, word: tuple) -> dict:
     while w not in walk:
         j = next(k for k, e in enumerate(w) if e)
         k = w[j] if w[j] > 1 and trivial[j] == (True, True) else 1
-        prev = w[:j] + (w[j] - k,) + w[j + 1:]
-        pending.append((w, j, k, prev))
-        w = prev
-    for w, j, k, prev in reversed(pending):
-        terms = walk[prev]
+        pending.append((w, j, k))
+        w = w[:j] + (w[j] - k,) + w[j + 1:]
+    terms = walk[w]
+    for w, j, k in reversed(pending):
         if k > 1:
-            walk[w] = _power_times_terms(tower, j, k, terms)
+            terms = _power_times_terms(tower, j, k, terms)
         else:
-            walk[w] = _var_times_terms(tower, j, terms)
-    return walk[word]
+            terms = _var_times_terms(tower, j, terms)
+        if w in keep:
+            walk[w] = terms
+    return terms
 
 
 def _word_times_term(tower, word: tuple, mono: tuple) -> dict:

@@ -251,8 +251,8 @@ def test_integer_kernels_match_the_generic_helpers(a, b):
 @settings(max_examples=100, deadline=None)
 @given(a=qt_elements, b=qt_elements)
 def test_rational_function_kernels_match_the_dense_formulas(a, b):
-    """Sums and products over monomial denominators c t^k skip the Z[t]
-    gcd; the canonical rep is the one the dense formulas give."""
+    """Sums and products on the integer kernels give the canonical rep of
+    the generic dense formulas, over monomial and dense denominators."""
     (an, ad), (bn, bd) = a.rep, b.rep
     cross = _padd(_pmul(an, bd, _ZZ), _pmul(bn, ad, _ZZ), _ZZ)
     assert (a + b).rep == QT._make(cross, _pmul(ad, bd, _ZZ))
