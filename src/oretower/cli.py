@@ -96,8 +96,6 @@ MAX_MATRIX_SIZE = 6
 MAX_ORDER_BOUND = 1000
 # total degree of the erase candidate search
 MAX_SEARCH_DEGREE = 12
-# powers of each y checked after erasure
-MAX_VERIFY_DEGREE = 32
 # powers of each variable tested for centrality
 MAX_WITNESS_BOUND = 64
 
@@ -701,7 +699,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p = sub.add_parser("erase-all", help="erase every delta in the tower")
     common(p)
     p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
-    p.add_argument("--verify-degree", type=_count(MAX_VERIFY_DEGREE), default=4)
 
     p = sub.add_parser("swap", help="exchange a sigma-only level with the one below")
     common(p)
@@ -845,7 +842,7 @@ def _dispatch(args, tower: OreTower):
         return report, 0, human
 
     if command == "erase-all":
-        result = erase_all(tower, args.search_degree, args.verify_degree)
+        result = erase_all(tower, args.search_degree)
         polys = {
             new_name: str(poly)
             for new_name, poly in zip(result.new_tower.level_names(), result.y_elements)

@@ -1,7 +1,9 @@
+import argparse
 import ast
 import errno
 import json
 import os
+import re
 import subprocess
 import sys
 import time
@@ -736,7 +738,6 @@ def test_resource_caps_refuse_before_allocation(base, message, capsys, tmp_path,
         ("pi-check", "--order-bound", 1000),
         ("erase", "--search-degree", 12),
         ("erase-all", "--search-degree", 12),
-        ("erase-all", "--verify-degree", 32),
         ("pi-check", "--witness-bound", 64),
     ],
 )
@@ -761,13 +762,57 @@ def test_integer_flags_are_capped(command, flag, cap, capsys, monkeypatch):
 
 @pytest.mark.parametrize(
     "command, flag, value",
-    [("validate", "--sample-budget", "5"), ("gr", "--rees-degree", "4")],
+    [
+        ("validate", "--sample-budget", "5"),
+        ("gr", "--rees-degree", "4"),
+        ("erase-all", "--verify-degree", "4"),
+    ],
 )
 def test_removed_flags_are_usage_errors(command, flag, value, capsys):
     assert run([command, "--tower", fixture("three_level.tw"), flag, value]) == 2
     captured = capsys.readouterr()
     assert f"unrecognized arguments: {flag} {value}" in captured.err
     assert captured.out == ""
+
+
+def test_readme_command_line_matches_the_parser():
+    """Each synopsis line under the README's "## Command line" lists the
+    subcommand's options other than --tower, --json and --out, and the
+    integer-flags paragraph gives every capped flag with the value of the
+    ``cli.MAX_*`` constant it names."""
+    from oretower import cli
+
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
+    synopsis = section.split("```")[1].strip().splitlines()
+    parser = cli._build_parser()
+    commands = next(
+        action.choices
+        for action in parser._actions
+        if isinstance(action, argparse._SubParsersAction)
+    )
+    assert sorted(line.split()[1] for line in synopsis) == sorted(commands)
+    for line in synopsis:
+        sub = commands[line.split()[1]]
+        options = {opt for action in sub._actions for opt in action.option_strings}
+        assert set(re.findall(r"--[a-z-]+", line)) - {"--tower"} == options - {
+            "-h", "--help", "--tower", "--json", "--out"
+        }, line
+
+    caps = " ".join(section.split("Integer flags take values", 1)[1].split("\n\n")[0].split())
+    stated = re.findall(r"`(--[a-z-]+)` (\d+)", caps)
+    names = re.findall(r"`cli\.(MAX_[A-Z_]+)`", caps)
+    assert names == ["MAX_" + flag[2:].replace("-", "_").upper() for flag, _ in stated]
+    for name, (_flag, value) in zip(names, stated):
+        assert getattr(cli, name) == int(value), name
+    capped = {
+        opt
+        for sub in commands.values()
+        for action in sub._actions
+        if getattr(action.type, "__qualname__", "").startswith("_count.")
+        for opt in action.option_strings
+    }
+    assert {flag for flag, _ in stated} == capped
 
 
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):

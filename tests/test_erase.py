@@ -1,8 +1,13 @@
+from pathlib import Path
+
 import pytest
 
+from oretower import erase
+from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.errors import (
     HypothesisViolation,
     NotDiagonal,
+    OreError,
     QEqualsOne,
     UnsupportedErasure,
 )
@@ -24,6 +29,9 @@ from conftest import (
     weyl_sigma_top_tower,
     zeta5_deriv_tower,
 )
+from test_tower import _numeric_mutants
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 
 # ---------------------------------------------------------------------------
@@ -59,23 +67,65 @@ def test_center_moving_witness_recheck():
     assert y == wit.u * SkewPoly.variable(tower, top) + apply_level_map("delta", top, wit.c)
 
 
-def test_erase_top_power_leading_coefficients():
-    # leading coefficient of y^k is u sigma(u) ... sigma^{k-1}(u)
-    field = FunctionField(QQ, "q")
-    tower = qweyl(field, field.gen)
-    y, _nt, wit = erase_top(tower)
-    top = tower.height - 1
-    expected = tower.one()
-    factor = wit.u
-    power = tower.one()
-    for k in range(1, 5):
-        expected = expected * factor
-        factor = apply_level_map("sigma", top, factor)
-        power = power * y
-        deg, lead = degree_leading(power, top)
-        assert deg == k
-        assert lead == expected * tower.var(top) ** k
-        assert not lead.is_zero()
+# x1 central in Mat_2(Q)[x1], so u = sigma(x1) - x1 = x1 lies outside the base
+_MAT2_CENTER_MOVING = """\
+[base]
+kind = matrix
+field = Q
+size = 2
+
+[[level]]
+var = x1
+
+[[level]]
+var = x2
+sigma x1 = 2 * x1
+delta x1 = 1
+q = 2
+"""
+
+
+def test_erase_top_power_leading_coefficients(monkeypatch):
+    """Oracle for the proof in the ``erase`` docstring: on every
+    center-moving step of ``erase_all`` over the fixtures, 400 seeded
+    numeric mutants, a Mat_2(Q) tower and a tower whose u is in the base
+    (``zeta5_deriv_tower``), y^k for k <= 8 has degree k in the top
+    variable and leading form E_k x^k with E_k = u sigma(u) ...
+    sigma^{k-1}(u) nonzero (E_k = 1 when u is in the base and y is
+    monic)."""
+    steps = []
+
+    def spy(working, *args):
+        found = erase_top(working, *args)
+        if found[2].branch == "center_moving":
+            steps.append((working, found[0], found[2].u))
+        return found
+
+    monkeypatch.setattr(erase, "erase_top", spy)
+    towers = [parse_tower_file(path) for path in sorted(FIXTURES.glob("*.tw"))]
+    towers += [parse_tower_text(text) for text in _numeric_mutants(400, seed=11)]
+    towers += [parse_tower_text(_MAT2_CENTER_MOVING), zeta5_deriv_tower()]
+    for tower in towers:
+        try:
+            erase_all(tower)
+        except OreError:
+            pass
+    non_base = [step for step in steps if not step[2].is_base_element()]
+    assert len(non_base) > 80
+    assert any(working.base.kind == "matrix" for working, _y, _u in non_base)
+    assert len(non_base) < len(steps)
+    for working, y, u in steps:
+        top = working.height - 1
+        e_k = working.one()
+        factor = working.one() if u.is_base_element() else u
+        power = working.one()
+        for k in range(1, 9):
+            e_k = e_k * factor
+            factor = apply_level_map("sigma", top, factor)
+            power = power * y
+            deg, lead = degree_leading(power, top)
+            assert not e_k.is_zero(), (working, k)
+            assert deg == k and lead == e_k * working.var(top) ** k, (working, k)
 
 
 def test_erase_top_trivial_delta_is_fixed_point():
