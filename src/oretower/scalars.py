@@ -26,6 +26,12 @@ Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields and backs both matrix-algebra
 coefficients and linear-system solving.
+
+Values combine within one field: Scalar and Matrix arithmetic coerces
+ints and Fractions into the field and raises :class:`TypeError` on a
+value of another field, which also compares unequal.  ``field.coerce`` is
+the one way a value moves between fields: Q into cyclotomic(n) or gf(p),
+an inner field into F(t).
 """
 
 from __future__ import annotations
@@ -116,13 +122,6 @@ def mobius(n: int) -> int:
     if any(e > 1 for e in f.values()):
         return 0
     return -1 if len(f) % 2 else 1
-
-
-def euler_phi(n: int) -> int:
-    result = n
-    for p in _factorize(n):
-        result = result // p * (p - 1)
-    return result
 
 
 # Miller-Rabin with the first 12 primes as bases is exact below the least
@@ -382,13 +381,8 @@ class Scalar:
     def _binary(self, other, op):
         if isinstance(other, (int, Fraction)):
             return op(self, self.field.coerce(other))
-        if isinstance(other, Scalar):
-            if other.field == self.field:
-                return op(self, other)
-            merged = _common_field(self.field, other.field)
-            if merged is None:
-                return NotImplemented
-            return op(merged.coerce(self), merged.coerce(other))
+        if isinstance(other, Scalar) and other.field == self.field:
+            return op(self, other)
         return NotImplemented
 
     def __add__(self, other):
@@ -409,14 +403,10 @@ class Scalar:
     def __mul__(self, other):
         if type(other) is Scalar and other.field is self.field:
             return self.field.mul(self, other)
-        if isinstance(other, Matrix):
-            return NotImplemented
         return self._binary(other, lambda a, b: a.field.mul(a, b))
 
-    def __rmul__(self, other):
-        if isinstance(other, Matrix):
-            return NotImplemented
-        return self.__mul__(other)
+    # fields are commutative
+    __rmul__ = __mul__
 
     def __truediv__(self, other):
         return self._binary(other, lambda a, b: a.field.mul(a, b.inverse()))
@@ -449,12 +439,9 @@ class Scalar:
 
     def __eq__(self, other):
         if isinstance(other, Scalar):
-            if other.field is self.field or other.field == self.field:
-                return self.rep == other.rep
-            merged = _common_field(self.field, other.field)
-            if merged is None:
-                return False
-            return merged.coerce(self).rep == merged.coerce(other).rep
+            # Scalars of different fields differ, as their hashes do
+            same_field = other.field is self.field or other.field == self.field
+            return same_field and self.rep == other.rep
         if isinstance(other, (int, Fraction)):
             try:
                 return self.rep == self.field.coerce(other).rep
@@ -471,25 +458,6 @@ class Scalar:
     __str__ = __repr__
 
 
-def _common_field(f, g):
-    """The larger of two fields when one embeds in the other, else None."""
-    if f == g:
-        return f
-    if isinstance(f, RationalFunctionField):
-        inner = _common_field(f.inner, g)
-        if inner == f.inner:
-            return f
-    if isinstance(g, RationalFunctionField):
-        inner = _common_field(f, g.inner)
-        if inner == g.inner:
-            return g
-    if isinstance(f, CyclotomicFieldImpl) and g == QQ:
-        return f
-    if isinstance(g, CyclotomicFieldImpl) and f == QQ:
-        return g
-    return None
-
-
 class _FieldBase:
     """Shared behaviour of the concrete field classes.
 
@@ -500,6 +468,8 @@ class _FieldBase:
     """
 
     gen_name: str | None = None
+    # every root of unity in the field has an order dividing this: 2 for Q
+    roots_of_unity_exponent = 2
 
     @functools.cached_property
     def zero(self) -> Scalar:
@@ -636,6 +606,7 @@ class PrimeFieldImpl(_FieldBase):
         self.p = p
         self.name = f"gf({p})"
         self._hash = hash(("gf", p))
+        self.roots_of_unity_exponent = p - 1
 
     @property
     def characteristic(self) -> int:
@@ -701,6 +672,8 @@ class CyclotomicFieldImpl(_FieldBase):
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({n})"
         self._hash = hash(("cyclotomic", n))
+        # the roots of unity of Q(zeta_n) are the +-zeta_n^k
+        self.roots_of_unity_exponent = math.lcm(2, n)
         # z^degree = sum_j -modulus[j] z^j over the nonzero lower coefficients
         self._fold = tuple((j, -c) for j, c in enumerate(self.modulus[:-1]) if c)
         self.rep_zero = ((0,) * self.degree, 1)
@@ -1231,29 +1204,19 @@ def parse_field(descriptor: str):
 def root_of_unity_order(s: Scalar) -> int | None:
     """Smallest N with s**N == 1, or None when s is not a root of unity.
 
-    The search bound is field-determined: Q admits only orders 1 and 2;
-    Q(zeta_n) only divisors of lcm(2, n); GF(p) only divisors of p - 1;
-    a rational function must be constant, deferring to the inner field.
+    The search bound is the field's ``roots_of_unity_exponent``: 2 for Q,
+    lcm(2, n) for Q(zeta_n), p - 1 for GF(p); a rational function must be
+    constant, deferring to the inner field.
     """
     if s.is_zero():
         raise ZeroInput("0 is not a root of unity")
     field = s.field
-    if field == QQ:
-        if s.rep == 1:
-            return 1
-        if s.rep == -1:
-            return 2
-        return None
-    if isinstance(field, PrimeFieldImpl):
-        return _order_dividing(s, field.p - 1)
-    if isinstance(field, CyclotomicFieldImpl):
-        return _order_dividing(s, math.lcm(2, field.n))
     if isinstance(field, RationalFunctionField):
         num, den = field._view(s.rep)
         if len(num) == 1 and den == field._one_poly:
             return root_of_unity_order(Scalar(field.inner, num[0]))
         return None
-    raise ScalarError(f"unknown field {field!r}")
+    return _order_dividing(s, field.roots_of_unity_exponent)
 
 
 def _order_dividing(s: Scalar, bound: int) -> int | None:
@@ -1330,30 +1293,30 @@ class Matrix:
     def _reps(self) -> list:
         return [[a.rep for a in row] for row in self.rows]
 
-    def _other_reps(self, other: "Matrix") -> list:
-        """The reps of ``other``'s entries, coerced into this field."""
-        if other.field is not self.field and other.field != self.field:
-            other = Matrix(self.field, other.rows)
-        return other._reps()
+    def _same_field(self, other) -> bool:
+        """Whether ``other`` is a Matrix over this field, the one operand
+        that ``+``, ``-`` and the matrix product take."""
+        return isinstance(other, Matrix) and (
+            other.field is self.field or other.field == self.field
+        )
 
     def __add__(self, other):
-        if not isinstance(other, Matrix):
+        if not self._same_field(other):
             return NotImplemented
         add = self.field.rep_add
         return Matrix._from_reps(
-            self.field,
-            [map(add, r1, r2) for r1, r2 in zip(self._reps(), self._other_reps(other))],
+            self.field, [map(add, r1, r2) for r1, r2 in zip(self._reps(), other._reps())]
         )
 
     def __sub__(self, other):
-        if not isinstance(other, Matrix):
+        if not self._same_field(other):
             return NotImplemented
         add, neg = self.field.rep_add, self.field.rep_neg
         return Matrix._from_reps(
             self.field,
             [
                 [add(a, neg(b)) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._reps(), self._other_reps(other))
+                for r1, r2 in zip(self._reps(), other._reps())
             ],
         )
 
@@ -1362,24 +1325,23 @@ class Matrix:
         return Matrix._from_reps(self.field, [map(neg, row) for row in self._reps()])
 
     def __mul__(self, other):
-        if isinstance(other, Matrix):
+        if self._same_field(other):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimension mismatch")
             field = self.field
-            cols = list(zip(*self._other_reps(other)))
+            cols = list(zip(*other._reps()))
             return Matrix._from_reps(
                 field, [[_rep_dot(field, row, col) for col in cols] for row in self._reps()]
             )
-        if isinstance(other, (Scalar, int, Fraction)):
+        if isinstance(other, (int, Fraction)) or (
+            isinstance(other, Scalar) and other.field == self.field
+        ):
             s = self.field.coerce(other)
             return Matrix(self.field, [[a * s for a in row] for row in self.rows])
         return NotImplemented
 
-    def __rmul__(self, other):
-        if isinstance(other, (Scalar, int, Fraction)):
-            s = self.field.coerce(other)
-            return Matrix(self.field, [[s * a for a in row] for row in self.rows])
-        return NotImplemented
+    # the scalars are central: a field is commutative
+    __rmul__ = __mul__
 
     def __pow__(self, k: int):
         if not self.is_square():

@@ -39,7 +39,6 @@ from oretower.scalars import (  # noqa: E402
     _zadd,
     _zmul,
     _MR_EXACT_BELOW,
-    euler_phi,
     is_prime,
     root_of_unity_order,
 )
@@ -66,7 +65,7 @@ def _sym_poly(coeffs):
 
 def cyclotomic_elements(n):
     coeffs = st.lists(
-        st.one_of(small_ints, rationals), min_size=1, max_size=2 * euler_phi(n)
+        st.one_of(small_ints, rationals), min_size=1, max_size=2 * int(sympy.totient(n))
     )
     return coeffs.map(CyclotomicField(n).coerce)
 
@@ -82,7 +81,7 @@ def _reduced(expr, n):
 
 def _assert_cyclotomic_rep(s: Scalar, n: int):
     nums, den = s.rep
-    assert len(nums) == euler_phi(n)
+    assert len(nums) == sympy.totient(n)
     assert all(type(c) is int for c in nums) and type(den) is int
     assert den > 0 and math.gcd(den, *nums) == 1
 
@@ -315,8 +314,8 @@ def _holds_scalar(rep) -> bool:
 def test_no_scalar_inside_rational_function_reps(inner):
     field = FunctionField(inner, "t")
     t = field.gen
-    c = inner.gen if inner.gen is not None else inner.coerce(2)
-    values = [t, field.coerce(c), (c * t + 1) / (t**2 - c), (3 * t) / (2 * t + 2), t**3 / (c * t)]
+    c = field.coerce(inner.gen if inner.gen is not None else inner.coerce(2))
+    values = [t, c, (c * t + 1) / (t**2 - c), (3 * t) / (2 * t + 2), t**3 / (c * t)]
     for s in values + [v.inverse() for v in values] + [v * v + v for v in values]:
         assert not _holds_scalar(s.rep)
         num, den = s.rep

@@ -1,12 +1,14 @@
 import ast
 import inspect
+import itertools
+import operator
 import random
 from fractions import Fraction
 
 import pytest
 
 from oretower import scalars
-from oretower.errors import DivisionByZero, ZeroInput
+from oretower.errors import DivisionByZero, ScalarError, ZeroInput
 from oretower.scalars import (
     GF,
     QQ,
@@ -215,11 +217,118 @@ def test_parse_field_descriptors():
 
 
 def test_cross_field_coercion():
-    t = FunctionField(QQ, "t").gen
-    assert t + 1 == FunctionField(QQ, "t").from_polys([1, 1])
-    assert QQ.coerce(2) * t == FunctionField(QQ, "t").from_polys([0, 2])
+    # ints and Fractions coerce into the field they meet; a Scalar of
+    # another field moves only through that field's coerce
+    field = FunctionField(QQ, "t")
+    t = field.gen
+    assert t + 1 == field.from_polys([1, 1])
+    with pytest.raises(TypeError):
+        QQ.coerce(2) * t
+    assert field.coerce(QQ.coerce(2)) * t == field.from_polys([0, 2])
     z = CyclotomicField(3).gen
     assert z + Fraction(1, 2) == CyclotomicField(3).coerce([Fraction(1, 2), 1])
+
+
+ONE_FIELD_FIELDS = [
+    QQ,
+    GF(5),
+    CyclotomicField(3),
+    FunctionField(QQ, "t"),
+    FunctionField(CyclotomicField(3), "t"),
+]
+# values each field may embed: a constant embeds in every field that
+# coerces it, zeta_3 in cyclotomic(3) and its function field
+EMBEDDED = [-1, 0, 1, 2, Fraction(1, 2), CyclotomicField(3).gen]
+
+
+def _embedded(field, value, gen_power):
+    """value coerced into field, times the field's generator to gen_power
+    when it has one; None when field does not take value."""
+    try:
+        s = field.coerce(value)
+    except ScalarError:
+        return None
+    return s if field.gen is None else s * field.gen**gen_power
+
+
+def test_equal_scalars_hash_equal():
+    """Python's rule a == b => hash(a) == hash(b), on pairs that include
+    one value embedded in several fields."""
+    pytest.importorskip("hypothesis")
+    from hypothesis import given, settings, strategies as st
+
+    elements = st.builds(
+        _embedded,
+        st.sampled_from(ONE_FIELD_FIELDS),
+        st.sampled_from(EMBEDDED),
+        st.integers(min_value=0, max_value=2),
+    ).filter(lambda s: s is not None)
+
+    @settings(max_examples=300, deadline=None)
+    @given(a=elements, b=elements)
+    def check(a, b):
+        if a == b:
+            assert hash(a) == hash(b)
+            assert len({a, b}) == 1
+        else:
+            assert len({a, b}) == 2
+
+    check()
+
+
+def test_embedded_constants_of_different_fields_differ():
+    two = [field.coerce(2) for field in ONE_FIELD_FIELDS]
+    assert len(set(two)) == len(two)
+    for a, b in itertools.combinations(two, 2):
+        assert a != b and a == 2 and b == 2
+
+
+CROSS_FIELD_PAIRS = [
+    (QQ.coerce(2), FunctionField(QQ, "t").gen),
+    (GF(5).coerce(2), QQ.coerce(2)),
+    (GF(5).one, GF(7).one),
+    (CyclotomicField(3).gen, FunctionField(CyclotomicField(3), "t").gen),
+    (CyclotomicField(3).one, CyclotomicField(5).one),
+]
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, operator.truediv])
+@pytest.mark.parametrize("a, b", CROSS_FIELD_PAIRS, ids=lambda s: s.field.name)
+def test_scalar_arithmetic_across_fields_raises(op, a, b):
+    with pytest.raises(TypeError):
+        op(a, b)
+    with pytest.raises(TypeError):
+        op(b, a)
+
+
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+def test_matrix_arithmetic_across_fields_raises(op):
+    qt = FunctionField(QQ, "t")
+    m_q = Matrix(QQ, [[1, 2], [3, 4]])
+    m_qt = Matrix(qt, [[1, 2], [3, 4]])
+    with pytest.raises(TypeError):
+        op(m_q, m_qt)
+    with pytest.raises(TypeError):
+        op(m_qt, m_q)
+    assert op(m_qt, Matrix(qt, m_q.rows)) == op(m_qt, m_qt)
+    if op is operator.mul:
+        for s, m in ((qt.gen, m_q), (QQ.coerce(2), m_qt), (GF(5).one, m_q)):
+            with pytest.raises(TypeError):
+                s * m
+            with pytest.raises(TypeError):
+                m * s
+
+
+def test_scalar_times_matrix_commutes():
+    field = FunctionField(QQ, "q")
+    q = field.gen
+    m = Matrix(field, [[q, 1], [0, q + 1]])
+    for s in (q + 1, field.one / q, field.zero, 3, Fraction(-1, 2)):
+        product = Matrix(field, [[s * a for a in row] for row in m.rows])
+        assert s * m == m * s == product
+    zeta = CyclotomicField(3).gen
+    m3 = Matrix(CyclotomicField(3), [[zeta, 2], [1, zeta * zeta]])
+    assert zeta * m3 == m3 * zeta
 
 
 def test_render_pins():
@@ -239,11 +348,11 @@ def test_render_pins():
     assert str(c5.inverse()) == (
         "27828/66361*z^3 + 60060/66361*z^2 + 32148/66361*z + 44460/66361"
     )
-    z = CyclotomicField(3).gen
     t = FunctionField(CyclotomicField(3), "t").gen
+    z = t.field.generator_named("z")
     assert str((z * t + 1) / (t * t - z)) == "(z)/(t + (z + 1))"
-    q = FunctionField(QQ, "q").gen
     t = FunctionField(FunctionField(QQ, "q"), "t").gen
+    q = t.field.generator_named("q")
     assert str((q * t + 1) / (q * t * t - 1)) == "(t + ((1)/(q)))/(t^2 + ((-1)/(q)))"
 
 
