@@ -24,12 +24,15 @@ inverses are fraction-free remainder sequences in Z[t], and
 rendered.
 Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
-exact matrices over any of these fields and backs both matrix-algebra
-coefficients and linear-system solving.
+exact matrices over any of these fields as tuples of their entries' reps,
+computes and runs Gauss-Jordan elimination on those reps, and backs both
+matrix-algebra coefficients and linear-system solving; only this module
+reads that layout.
 
 Values combine within one field: Scalar and Matrix arithmetic coerces
 ints and Fractions into the field and raises :class:`TypeError` on a
-value of another field, which also compares unequal.  ``field.coerce`` is
+value of another field.  A Scalar equals only a Scalar of an equal field,
+never an int or Fraction, so equal values hash equal.  ``field.coerce`` is
 the one way a value moves between fields: Q into cyclotomic(n) or gf(p),
 an inner field into F(t).
 """
@@ -438,15 +441,11 @@ class Scalar:
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):
+        # only a Scalar of an equal field can be equal, as only its hash
+        # agrees; compare an int or Fraction through field.coerce
         if isinstance(other, Scalar):
-            # Scalars of different fields differ, as their hashes do
             same_field = other.field is self.field or other.field == self.field
             return same_field and self.rep == other.rep
-        if isinstance(other, (int, Fraction)):
-            try:
-                return self.rep == self.field.coerce(other).rep
-            except ScalarError:
-                return False
         return NotImplemented
 
     def __hash__(self):
@@ -1237,24 +1236,24 @@ def _order_dividing(s: Scalar, bound: int) -> int | None:
 
 
 class Matrix:
-    """Immutable exact matrix over one of the scalar fields."""
+    """Immutable exact matrix over one field, its entries stored as reps."""
 
     # _hash is set by the first __hash__: the base-map memo hashes its
     # matrix keys on every lookup, most other matrices are never hashed
-    __slots__ = ("field", "rows", "_hash")
+    __slots__ = ("field", "_rows", "_hash")
 
     def __init__(self, field, rows):
         self.field = field
-        self.rows = tuple(
+        self._rows = tuple(
             tuple(
-                c if type(c) is Scalar and c.field is field else field.coerce(c)
+                c.rep if type(c) is Scalar and c.field is field else field.coerce(c).rep
                 for c in row
             )
             for row in rows
         )
-        if self.rows:
-            width = len(self.rows[0])
-            if any(len(row) != width for row in self.rows):
+        if self._rows:
+            width = len(self._rows[0])
+            if any(len(row) != width for row in self._rows):
                 raise ValueError("ragged matrix")
 
     @classmethod
@@ -1271,31 +1270,34 @@ class Matrix:
         return cls(field, [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
 
     @property
+    def rows(self) -> tuple:
+        """The entries as Scalars, row by row."""
+        field = self.field
+        return tuple(tuple(Scalar(field, a) for a in row) for row in self._rows)
+
+    @property
     def nrows(self) -> int:
-        return len(self.rows)
+        return len(self._rows)
 
     @property
     def ncols(self) -> int:
-        return len(self.rows[0]) if self.rows else 0
+        return len(self._rows[0]) if self._rows else 0
 
     def is_square(self) -> bool:
         return self.nrows == self.ncols
 
     @classmethod
     def _from_reps(cls, field, rows) -> "Matrix":
-        """The matrix whose rows hold the reps ``rows`` of ``field``, each
-        wrapped once and not checked; for results of rep arithmetic."""
+        """The matrix whose rows hold the reps ``rows`` of ``field``,
+        stored as they are and not checked; for results of rep arithmetic."""
         m = object.__new__(cls)
         m.field = field
-        m.rows = tuple(tuple(Scalar(field, a) for a in row) for row in rows)
+        m._rows = tuple(map(tuple, rows))
         return m
-
-    def _reps(self) -> list:
-        return [[a.rep for a in row] for row in self.rows]
 
     def _same_field(self, other) -> bool:
         """Whether ``other`` is a Matrix over this field, the one operand
-        that ``+``, ``-`` and the matrix product take."""
+        that ``+``, ``-``, the matrix product and ``kron`` take."""
         return isinstance(other, Matrix) and (
             other.field is self.field or other.field == self.field
         )
@@ -1305,39 +1307,31 @@ class Matrix:
             return NotImplemented
         add = self.field.rep_add
         return Matrix._from_reps(
-            self.field, [map(add, r1, r2) for r1, r2 in zip(self._reps(), other._reps())]
+            self.field, [map(add, r1, r2) for r1, r2 in zip(self._rows, other._rows)]
         )
 
     def __sub__(self, other):
         if not self._same_field(other):
             return NotImplemented
-        add, neg = self.field.rep_add, self.field.rep_neg
-        return Matrix._from_reps(
-            self.field,
-            [
-                [add(a, neg(b)) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._reps(), other._reps())
-            ],
-        )
+        return self + -other
 
     def __neg__(self):
-        neg = self.field.rep_neg
-        return Matrix._from_reps(self.field, [map(neg, row) for row in self._reps()])
+        return Matrix._from_reps(self.field, [map(self.field.rep_neg, row) for row in self._rows])
 
     def __mul__(self, other):
+        field = self.field
         if self._same_field(other):
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimension mismatch")
-            field = self.field
-            cols = list(zip(*other._reps()))
+            cols = list(zip(*other._rows))
             return Matrix._from_reps(
-                field, [[_rep_dot(field, row, col) for col in cols] for row in self._reps()]
+                field, [[_rep_dot(field, row, col) for col in cols] for row in self._rows]
             )
         if isinstance(other, (int, Fraction)) or (
-            isinstance(other, Scalar) and other.field == self.field
+            isinstance(other, Scalar) and other.field == field
         ):
-            s = self.field.coerce(other)
-            return Matrix(self.field, [[a * s for a in row] for row in self.rows])
+            s, mul = field.coerce(other).rep, field.rep_mul
+            return Matrix._from_reps(field, [[mul(a, s) for a in row] for row in self._rows])
         return NotImplemented
 
     # the scalars are central: a field is commutative
@@ -1353,32 +1347,43 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self.rows == other.rows
+        return self.field == other.field and self._rows == other._rows
 
     def __hash__(self):
         try:
             return self._hash
         except AttributeError:
-            self._hash = hash((self.field, self.rows))
+            self._hash = hash((self.field, self._rows))
             return self._hash
 
     def transpose(self) -> "Matrix":
-        return Matrix(self.field, zip(*self.rows))
+        return Matrix._from_reps(self.field, zip(*self._rows))
 
     def kron(self, other: "Matrix") -> "Matrix":
         """The Kronecker product, the block matrix [self[i][j] * other]."""
-        return Matrix(
+        if not self._same_field(other):
+            raise TypeError(f"Kronecker product of {self.field} and {other.field} matrices")
+        mul = self.field.rep_mul
+        return Matrix._from_reps(
             self.field,
             [
-                [a * b for a in row_a for b in row_b]
-                for row_a in self.rows
-                for row_b in other.rows
+                [mul(a, b) for a in row_a for b in row_b]
+                for row_a in self._rows
+                for row_b in other._rows
             ],
         )
 
+    def act_on(self, m: "Matrix") -> "Matrix":
+        """The image of the square matrix m under this matrix read as a
+        linear map on m's entries in row-major order."""
+        field, size = self.field, m.nrows
+        vec = [a for row in m._rows for a in row]
+        image = [_rep_dot(field, row, vec) for row in self._rows]
+        return Matrix._from_reps(field, [image[r * size : (r + 1) * size] for r in range(size)])
+
     def is_zero(self) -> bool:
         is_zero = self.field.rep_is_zero
-        return all(is_zero(a.rep) for row in self.rows for a in row)
+        return all(is_zero(a) for row in self._rows for a in row)
 
     def __bool__(self):
         return not self.is_zero()
@@ -1386,11 +1391,11 @@ class Matrix:
     def inverse(self) -> "Matrix":
         if not self.is_square():
             raise ValueError("inverse of a non-square matrix")
-        n = self.nrows
-        aug = [list(row) + list(ident) for row, ident in zip(self.rows, Matrix.identity(self.field, n).rows)]
-        if len(_reduce_rows(aug, n)) < n:
+        field, n = self.field, self.nrows
+        aug = [[*row, *unit] for row, unit in zip(self._rows, Matrix.identity(field, n)._rows)]
+        if len(_reduce_rows(field, aug, n)) < n:
             raise DivisionByZero("matrix is singular")
-        return Matrix(self.field, [row[n:] for row in aug])
+        return Matrix._from_reps(field, [row[n:] for row in aug])
 
     def is_invertible(self) -> bool:
         try:
@@ -1403,40 +1408,42 @@ class Matrix:
         """The z with self == z*I, or None when self is not central."""
         if not self.is_square() or self.nrows == 0:
             return None
-        z = self.rows[0][0]
+        z = self._rows[0][0]
         is_zero = self.field.rep_is_zero
-        for i, row in enumerate(self.rows):
+        for i, row in enumerate(self._rows):
             for j, a in enumerate(row):
-                if a.rep != z.rep if i == j else not is_zero(a.rep):
+                if a != z if i == j else not is_zero(a):
                     return None
-        return z
+        return Scalar(self.field, z)
 
     def __repr__(self):
-        inner = ", ".join("[" + ", ".join(str(a) for a in row) + "]" for row in self.rows)
+        rep_str = self.field.rep_str
+        inner = ", ".join("[" + ", ".join(map(rep_str, row)) + "]" for row in self._rows)
         return f"[{inner}]"
 
     __str__ = __repr__
 
 
-def _reduce_rows(rows: list, ncols: int) -> list[int]:
-    """Bring ``rows`` (lists of Scalars, changed in place) to reduced row
-    echelon form in their first ``ncols`` columns by Gauss-Jordan
-    elimination; the pivot columns, in order."""
+def _reduce_rows(field, rows: list, ncols: int) -> list[int]:
+    """Bring ``rows`` (lists of reps of ``field``, changed in place) to
+    reduced row echelon form in their first ``ncols`` columns by
+    Gauss-Jordan elimination; the pivot columns, in order."""
+    is_zero, add, mul = field.rep_is_zero, field.rep_add, field.rep_mul
     pivots: list[int] = []
     for col in range(ncols):
         r = len(pivots)
         if r == len(rows):
             break
-        pivot = next((i for i in range(r, len(rows)) if not rows[i][col].is_zero()), None)
+        pivot = next((i for i in range(r, len(rows)) if not is_zero(rows[i][col])), None)
         if pivot is None:
             continue
         rows[r], rows[pivot] = rows[pivot], rows[r]
-        inv = rows[r][col].inverse()
-        rows[r] = [v * inv for v in rows[r]]
-        for i in range(len(rows)):
-            if i != r and not rows[i][col].is_zero():
-                factor = rows[i][col]
-                rows[i] = [v - factor * w for v, w in zip(rows[i], rows[r])]
+        inv = field.rep_inv(rows[r][col])
+        rows[r] = prow = [mul(v, inv) for v in rows[r]]
+        for i, row in enumerate(rows):
+            if i != r and not is_zero(row[col]):
+                factor = field.rep_neg(row[col])
+                rows[i] = [v if is_zero(w) else add(v, mul(factor, w)) for v, w in zip(row, prow)]
         pivots.append(col)
     return pivots
 
@@ -1474,32 +1481,27 @@ def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
     time in ascending column order until a nonzero solution appears.
     """
     field = a.field
-    b = [field.coerce(c) for c in b]
+    b = [field.coerce(c).rep for c in b]
     if len(b) != a.nrows:
         raise ValueError("right-hand side length does not match row count")
-    ncols = a.ncols
-    aug = [list(row) + [rhs] for row, rhs in zip(a.rows, b)]
-    pivots = _reduce_rows(aug, ncols)
-    if any(not row[ncols].is_zero() for row in aug[len(pivots):]):
+    ncols, is_zero = a.ncols, field.rep_is_zero
+    aug = [[*row, rhs] for row, rhs in zip(a._rows, b)]
+    pivots = _reduce_rows(field, aug, ncols)
+    if any(not is_zero(row[ncols]) for row in aug[len(pivots):]):
         return None
 
-    free_cols = [c for c in range(ncols) if c not in pivots]
-
-    def build(free_assignment):
-        x = [field.zero] * ncols
-        for c, v in free_assignment.items():
-            x[c] = v
-        for row_idx, col in enumerate(pivots):
-            val = aug[row_idx][ncols]
-            for c in free_cols:
-                val = val - aug[row_idx][c] * x[c]
-            x[col] = val
+    def build(free=None):
+        """The solution with every free variable 0 but ``free``, set to 1
+        (only on a homogeneous system)."""
+        x = [field.rep_zero] * ncols
+        if free is not None:
+            x[free] = field.rep_one
+        for row, col in zip(aug, pivots):
+            x[col] = row[ncols] if free is None else field.rep_neg(row[free])
         return x
 
-    solution = build({})
-    if all(v.is_zero() for v in solution) and all(v.is_zero() for v in b):
-        for c in free_cols:
-            candidate = build({c: field.one})
-            if any(not v.is_zero() for v in candidate):
-                return candidate
-    return solution
+    solution = build()
+    if all(map(is_zero, solution)) and all(map(is_zero, b)):
+        free_cols = (c for c in range(ncols) if c not in pivots)
+        solution = next((x for x in map(build, free_cols) if not all(map(is_zero, x))), solution)
+    return [Scalar(field, v) for v in solution]

@@ -19,7 +19,7 @@ import functools
 from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
-from .scalars import Matrix, Scalar, _power, _rep_dot
+from .scalars import Matrix, Scalar
 from .skewpoly import SkewPoly, _clean_terms, apply_level_map
 
 
@@ -221,17 +221,16 @@ def _unvec(field, size: int, entries) -> Matrix:
 def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, element):
     """Apply a base map to a base element.
 
-    ``companion_sigma`` is the level's sigma, the twisting automorphism when
-    applying a delta to a field element; it is ignored for sigma maps.
+    On Mat_m the linear action acts on the entries in row-major order
+    (``Matrix.act_on``); on a field the field applies the map from the
+    generator's image.  ``companion_sigma`` is the level's sigma, the
+    twisting automorphism of a delta on a field; sigma maps ignore it.
     """
     if base.kind == "matrix":
         action = bmap.linear_action
         if action is None:
             return element if bmap.kind == "sigma" else base.zero
-        field, m = base.field, base.size
-        vec = [a.rep for row in element.rows for a in row]
-        image = [_rep_dot(field, row, vec) for row in action._reps()]
-        return Matrix._from_reps(field, [image[r * m : (r + 1) * m] for r in range(m)])
+        return action.act_on(element)
     if bmap.kind == "sigma":
         return base.field.substitute(element, bmap.field_action)
     return base.field.derive(element, companion_sigma.field_action, bmap.field_action)
@@ -669,7 +668,7 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
 def _matrix_order(a: Matrix, bound: int) -> int | None:
     """Least n <= bound with a^n = 1, else None, for an invertible a.
 
-    Each n is screened by a^n v = v for the fixed vector v = (1, 2, ...,
+    Each n is screened by a^n v = v for the fixed column v = (1, 2, ...,
     N), at N^2 scalar products a step where a full power takes N^3, and
     the first n that passes is confirmed by computing a^n.  a^n = 1 implies
     a^n v = v, so no smaller n can have a^n = 1.  If a^n != 1, v is fixed
@@ -677,17 +676,14 @@ def _matrix_order(a: Matrix, bound: int) -> int | None:
     the field case does, so the screen adds at most its own steps and one
     power to that cost.
     """
-    field = a.field
-    rows = a._reps()
-    start = [field.coerce(k).rep for k in range(1, a.nrows + 1)]
-    vec = start
+    start = vec = Matrix(a.field, [[k] for k in range(1, a.nrows + 1)])
     for n in range(1, bound + 1):
-        vec = [_rep_dot(field, row, vec) for row in rows]
+        vec = a * vec
         if vec == start:
             break
     else:
         return None
-    power = _power(a, n)
+    power = a**n
     while not _is_identity_matrix(power):
         if n == bound:
             return None

@@ -157,9 +157,10 @@ q = -3/2
     tower = parse_tower_text(text)
     from fractions import Fraction
 
-    assert tower.levels[1].q == Fraction(-3, 2)
+    minus_three_halves = tower.base.field.coerce(Fraction(-3, 2))
+    assert tower.levels[1].q == minus_three_halves != Fraction(-3, 2)
     a, _ = tower.sigma_var(1, 0)
-    assert a == Fraction(-3, 2)
+    assert a == minus_three_halves
 
 
 @pytest.mark.parametrize(
@@ -595,7 +596,7 @@ def test_gr_command(capsys):
     payload = json.loads(capsys.readouterr().out)
     graded = parse_tower_text(payload["tower"])
     a, c = graded.sigma_var(2, 1)
-    assert a == 5 and not c
+    assert a == graded.base.field.coerce(5) and not c
     assert all(check["ok"] for check in payload["closure_checks"])
 
 
@@ -958,6 +959,27 @@ def test_only_skewpoly_and_tower_name_the_trusted_constructor():
     }
     assert "skewpoly.py" in named  # the gate looks for the right name
     assert named <= {"skewpoly.py", "tower.py"}
+
+
+def test_only_scalars_reads_the_matrix_layout():
+    """A Matrix stores its entries as field reps in ``_rows``, and
+    ``Matrix._from_reps`` stores reps unchecked; only scalars names either,
+    and tower takes only public names from scalars."""
+    named, tower_imports = set(), set()
+    for path in (ROOT / "src" / "oretower").glob("*.py"):
+        for node in ast.walk(ast.parse(path.read_text(encoding="utf-8"))):
+            if isinstance(node, ast.ImportFrom) and path.name == "tower.py":
+                if node.module == "scalars":
+                    tower_imports.update(alias.name for alias in node.names)
+            elif (
+                (isinstance(node, ast.Attribute) and node.attr in ("_rows", "_from_reps"))
+                or (isinstance(node, ast.Name) and node.id in ("_rows", "_from_reps"))
+                or (isinstance(node, ast.Constant) and node.value in ("_rows", "_from_reps"))
+            ):
+                named.add(path.name)
+    assert named == {"scalars.py"}  # the gate looks for the right names
+    assert "Matrix" in tower_imports
+    assert not any(name.startswith("_") for name in tower_imports), tower_imports
 
 
 def test_traced_names_resolve():

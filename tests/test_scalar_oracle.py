@@ -13,6 +13,7 @@ leading denominator coefficient and joint content 1.
 """
 
 import functools
+import itertools
 import math
 from fractions import Fraction
 
@@ -23,6 +24,7 @@ pytest.importorskip("hypothesis")
 
 from hypothesis import given, settings, strategies as st  # noqa: E402
 
+from oretower.errors import DivisionByZero  # noqa: E402
 from oretower.scalars import (  # noqa: E402
     GF,
     QQ,
@@ -41,6 +43,7 @@ from oretower.scalars import (  # noqa: E402
     _MR_EXACT_BELOW,
     is_prime,
     root_of_unity_order,
+    solve_linear_system,
 )
 
 X = sympy.Symbol("x")
@@ -258,14 +261,34 @@ def test_rational_function_kernels_match_the_dense_formulas(a, b):
     assert (a * b).rep == QT._make(_pmul(an, bn, _ZZ), _pmul(ad, bd, _ZZ))
 
 
-# Matrix arithmetic runs on the entries' reps; the oracle is entrywise
-# Scalar arithmetic
+# Matrix arithmetic and linear algebra run on the entries' reps; the
+# oracle is entrywise Scalar arithmetic and the Leibniz determinant
 MATRIX_FIELDS = {
     "Q": (QQ, rationals.map(QQ.coerce)),
     "gf5": (GF(5), st.integers(0, 4).map(GF(5).coerce)),
     "cyclotomic3": (CyclotomicField(3), cyclotomic_elements(3)),
     "Qt": (QT, qt_elements),
 }
+
+
+def _product(field, xs, ys):
+    """The entrywise Scalar product of two lists of rows."""
+    return [
+        [sum((row[k] * ys[k][j] for k in range(len(ys))), field.zero) for j in range(len(ys[0]))]
+        for row in xs
+    ]
+
+
+def _det(field, rows):
+    """The determinant by the Leibniz formula, in Scalars."""
+    total = field.zero
+    for perm in itertools.permutations(range(len(rows))):
+        inversions = sum(perm[i] > perm[j] for i, j in itertools.combinations(range(len(perm)), 2))
+        term = field.one if inversions % 2 == 0 else -field.one
+        for i, j in enumerate(perm):
+            term = term * rows[i][j]
+        total = total + term
+    return total
 
 
 @pytest.mark.parametrize("name", sorted(MATRIX_FIELDS))
@@ -277,22 +300,58 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
     m = data.draw(st.integers(1, 3))
     square = st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m)
     a, b = Matrix(field, data.draw(square)), Matrix(field, data.draw(square))
+    s = data.draw(entries)
     ra, rb = a.rows, b.rows
+    identity = [[field.one if i == j else field.zero for j in range(m)] for i in range(m)]
     expected = {
-        "sum": [[x + y for x, y in zip(r, s)] for r, s in zip(ra, rb)],
-        "difference": [[x - y for x, y in zip(r, s)] for r, s in zip(ra, rb)],
+        "sum": [[x + y for x, y in zip(r, t)] for r, t in zip(ra, rb)],
+        "difference": [[x - y for x, y in zip(r, t)] for r, t in zip(ra, rb)],
         "negation": [[-x for x in r] for r in ra],
-        "product": [
-            [sum((ra[i][k] * rb[k][j] for k in range(m)), field.zero) for j in range(m)]
-            for i in range(m)
-        ],
+        "product": _product(field, ra, rb),
+        "kron": [[x * y for x in r for y in t] for r in ra for t in rb],
+        "transpose": [list(col) for col in zip(*ra)],
+        "left multiple": [[s * x for x in r] for r in ra],
+        "right multiple": [[x * s for x in r] for r in ra],
     }
-    got = {"sum": a + b, "difference": a - b, "negation": -a, "product": a * b}
+    got = {
+        "sum": a + b,
+        "difference": a - b,
+        "negation": -a,
+        "product": a * b,
+        "kron": a.kron(b),
+        "transpose": a.transpose(),
+        "left multiple": s * a,
+        "right multiple": a * s,
+    }
+    if _det(field, ra).is_zero():
+        with pytest.raises(DivisionByZero):
+            a.inverse()
+    else:
+        got["inverse"] = inverse = a.inverse()
+        assert _product(field, ra, inverse.rows) == _product(field, inverse.rows, ra) == identity
     for what, matrix in got.items():
-        assert [list(row) for row in matrix.rows] == expected[what], what
+        if what in expected:
+            assert [list(row) for row in matrix.rows] == expected[what], what
         assert all(type(x) is Scalar and x.field is field for row in matrix.rows for x in row)
         checked = Matrix(field, matrix.rows)
         assert matrix == checked and hash(matrix) == hash(checked)
+    # for m > 1 rows 0 and 1 are equal, so the matrix is singular
+    repeated = Matrix(field, [ra[0], *ra[:-1]])
+    if m > 1:
+        with pytest.raises(DivisionByZero):
+            repeated.inverse()
+        assert not repeated.is_invertible()
+        # a singular homogeneous system gets a nonzero solution
+        kernel = solve_linear_system(repeated, [0] * m)
+        assert any(not v.is_zero() for v in kernel)
+        assert _product(field, repeated.rows, [[v] for v in kernel]) == [[field.zero]] * m
+    # a consistent system A x = b: the answer need not be x0, but it solves it
+    x0 = data.draw(st.lists(entries, min_size=m, max_size=m))
+    for system in (a, repeated):
+        rhs = [row[0] for row in _product(field, system.rows, [[x] for x in x0])]
+        x = solve_linear_system(system, rhs)
+        assert all(type(v) is Scalar and v.field is field for v in x)
+        assert [row[0] for row in _product(field, system.rows, [[v] for v in x])] == rhs
     assert a.is_zero() == all(x.is_zero() for row in ra for x in row)
     z = ra[0][0]
     central = Matrix.identity(field, m) * z

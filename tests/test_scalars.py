@@ -52,10 +52,12 @@ def test_field_axioms_on_samples(field):
 
 
 def test_canonical_form_examples():
-    assert QQ.coerce(Fraction(2, 4)) == Fraction(1, 2)
+    half = QQ.coerce(Fraction(2, 4))
+    assert half == QQ.coerce(Fraction(1, 2)) and half.rep == Fraction(1, 2)
+    assert half != Fraction(1, 2)
 
     z = CyclotomicField(3).gen
-    assert z**3 == 1
+    assert z**3 == CyclotomicField(3).one
 
     t = FunctionField(QQ, "t").gen
     assert (t**2 - 1) / (t - 1) == t + 1
@@ -202,7 +204,8 @@ def test_equal_matrices_hash_equal():
 
 def test_matrix_scalar_part():
     ident = Matrix.identity(QQ, 2)
-    assert (ident * QQ.coerce(3)).scalar_part() == 3
+    three = (ident * QQ.coerce(3)).scalar_part()
+    assert three == QQ.coerce(3) and three != 3
     assert Matrix.unit(QQ, 2, 0, 1).scalar_part() is None
 
 
@@ -253,16 +256,18 @@ def _embedded(field, value, gen_power):
 
 def test_equal_scalars_hash_equal():
     """Python's rule a == b => hash(a) == hash(b), on pairs that include
-    one value embedded in several fields."""
+    one value embedded in several fields, and ints and Fractions."""
     pytest.importorskip("hypothesis")
     from hypothesis import given, settings, strategies as st
 
-    elements = st.builds(
+    field_elements = st.builds(
         _embedded,
         st.sampled_from(ONE_FIELD_FIELDS),
         st.sampled_from(EMBEDDED),
         st.integers(min_value=0, max_value=2),
     ).filter(lambda s: s is not None)
+    numbers = st.sampled_from([-1, 0, 1, 2, 7, Fraction(2), Fraction(1, 2)])
+    elements = st.one_of(field_elements, numbers)
 
     @settings(max_examples=300, deadline=None)
     @given(a=elements, b=elements)
@@ -280,7 +285,11 @@ def test_embedded_constants_of_different_fields_differ():
     two = [field.coerce(2) for field in ONE_FIELD_FIELDS]
     assert len(set(two)) == len(two)
     for a, b in itertools.combinations(two, 2):
-        assert a != b and a == 2 and b == 2
+        assert a != b and a == a.field.one + a.field.one and b == b.field.one + b.field.one
+    # an int or Fraction equals no Scalar, as their hashes differ
+    assert all(s != 2 and s != Fraction(2) for s in two)
+    assert QQ.coerce(2) != 2 and GF(5).coerce(2) != 7
+    assert len({QQ.coerce(2), 2, Fraction(2)}) == 2 and len({GF(5).coerce(2), 7}) == 2
 
 
 CROSS_FIELD_PAIRS = [
@@ -301,7 +310,7 @@ def test_scalar_arithmetic_across_fields_raises(op, a, b):
         op(b, a)
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul])
+@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, Matrix.kron])
 def test_matrix_arithmetic_across_fields_raises(op):
     qt = FunctionField(QQ, "t")
     m_q = Matrix(QQ, [[1, 2], [3, 4]])

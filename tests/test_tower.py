@@ -6,7 +6,6 @@ from pathlib import Path
 
 import pytest
 
-from oretower import tower as tower_module
 from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.erase import _commutator_rows
 from oretower.errors import HypothesisViolation, OreError
@@ -498,7 +497,7 @@ FINITE_ORDER_CONJUGATORS = {
 
 @pytest.mark.parametrize("name", sorted(FINITE_ORDER_CONJUGATORS))
 def test_map_order_matches_full_powers(name, monkeypatch):
-    powers = count_calls(monkeypatch, tower_module, "_power")
+    powers = count_calls(monkeypatch, Matrix, "__pow__")
     a = FINITE_ORDER_CONJUGATORS[name]()
     conj = BaseMap.conjugation(a)
     base = BaseRing.matrix_ring(a.field, a.nrows)
