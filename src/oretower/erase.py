@@ -66,8 +66,6 @@ from .tower import (
     BaseMap,
     OreTower,
     _level_generators,
-    _unvec,
-    _vec,
     check_swap_compatibility,
 )
 
@@ -230,7 +228,6 @@ def _zero_top_delta(tower: OreTower) -> OreTower:
 def _inner_branch(tower: OreTower):
     base = tower.base
     field = base.field
-    m = base.size
     units = base.basis()
 
     # delta must kill the center F*I (forced by q != 1; a failure here
@@ -242,13 +239,11 @@ def _inner_branch(tower: OreTower):
         )
 
     # sigma(r) a = a r as a homogeneous system in the entries of a
-    rows = []
-    for e in units:
-        rows.extend(_commutator_rows(tower.apply_sigma0(0, e), e))
-    a_vec = solve_linear_system(Matrix(field, rows), [field.zero] * len(rows))
+    system = Matrix.vstack([_commutator_action(tower.apply_sigma0(0, e), e) for e in units])
+    a_vec = solve_linear_system(system, [field.zero] * system.nrows)
     a = a_inv = None
     if a_vec:
-        a = _unvec(field, m, a_vec)
+        a = Matrix.unvec(field, a_vec)
         try:
             a_inv = a.inverse()
         except DivisionByZero:
@@ -263,27 +258,25 @@ def _inner_branch(tower: OreTower):
             raise UnsupportedErasure("conjugator solution does not reproduce sigma")
 
     # a^{-1} delta(r) = v r - r v as an inhomogeneous system in v
-    rows, rhs = [], []
-    for e in units:
-        rows.extend(_commutator_rows(-e, -e))
-        rhs.extend(_vec(a_inv * tower.apply_delta0(0, e)))
-    v_vec = solve_linear_system(Matrix(field, rows), rhs)
+    system = Matrix.vstack([_commutator_action(-e, -e) for e in units])
+    rhs = [c for e in units for c in (a_inv * tower.apply_delta0(0, e)).vec()]
+    v_vec = solve_linear_system(system, rhs)
     if v_vec is None:
         raise UnsupportedErasure(
             "a^{-1} delta is not an inner derivation of the matrix base"
         )
-    v = _unvec(field, m, v_vec)
+    v = Matrix.unvec(field, v_vec)
     b = a * v
     y = SkewPoly.variable(tower, 0) - SkewPoly.from_base(tower, b)
     _assert_sigma_relation(tower, 0, y)
     return y, _zero_top_delta(tower), ErasureWitness("inner", a=a, v=v, b=b)
 
 
-def _commutator_rows(left: Matrix, right: Matrix) -> tuple:
-    """Rows of the F-linear map X -> left X - X right on m x m matrices,
-    left (x) 1 - 1 (x) right^T in the row-major layout of ``BaseMap``."""
+def _commutator_action(left: Matrix, right: Matrix) -> Matrix:
+    """The matrix of the F-linear map X -> left X - X right on m x m
+    matrices, in the layout of ``Matrix.act_on``."""
     one = Matrix.identity(left.field, left.nrows)
-    return (left.kron(one) - one.kron(right.transpose())).rows
+    return Matrix.two_sided_action(left, one) - Matrix.two_sided_action(one, right)
 
 
 # ---------------------------------------------------------------------------

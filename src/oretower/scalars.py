@@ -26,8 +26,9 @@ Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields as tuples of their entries' reps,
 computes and runs Gauss-Jordan elimination on those reps, and backs both
-matrix-algebra coefficients and linear-system solving; only this module
-reads that layout.
+matrix-algebra coefficients and linear-system solving.  Only this module
+reads that storage, and only :class:`Matrix` knows the row-major order in
+which a linear map on m x m matrices acts on their entries.
 
 Values combine within one field: Scalar and Matrix arithmetic coerces
 ints and Fractions into the field and raises :class:`TypeError` on a
@@ -1373,13 +1374,36 @@ class Matrix:
             ],
         )
 
+    # vec, unvec, act_on and two_sided_action share the row-major layout
+    def vec(self) -> list[Scalar]:
+        """The entries as Scalars in row-major order."""
+        return [Scalar(self.field, a) for row in self._rows for a in row]
+
+    @classmethod
+    def unvec(cls, field, entries) -> "Matrix":
+        """The square matrix whose entries in row-major order are ``entries``."""
+        n = math.isqrt(len(entries))
+        return cls(field, [entries[i : i + n] for i in range(0, n * n, n)])
+
     def act_on(self, m: "Matrix") -> "Matrix":
         """The image of the square matrix m under this matrix read as a
-        linear map on m's entries in row-major order."""
-        field, size = self.field, m.nrows
+        linear map on m's entries."""
+        field, n = self.field, m.nrows
         vec = [a for row in m._rows for a in row]
         image = [_rep_dot(field, row, vec) for row in self._rows]
-        return Matrix._from_reps(field, [image[r * size : (r + 1) * size] for r in range(size)])
+        return Matrix._from_reps(field, [image[i : i + n] for i in range(0, n * n, n)])
+
+    @staticmethod
+    def two_sided_action(left: "Matrix", right: "Matrix") -> "Matrix":
+        """The matrix of X -> left X right on square X: left (x) right^T."""
+        return left.kron(right.transpose())
+
+    @classmethod
+    def vstack(cls, blocks) -> "Matrix":
+        """The rows of ``blocks``, matrices over one field, in order."""
+        if not all(map(blocks[0]._same_field, blocks)):
+            raise TypeError("stacked matrices lie over different fields")
+        return cls._from_reps(blocks[0].field, [row for b in blocks for row in b._rows])
 
     def is_zero(self) -> bool:
         is_zero = self.field.rep_is_zero
@@ -1476,9 +1500,9 @@ def _rep_dot(field, xs, ys):
 def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
     """One exact solution of A x = b, or None when the system is inconsistent.
 
-    Free variables are set to 0; if that yields the zero vector on a
-    homogeneous system, the free variables are instead set to 1 one at a
-    time in ascending column order until a nonzero solution appears.
+    Free variables are set to 0, except on a homogeneous system with a free
+    variable: there the first free variable is set to 1, so the solution is
+    nonzero.
     """
     field = a.field
     b = [field.coerce(c).rep for c in b]
@@ -1489,19 +1513,11 @@ def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
     pivots = _reduce_rows(field, aug, ncols)
     if any(not is_zero(row[ncols]) for row in aug[len(pivots):]):
         return None
-
-    def build(free=None):
-        """The solution with every free variable 0 but ``free``, set to 1
-        (only on a homogeneous system)."""
-        x = [field.rep_zero] * ncols
-        if free is not None:
-            x[free] = field.rep_one
-        for row, col in zip(aug, pivots):
-            x[col] = row[ncols] if free is None else field.rep_neg(row[free])
-        return x
-
-    solution = build()
-    if all(map(is_zero, solution)) and all(map(is_zero, b)):
-        free_cols = (c for c in range(ncols) if c not in pivots)
-        solution = next((x for x in map(build, free_cols) if not all(map(is_zero, x))), solution)
-    return [Scalar(field, v) for v in solution]
+    x = [field.rep_zero] * ncols
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    homogeneous = free is not None and all(map(is_zero, b))
+    if homogeneous:
+        x[free] = field.rep_one
+    for row, col in zip(aug, pivots):
+        x[col] = field.rep_neg(row[free]) if homogeneous else row[ncols]
+    return [Scalar(field, v) for v in x]

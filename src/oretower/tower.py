@@ -175,16 +175,16 @@ class BaseMap:
     @classmethod
     def conjugation(cls, a: Matrix) -> "BaseMap":
         """sigma(r) = a r a^{-1} on Mat_m."""
-        return cls("sigma", linear_action=a.kron(a.inverse().transpose()))
+        return cls("sigma", linear_action=Matrix.two_sided_action(a, a.inverse()))
 
     @classmethod
     def inner_derivation(cls, b: Matrix, sigma: "BaseMap") -> "BaseMap":
         """delta(r) = b r - sigma(r) b on Mat_m, an inner sigma-derivation."""
         one = Matrix.identity(b.field, b.nrows)
-        right_b = one.kron(b.transpose())
+        right_b = Matrix.two_sided_action(one, b)
         if sigma.linear_action is not None:
             right_b = right_b * sigma.linear_action
-        return cls("delta", linear_action=b.kron(one) - right_b)
+        return cls("delta", linear_action=Matrix.two_sided_action(b, one) - right_b)
 
     # validation, map_order and the commands all ask; a frozen dataclass
     # keeps the answer in its __dict__, outside the compared fields
@@ -207,15 +207,6 @@ class BaseMap:
 def _is_identity_matrix(m: Matrix) -> bool:
     z = m.scalar_part()
     return z is not None and z == m.field.one
-
-
-def _vec(m: Matrix) -> list:
-    return [entry for row in m.rows for entry in row]
-
-
-def _unvec(field, size: int, entries) -> Matrix:
-    it = iter(entries)
-    return Matrix(field, [[next(it) for _ in range(size)] for _ in range(size)])
 
 
 def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, element):

@@ -312,6 +312,8 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "transpose": [list(col) for col in zip(*ra)],
         "left multiple": [[s * x for x in r] for r in ra],
         "right multiple": [[x * s for x in r] for r in ra],
+        "stack": [list(r) for r in (*ra, *rb)],
+        "two-sided action": _product(field, _product(field, ra, rb), ra),
     }
     got = {
         "sum": a + b,
@@ -322,7 +324,11 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "transpose": a.transpose(),
         "left multiple": s * a,
         "right multiple": a * s,
+        "stack": Matrix.vstack([a, b]),
+        "two-sided action": Matrix.two_sided_action(a, a).act_on(b),
+        "unvec": Matrix.unvec(field, a.vec()),
     }
+    assert a.vec() == [x for row in ra for x in row] and got["unvec"] == a
     if _det(field, ra).is_zero():
         with pytest.raises(DivisionByZero):
             a.inverse()

@@ -310,7 +310,14 @@ def test_scalar_arithmetic_across_fields_raises(op, a, b):
         op(b, a)
 
 
-@pytest.mark.parametrize("op", [operator.add, operator.sub, operator.mul, Matrix.kron])
+def _stack_two(x, y):
+    return Matrix.vstack([x, y])
+
+
+@pytest.mark.parametrize(
+    "op",
+    [operator.add, operator.sub, operator.mul, Matrix.kron, Matrix.two_sided_action, _stack_two],
+)
 def test_matrix_arithmetic_across_fields_raises(op):
     qt = FunctionField(QQ, "t")
     m_q = Matrix(QQ, [[1, 2], [3, 4]])

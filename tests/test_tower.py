@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from oretower.cli import parse_tower_file, parse_tower_text
-from oretower.erase import _commutator_rows
+from oretower.erase import _commutator_action
 from oretower.errors import HypothesisViolation, OreError
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
@@ -413,7 +413,7 @@ def test_matrix_base_actions_match_unit_images(field_name, m):
 
     for left, right in ((a, b), (b, a_inv), (a * b * a_inv, b)):
         expected = _unit_by_unit(field, m, lambda x: left * x - x * right)
-        assert [tuple(row) for row in _commutator_rows(left, right)] == list(expected.rows)
+        assert _commutator_action(left, right) == expected
 
 
 # ---------------------------------------------------------------------------
