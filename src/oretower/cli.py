@@ -393,11 +393,12 @@ def parse_tower_text(text: str) -> OreTower:
     if len(set(names)) != len(names):
         raise ParseError(1, 1, "duplicate variable names")
 
-    levels = [TowerLevel(name) for name in names]
+    # level i is parsed in the tower of the levels parsed so far, with bare
+    # levels above; each level is normalised once, when it goes in
+    tower = OreTower(base, [TowerLevel(name) for name in names])
     for i, (_kind, items, _line) in enumerate(level_sections):
-        shell = OreTower(base, levels)
-        levels[i] = _parse_level(base, shell, names, i, items)
-    return OreTower(base, levels)
+        tower = tower.with_level(i, _parse_level(base, tower, names, i, items))
+    return tower
 
 
 def parse_tower_file(path: str) -> OreTower:

@@ -529,6 +529,11 @@ class _FieldBase:
             return None
         return "prime fields admit no nonzero derivations"
 
+    def is_constant(self, s: Scalar) -> bool:
+        """Whether s is algebraic over the prime field.  Q, GF(p) and
+        cyclotomic(n) are algebraic, so every element is."""
+        return True
+
     def __repr__(self):
         return self.name
 
@@ -980,6 +985,14 @@ class RationalFunctionField(_FieldBase):
         # t is transcendental over the inner field, so every image d extends
         return None
 
+    def is_constant(self, s):
+        # the inner field is algebraically closed in F(t), so the algebraic
+        # elements are the constants that are algebraic in the inner field
+        num, den = self._view(s.rep)
+        if len(num) > 1 or len(den) > 1:
+            return False
+        return all(self.inner.is_constant(c) for c in self._inner_scalars(num))
+
     def _moebius(self, image: Scalar) -> tuple:
         """(a, b, c, d) in the inner field with image = (a t + b) / (c t + d),
         for image of degree <= 1."""
@@ -1404,6 +1417,15 @@ class Matrix:
         if not all(map(blocks[0]._same_field, blocks)):
             raise TypeError("stacked matrices lie over different fields")
         return cls._from_reps(blocks[0].field, [row for b in blocks for row in b._rows])
+
+    def trace(self) -> Scalar:
+        """The sum of the diagonal entries of a square matrix."""
+        if not self.is_square():
+            raise ValueError("trace of a non-square matrix")
+        field, acc = self.field, self.field.rep_zero
+        for i, row in enumerate(self._rows):
+            acc = field.rep_add(acc, row[i])
+        return Scalar(field, acc)
 
     def is_zero(self) -> bool:
         is_zero = self.field.rep_is_zero

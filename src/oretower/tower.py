@@ -77,26 +77,31 @@ class BaseRing:
             return value
         return self.scalar(value)
 
-    def basis(self) -> list:
-        """The standard field basis: {1} for a field, matrix units for Mat_m."""
+    # built once per base ring, as one and zero are; tuples, so no caller
+    # can change them for the next
+    @functools.cached_property
+    def _basis(self) -> tuple:
         if self.kind == "field":
-            return [self.one]
-        return [
+            return (self.one,)
+        return tuple(
             Matrix.unit(self.field, self.size, i, j)
             for i in range(self.size)
             for j in range(self.size)
-        ]
+        )
 
-    def generators(self) -> list:
+    def basis(self) -> tuple:
+        """The standard field basis: {1} for a field, matrix units for Mat_m."""
+        return self._basis
+
+    def generators(self) -> tuple:
         """Ring generators used by identity checks.
 
         For a field base the field generator (when one exists) is the only
         element that can detect a failure; matrix bases use all units.
         """
-        if self.kind == "field":
-            gen = self.field.gen
-            return [gen] if gen is not None else [self.one]
-        return self.basis()
+        if self.kind == "field" and self.field.gen is not None:
+            return (self.field.gen,)
+        return self._basis
 
     def is_invertible(self, el) -> bool:
         if self.kind == "field":
@@ -281,13 +286,27 @@ class OreTower:
 
     def __init__(self, base: BaseRing, levels):
         levels = list(levels)
+        self._set_levels(
+            base, [_normalised_level(base, len(levels), i, lvl) for i, lvl in enumerate(levels)]
+        )
+
+    def with_level(self, i: int, level: TowerLevel) -> "OreTower":
+        """This tower with level i replaced by ``level``, normalised as the
+        constructor normalises it; the other levels are this tower's own,
+        which are normalised already, and are not normalised again."""
+        levels = list(self.levels)
+        levels[i] = _normalised_level(self.base, self.height, i, level)
+        tower = object.__new__(OreTower)
+        tower._set_levels(self.base, levels)
+        return tower
+
+    def _set_levels(self, base: BaseRing, levels: list) -> None:
+        """Install normalised ``levels`` and empty caches."""
         names = [lvl.name for lvl in levels]
         if len(set(names)) != len(names):
             raise ValueError("duplicate level names")
         self.base = base
-        self.levels = tuple(
-            _normalised_level(base, len(levels), i, lvl) for i, lvl in enumerate(levels)
-        )
+        self.levels = tuple(levels)
         # (i, exponents below i) -> x_i * x^lower; read and filled only by
         # the rewriting engine in skewpoly
         self._engine_table: dict = {}
@@ -512,6 +531,13 @@ def validate_tower(tower: OreTower) -> ValidationReport:
     (Goodearl and Warfield, *An Introduction to Noncommutative Noetherian
     Rings*, 2nd ed., 2004, ch. 2), and it applies because normal forms
     are unique (Bergman's diamond lemma, Adv. Math. 29, 1978).
+
+    The cases of (a), (c) and (d) come from ``_identity_cases``: a base
+    generator, and the base-by-base pairs that come first in
+    ``_relation_pairs``, are checked in the base ring, and every generator
+    image and pair product is computed once per level.  A failure is
+    reported as polynomials, so its text does not depend on which ring
+    computed it.
     """
     report = ValidationReport()
     for i in range(tower.height):
@@ -523,20 +549,13 @@ def validate_tower(tower: OreTower) -> ValidationReport:
             ok = tower.base.is_invertible(a)
             report.add(i, f"a[{i + 1},{j + 1}] invertible", ok, "" if ok else f"a = {a}")
 
-        sigma = functools.partial(apply_level_map, "sigma", i)
-        delta = functools.partial(apply_level_map, "delta", i)
-        gens = _level_generators(tower, i)
-        pairs = _relation_pairs(gens, len(gens) - i)
-        mult = ((sigma(u * v), sigma(u) * sigma(v)) for u, v in pairs)
-        leibniz = ((delta(u * v), sigma(u) * delta(v) + delta(u) * v) for u, v in pairs)
-        _check_identity(report, i, "sigma multiplicative", mult)
-        _check_identity(report, i, "delta twisted Leibniz", leibniz)
+        q_elem = None if lvl.q is None else tower.base.scalar(lvl.q)
+        mult, leibniz, q_skew = _identity_cases(tower, i, q_elem)
+        _check_identity(report, tower, i, "sigma multiplicative", mult)
+        _check_identity(report, tower, i, "delta twisted Leibniz", leibniz)
 
-        if lvl.q is not None:
-            q_poly = tower.from_scalar(lvl.q)
-            q_skew = ((delta(sigma(g)), q_poly * sigma(delta(g))) for g in gens)
-            _check_identity(report, i, "q-skew identity", q_skew)
-            q_elem = tower.base.scalar(lvl.q)
+        if q_elem is not None:
+            _check_identity(report, tower, i, "q-skew identity", q_skew)
             sq = tower.apply_sigma0(i, q_elem)
             dq = tower.apply_delta0(i, q_elem)
             ok_fix = sq == q_elem and dq.is_zero()
@@ -550,27 +569,82 @@ def validate_tower(tower: OreTower) -> ValidationReport:
     return report
 
 
-def _check_identity(report: ValidationReport, i: int, name: str, cases) -> None:
+def _identity_cases(tower: OreTower, i: int, q_elem):
+    """The lazy (lhs, rhs) cases of (a), (c) and, for a declared q (the
+    base element ``q_elem``), (d) at level i.
+
+    The generators of R_{i-1} are the base generators, kept as base
+    elements, then x_1 ... x_i as polynomials.  sigma_i and delta_i send a
+    base element to a base element (``apply_sigma0``, ``apply_delta0``),
+    and products of base elements stay in the base ring, so the cases of a
+    base generator and of a base-by-base pair take no rewriting.  Each
+    generator's sigma_i and delta_i image and each pair product is
+    computed once, when a case first asks for it, and shared by the three
+    checks.
+    """
+    base_gens = tower.base.generators()
+    gens = [*base_gens, *(SkewPoly.variable(tower, j) for j in range(i))]
+    pairs = _relation_pairs(range(len(gens)), len(base_gens))
+
+    def image(kind: str, x):
+        if isinstance(x, SkewPoly):
+            return apply_level_map(kind, i, x)
+        return tower.apply_sigma0(i, x) if kind == "sigma" else tower.apply_delta0(i, x)
+
+    sigma = _memoised(lambda k: image("sigma", gens[k]))
+    delta = _memoised(lambda k: image("delta", gens[k]))
+    product = _memoised(lambda k, l: gens[k] * gens[l])
+    mult = ((image("sigma", product(k, l)), sigma(k) * sigma(l)) for k, l in pairs)
+    leibniz = (
+        (image("delta", product(k, l)), sigma(k) * delta(l) + delta(k) * gens[l])
+        for k, l in pairs
+    )
+    q_skew = (
+        (image("delta", sigma(k)), q_elem * image("sigma", delta(k))) for k in range(len(gens))
+    )
+    return mult, leibniz, q_skew
+
+
+def _memoised(compute):
+    """``compute`` with each result kept under its arguments for the life
+    of the returned function.  Validation makes three of these a level;
+    ``functools.cache`` costs several times more to make."""
+    memo = {}
+
+    def once(*args):
+        if args not in memo:
+            memo[args] = compute(*args)
+        return memo[args]
+
+    return once
+
+
+def _check_identity(report: ValidationReport, tower: OreTower, i: int, name: str, cases) -> None:
     """Record check ``name`` of level i: a failure with the first (lhs, rhs)
     of ``cases`` whose sides differ, else a pass.  ``cases`` is lazy, so
-    no case after the first failure is computed."""
+    no case after the first failure is computed.  Sides that are base
+    elements are printed as the polynomials they are."""
     for lhs, rhs in cases:
         if lhs != rhs:
+            lhs, rhs = (
+                x if isinstance(x, SkewPoly) else SkewPoly.from_base(tower, x) for x in (lhs, rhs)
+            )
             report.add(i, name, False, f"lhs = {lhs} ; rhs = {rhs}")
             return
     report.add(i, name, True)
 
 
-def _relation_pairs(gens: list, n_base: int) -> list:
+def _relation_pairs(gens, n_base: int) -> list:
     """The generator pairs checked by (a) and (c), in the order of the full
     product gens x gens: base by base, which tests the base maps, and
     (x_k, v) for each v listed before x_k, which tests the defining
     relation x_k v = sigma_k(v) x_k + delta_k(v).
 
-    ``gens`` is ``_level_generators`` output, its ``n_base`` base
-    generators first.  The pairs left out, (g, x_k), (x_j, x_k) with j < k
-    and (x_j, x_j), multiply to normal forms, on which the maps read off the
-    engine table satisfy (a) and (c) by construction.
+    ``gens`` lists the generators of R_{i-1} as ``_level_generators``
+    does, or their positions there, its ``n_base`` base generators first.
+    The pairs left out, (g, x_k), (x_j, x_k) with j < k and (x_j, x_j),
+    multiply to normal forms, on which the maps read off the engine table
+    satisfy (a) and (c) by construction.
     """
     return [(u, v) for pos, u in enumerate(gens) for v in gens[: max(pos, n_base)]]
 
@@ -632,7 +706,7 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     automorphism form a cyclic group, so bmap^m = bmap^n with m < n gives
     bmap^(n-m) = identity: the first repeated power is the identity
     itself, and the loop needs no record of the powers it has seen.  On a
-    matrix base the powers of the linear action are screened first
+    matrix base the linear action's trace and powers are screened first
     (``_matrix_order``).
     """
     if bmap.kind != "sigma":
@@ -659,14 +733,27 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
 def _matrix_order(a: Matrix, bound: int) -> int | None:
     """Least n <= bound with a^n = 1, else None, for an invertible a.
 
-    Each n is screened by a^n v = v for the fixed column v = (1, 2, ...,
-    N), at N^2 scalar products a step where a full power takes N^3, and
-    the first n that passes is confirmed by computing a^n.  a^n = 1 implies
-    a^n v = v, so no smaller n can have a^n = 1.  If a^n != 1, v is fixed
-    by a power that is not 1, and from there the loop steps full powers as
-    the field case does, so the screen adds at most its own steps and one
-    power to that cost.
+    A trace that is not a constant of the field rules out every n at
+    once.  If a^n = 1, the eigenvalues of a are n-th roots of unity, so
+    its trace, their sum, is algebraic over the prime field; and the
+    elements of F(t) algebraic over the prime field are the constants,
+    since a field is algebraically closed in a rational function field
+    over it, nested or not (``is_constant``).  The action of
+    conj(diag(1, q)) on Mat_2(Q(q)) has trace 2 + q + 1/q, so it gets
+    None without a product.  The screen is a necessary condition only: a
+    constant trace, as of conj(antidiag(q, 1)) with trace 0, goes on to
+    the steps below.
+
+    Each n is then screened by a^n v = v for the fixed column v = (1, 2,
+    ..., N), at N^2 scalar products a step where a full power takes N^3,
+    and the first n that passes is confirmed by computing a^n.  a^n = 1
+    implies a^n v = v, so no smaller n can have a^n = 1.  If a^n != 1, v
+    is fixed by a power that is not 1, and from there the loop steps full
+    powers as the field case does, so the screen adds at most its own
+    steps and one power to that cost.
     """
+    if not a.field.is_constant(a.trace()):
+        return None
     start = vec = Matrix(a.field, [[k] for k in range(1, a.nrows + 1)])
     for n in range(1, bound + 1):
         vec = a * vec

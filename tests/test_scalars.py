@@ -209,6 +209,35 @@ def test_matrix_scalar_part():
     assert Matrix.unit(QQ, 2, 0, 1).scalar_part() is None
 
 
+def test_matrix_trace():
+    qq = FunctionField(QQ, "q")
+    q = qq.gen
+    assert Matrix(qq, [[1, 2], [3, q]]).trace() == q + 1
+    assert Matrix.zero(GF(5), 3, 3).trace() == GF(5).zero
+    with pytest.raises(ValueError):
+        Matrix(QQ, [[1, 2]]).trace()
+
+
+def test_constants_are_the_algebraic_elements():
+    """is_constant holds for every element of Q, gf(p) and cyclotomic(n),
+    and on F(t) exactly for the elements of F that are constant there,
+    through every nested rational function field."""
+    z = CyclotomicField(5).gen
+    assert all(f.is_constant(f.one) for f in FIELDS)
+    assert CyclotomicField(5).is_constant(z + z**3)
+    qq = FunctionField(QQ, "q")
+    q = qq.gen
+    assert qq.is_constant(qq.coerce(Fraction(-3, 2))) and qq.is_constant(qq.zero)
+    assert not qq.is_constant(q) and not qq.is_constant(1 / q)
+    assert not qq.is_constant(2 + q + 1 / q)
+    nested = FunctionField(FunctionField(GF(5), "t"), "s")
+    t, s = nested.coerce(FunctionField(GF(5), "t").gen), nested.gen
+    assert nested.is_constant(nested.coerce(3))
+    assert not nested.is_constant(t) and not nested.is_constant(s / t)
+    over_cyclotomic = FunctionField(CyclotomicField(3), "t")
+    assert over_cyclotomic.is_constant(over_cyclotomic.coerce(CyclotomicField(3).gen))
+
+
 def test_parse_field_descriptors():
     assert parse_field("Q") is QQ
     assert parse_field("gf(5)").p == 5

@@ -1,4 +1,5 @@
 import dataclasses
+import functools
 import random
 import re
 import time
@@ -6,6 +7,7 @@ from pathlib import Path
 
 import pytest
 
+from oretower import tower as tower_module
 from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.erase import _commutator_action
 from oretower.errors import HypothesisViolation, OreError
@@ -16,12 +18,16 @@ from oretower.tower import (
     BaseRing,
     OreTower,
     TowerLevel,
+    ValidationReport,
+    _base_map_valid,
     _level_generators,
     _relation_pairs,
     check_swap_compatibility,
     map_order,
     validate_tower,
 )
+
+from test_cli_fuzz import _mutants
 
 from conftest import (
     count_calls,
@@ -274,6 +280,116 @@ def test_relation_pair_counts(name, per_level):
 
 
 # ---------------------------------------------------------------------------
+# the reference validator
+
+
+def _reference_checks(tower) -> list:
+    """[(level, name, ok, detail)] from the generic pair loop: every case
+    of (a), (c) and (d) is computed on polynomials through
+    ``apply_level_map`` and the rewriting engine, and nothing is shared
+    between cases or checks.  It is the oracle for ``validate_tower``."""
+    report = ValidationReport()
+    for i in range(tower.height):
+        lvl = tower.levels[i]
+        if not _base_map_valid(tower, i, report):
+            continue
+        for j in range(i):
+            a, _c = tower.sigma_var_raw(i, j)
+            ok = tower.base.is_invertible(a)
+            report.add(i, f"a[{i + 1},{j + 1}] invertible", ok, "" if ok else f"a = {a}")
+        sigma = functools.partial(apply_level_map, "sigma", i)
+        delta = functools.partial(apply_level_map, "delta", i)
+        gens = _level_generators(tower, i)
+        pairs = _relation_pairs(gens, len(gens) - i)
+        checks = [
+            ("sigma multiplicative", ((sigma(u * v), sigma(u) * sigma(v)) for u, v in pairs)),
+            (
+                "delta twisted Leibniz",
+                ((delta(u * v), sigma(u) * delta(v) + delta(u) * v) for u, v in pairs),
+            ),
+        ]
+        if lvl.q is not None:
+            q_poly = tower.from_scalar(lvl.q)
+            q_skew = ((delta(sigma(g)), q_poly * sigma(delta(g))) for g in gens)
+            checks.append(("q-skew identity", q_skew))
+        for name, cases in checks:
+            failure = next((f"lhs = {l} ; rhs = {r}" for l, r in cases if l != r), None)
+            report.add(i, name, failure is None, failure or "")
+        if lvl.q is not None:
+            q_elem = tower.base.scalar(lvl.q)
+            sq, dq = tower.apply_sigma0(i, q_elem), tower.apply_delta0(i, q_elem)
+            ok_fix = sq == q_elem and dq.is_zero()
+            detail = "" if ok_fix else f"sigma(q) = {sq}, delta(q) = {dq}"
+            report.add(i, "q fixed by maps", ok_fix, detail)
+    return [(c.level, c.name, c.ok, c.detail) for c in report.checks]
+
+
+_MAT2 = "[base]\nkind = matrix\nfield = Q(q)\nsize = 2\n\n[[level]]\nvar = x\n"
+# Mat_2 towers whose first failure is a case that base arithmetic decides;
+# linear(...) acts on e11, e12, e21, e22 in that order
+BASE_CASE_FAILURES = {
+    # swaps e11 and e12, so sigma(e11 e11) = e12 but sigma(e11)^2 = 0
+    "sigma multiplicative": _MAT2
+    + "sigma_base = linear([[0, 1, 0, 0], [1, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n",
+    # the delta of test_leibniz_failure_is_reported: e11 -> e11, the rest -> 0
+    "delta twisted Leibniz": _MAT2
+    + "delta_base = linear([[1, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])\n",
+    # mat2_inner's maps with q = 2 in place of q
+    "q-skew identity": _MAT2
+    + "sigma_base = conj([[1, 0], [0, q]])\ndelta_base = inner([[0, 1], [0, 0]])\nq = 2\n",
+}
+
+
+def _validation_corpus():
+    """Tower texts: every fixture, 400 numeric mutants, the first 300 token
+    mutants of the CLI fuzzer that parse (about one in 17 does), and the
+    base-case failures above."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
+    texts += _numeric_mutants(400, seed=11)
+    token_mutants = []
+    for text in _mutants(10_000, seed=21):
+        try:
+            parse_tower_text(text)
+        except (OreError, ValueError):
+            continue
+        token_mutants.append(text)
+        if len(token_mutants) == 300:
+            break
+    return texts + token_mutants + list(BASE_CASE_FAILURES.values())
+
+
+def test_validation_matches_the_reference_validator():
+    """validate_tower gives the reference's checks, details included, on
+    towers parsed apart, so that neither reads the other's caches."""
+    verdicts = set()
+    texts = _validation_corpus()
+    for text in texts:
+        report = validate_tower(parse_tower_text(text))
+        checks = [(c.level, c.name, c.ok, c.detail) for c in report.checks]
+        assert checks == _reference_checks(parse_tower_text(text)), text
+        verdicts.add(all(ok for _level, _name, ok, _detail in checks))
+    assert verdicts == {True, False}
+    fixtures = len(list(FIXTURES.glob("*.tw")))
+    assert len(texts) == fixtures + 400 + 300 + len(BASE_CASE_FAILURES)
+
+
+@pytest.mark.parametrize("name", sorted(BASE_CASE_FAILURES))
+def test_base_case_failures_come_first(name):
+    report = validate_tower(parse_tower_text(BASE_CASE_FAILURES[name]))
+    assert report.first_failure.name == name
+    assert [c.name for c in report.checks if not c.ok] == [name]
+
+
+def test_matrix_base_failure_detail():
+    """A failing case that base arithmetic decides prints its sides as
+    the polynomials they are, as the generic loop printed them."""
+    report = validate_tower(parse_tower_text(BASE_CASE_FAILURES["q-skew identity"]))
+    assert report.first_failure.detail == (
+        "lhs = ([[0, -1], [0, 0]]) ; rhs = ([[0, (-2)/(q)], [0, 0]])"
+    )
+
+
+# ---------------------------------------------------------------------------
 # swap compatibility
 
 
@@ -479,7 +595,7 @@ def _permutation(field, images):
     return Matrix(field, [[int(images[i] == j) for j in range(size)] for i in range(size)])
 
 
-Z3, Z5, GF7 = CyclotomicField(3), CyclotomicField(5), GF(7)
+Z3, Z5, GF7, QQ_Q = CyclotomicField(3), CyclotomicField(5), GF(7), FunctionField(QQ, "q")
 # conjugators whose conj(...) has finite order; v = (1, 2, 3, 4) read as
 # a 2 x 2 matrix is [[1, 2], [3, 4]], which commutes with itself, so conj
 # by it fixes v while being no identity, and the screen's candidate fails
@@ -492,6 +608,9 @@ FINITE_ORDER_CONJUGATORS = {
     "3-cycle times diag(1, 1, z) over cyclotomic(3)": lambda: _permutation(Z3, [1, 2, 0])
     * Matrix(Z3, [[1, 0, 0], [0, 1, 0], [0, 0, Z3.gen]]),
     "commutes with the screen over gf(7)": lambda: Matrix(GF7, [[1, 2], [3, 4]]),
+    # its square is q, so conj by it has order 2; the trace of the
+    # action is 0, a constant, so the trace screen lets it through
+    "antidiag(q, 1) over Q(q)": lambda: Matrix(QQ_Q, [[0, QQ_Q.gen], [1, 0]]),
 }
 
 
@@ -511,6 +630,52 @@ def test_map_order_matches_full_powers(name, monkeypatch):
     assert powers
 
 
+def test_trace_screen_answers_without_products(monkeypatch):
+    """The action of conj(diag(1, q)), mat2_inner's sigma, has trace
+    2 + q + 1/q, which is no constant, so map_order returns None before
+    any matrix product or power."""
+    tower = parse_tower_file(str(FIXTURES / "mat2_inner.tw"))
+    sigma = tower.levels[0].sigma_base
+    assert sigma == BaseMap.conjugation(Matrix(QQ_Q, [[1, 0], [0, QQ_Q.gen]]))
+    assert sigma.linear_action.trace() == 2 + QQ_Q.gen + 1 / QQ_Q.gen
+    products = count_calls(monkeypatch, Matrix, "__mul__")
+    powers = count_calls(monkeypatch, Matrix, "__pow__")
+    assert map_order(tower.base, sigma, 60) is None
+    assert map_order(tower.base, sigma, 1000) is None
+    assert products == [] and powers == []
+
+
+def _matrix_sigmas():
+    """(base, sigma) for every level with a matrix base and an invertible
+    sigma, over the fixtures and 400 numeric mutants (all of infinite
+    order, as each keeps a q on the diagonal), then conj by each of
+    FINITE_ORDER_CONJUGATORS."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
+    for text in texts + list(_numeric_mutants(400, seed=11)):
+        tower = parse_tower_text(text)
+        if tower.base.kind != "matrix":
+            continue
+        for lvl in tower.levels:
+            action = lvl.sigma_base.linear_action
+            if action is None or lvl.sigma_base.action_is_invertible:
+                yield tower.base, lvl.sigma_base
+    for make in FINITE_ORDER_CONJUGATORS.values():
+        a = make()
+        yield BaseRing.matrix_ring(a.field, a.nrows), BaseMap.conjugation(a)
+
+
+def test_map_order_matches_full_powers_on_matrix_bases():
+    """map_order, trace screen included, agrees with stepping full powers
+    on every matrix-base sigma of the corpus; field bases take no screen."""
+    seen = set()
+    for base, sigma in _matrix_sigmas():
+        action = sigma.linear_action
+        full = 1 if action is None else _order_by_full_powers(action, 60)
+        assert map_order(base, sigma, 60) == full, sigma
+        seen.add(full)
+    assert None in seen and len(seen) > 1
+
+
 def test_matrix_base_inverses_are_computed_once(monkeypatch):
     """Parsing conj(diag(1, q)) inverts the 2 x 2 matrix once; validation,
     map_order and the cli's automorphism check share one inverse of the
@@ -523,6 +688,42 @@ def test_matrix_base_inverses_are_computed_once(monkeypatch):
     assert map_order(tower.base, sigma, 5) is None
     assert map_order(tower.base, sigma, 5) is None
     assert [m.nrows for (m,) in inverses] == [2, 4]
+
+
+def test_parse_normalises_each_level_once(monkeypatch):
+    """Parsing builds one tower of bare levels and replaces its levels one
+    at a time with ``with_level``: each bare level and each parsed level
+    is normalised once, and the result equals a tower built in one go."""
+    calls = count_calls(monkeypatch, tower_module, "_normalised_level")
+    tower = parse_tower_file(str(FIXTURES / "three_level.tw"))
+    assert [i for _base, _height, i, _lvl in calls] == [0, 1, 2, 0, 1, 2]
+    monkeypatch.undo()
+    assert OreTower(tower.base, tower.levels) == tower
+
+
+def test_with_level_checks_the_new_level():
+    tower = qplane(QQ, 2)
+    x2 = TowerLevel("x2", sigma_vars={0: (QQ.coerce(3), {})})
+    replaced = tower.with_level(1, x2)
+    assert replaced.levels[0] is tower.levels[0]
+    assert replaced == OreTower(tower.base, [tower.levels[0], x2])
+    assert replaced._engine_table == {} and replaced._engine_table is not tower._engine_table
+    with pytest.raises(ValueError, match="duplicate level names"):
+        tower.with_level(0, TowerLevel("x2"))
+    with pytest.raises(ValueError, match="outside its scope"):
+        tower.with_level(0, TowerLevel("x1", sigma_vars={0: (QQ.one, {})}))
+
+
+def test_base_generators_are_built_once(monkeypatch):
+    units = count_calls(monkeypatch, Matrix, "unit")
+    base = BaseRing.matrix_ring(QQ, 3)
+    gens = base.generators()
+    assert isinstance(gens, tuple) and len(gens) == 9
+    assert base.generators() is gens and base.basis() is gens
+    assert len(units) == 9
+    field_base = BaseRing.field_ring(CyclotomicField(3))
+    assert field_base.generators() == (CyclotomicField(3).gen,)
+    assert field_base.basis() == (field_base.one,)
 
 
 def test_tower_structure_errors():
