@@ -16,7 +16,8 @@ generating set.
 from __future__ import annotations
 
 import functools
-from dataclasses import dataclass, field as dc_field, replace
+import itertools
+from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
 from .scalars import Matrix, Scalar
@@ -157,13 +158,15 @@ class BaseMap:
     field_action: Scalar | None = None
     linear_action: Matrix | None = None
 
+    # one shared instance each: a frozen map needs no copies, and every
+    # level a tower builds without a base map takes one of these
     @classmethod
     def identity(cls) -> "BaseMap":
-        return cls("sigma")
+        return _IDENTITY_MAP
 
     @classmethod
     def zero(cls) -> "BaseMap":
-        return cls("delta")
+        return _ZERO_MAP
 
     @classmethod
     def field_auto(cls, image: Scalar) -> "BaseMap":
@@ -207,6 +210,10 @@ class BaseMap:
         if self.field_action is not None and not self.field_action.is_zero():
             return False
         return self.linear_action is None or self.linear_action.is_zero()
+
+
+_IDENTITY_MAP = BaseMap("sigma")
+_ZERO_MAP = BaseMap("delta")
 
 
 def _is_identity_matrix(m: Matrix) -> bool:
@@ -430,7 +437,7 @@ def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> T
         sigma_vars.setdefault(j, (base.one, {}))
         delta_vars.setdefault(j, {})
     q = None if lvl.q is None else base.field.coerce(lvl.q)
-    return replace(lvl, sigma_vars=sigma_vars, delta_vars=delta_vars, q=q)
+    return TowerLevel(lvl.name, lvl.sigma_base, lvl.delta_base, sigma_vars, delta_vars, q)
 
 
 def _level_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
@@ -535,9 +542,13 @@ def validate_tower(tower: OreTower) -> ValidationReport:
     The cases of (a), (c) and (d) come from ``_identity_cases``: a base
     generator, and the base-by-base pairs that come first in
     ``_relation_pairs``, are checked in the base ring, and every generator
-    image and pair product is computed once per level.  A failure is
-    reported as polynomials, so its text does not depend on which ring
-    computed it.
+    image and pair product is computed once per level.  A level whose
+    delta is zero passes (c) and (d) with no case computed, and on Mat_m
+    the 2m^2 - 1 unit pairs of ``_unit_pairs`` decide the m^4 base-by-base
+    pairs of (a) and (c); the arguments are in ``_identity_cases``.  A
+    failure is reported as polynomials, so its text does not depend on
+    which ring computed it, and it is the first failing pair of
+    ``_relation_pairs`` in every case.
     """
     report = ValidationReport()
     for i in range(tower.height):
@@ -580,29 +591,108 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
     base generator and of a base-by-base pair take no rewriting.  Each
     generator's sigma_i and delta_i image and each pair product is
     computed once, when a case first asks for it, and shared by the three
-    checks.
+    checks; in a pair (x_k, g) the values of g are wrapped as polynomials
+    once, not on every product.
+
+    Zero delta.  When delta_i is zero on the base and on every x_j, (c)
+    and (d) have no cases: both sides of each are 0, on invalid towers
+    too.  apply_delta0 then returns 0, and no term of a table entry
+    x_i x^e has x_i-degree 0: x_i itself has degree 1, and the fill
+
+        x_i x_j x^rest = a_ij x_j (x_i x^rest) + c_ij (x_i x^rest) + delta_i(x_j) x^rest
+
+    multiplies x_i x^rest on the left by x_j and by c_ij, which lie below
+    x_i and leave every term's x_i-exponent as it is, while its last
+    summand is 0.  So delta_i(x^e), the degree-0 part, is 0, and
+    delta_i(c x^e) = delta_i(c) x^e + sigma_i(c) delta_i(x^e) = 0.
+
+    Matrix units.  On Mat_m, with E_rc at position r m + c, the block of
+    base-by-base pairs of (a) and (c), all m^4 pairs of units, is decided
+    on the 2m^2 - 1 unit pairs (E_r0, E_0c) and (E_0c, E_r0) of
+    ``_unit_pairs``; only when one of those fails is the block scanned in
+    ``_relation_pairs`` order, so the first failing pair is the same.  The
+    maps are F-linear and E_ij E_kl = [j = k] E_il.  Write S_rc =
+    sigma(E_rc).  (a) holds on the block exactly when S_rc = S_r0 S_0c and
+    S_0c S_r0 = [c = r] S_00: these are its cases on the unit pairs, and
+    conversely, as S_r0 = S_r0 S_00 (c = 0),
+
+        S_ij S_kl = S_i0 (S_0j S_k0) S_0l = [j = k] S_i0 S_00 S_0l
+                  = [j = k] S_i0 S_0l = [j = k] S_il = sigma(E_ij E_kl).
+
+    Given (a), let D(u, v) = delta(uv) - sigma(u) delta(v) - delta(u) v,
+    bilinear.  Expanding delta(uvw) both ways, with sigma(uv) =
+    sigma(u) sigma(v), gives
+
+        D(uv, w) + D(u, v) w = D(u, vw) + sigma(u) D(v, w).
+
+    Suppose (c) holds on the unit pairs, that is D vanishes there.  Take
+    u, v, w = E_0j, E_k0, E_0l: D(E_0j, E_k0), D([j = k] E_00, E_0l) and
+    D(E_k0, E_0l) are 0, so D(E_0j, E_kl) = 0.  Then take E_i0, E_0j,
+    E_kl: D(E_i0, E_0j) and D(E_i0, [j = k] E_0l) are 0, so D(E_ij, E_kl)
+    = sigma(E_i0) D(E_0j, E_kl) = 0.  So once (a) holds, (c) holds on the
+    block exactly when it holds on the unit pairs; when (a) fails, the
+    block of (c) is scanned.  On a field base the block is one pair, its
+    own unit pair.
     """
-    base_gens = tower.base.generators()
+    base = tower.base
+    base_gens = base.generators()
+    n_base = len(base_gens)
     gens = [*base_gens, *(SkewPoly.variable(tower, j) for j in range(i))]
-    pairs = _relation_pairs(range(len(gens)), len(base_gens))
+    zero_exp = (0,) * tower.height
 
     def image(kind: str, x):
         if isinstance(x, SkewPoly):
             return apply_level_map(kind, i, x)
         return tower.apply_sigma0(i, x) if kind == "sigma" else tower.apply_delta0(i, x)
 
-    sigma = _memoised(lambda k: image("sigma", gens[k]))
-    delta = _memoised(lambda k: image("delta", gens[k]))
-    product = _memoised(lambda k, l: gens[k] * gens[l])
-    mult = ((image("sigma", product(k, l)), sigma(k) * sigma(l)) for k, l in pairs)
-    leibniz = (
-        (image("delta", product(k, l)), sigma(k) * delta(l) + delta(k) * gens[l])
-        for k, l in pairs
-    )
+    # (kind, k) -> gens[k] ("gen") or its sigma_i or delta_i image
+    value = _memoised(lambda kind, k: gens[k] if kind == "gen" else image(kind, gens[k]))
+
+    def lift(kind: str, k: int):
+        x = value(kind, k)
+        if k >= n_base:
+            return x
+        return SkewPoly._of(tower, {zero_exp: x} if not x.is_zero() else {})
+
+    # the same values as polynomials, for the right factor beside x_k
+    poly = _memoised(lift)
+
+    def right(k: int):
+        return value if k < n_base else poly
+
+    product = _memoised(lambda k, l: gens[k] * right(k)("gen", l))
+
+    def mult(pair):
+        k, l = pair
+        return image("sigma", product(k, l)), value("sigma", k) * right(k)("sigma", l)
+
+    def leibniz(pair):
+        k, l = pair
+        rhs = value("sigma", k) * right(k)("delta", l) + value("delta", k) * right(k)("gen", l)
+        return image("delta", product(k, l)), rhs
+
+    pairs = _relation_pairs(range(len(gens)), n_base)
+    block, relations = pairs[: n_base * n_base], pairs[n_base * n_base :]
+    units = _unit_pairs(base.size) if base.kind == "matrix" else block
+    sigma_on_units = _memoised(lambda: all(l == r for l, r in map(mult, units)))
+
+    def leibniz_on_units():
+        return sigma_on_units() and all(l == r for l, r in map(leibniz, units))
+
+    def base_block(case, decided):
+        # the whole block, in order, only when the unit pairs do not decide it
+        if not decided():
+            yield from map(case, block)
+
+    mult_cases = itertools.chain(base_block(mult, sigma_on_units), map(mult, relations))
+    if tower.levels[i].delta_is_zero():
+        return mult_cases, (), ()
+    leibniz_cases = itertools.chain(base_block(leibniz, leibniz_on_units), map(leibniz, relations))
     q_skew = (
-        (image("delta", sigma(k)), q_elem * image("sigma", delta(k))) for k in range(len(gens))
+        (image("delta", value("sigma", k)), q_elem * image("sigma", value("delta", k)))
+        for k in range(len(gens))
     )
-    return mult, leibniz, q_skew
+    return mult_cases, leibniz_cases, q_skew
 
 
 def _memoised(compute):
@@ -644,9 +734,20 @@ def _relation_pairs(gens, n_base: int) -> list:
     does, or their positions there, its ``n_base`` base generators first.
     The pairs left out, (g, x_k), (x_j, x_k) with j < k and (x_j, x_j),
     multiply to normal forms, on which the maps read off the engine table
-    satisfy (a) and (c) by construction.
+    satisfy (a) and (c) by construction.  On Mat_m the n_base^2 = m^4
+    base-by-base pairs are decided by the 2m^2 - 1 of ``_unit_pairs``;
+    this order is the one in which a failure is looked for.
     """
     return [(u, v) for pos, u in enumerate(gens) for v in gens[: max(pos, n_base)]]
+
+
+def _unit_pairs(m: int) -> list:
+    """The positions of (E_r0, E_0c) and (E_0c, E_r0), r and c below m,
+    among the m^2 matrix units in row-major order (E_rc at r m + c), each
+    pair once: 2m^2 - 1 pairs, which decide (a) and (c) on all m^4 unit
+    pairs (see ``_identity_cases``)."""
+    cells = [(r, c) for r in range(m) for c in range(m)]
+    return list(dict.fromkeys([(r * m, c) for r, c in cells] + [(c, r * m) for r, c in cells]))
 
 
 # ---------------------------------------------------------------------------

@@ -9,8 +9,9 @@ import pytest
 
 from oretower import tower as tower_module
 from oretower.cli import parse_tower_file, parse_tower_text
-from oretower.erase import _commutator_action
+from oretower.erase import _commutator_action, erase_all
 from oretower.errors import HypothesisViolation, OreError
+from oretower.graded import associated_graded_tower
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import (
@@ -340,10 +341,58 @@ BASE_CASE_FAILURES = {
 }
 
 
+def _matrix_text(rows) -> str:
+    return "[" + ", ".join("[" + ", ".join(map(str, row)) + "]" for row in rows) + "]"
+
+
+def _unit_action(m: int, extra: tuple = ()) -> str:
+    """linear(...) of the identity on Mat_m plus a 1 at each (row, column)
+    of ``extra``: that entry adds E_row to the image of E_column."""
+    return _matrix_text(
+        [[int(k == l or (k, l) in extra) for l in range(m * m)] for k in range(m * m)]
+    )
+
+
+def _unit_base(m: int, field: str = "Q") -> str:
+    return f"[base]\nkind = matrix\nfield = {field}\nsize = {m}\n\n[[level]]\nvar = x\n"
+
+
+# Mat_m towers whose first failing base pair is not one of the unit pairs
+# (E_r0, E_0c), (E_0c, E_r0) of _unit_pairs, which catch the failure later
+# in the block: the failing checks and their details
+UNIT_PAIR_FALLBACKS = {
+    # sigma(e22) = e11 + e22: first fails at (e11, e22), the unit pairs at
+    # (e21, e12)
+    _unit_base(2) + f"sigma_base = linear({_unit_action(2, [(0, 3)])})\n": [
+        ("sigma multiplicative", "lhs = 0 ; rhs = ([[1, 0], [0, 0]])"),
+    ],
+    # delta(e22) = e11, the rest -> 0: first fails at (e11, e22), the unit
+    # pairs at (e21, e12)
+    _unit_base(2)
+    + "delta_base = linear([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])\n": [
+        ("delta twisted Leibniz", "lhs = 0 ; rhs = ([[1, 0], [0, 0]])"),
+    ],
+    # sigma(e33) = e11 + e33: first fails at (e11, e33), the unit pairs at
+    # (e31, e13)
+    _unit_base(3) + f"sigma_base = linear({_unit_action(3, [(0, 8)])})\n": [
+        ("sigma multiplicative", "lhs = 0 ; rhs = ([[1, 0, 0], [0, 0, 0], [0, 0, 0]])"),
+    ],
+    # sigma is not multiplicative, and delta (e21 -> e21, e22 -> e22, the
+    # rest -> 0) passes the unit pairs but not the block: the unit pairs
+    # decide the Leibniz rule only once sigma passes
+    _unit_base(2)
+    + "sigma_base = linear([[2, -1, 0, 0], [0, 0, 1, 0], [1, 1, 1, -1], [0, 0, 0, 1]])\n"
+    + "delta_base = linear([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n": [
+        ("sigma multiplicative", "lhs = ([[2, 0], [1, 0]]) ; rhs = ([[4, 0], [2, 0]])"),
+        ("delta twisted Leibniz", "lhs = 0 ; rhs = ([[1, 0], [0, 0]])"),
+    ],
+}
+
+
 def _validation_corpus():
     """Tower texts: every fixture, 400 numeric mutants, the first 300 token
-    mutants of the CLI fuzzer that parse (about one in 17 does), and the
-    base-case failures above."""
+    mutants of the CLI fuzzer that parse (about one in 17 does), the
+    base-case failures above and the unit-pair fallbacks."""
     texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
     texts += _numeric_mutants(400, seed=11)
     token_mutants = []
@@ -355,7 +404,7 @@ def _validation_corpus():
         token_mutants.append(text)
         if len(token_mutants) == 300:
             break
-    return texts + token_mutants + list(BASE_CASE_FAILURES.values())
+    return texts + token_mutants + list(BASE_CASE_FAILURES.values()) + list(UNIT_PAIR_FALLBACKS)
 
 
 def test_validation_matches_the_reference_validator():
@@ -370,7 +419,7 @@ def test_validation_matches_the_reference_validator():
         verdicts.add(all(ok for _level, _name, ok, _detail in checks))
     assert verdicts == {True, False}
     fixtures = len(list(FIXTURES.glob("*.tw")))
-    assert len(texts) == fixtures + 400 + 300 + len(BASE_CASE_FAILURES)
+    assert len(texts) == fixtures + 400 + 300 + len(BASE_CASE_FAILURES) + len(UNIT_PAIR_FALLBACKS)
 
 
 @pytest.mark.parametrize("name", sorted(BASE_CASE_FAILURES))
@@ -378,6 +427,69 @@ def test_base_case_failures_come_first(name):
     report = validate_tower(parse_tower_text(BASE_CASE_FAILURES[name]))
     assert report.first_failure.name == name
     assert [c.name for c in report.checks if not c.ok] == [name]
+
+
+@pytest.mark.parametrize("text", list(UNIT_PAIR_FALLBACKS))
+def test_unit_pair_failure_reports_the_first_failing_pair(text):
+    """A failure that the unit pairs catch is reported at the block's
+    first failing pair, as scanning every pair reports it."""
+    report = validate_tower(parse_tower_text(text))
+    failures = [(c.name, c.detail) for c in report.checks if not c.ok]
+    assert failures == UNIT_PAIR_FALLBACKS[text]
+
+
+def _count_gate_towers(m: int) -> dict:
+    """Valid one-level Mat_m towers and their numbers of nontrivial base
+    maps: conj(u) and conj(u) with inner(E_12) over Q, and conj(diag(d))
+    over gf(5) written as a raw linear(...)."""
+    u = _matrix_text([[int(j >= i) for j in range(m)] for i in range(m)])
+    b = _matrix_text([[int((i, j) == (0, 1)) for j in range(m)] for i in range(m)])
+    d = [1 + r % 4 for r in range(m)]
+    units = [(r, c) for r in range(m) for c in range(m)]
+    diag = _matrix_text(
+        [
+            [d[r] * pow(d[c], -1, 5) % 5 if k == l else 0 for l in range(m * m)]
+            for k, (r, c) in enumerate(units)
+        ]
+    )
+    return {
+        _unit_base(m) + f"sigma_base = conj({u})\n": 1,
+        _unit_base(m) + f"sigma_base = conj({u})\ndelta_base = inner({b})\n": 2,
+        _unit_base(m, "gf(5)") + f"sigma_base = linear({diag})\n": 1,
+    }
+
+
+@pytest.mark.parametrize("m", [2, 3, 6])
+def test_matrix_base_validation_count_gate(monkeypatch, m):
+    """Validating a valid Mat_m tower takes at most 4 m^2 matrix products
+    per nontrivial base map (on the 2m^2 - 1 unit pairs), where checking
+    every pair of units took 4 m^4; no clock is read."""
+    for text, n_maps in _count_gate_towers(m).items():
+        tower = parse_tower_text(text)
+        products = count_calls(monkeypatch, Matrix, "__mul__")
+        assert validate_tower(tower).ok
+        monkeypatch.undo()
+        assert 0 < len(products) <= 4 * m * m * n_maps, text
+
+
+def test_zero_delta_levels_compute_no_delta_image(monkeypatch):
+    """The erase-all and gr results are sigma-only towers: validating them
+    applies sigma_i to polynomials but never delta_i."""
+    results = []
+    for path in sorted(FIXTURES.glob("*.tw")):
+        tower = parse_tower_file(str(path))
+        for derive in (lambda t: erase_all(t).new_tower, lambda t: associated_graded_tower(t).result):
+            try:
+                results.append(derive(tower))
+            except OreError:
+                pass
+    assert len(results) >= 10
+    assert all(lvl.delta_is_zero() for result in results for lvl in result.levels)
+    calls = count_calls(monkeypatch, tower_module, "apply_level_map")
+    for result in results:
+        assert validate_tower(OreTower(result.base, result.levels)).ok
+    kinds = [kind for kind, _level, _p in calls]
+    assert "sigma" in kinds and "delta" not in kinds
 
 
 def test_matrix_base_failure_detail():
