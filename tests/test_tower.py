@@ -429,7 +429,9 @@ def test_base_case_failures_come_first(name):
     assert [c.name for c in report.checks if not c.ok] == [name]
 
 
-@pytest.mark.parametrize("text", list(UNIT_PAIR_FALLBACKS))
+@pytest.mark.parametrize(
+    "text", list(UNIT_PAIR_FALLBACKS), ids=map(str, range(len(UNIT_PAIR_FALLBACKS)))
+)
 def test_unit_pair_failure_reports_the_first_failing_pair(text):
     """A failure that the unit pairs catch is reported at the block's
     first failing pair, as scanning every pair reports it."""
