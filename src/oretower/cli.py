@@ -110,9 +110,9 @@ def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
             i += 1
             continue
         col = i + 1 + col_offset
-        if ch.isdigit():
+        if "0" <= ch <= "9":
             j = i
-            while j < len(text) and text[j].isdigit():
+            while j < len(text) and "0" <= text[j] <= "9":
                 j += 1
             if j - i > MAX_LITERAL_DIGITS:
                 raise ParseError(
@@ -294,11 +294,7 @@ class _ExprParser:
             raise ParseError(op.line, op.col, "division only by scalars")
         if b.is_zero():
             raise ParseError(op.line, op.col, "division by zero")
-        if isinstance(a, SkewPoly):
-            return a * SkewPoly.from_base(a.tower, a.tower.base.scalar(b.inverse()))
-        if isinstance(a, Matrix):
-            return a * b.inverse()
-        return a / b
+        return a * b.inverse()
 
     def _neg(self, a):
         return -a
@@ -357,7 +353,7 @@ class _Context:
             return value
         if self.tower is None:
             raise ParseError(op.line, op.col, "polynomial value in a scalar-only context")
-        return SkewPoly.from_base(self.tower, self.tower.base.coerce(value))
+        return SkewPoly.from_base(self.tower, value)
 
 
 def _eval_expr(text, line, context, col_offset=0):

@@ -192,7 +192,7 @@ def _center_moving(tower: OreTower, top: int, bound: int):
         if u.is_base_element():
             u0 = u.constant_coefficient()
             u0_inv = u0.inverse()
-            y = x_top + SkewPoly.from_base(tower, u0_inv) * dc
+            y = x_top + u0_inv * dc
             if dc.is_base_element():
                 shift = -(u0_inv * dc.constant_coefficient())
         else:
@@ -267,7 +267,7 @@ def _inner_branch(tower: OreTower):
         )
     v = Matrix.unvec(field, v_vec)
     b = a * v
-    y = SkewPoly.variable(tower, 0) - SkewPoly.from_base(tower, b)
+    y = SkewPoly.variable(tower, 0) - b
     _assert_sigma_relation(tower, 0, y)
     return y, _zero_top_delta(tower), ErasureWitness("inner", a=a, v=v, b=b)
 
@@ -480,18 +480,13 @@ def _verify_relations(tower: OreTower, ys: list[SkewPoly]) -> None:
     for i in range(n):
         y_i = ys[i]
         for g in base.generators():
-            tau_g = tower.apply_sigma0(i, g)
-            lhs = y_i * SkewPoly.from_base(tower, g)
-            rhs = SkewPoly.from_base(tower, tau_g) * y_i
-            if lhs != rhs:
+            if y_i * g != tower.apply_sigma0(i, g) * y_i:
                 raise VerificationFailed(
                     f"relation y_{i + 1} r = tau(r) y_{i + 1} fails for r = {g}"
                 )
         for j in range(i):
             lam, _ = tower.sigma_var(i, j)
-            lhs = y_i * ys[j]
-            rhs = SkewPoly.from_base(tower, lam) * ys[j] * y_i
-            if lhs != rhs:
+            if y_i * ys[j] != lam * ys[j] * y_i:
                 raise VerificationFailed(
                     f"relation y_{i + 1} y_{j + 1} = lambda y_{j + 1} y_{i + 1} fails"
                 )

@@ -350,21 +350,14 @@ def cyclotomic_polynomial(n: int) -> tuple[int, ...]:
     if n < 1:
         raise ValueError("order must be positive")
     factors = [(d, mobius(n // d)) for d in divisors(n)]
-    poly = [1]
+    poly = (1,)
     for d, mu in factors:
         if mu == 1:
-            poly = [
-                (poly[i - d] if i >= d else 0) - (poly[i] if i < len(poly) else 0)
-                for i in range(len(poly) + d)
-            ]
+            poly = _zmul(poly, (-1,) + (0,) * (d - 1) + (1,))
     for d, mu in factors:
         if mu == -1:
-            # q (x^d - 1) = p  gives  q[i] = q[i - d] - p[i]
-            quot = [0] * (len(poly) - d)
-            for i in range(len(quot)):
-                quot[i] = (quot[i - d] if i >= d else 0) - poly[i]
-            poly = quot
-    return tuple(poly)
+            poly = _zexquo(poly, (-1,) + (0,) * (d - 1) + (1,))
+    return poly
 
 
 # ---------------------------------------------------------------------------
@@ -840,6 +833,8 @@ class RationalFunctionField(_FieldBase):
         self.name = f"{inner.name}({name})"
         self.gen_name = name
         self._hash = hash(("ratfunc", inner, name))
+        # a root of unity is algebraic, so a constant: one of the inner field
+        self.roots_of_unity_exponent = inner.roots_of_unity_exponent
         self._one_poly = (inner.rep_one,)
         self.rep_zero = ((), self._one_poly)
         self.rep_one = (self._one_poly, self._one_poly)
@@ -1198,12 +1193,13 @@ def parse_field(descriptor: str):
         if split is not None:
             head = text[:split].strip()
             arg = text[split + 1 : -1].strip()
-            if head.lower() == "gf" and arg.isdigit():
+            digits = arg.isascii() and arg.isdigit()
+            if head.lower() == "gf" and digits:
                 # the length is checked before int() converts the digits
                 if len(arg.lstrip("0")) > MAX_PRIME_DIGITS:
                     raise ValueError(f"gf(p) takes p of at most {MAX_PRIME_DIGITS} digits")
                 return GF(int(arg))
-            if head.lower() == "cyclotomic" and arg.isdigit():
+            if head.lower() == "cyclotomic" and digits:
                 return CyclotomicField(_bounded_order(arg))
             if arg.isidentifier():
                 return FunctionField(parse_field(head), arg)
@@ -1218,18 +1214,15 @@ def root_of_unity_order(s: Scalar) -> int | None:
     """Smallest N with s**N == 1, or None when s is not a root of unity.
 
     The search bound is the field's ``roots_of_unity_exponent``: 2 for Q,
-    lcm(2, n) for Q(zeta_n), p - 1 for GF(p); a rational function must be
-    constant, deferring to the inner field.
+    lcm(2, n) for Q(zeta_n), p - 1 for GF(p), and the inner field's for
+    F(t), whose roots of unity are algebraic and so constants
+    (``is_constant``).
     """
     if s.is_zero():
         raise ZeroInput("0 is not a root of unity")
-    field = s.field
-    if isinstance(field, RationalFunctionField):
-        num, den = field._view(s.rep)
-        if len(num) == 1 and den == field._one_poly:
-            return root_of_unity_order(Scalar(field.inner, num[0]))
+    if not s.field.is_constant(s):
         return None
-    return _order_dividing(s, field.roots_of_unity_exponent)
+    return _order_dividing(s, s.field.roots_of_unity_exponent)
 
 
 def _order_dividing(s: Scalar, bound: int) -> int | None:

@@ -68,7 +68,11 @@ towers; a peel loop with no generator or slicing still lost, 2,960 to
 tower's height of non-negative ints, coefficients are coerced into the
 base, like keys merge and zero terms drop (``_clean_terms``).  Ring
 operations build clean term dicts by construction and return them through
-``SkewPoly._of``, which does not check them again.
+``SkewPoly._of``, which does not check them again.  A base element enters
+through ``SkewPoly.from_base``, which coerces it with ``base.coerce`` and
+builds its one term directly; every int, Fraction, Scalar or Matrix operand
+of a ring operation goes that way, so callers multiply by base elements
+without wrapping them.
 """
 
 from __future__ import annotations
@@ -119,7 +123,10 @@ class SkewPoly:
 
     @classmethod
     def from_base(cls, tower, element) -> "SkewPoly":
-        return cls(tower, {(0,) * tower.height: element})
+        """element, coerced into the base by ``tower.base.coerce``, as a
+        polynomial of degree 0; the one term needs no ``_clean_terms``."""
+        x = tower.base.coerce(element)
+        return cls._of(tower, {} if x.is_zero() else {(0,) * tower.height: x})
 
     # -- predicates ------------------------------------------------------
 
@@ -586,15 +593,17 @@ def is_central(p: SkewPoly, top_level: int | None = None) -> tuple[bool, SkewPol
     """
     tower = p.tower
     limit = tower.height if top_level is None else top_level
-    for elem in tower.base.generators():
-        gen = SkewPoly.from_base(tower, elem)
-        if p * gen != gen * p:
-            return False, gen
-    for i in range(limit):
-        gen = SkewPoly.variable(tower, i)
+    for gen in _level_generators(tower, limit):
         if p * gen != gen * p:
             return False, gen
     return True, None
+
+
+def _level_generators(tower, i: int) -> list[SkewPoly]:
+    """Generators of the subring R_{i-1}: base generators and lower variables."""
+    gens = [SkewPoly.from_base(tower, g) for g in tower.base.generators()]
+    gens.extend(SkewPoly.variable(tower, j) for j in range(i))
+    return gens
 
 
 def degree_leading(p: SkewPoly, level: int):

@@ -21,7 +21,7 @@ from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
 from .scalars import Matrix, Scalar
-from .skewpoly import SkewPoly, _clean_terms, apply_level_map
+from .skewpoly import SkewPoly, _clean_terms, _level_generators, apply_level_map
 
 
 # ---------------------------------------------------------------------------
@@ -381,9 +381,6 @@ class OreTower:
     def from_base(self, element) -> SkewPoly:
         return SkewPoly.from_base(self, element)
 
-    def from_scalar(self, s) -> SkewPoly:
-        return self.from_base(self.base.scalar(s))
-
     # -- map access ----------------------------------------------------------
 
     def apply_sigma0(self, i: int, element):
@@ -506,13 +503,6 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     return sigma_defect is None and delta_defect is None
 
 
-def _level_generators(tower: OreTower, i: int) -> list[SkewPoly]:
-    """Generators of the subring R_{i-1}: base generators and lower variables."""
-    gens = [SkewPoly.from_base(tower, g) for g in tower.base.generators()]
-    gens.extend(SkewPoly.variable(tower, j) for j in range(i))
-    return gens
-
-
 def validate_tower(tower: OreTower) -> ValidationReport:
     """Run every level's axiom checks; exact identities throughout.
 
@@ -591,8 +581,8 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
     base generator and of a base-by-base pair take no rewriting.  Each
     generator's sigma_i and delta_i image and each pair product is
     computed once, when a case first asks for it, and shared by the three
-    checks; in a pair (x_k, g) the values of g are wrapped as polynomials
-    once, not on every product.
+    checks; in a pair (x_k, g) a base value of g is multiplied as it is,
+    and the polynomial operation takes it in through ``SkewPoly.from_base``.
 
     Zero delta.  When delta_i is zero on the base and on every x_j, (c)
     and (d) have no cases: both sides of each are 0, on invalid towers
@@ -638,37 +628,23 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
     base_gens = base.generators()
     n_base = len(base_gens)
     gens = [*base_gens, *(SkewPoly.variable(tower, j) for j in range(i))]
-    zero_exp = (0,) * tower.height
 
     def image(kind: str, x):
         if isinstance(x, SkewPoly):
             return apply_level_map(kind, i, x)
         return tower.apply_sigma0(i, x) if kind == "sigma" else tower.apply_delta0(i, x)
 
-    # (kind, k) -> gens[k] ("gen") or its sigma_i or delta_i image
-    value = _memoised(lambda kind, k: gens[k] if kind == "gen" else image(kind, gens[k]))
-
-    def lift(kind: str, k: int):
-        x = value(kind, k)
-        if k >= n_base:
-            return x
-        return SkewPoly._of(tower, {zero_exp: x} if not x.is_zero() else {})
-
-    # the same values as polynomials, for the right factor beside x_k
-    poly = _memoised(lift)
-
-    def right(k: int):
-        return value if k < n_base else poly
-
-    product = _memoised(lambda k, l: gens[k] * right(k)("gen", l))
+    # (kind, k) -> the sigma_i or delta_i image of gens[k]
+    value = _memoised(lambda kind, k: image(kind, gens[k]))
+    product = _memoised(lambda k, l: gens[k] * gens[l])
 
     def mult(pair):
         k, l = pair
-        return image("sigma", product(k, l)), value("sigma", k) * right(k)("sigma", l)
+        return image("sigma", product(k, l)), value("sigma", k) * value("sigma", l)
 
     def leibniz(pair):
         k, l = pair
-        rhs = value("sigma", k) * right(k)("delta", l) + value("delta", k) * right(k)("gen", l)
+        rhs = value("sigma", k) * value("delta", l) + value("delta", k) * gens[l]
         return image("delta", product(k, l)), rhs
 
     pairs = _relation_pairs(range(len(gens)), n_base)
@@ -777,20 +753,16 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
     if c:
         raise NotDiagonal(f"sigma of level {i + 1} on x_{i} has a nonzero c part")
     lam = tower.base.coerce(lam)
-    lam_poly = SkewPoly.from_base(tower, lam)
-    lam_inv_poly = SkewPoly.from_base(tower, lam.inverse())
-
-    gens = [SkewPoly.from_base(tower, b) for b in tower.base.generators()]
-    gens.extend(SkewPoly.variable(tower, j) for j in range(i - 1))
+    lam_inv = lam.inverse()
     witness = None
-    for g in gens:
+    for g in _level_generators(tower, i - 1):
         lhs = apply_level_map("sigma", i, apply_level_map("sigma", i - 1, g))
-        rhs = lam_poly * apply_level_map("sigma", i - 1, apply_level_map("sigma", i, g)) * lam_inv_poly
+        rhs = lam * apply_level_map("sigma", i - 1, apply_level_map("sigma", i, g)) * lam_inv
         if lhs != rhs:
             witness = g
             break
         lhs = apply_level_map("sigma", i, apply_level_map("delta", i - 1, g))
-        rhs = lam_poly * apply_level_map("delta", i - 1, apply_level_map("sigma", i, g))
+        rhs = lam * apply_level_map("delta", i - 1, apply_level_map("sigma", i, g))
         if lhs != rhs:
             witness = g
             break

@@ -62,7 +62,7 @@ def test_criterion_1_quantum_plane_swap():
             for presentation in (tower, swapped):
                 x1 = presentation.var("x1")
                 x2 = presentation.var("x2")
-                assert x2 * x1 == presentation.from_scalar(lam) * (x1 * x2)
+                assert x2 * x1 == presentation.from_base(lam) * (x1 * x2)
 
 
 def test_criterion_2_center_moving_erasure():
@@ -73,7 +73,7 @@ def test_criterion_2_center_moving_erasure():
         y, _new_tower, wit = erase_top(tower)
         assert y == tower.poly({(1, 1): q - 1, (0, 0): field.one})
         x1 = tower.var(0)
-        assert y * x1 == tower.from_scalar(q) * x1 * y
+        assert y * x1 == tower.from_base(q) * x1 * y
 
         # leading coefficient of y^k is u sigma(u) ... sigma^{k-1}(u) != 0
         u = tower.poly({(1, 0): q - 1})
@@ -128,7 +128,7 @@ def test_criterion_4_full_erasure():
         assert a == z and not c
 
         y1, y2 = result.y_elements
-        assert y2 * y1 == tower.from_scalar(z) * y1 * y2
+        assert y2 * y1 == tower.from_base(z) * y1 * y2
         for i, y in enumerate(result.y_elements):
             for g in tower.base.generators():
                 lhs = y * SkewPoly.from_base(tower, g)

@@ -18,7 +18,7 @@ from oretower.cli import (
     run,
 )
 from oretower.errors import ParseError, UnknownVariableReference
-from oretower.scalars import CyclotomicField, Matrix
+from oretower.scalars import CyclotomicField, Matrix, parse_field
 from oretower.tower import validate_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -318,6 +318,29 @@ def test_validate_command_exit_codes(capsys):
     assert run(["validate", "--tower", fixture("broken_qskew.tw")]) == 1
     out = capsys.readouterr().out
     assert "q-skew" in out
+
+
+@pytest.mark.parametrize("digit", ["\u00b2", "\u0663"], ids=["superscript_two", "arabic_three"])
+def test_only_ascii_digits_are_numbers(digit, capsys, tmp_path):
+    """A character that ``str.isdigit`` accepts but that is no ASCII digit
+    is an unexpected character, on the command line and in a tower file,
+    and no field descriptor reads it as a number."""
+    assert run(["mul", "--tower", fixture("qweyl_q.tw"), f"x1^{digit}", "x2"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: line 1, column 4: unexpected character {digit!r}\n"
+    assert captured.out == ""
+    path = tmp_path / "digit.tw"
+    path.write_text(_FIELD_BASE + _LEVEL + _LEVEL_2 + f"delta x1 = x1^{digit}\n", encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 2
+    captured = capsys.readouterr()
+    assert captured.err.startswith("error: line 9, column ")
+    assert f"unexpected character {digit!r}" in captured.err
+    for descriptor in (f"gf({digit})", f"cyclotomic({digit})", f"gf(1{digit})"):
+        with pytest.raises(ValueError, match="unrecognised field descriptor"):
+            parse_field(descriptor)
+        path.write_text(f"[base]\nkind = field\nfield = {descriptor}\n", encoding="utf-8")
+        assert run(["validate", "--tower", str(path)]) == 2
+        assert "unrecognised field descriptor" in capsys.readouterr().err
 
 
 def test_usage_and_parse_errors_exit_two(capsys, tmp_path):

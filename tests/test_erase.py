@@ -50,7 +50,7 @@ def test_erase_top_quantum_weyl():
     assert y == tower.poly({(1, 1): q - 1, (0, 0): field.one})
 
     x1 = tower.var(0)
-    assert y * x1 == tower.from_scalar(q) * x1 * y
+    assert y * x1 == tower.from_base(q) * x1 * y
 
     assert new_tower.levels[1].delta_is_zero()
     assert validate_tower(new_tower).ok
@@ -167,12 +167,12 @@ def test_erase_top_zeta5_field_derivation():
     y, new_tower, wit = erase_top(tower)
 
     assert wit.branch == "center_moving"
-    assert wit.c == tower.from_scalar(z)
-    assert wit.u == tower.from_scalar(z**2 - z)
+    assert wit.c == tower.from_base(z)
+    assert wit.u == tower.from_base(z**2 - z)
     assert wit.b == -w
-    assert y == tower.var(0) + tower.from_scalar(w)
+    assert y == tower.var(0) + tower.from_base(w)
     # y z = z^2 y
-    assert y * tower.from_scalar(z) == tower.from_scalar(z**2) * y
+    assert y * tower.from_base(z) == tower.from_base(z**2) * y
     assert validate_tower(new_tower).ok
 
 
@@ -261,7 +261,7 @@ def test_swap_quantum_plane(lam_field):
     # x2 x1 = lam x1 x2 holds in both presentations (variables by name)
     for t in (tower, swapped):
         x1, x2 = t.var("x1"), t.var("x2")
-        assert x2 * x1 == t.from_scalar(lam) * (x1 * x2)
+        assert x2 * x1 == t.from_base(lam) * (x1 * x2)
 
 
 def test_swap_not_diagonal():
@@ -301,7 +301,7 @@ def test_swap_weyl_with_sigma_top():
     # relations re-verified by multiplication: x2 x1 = q x1 x2 + 1 still holds
     q = tower.base.field.gen
     x1, x2 = swapped.var("x1"), swapped.var("x2")
-    assert x2 * x1 == swapped.from_scalar(q) * x1 * x2 + swapped.one()
+    assert x2 * x1 == swapped.from_base(q) * x1 * x2 + swapped.one()
 
 
 def test_swap_compatibility_failure_raises():
@@ -342,7 +342,7 @@ def test_erase_all_two_level_weyl_zeta3():
 
     # relations inside the original tower
     y1, y2 = result.y_elements
-    assert y2 * y1 == tower.from_scalar(z) * y1 * y2
+    assert y2 * y1 == tower.from_base(z) * y1 * y2
     for g in tower.base.generators():
         gp = tower.from_base(g)
         assert y2 * gp == tower.from_base(tower.apply_sigma0(1, g)) * y2
@@ -400,7 +400,7 @@ def test_erase_all_three_level_delta_on_top():
     y1, y2, y3 = result.y_elements
     assert y1 == tower.var(0) and y2 == tower.var(1)
     assert y3 == tower.poly({(0, 1, 1): z - 1, (0, 0, 0): field.one})
-    assert y3 * y2 == tower.from_scalar(z) * y2 * y3
+    assert y3 * y2 == tower.from_base(z) * y2 * y3
     assert y3 * y1 == y1 * y3
     assert y2 * y1 == y1 * y2
 
@@ -493,7 +493,7 @@ def test_erase_all_four_level_quantum_space():
             a, c = result.new_tower.sigma_var(i, j)
             assert a == lam[(i, j)] and not c
             lhs = result.y_elements[i] * result.y_elements[j]
-            rhs = tower.from_scalar(lam[(i, j)]) * result.y_elements[j] * result.y_elements[i]
+            rhs = tower.from_base(lam[(i, j)]) * result.y_elements[j] * result.y_elements[i]
             assert lhs == rhs
 
     from oretower.pi import pi_report

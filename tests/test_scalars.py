@@ -83,6 +83,26 @@ def test_root_of_unity_examples():
         root_of_unity_order(QQ.zero)
 
 
+def test_root_of_unity_order_in_rational_function_fields():
+    """A root of unity of F(t) is a constant, of an order dividing the
+    inner field's exponent, nested fields included."""
+    gf7_t = FunctionField(GF(7), "t")
+    assert gf7_t.roots_of_unity_exponent == 6
+    assert root_of_unity_order(gf7_t.coerce(3)) == 6
+    assert root_of_unity_order(gf7_t.gen) is None
+    assert root_of_unity_order(gf7_t.gen / gf7_t.gen) == 1
+    q_t = FunctionField(QQ, "t")
+    q_t_s = FunctionField(q_t, "s")
+    assert root_of_unity_order(q_t_s.coerce(-1)) == 2
+    assert root_of_unity_order(q_t_s.coerce(q_t.gen)) is None
+    assert root_of_unity_order(q_t_s.gen) is None
+    cyc3_t = FunctionField(CyclotomicField(3), "t")
+    z = CyclotomicField(3).gen
+    assert root_of_unity_order(cyc3_t.coerce(z)) == 3
+    assert root_of_unity_order(cyc3_t.coerce(-z)) == 6
+    assert root_of_unity_order(cyc3_t.coerce(z) * cyc3_t.gen) is None
+
+
 def test_root_of_unity_minimality():
     # order N means s^N = 1 and s^d != 1 for every proper divisor d of N
     samples = [

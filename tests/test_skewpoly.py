@@ -8,7 +8,7 @@ import pytest
 
 from oretower import skewpoly, tower as tower_module
 from oretower.cli import parse_tower_file
-from oretower.errors import SupportTooHigh, TowerMismatch
+from oretower.errors import ScalarError, SupportTooHigh, TowerMismatch
 from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix, Scalar
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
 from oretower.tower import BaseRing, OreTower, TowerLevel
@@ -44,7 +44,7 @@ def test_quantum_plane_commutation():
     field = CyclotomicField(3)
     tower = qplane(field, field.gen)
     x1, x2 = tower.var(0), tower.var(1)
-    assert x2 * x1 == tower.from_scalar(field.gen) * (x1 * x2)
+    assert x2 * x1 == tower.from_base(field.gen) * (x1 * x2)
 
 
 def test_multiplication_by_one(any_tower):
@@ -68,8 +68,8 @@ def test_apply_sigma_on_generator(weyl):
     tower, field = weyl
     q = field.gen
     x1 = tower.var(0)
-    assert apply_level_map("sigma", 1, x1) == tower.from_scalar(q) * x1
-    assert apply_level_map("sigma", 1, x1**2) == tower.from_scalar(q**2) * x1**2
+    assert apply_level_map("sigma", 1, x1) == tower.from_base(q) * x1
+    assert apply_level_map("sigma", 1, x1**2) == tower.from_base(q**2) * x1**2
 
 
 def test_apply_delta_twisted_leibniz_by_hand(weyl):
@@ -77,7 +77,7 @@ def test_apply_delta_twisted_leibniz_by_hand(weyl):
     tower, field = weyl
     q = field.gen
     x1 = tower.var(0)
-    assert apply_level_map("delta", 1, x1**2) == tower.from_scalar(1 + q) * x1
+    assert apply_level_map("delta", 1, x1**2) == tower.from_base(1 + q) * x1
 
 
 def test_apply_level_map_rejects_high_support(weyl):
@@ -412,6 +412,41 @@ def _assert_clean(tower, p):
             assert coeff.nrows == coeff.ncols == base.size
         assert not coeff.is_zero()
     assert SkewPoly(tower, p.terms).terms == p.terms
+
+
+def test_from_base_builds_what_the_checking_constructor_builds(monkeypatch):
+    """``from_base`` coerces through ``base.coerce``, so it takes and
+    refuses what ``SkewPoly(tower, {zero: x})`` takes and refuses, and it
+    builds the one term without a ``_clean_terms`` pass."""
+    field = FunctionField(QQ, "q")
+    towers = [qplane(QQ, 2), qweyl(field, field.gen), mat2_twolevel()]
+    cleans = count_calls(monkeypatch, skewpoly, "_clean_terms")
+    for tower in towers:
+        zero_exp = (0,) * tower.height
+        values = [3, -1, 0, Fraction(1, 3), tower.base.field.gen or QQ.coerce(5)]
+        values += [tower.base.zero, tower.base.one]
+        if tower.base.kind == "matrix":
+            values += [E21, Matrix.unit(QQ, 2, 0, 1) + 2 * Matrix.identity(QQ, 2)]
+        for x in values:
+            before = len(cleans)
+            p = SkewPoly.from_base(tower, x)
+            assert len(cleans) == before
+            assert p.terms == SkewPoly(tower, {zero_exp: x}).terms
+            assert p == tower.from_base(x)
+            _assert_clean(tower, p)
+    wrong = [
+        (towers[1], CyclotomicField(3).gen),
+        (towers[1], Matrix.identity(field, 2)),
+        (towers[2], Matrix.identity(QQ, 3)),
+        (towers[2], Matrix.identity(field, 2)),
+    ]
+    for tower, x in wrong:
+        with pytest.raises(ScalarError) as checked:
+            SkewPoly(tower, {(0,) * tower.height: x})
+        with pytest.raises(ScalarError) as cheap:
+            SkewPoly.from_base(tower, x)
+        assert type(cheap.value) is type(checked.value)
+        assert str(cheap.value) == str(checked.value)
 
 
 @pytest.mark.parametrize("name", sorted(CLEAN_TERM_TOWERS))

@@ -59,9 +59,9 @@ def test_quantum_weyl_is_valid_and_q_skew():
     x1 = tower.var(0)
     ds = apply_level_map("delta", 1, apply_level_map("sigma", 1, x1))
     sd = apply_level_map("sigma", 1, apply_level_map("delta", 1, x1))
-    assert ds == tower.from_scalar(q)
+    assert ds == tower.from_base(q)
     assert sd == tower.one()
-    assert ds == tower.from_scalar(q) * sd
+    assert ds == tower.from_base(q) * sd
 
 
 def test_wrong_q_skew_is_reported():
@@ -310,7 +310,7 @@ def _reference_checks(tower) -> list:
             ),
         ]
         if lvl.q is not None:
-            q_poly = tower.from_scalar(lvl.q)
+            q_poly = tower.from_base(lvl.q)
             q_skew = ((delta(sigma(g)), q_poly * sigma(delta(g))) for g in gens)
             checks.append(("q-skew identity", q_skew))
         for name, cases in checks:
