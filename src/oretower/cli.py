@@ -57,6 +57,11 @@ from .tower import (
 )
 
 
+class UsageError(Exception):
+    """A flag value that the tower rules out, such as a ``--level`` above
+    its height; exits 2 as a parse error does, but has no position."""
+
+
 # ---------------------------------------------------------------------------
 # expression tokens
 
@@ -377,7 +382,7 @@ def parse_tower_text(text: str) -> OreTower:
 
     names = []
     for _kind, items, line in level_sections:
-        var_entry = next(((v, l) for k, v, l in items if k == "var"), None)
+        var_entry = next(((v, l) for k, v, l, _col in items if k == "var"), None)
         if var_entry is None:
             raise ParseError(line, 1, "level section missing 'var'")
         value, var_line = var_entry
@@ -404,6 +409,9 @@ def parse_tower_file(path: str) -> OreTower:
 
 
 def _split_sections(text: str):
+    """The sections of a tower file as (name, items, line), where each item
+    is (key, value, line, offset) and ``offset`` is the number of
+    characters before the stripped value on its line."""
     sections = []
     current = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
@@ -427,7 +435,8 @@ def _split_sections(text: str):
             if "=" not in line:
                 raise ParseError(lineno, 1, "expected 'key = value'")
             key, _, value = line.partition("=")
-            current[1].append((key.strip(), value.strip(), lineno))
+            offset = len(line) - len(value.lstrip())
+            current[1].append((key.strip(), value.strip(), lineno, offset))
     return sections
 
 
@@ -435,7 +444,7 @@ def _parse_base(items) -> BaseRing:
     kind = "field"
     field = None
     size = None
-    for key, value, line in items:
+    for key, value, line, _col in items:
         if key == "kind":
             if value not in ("field", "matrix"):
                 raise ParseError(line, 1, f"unknown base kind {value!r}")
@@ -487,15 +496,15 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
     scalar_ctx = _Context(field, all_vars=names)
     matrix_ctx = _Context(field, all_vars=names, allow_matrix=True)
 
-    for key, value, line in items:
+    for key, value, line, col in items:
         if key == "var":
             continue
         if key == "sigma_base":
-            sigma_base = _parse_base_map("sigma", value, line, base, scalar_ctx, matrix_ctx)
+            sigma_base = _parse_base_map("sigma", value, line, col, base, scalar_ctx, matrix_ctx)
         elif key == "delta_base":
-            delta_base_entry = (value, line)
+            delta_base_entry = (value, line, col)
         elif key == "q":
-            q = _eval_expr(value, line, scalar_ctx)
+            q = _eval_expr(value, line, scalar_ctx, col)
         elif key.startswith("sigma ") or key.startswith("delta "):
             target = key.split(None, 1)[1].strip()
             if target not in names:
@@ -508,7 +517,7 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
                     line, 1, f"variable {target!r} is not below level {index + 1}"
                 )
             val = poly_ctx.as_poly(
-                _eval_expr(value, line, poly_ctx), _Token("=", "=", line, 1)
+                _eval_expr(value, line, poly_ctx, col), _Token("=", "=", line, 1)
             )
             if key.startswith("sigma "):
                 sigma_vars[j] = _split_sigma_image(val, j, line)
@@ -519,9 +528,9 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
             raise ParseError(line, 1, f"unknown level key {key!r}")
 
     if delta_base_entry is not None:
-        value, line = delta_base_entry
+        value, line, col = delta_base_entry
         delta_base = _parse_base_map(
-            "delta", value, line, base, scalar_ctx, matrix_ctx, sigma_base
+            "delta", value, line, col, base, scalar_ctx, matrix_ctx, sigma_base
         )
     return TowerLevel(
         name=names[index],
@@ -550,8 +559,9 @@ def _split_sigma_image(poly: SkewPoly, j: int, line: int):
     return a, c_terms
 
 
-def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=None):
-    text = value.strip()
+def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_base=None):
+    """The base map of a ``sigma_base``/``delta_base`` value ``text``,
+    which starts after ``col`` characters of line ``line``."""
     if kind == "sigma" and text == "id":
         return BaseMap.identity()
     if kind == "delta" and text == "zero":
@@ -561,7 +571,7 @@ def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=
             if base.kind != "matrix":
                 raise FieldMismatch(f"{head}(...) requires a matrix base")
             inner_text = text[len(head) + 1 : -1]
-            m = _eval_expr(inner_text, line, matrix_ctx, col_offset=len(head) + 1)
+            m = _eval_expr(inner_text, line, matrix_ctx, col + len(head) + 1)
             if not isinstance(m, Matrix):
                 raise ParseError(line, 1, f"{head}(...) takes a matrix")
             if head == "conj" and kind != "sigma":
@@ -587,7 +597,7 @@ def _parse_base_map(kind, value, line, base, scalar_ctx, matrix_ctx, sigma_base=
             f"{kind}_base on a matrix base must be id/zero, conj(...), "
             f"inner(...) or linear(...)"
         )
-    image = _eval_expr(text, line, scalar_ctx)
+    image = _eval_expr(text, line, scalar_ctx, col)
     if base.field.gen is None:
         raise FieldMismatch(
             f"{base.field.name} has no generator; only id/zero base maps exist"
@@ -739,7 +749,7 @@ def run(argv) -> int:
 
     try:
         report, exit_code, human = _dispatch(args, tower)
-    except (ParseError, FieldMismatch) as exc:
+    except (ParseError, FieldMismatch, UsageError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 2
     except OreError as exc:
@@ -938,11 +948,15 @@ def _expr_context(tower: OreTower) -> _Context:
 
 def _level_arg(args, tower: OreTower, lowest: int = 1) -> int:
     """The 0-based index of the 1-based ``--level``, checked against [lowest, height]."""
-    if not lowest <= args.level <= tower.height:
-        raise ParseError(
-            1, 1, f"level {args.level} out of range {lowest}..{tower.height}"
+    level, height = args.level, tower.height
+    if lowest <= level <= height:
+        return level - 1
+    if lowest > height:
+        raise UsageError(
+            f"level {level} out of range: {args.command} needs a tower of height "
+            f"at least {lowest}, and this one has height {height}"
         )
-    return args.level - 1
+    raise UsageError(f"level {level} out of range {lowest}..{height}")
 
 
 def _witness_json(wit) -> dict:

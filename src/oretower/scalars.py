@@ -1265,16 +1265,26 @@ class Matrix:
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
-        return cls(field, [[1 if i == j else 0 for j in range(n)] for i in range(n)])
+        return cls._scalar(field, n, field.rep_one)
+
+    @classmethod
+    def _scalar(cls, field, n: int, rep) -> "Matrix":
+        """The n x n matrix with the rep ``rep`` of ``field`` on the
+        diagonal and zero elsewhere."""
+        zero = field.rep_zero
+        return cls._from_reps(field, [[rep if i == j else zero for j in range(n)] for i in range(n)])
 
     @classmethod
     def zero(cls, field, nrows: int, ncols: int) -> "Matrix":
-        return cls(field, [[0] * ncols for _ in range(nrows)])
+        return cls._from_reps(field, [[field.rep_zero] * ncols for _ in range(nrows)])
 
     @classmethod
     def unit(cls, field, n: int, i: int, j: int) -> "Matrix":
         """The matrix unit e_{ij} (0-based indices) in Mat_n."""
-        return cls(field, [[1 if (r, c) == (i, j) else 0 for c in range(n)] for r in range(n)])
+        one, zero = field.rep_one, field.rep_zero
+        return cls._from_reps(
+            field, [[one if (r, c) == (i, j) else zero for c in range(n)] for r in range(n)]
+        )
 
     @property
     def rows(self) -> tuple:

@@ -599,6 +599,73 @@ def is_central(p: SkewPoly, top_level: int | None = None) -> tuple[bool, SkewPol
     return True, None
 
 
+def central_powers(tower, n_bound: int) -> list[tuple[SkewPoly, int]]:
+    """Every central power (x_i^N, N) with 1 <= N <= n_bound, by level
+    and then by N: the powers that ``is_central`` accepts, found at one
+    engine step per generator and power instead of two products with
+    x_i^N.
+
+    Write L_i for left multiplication by x_i, ``_var_times_terms(tower,
+    i, .)``.  The engine defines (c x_i^a) T as c L_i^a(T), and a run
+    x_i^a that ``_power_times_terms`` takes in one move equals L_i^a term
+    for term.  x_i^N is supported at level i, a sum of terms c x_i^a, so
+    for each generator g
+
+        x_i^N g = sum of c L_i^a(g) over the terms c x_i^a of x_i^N,
+
+    read off the run L_i^0(g), L_i^1(g), ... that is kept for g and
+    stepped once when N passes its end; x_i^N = x_i^{N-1} x_i is read off
+    the run of x_i the same way.  On the other side x_j x_i^N is one step
+    L_j(x_i^N), and b x_i^N is the sum of (b c) x_i^a for a base
+    generator b.  None of this assumes a valid tower, so the hits are
+    those of direct products on every tower.  When the maps fix 1, x_i^N
+    is one monomial with coefficient one and x_i^N g is the run entry
+    itself.  The runs live for one level.
+    """
+    one = tower.base.one
+    height = tower.height
+    gens = [g.terms for g in _level_generators(tower, height)]
+    n_base = len(gens) - height
+    hits: list[tuple[SkewPoly, int]] = []
+    for i in range(height):
+        runs = [[terms] for terms in gens]
+        power = {(0,) * height: one}
+        for n in range(1, n_bound + 1):
+            power = _times_run(tower, i, power, runs[n_base + i], one)
+            for k, run in enumerate(runs):
+                if k >= n_base:
+                    left = _var_times_terms(tower, k - n_base, power)
+                else:
+                    # b x_i^N, b the generator's one term
+                    left = {}
+                    for b in gens[k].values():
+                        for exp, c in power.items():
+                            _add_term(left, exp, _times(b, c, one))
+                if left != _times_run(tower, i, power, run, one):
+                    break
+            else:
+                hits.append((SkewPoly._of(tower, power), n))
+    return hits
+
+
+def _times_run(tower, i: int, terms: dict, run: list, one) -> dict:
+    """(sum of c x_i^a) g as the sum of c run[a], where ``terms`` is
+    supported at level i and run[a] = L_i^a(g); steps ``run`` on to the
+    highest a.  A lone coefficient one takes the run entry itself."""
+    top = max((exp[i] for exp in terms), default=0)
+    while len(run) <= top:
+        run.append(_var_times_terms(tower, i, run[-1]))
+    if len(terms) == 1:
+        (exp, c), = terms.items()
+        if c is one or c == one:
+            return run[exp[i]]
+    acc: dict = {}
+    for exp, c in terms.items():
+        for e, d in run[exp[i]].items():
+            _add_term(acc, e, _times(c, d, one))
+    return acc
+
+
 def _level_generators(tower, i: int) -> list[SkewPoly]:
     """Generators of the subring R_{i-1}: base generators and lower variables."""
     gens = [SkewPoly.from_base(tower, g) for g in tower.base.generators()]

@@ -67,7 +67,7 @@ class BaseRing:
         s = self.field.coerce(s)
         if self.kind == "field":
             return s
-        return Matrix.identity(self.field, self.size) * s
+        return Matrix._scalar(self.field, self.size, s.rep)
 
     def coerce(self, value):
         if isinstance(value, Matrix):

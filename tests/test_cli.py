@@ -332,15 +332,67 @@ def test_only_ascii_digits_are_numbers(digit, capsys, tmp_path):
     path = tmp_path / "digit.tw"
     path.write_text(_FIELD_BASE + _LEVEL + _LEVEL_2 + f"delta x1 = x1^{digit}\n", encoding="utf-8")
     assert run(["validate", "--tower", str(path)]) == 2
-    captured = capsys.readouterr()
-    assert captured.err.startswith("error: line 9, column ")
-    assert f"unexpected character {digit!r}" in captured.err
+    # the column counts from the start of the line, not of the value
+    assert capsys.readouterr().err == f"error: line 9, column 15: unexpected character {digit!r}\n"
     for descriptor in (f"gf({digit})", f"cyclotomic({digit})", f"gf(1{digit})"):
         with pytest.raises(ValueError, match="unrecognised field descriptor"):
             parse_field(descriptor)
         path.write_text(f"[base]\nkind = field\nfield = {descriptor}\n", encoding="utf-8")
         assert run(["validate", "--tower", str(path)]) == 2
         assert "unrecognised field descriptor" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize(
+    "text, message",
+    [
+        (_FIELD_BASE + _LEVEL + "q =  q $ 2\n", "line 7, column 8: unexpected character '$'"),
+        (
+            _FIELD_BASE + _LEVEL + "sigma_base = q +\n",
+            "line 7, column 17: unexpected None",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base = conj([[1, 0], [0, q)])\n",
+            "line 8, column 33: expected ']', found ')'",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "delta_base   =   inner([[0, 1], [0, ?]])\n",
+            "line 8, column 37: unexpected character '?'",
+        ),
+        (
+            _FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x1 = q * x1 ^ y\n",
+            "line 9, column 21: expected 'num', found 'y'",
+        ),
+    ],
+    ids=["q", "sigma_base", "conj", "inner", "sigma"],
+)
+def test_tower_file_errors_give_line_columns(text, message, capsys, tmp_path):
+    """An error in a tower-file value is placed by its column in the line."""
+    path = tmp_path / "column.tw"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 2
+    assert capsys.readouterr().err == f"error: {message}\n"
+
+
+@pytest.mark.parametrize(
+    "argv, message",
+    [
+        (
+            ["swap", "--level", "2"],
+            "level 2 out of range: swap needs a tower of height at least 2, "
+            "and this one has height 1",
+        ),
+        (["order", "--level", "2"], "level 2 out of range 1..1"),
+        (["order", "--level", "0"], "level 0 out of range 1..1"),
+    ],
+    ids=["swap", "order_high", "order_zero"],
+)
+def test_level_errors_have_no_position(argv, message, capsys):
+    """A --level that the tower rules out is a usage error with no parse
+    position; a swap on a tower of one level says what it needs."""
+    assert run([*argv, "--tower", fixture("mat2_inner.tw"), "--json"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
 
 
 def test_usage_and_parse_errors_exit_two(capsys, tmp_path):

@@ -1,12 +1,15 @@
 import pytest
 
+from oretower.cli import parse_tower_file, parse_tower_text
 from oretower.erase import erase_all
 from oretower.pi import centrality_witness, pi_report
 from oretower.scalars import QQ, CyclotomicField, FunctionField
-from oretower.skewpoly import is_central
+from oretower.skewpoly import SkewPoly, is_central
 from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
 
-from conftest import mat2_inner_tower, qplane, qweyl, weyl_gf5, zeta5_deriv_tower
+from test_tower import FIXTURES, _validation_corpus
+
+from conftest import count_calls, mat2_inner_tower, qplane, qweyl, weyl_gf5, zeta5_deriv_tower
 
 
 def test_quantum_plane_verdicts():
@@ -125,3 +128,64 @@ def test_invalid_tower_is_undecided():
     report = pi_report(broken)
     assert report.verdict == "Undecided"
     assert "invalid" in report.reason
+
+
+def _reference_witness(tower, n_bound):
+    """The central powers by direct products: x_i^N = x_i^{N-1} * x_i,
+    tested by ``is_central``."""
+    hits = []
+    for i in range(tower.height):
+        x = SkewPoly.variable(tower, i)
+        power = SkewPoly.one(tower)
+        for n in range(1, n_bound + 1):
+            power = power * x
+            if is_central(power)[0]:
+                hits.append((power, n))
+    return hits
+
+
+# invalid Mat_2(gf(2)) towers whose sigma does not fix 1, so that x^N
+# carries a coefficient other than one, and their central powers' exponents;
+# linear(...) acts on e11, e12, e21, e22 in that order
+_NON_UNITAL = {
+    # x^2 = sigma(1) x^2, and the powers from x^3 on are zero
+    "sigma_base = linear([[0, 0, 0, 1], [1, 0, 1, 0], [0, 0, 0, 1], [0, 0, 1, 1]])\n": [3, 4, 5, 6],
+    # the coefficients are not scalars, so that b c and c b differ for a
+    # matrix unit b
+    "sigma_base = linear([[0, 1, 1, 1], [1, 1, 1, 0], [1, 1, 0, 1], [0, 0, 0, 1]])\n": [],
+}
+_GF2_MAT2 = "[base]\nkind = matrix\nfield = gf(2)\nsize = 2\n\n[[level]]\nvar = x\n"
+
+
+def _hits(tower, n_bound, witness):
+    return [(p.terms, str(p), n) for p, n in witness(tower, n_bound)]
+
+
+def test_witness_matches_direct_products():
+    """centrality_witness finds the powers that direct products find, in
+    the same order and printed alike: at bound 6 on every tower of the
+    validation corpus and on the towers above, whose powers have
+    coefficients other than one, and at the cap on every fixture.  Towers
+    are parsed apart, so that neither reads the other's engine table."""
+    non_unital = [_GF2_MAT2 + sigma for sigma in _NON_UNITAL]
+    cases = [(text, 6) for text in _validation_corpus() + non_unital]
+    cases += [(path.read_text(encoding="utf-8"), 64) for path in sorted(FIXTURES.glob("*.tw"))]
+    found = 0
+    for text, n_bound in cases:
+        hits = _hits(parse_tower_text(text), n_bound, centrality_witness)
+        assert hits == _hits(parse_tower_text(text), n_bound, _reference_witness), text
+        found += bool(hits)
+    assert 0 < found < len(cases)
+    for text, exponents in zip(non_unital, _NON_UNITAL.values()):
+        assert [n for _p, n in centrality_witness(parse_tower_text(text), 6)] == exponents
+
+
+def test_witness_takes_no_polynomial_product(monkeypatch):
+    """centrality_witness steps the engine and never multiplies two
+    polynomials: a spy on SkewPoly.__mul__ sees no call on any fixture."""
+    towers = [parse_tower_file(str(path)) for path in sorted(FIXTURES.glob("*.tw"))]
+    products = count_calls(monkeypatch, SkewPoly, "__mul__")
+    hits = [centrality_witness(tower, 64) for tower in towers]
+    monkeypatch.undo()
+    assert products == []
+    assert any(hits)

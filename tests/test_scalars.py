@@ -9,6 +9,7 @@ import pytest
 
 from oretower import scalars
 from oretower.errors import DivisionByZero, ScalarError, ZeroInput
+from oretower.tower import BaseRing
 from oretower.scalars import (
     GF,
     QQ,
@@ -472,6 +473,23 @@ def test_reps_are_canonical_on_every_field(field):
             assert field._make(*s.rep) == s.rep
         else:
             assert field.coerce(s.rep).rep == s.rep
+
+
+@pytest.mark.parametrize("field", FIELDS + NESTED_FIELDS, ids=lambda f: f.name)
+def test_matrix_constants_match_coerced_entries(field):
+    """identity, zero, unit and a base ring's scalar, built from the field's
+    reps, store what coercing int entries and multiplying stores."""
+    n = 3
+
+    def coerced(entry) -> Matrix:
+        return Matrix(field, [[entry(r, c) for c in range(n)] for r in range(n)])
+
+    identity = coerced(lambda r, c: int(r == c))
+    assert Matrix.identity(field, n)._rows == identity._rows
+    assert Matrix.zero(field, n, n)._rows == coerced(lambda r, c: 0)._rows
+    assert Matrix.unit(field, n, 1, 2)._rows == coerced(lambda r, c: int((r, c) == (1, 2)))._rows
+    s = random_scalar(field, random.Random(5))
+    assert BaseRing.matrix_ring(field, n).scalar(s)._rows == (identity * s)._rows
 
 
 def test_cyclotomic_order_cap(monkeypatch):
