@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import json
+import re
 import sys
 
 from .errors import (
@@ -80,6 +81,9 @@ class _Token:
 
 
 _SYMBOLS = "+-*/^()[],"
+# blanks, then an ASCII number, a word or one other character; \s is
+# exactly str.isspace(), and \w exactly str.isalnum() or "_"
+_TOKEN_RE = re.compile(r"(\s*)([0-9]+|\w+|\S)")
 
 # nesting of parentheses, matrix brackets and unary minus signs in one
 # expression; the parser recurses once per level
@@ -108,36 +112,29 @@ MAX_WITNESS_BOUND = 64
 
 def _tokenize(text: str, line: int, col_offset: int = 0) -> list[_Token]:
     tokens = []
-    i = 0
-    while i < len(text):
-        ch = text[i]
-        if ch.isspace():
-            i += 1
-            continue
-        col = i + 1 + col_offset
-        if "0" <= ch <= "9":
-            j = i
-            while j < len(text) and "0" <= text[j] <= "9":
-                j += 1
-            if j - i > MAX_LITERAL_DIGITS:
+    col = col_offset + 1
+    for blanks, value in _TOKEN_RE.findall(text):
+        col += len(blanks)
+        ch = value[0]
+        if ch in _SYMBOLS:
+            tokens.append(_Token(ch, ch, line, col))
+        elif "0" <= ch <= "9":
+            if len(value) > MAX_LITERAL_DIGITS:
                 raise ParseError(
                     line, col, f"integer literal longer than {MAX_LITERAL_DIGITS} digits"
                 )
-            tokens.append(_Token("num", int(text[i:j]), line, col))
-            i = j
+            tokens.append(_Token("num", int(value), line, col))
         elif ch.isalpha() or ch == "_":
-            j = i
-            while j < len(text) and (text[j].isalnum() or text[j] == "_"):
-                j += 1
-            tokens.append(_Token("ident", text[i:j], line, col))
-            i = j
-        elif ch in _SYMBOLS:
-            tokens.append(_Token(ch, ch, line, col))
-            i += 1
+            tokens.append(_Token("ident", value, line, col))
         else:
             raise ParseError(line, col, f"unexpected character {ch!r}")
+        col += len(value)
     tokens.append(_Token("end", None, line, len(text) + 1 + col_offset))
     return tokens
+
+
+def _shown(tok: _Token) -> str:
+    return "end of expression" if tok.kind == "end" else repr(tok.value)
 
 
 class _ExprParser:
@@ -157,10 +154,12 @@ class _ExprParser:
         self.pos += 1
         return tok
 
-    def expect(self, kind) -> _Token:
+    def expect(self, kind, name=None) -> _Token:
         tok = self.take()
         if tok.kind != kind:
-            raise ParseError(tok.line, tok.col, f"expected {kind!r}, found {tok.value!r}")
+            raise ParseError(
+                tok.line, tok.col, f"expected {name or repr(kind)}, found {_shown(tok)}"
+            )
         return tok
 
     @contextlib.contextmanager
@@ -175,7 +174,7 @@ class _ExprParser:
         value = self.expr()
         tok = self.peek()
         if tok.kind != "end":
-            raise ParseError(tok.line, tok.col, f"unexpected {tok.value!r}")
+            raise ParseError(tok.line, tok.col, f"unexpected {_shown(tok)}")
         return value
 
     # expr := term (('+'|'-') term)*
@@ -218,7 +217,7 @@ class _ExprParser:
             if self.peek().kind == "-":
                 self.take()
                 sign = -1
-            num = self.expect("num")
+            num = self.expect("num", "an integer exponent")
             if num.value > MAX_EXPR_EXPONENT:
                 raise ParseError(
                     num.line, num.col, f"exponent larger than {MAX_EXPR_EXPONENT}"
@@ -240,7 +239,7 @@ class _ExprParser:
                 return self.matrix(tok)
         if tok.kind == "ident":
             return self.ctx.resolve(tok)
-        raise ParseError(tok.line, tok.col, f"unexpected {tok.value!r}")
+        raise ParseError(tok.line, tok.col, f"unexpected {_shown(tok)}")
 
     def matrix(self, opening: _Token) -> Matrix:
         if not self.ctx.allow_matrix:
@@ -271,25 +270,25 @@ class _ExprParser:
 
     # -- operations over the scalar/matrix/poly union ---------------------
 
-    def _promote_pair(self, a, b, op):
+    def _promote_pair(self, a, b):
         if isinstance(a, SkewPoly) or isinstance(b, SkewPoly):
-            return self.ctx.as_poly(a, op), self.ctx.as_poly(b, op)
+            return self.ctx.as_poly(a), self.ctx.as_poly(b)
         return a, b
 
     def _add(self, a, b, op):
-        a, b = self._promote_pair(a, b, op)
+        a, b = self._promote_pair(a, b)
         if isinstance(a, Matrix) != isinstance(b, Matrix):
             raise ParseError(op.line, op.col, "cannot add a matrix and a scalar")
         return a + b
 
     def _sub(self, a, b, op):
-        a, b = self._promote_pair(a, b, op)
+        a, b = self._promote_pair(a, b)
         if isinstance(a, Matrix) != isinstance(b, Matrix):
             raise ParseError(op.line, op.col, "cannot subtract a matrix and a scalar")
         return a - b
 
     def _mul(self, a, b, op):
-        a, b = self._promote_pair(a, b, op)
+        a, b = self._promote_pair(a, b)
         if isinstance(a, SkewPoly):
             self._cap_exponents(map(sum, zip(_top_exponents(a), _top_exponents(b))), op)
         return a * b
@@ -353,11 +352,10 @@ class _Context:
             )
         raise ParseError(tok.line, tok.col, f"unknown name {name!r}")
 
-    def as_poly(self, value, op) -> SkewPoly:
+    def as_poly(self, value) -> SkewPoly:
+        """``value`` in the context's tower; only a context with a tower meets polynomials."""
         if isinstance(value, SkewPoly):
             return value
-        if self.tower is None:
-            raise ParseError(op.line, op.col, "polynomial value in a scalar-only context")
         return SkewPoly.from_base(self.tower, value)
 
 
@@ -396,16 +394,20 @@ def parse_tower_text(text: str) -> OreTower:
         raise ParseError(1, 1, "duplicate variable names")
 
     # level i is parsed in the tower of the levels parsed so far, with bare
-    # levels above; each level is normalised once, when it goes in
-    tower = OreTower(base, [TowerLevel(name) for name in names])
+    # levels above; each level is normalised once, when it goes in; q and
+    # base-map values see no variables, and only matrix_ctx sees matrices
+    scalar_ctx = _Context(base.field, all_vars=names)
+    matrix_ctx = _Context(base.field, all_vars=names, allow_matrix=True)
+    tower = OreTower.bare(base, names)
     for i, (_kind, items, _line) in enumerate(level_sections):
-        tower = tower.with_level(i, _parse_level(base, tower, names, i, items))
+        level = _parse_level(base, tower, names, i, items, scalar_ctx, matrix_ctx)
+        tower = tower.with_level(i, level)
     return tower
 
 
 def parse_tower_file(path: str) -> OreTower:
-    with open(path, encoding="utf-8") as fh:
-        return parse_tower_text(fh.read())
+    with open(path, "rb") as fh:
+        return parse_tower_text(fh.read().decode("utf-8"))
 
 
 def _split_sections(text: str):
@@ -413,30 +415,26 @@ def _split_sections(text: str):
     is (key, value, line, offset) and ``offset`` is the number of
     characters before the stripped value on its line."""
     sections = []
-    current = None
+    items = None
     for lineno, raw in enumerate(text.splitlines(), start=1):
-        line = raw.split("#", 1)[0].rstrip()
-        if not line.strip():
+        line = raw.partition("#")[0].rstrip()
+        stripped = line.lstrip()
+        if not stripped:
             continue
-        stripped = line.strip()
-        if stripped.startswith("[["):
-            if not stripped.endswith("]]"):
+        if stripped[0] == "[":
+            width = 2 if stripped.startswith("[[") else 1
+            if not stripped.endswith("]" * width):
                 raise ParseError(lineno, 1, "unterminated section header")
-            current = (stripped[2:-2].strip(), [], lineno)
-            sections.append(current)
-        elif stripped.startswith("["):
-            if not stripped.endswith("]"):
-                raise ParseError(lineno, 1, "unterminated section header")
-            current = (stripped[1:-1].strip(), [], lineno)
-            sections.append(current)
-        else:
-            if current is None:
-                raise ParseError(lineno, 1, "content before the first section")
-            if "=" not in line:
-                raise ParseError(lineno, 1, "expected 'key = value'")
-            key, _, value = line.partition("=")
-            offset = len(line) - len(value.lstrip())
-            current[1].append((key.strip(), value.strip(), lineno, offset))
+            items = []
+            sections.append((stripped[width:-width].strip(), items, lineno))
+            continue
+        if items is None:
+            raise ParseError(lineno, 1, "content before the first section")
+        key, eq, value = line.partition("=")
+        if not eq:
+            raise ParseError(lineno, 1, "expected 'key = value'")
+        value = value.lstrip()
+        items.append((key.strip(), value, lineno, len(line) - len(value)))
     return sections
 
 
@@ -475,8 +473,7 @@ def _parse_base(items) -> BaseRing:
     return BaseRing.field_ring(field)
 
 
-def _parse_level(base, shell, names, index, items) -> TowerLevel:
-    field = base.field
+def _parse_level(base, shell, names, index, items, scalar_ctx, matrix_ctx) -> TowerLevel:
     sigma_base = BaseMap.identity()
     delta_base = BaseMap.zero()
     sigma_vars: dict = {}
@@ -485,16 +482,12 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
     delta_base_entry = None
 
     poly_ctx = _Context(
-        field,
+        base.field,
         tower=shell,
         allowed_vars=names[:index],
         all_vars=names,
         allow_matrix=base.kind == "matrix",
     )
-    # resolves no variables and refuses matrix literals, so every value it
-    # yields (q, a field sigma_base or delta_base image) is a field scalar
-    scalar_ctx = _Context(field, all_vars=names)
-    matrix_ctx = _Context(field, all_vars=names, allow_matrix=True)
 
     for key, value, line, col in items:
         if key == "var":
@@ -516,11 +509,9 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
                 raise UnknownVariableReference(
                     line, 1, f"variable {target!r} is not below level {index + 1}"
                 )
-            val = poly_ctx.as_poly(
-                _eval_expr(value, line, poly_ctx, col), _Token("=", "=", line, 1)
-            )
+            val = poly_ctx.as_poly(_eval_expr(value, line, poly_ctx, col))
             if key.startswith("sigma "):
-                sigma_vars[j] = _split_sigma_image(val, j, line)
+                sigma_vars[j] = _split_sigma_image(val, j, line, col)
             else:
                 # poly_ctx resolves only the variables below this level
                 delta_vars[j] = val.terms
@@ -542,7 +533,7 @@ def _parse_level(base, shell, names, index, items) -> TowerLevel:
     )
 
 
-def _split_sigma_image(poly: SkewPoly, j: int, line: int):
+def _split_sigma_image(poly: SkewPoly, j: int, line: int, col: int):
     """Decompose sigma(x_j) = a * x_j + c with c below x_j."""
     height = poly.tower.height
     unit = tuple(1 if k == j else 0 for k in range(height))
@@ -553,7 +544,7 @@ def _split_sigma_image(poly: SkewPoly, j: int, line: int):
             continue
         if any(exp[k] for k in range(j, height)):
             raise ParseError(
-                line, 1, f"sigma image must be a * x{j + 1} + (terms below x{j + 1})"
+                line, col + 1, f"sigma image must be a * x{j + 1} + (terms below x{j + 1})"
             )
         c_terms[exp] = coeff
     return a, c_terms
@@ -573,22 +564,24 @@ def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_b
             inner_text = text[len(head) + 1 : -1]
             m = _eval_expr(inner_text, line, matrix_ctx, col + len(head) + 1)
             if not isinstance(m, Matrix):
-                raise ParseError(line, 1, f"{head}(...) takes a matrix")
+                raise ParseError(line, col + 1, f"{head}(...) takes a matrix")
             if head == "conj" and kind != "sigma":
-                raise ParseError(line, 1, "conj(...) is a sigma form")
+                raise ParseError(line, col + 1, "conj(...) is a sigma form")
             if head == "inner" and kind != "delta":
-                raise ParseError(line, 1, "inner(...) is a delta form")
+                raise ParseError(line, col + 1, "inner(...) is a delta form")
             # linear(...) acts on the size^2 matrix units, conj/inner multiply
             expected = base.size * base.size if head == "linear" else base.size
             if m.nrows != expected or m.ncols != expected:
                 raise ParseError(
-                    line, 1, f"{head}(...) needs a {expected}x{expected} matrix"
+                    line, col + 1, f"{head}(...) needs a {expected}x{expected} matrix"
                 )
             if head == "conj":
                 try:
                     return BaseMap.conjugation(m)
                 except DivisionByZero:
-                    raise ParseError(line, 1, "conj(...) needs an invertible matrix") from None
+                    raise ParseError(
+                        line, col + 1, "conj(...) needs an invertible matrix"
+                    ) from None
             if head == "inner":
                 return BaseMap.inner_derivation(m, sigma_base or BaseMap.identity())
             return BaseMap.linear(kind, m)
@@ -670,57 +663,52 @@ def _count(cap: int):
 
 
 @functools.cache
-def _build_parser() -> argparse.ArgumentParser:
-    """The argument parser; built once, since parsing leaves it unchanged."""
+def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
+    """The argument parser and its subparser for each command name; built
+    once, since parsing leaves them unchanged."""
     parser = argparse.ArgumentParser(
         prog="oretower",
         description="exact computations in iterated Ore extension towers",
     )
     sub = parser.add_subparsers(dest="command", required=True)
+    commands = {}
 
-    def common(p):
+    def command(name, help):
+        p = commands[name] = sub.add_parser(name, help=help)
         p.add_argument("--tower", required=True, help="tower definition file")
         p.add_argument("--json", action="store_true", help="print the JSON report")
         p.add_argument("--out", help="also write the JSON report to this file")
+        return p
 
-    p = sub.add_parser("validate", help="run the tower axiom checks")
-    common(p)
+    command("validate", "run the tower axiom checks")
 
-    p = sub.add_parser("mul", help="multiply two polynomial expressions")
-    common(p)
+    p = command("mul", "multiply two polynomial expressions")
     p.add_argument("left")
     p.add_argument("right")
 
-    p = sub.add_parser("central", help="test whether an expression is central")
-    common(p)
+    p = command("central", "test whether an expression is central")
     p.add_argument("expr")
 
-    p = sub.add_parser("order", help="order of a level's base automorphism")
-    common(p)
+    p = command("order", "order of a level's base automorphism")
     p.add_argument("--level", type=int, required=True, help="1-based level")
     p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
 
-    p = sub.add_parser("erase", help="erase the top level's delta")
-    common(p)
+    p = command("erase", "erase the top level's delta")
     p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
 
-    p = sub.add_parser("erase-all", help="erase every delta in the tower")
-    common(p)
+    p = command("erase-all", "erase every delta in the tower")
     p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
 
-    p = sub.add_parser("swap", help="exchange a sigma-only level with the one below")
-    common(p)
+    p = command("swap", "exchange a sigma-only level with the one below")
     p.add_argument("--level", type=int, required=True, help="1-based upper level")
 
-    p = sub.add_parser("gr", help="degenerate to the associated graded tower")
-    common(p)
+    command("gr", "degenerate to the associated graded tower")
 
-    p = sub.add_parser("pi-check", help="finite-order identity criteria")
-    common(p)
+    p = command("pi-check", "finite-order identity criteria")
     p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
     p.add_argument("--witness-bound", type=_count(MAX_WITNESS_BOUND), default=0,
                    help="also search central variable powers up to this bound")
-    return parser
+    return parser, commands
 
 
 def run(argv) -> int:
@@ -729,9 +717,18 @@ def run(argv) -> int:
     0 on success (negative verdicts included), 1 on mathematical failure
     (invalid tower, unsupported erasure), 2 on usage or parse errors.
     """
-    parser = _build_parser()
+    parser, commands = _build_parser()
+    # a command's subparser reads the rest of argv as the top level hands it
+    # over, and leftovers are refused in the top level's words
+    subparser = commands.get(argv[0]) if argv else None
     try:
-        args = parser.parse_args(argv)
+        if subparser is None:
+            args = parser.parse_args(argv)
+        else:
+            args, extra = subparser.parse_known_args(argv[1:])
+            if extra:
+                parser.error(f"unrecognized arguments: {' '.join(extra)}")
+            args.command = argv[0]
     except SystemExit as exc:
         return int(exc.code or 0)
 
@@ -809,14 +806,14 @@ def _dispatch(args, tower: OreTower):
 
     if command == "mul":
         ctx = _expr_context(tower)
-        left = ctx.as_poly(_eval_expr(args.left, 1, ctx), _Token("=", "=", 1, 1))
-        right = ctx.as_poly(_eval_expr(args.right, 1, ctx), _Token("=", "=", 1, 1))
+        left = ctx.as_poly(_eval_expr(args.left, 1, ctx))
+        right = ctx.as_poly(_eval_expr(args.right, 1, ctx))
         product = left * right
         return {"command": command, "product": str(product)}, 0, f"{product}"
 
     if command == "central":
         ctx = _expr_context(tower)
-        poly = ctx.as_poly(_eval_expr(args.expr, 1, ctx), _Token("=", "=", 1, 1))
+        poly = ctx.as_poly(_eval_expr(args.expr, 1, ctx))
         ok, witness = is_central(poly)
         report = {
             "command": command,

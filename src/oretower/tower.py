@@ -297,14 +297,36 @@ class OreTower:
             base, [_normalised_level(base, len(levels), i, lvl) for i, lvl in enumerate(levels)]
         )
 
+    @classmethod
+    def bare(cls, base: BaseRing, names) -> "OreTower":
+        """The tower on ``names`` whose every level has the identity sigma
+        and zero delta, on the base and on each lower variable; its levels
+        are built normalised, so none is normalised."""
+        one = base.one
+        return cls._of_normalised(
+            base,
+            [
+                TowerLevel(
+                    name,
+                    sigma_vars={j: (one, {}) for j in range(i)},
+                    delta_vars={j: {} for j in range(i)},
+                )
+                for i, name in enumerate(names)
+            ],
+        )
+
     def with_level(self, i: int, level: TowerLevel) -> "OreTower":
         """This tower with level i replaced by ``level``, normalised as the
         constructor normalises it; the other levels are this tower's own,
         which are normalised already, and are not normalised again."""
         levels = list(self.levels)
         levels[i] = _normalised_level(self.base, self.height, i, level)
-        tower = object.__new__(OreTower)
-        tower._set_levels(self.base, levels)
+        return self._of_normalised(self.base, levels)
+
+    @classmethod
+    def _of_normalised(cls, base: BaseRing, levels: list) -> "OreTower":
+        tower = object.__new__(cls)
+        tower._set_levels(base, levels)
         return tower
 
     def _set_levels(self, base: BaseRing, levels: list) -> None:

@@ -1,4 +1,3 @@
-import argparse
 import ast
 import errno
 import json
@@ -235,7 +234,7 @@ def _one_level_file(tmp_path, sigma_base: str) -> str:
         ),
         (
             _MATRIX_BASE + _LEVEL + "sigma_base = conj([[1, q], [2, 2 * q]])\n",
-            "line 8, column 1: conj(...) needs an invertible matrix",
+            "line 8, column 14: conj(...) needs an invertible matrix",
         ),
         (
             _MATRIX_BASE + _LEVEL + "sigma_base = inner([[1, 0], [0, 1]])\n",
@@ -348,7 +347,7 @@ def test_only_ascii_digits_are_numbers(digit, capsys, tmp_path):
         (_FIELD_BASE + _LEVEL + "q =  q $ 2\n", "line 7, column 8: unexpected character '$'"),
         (
             _FIELD_BASE + _LEVEL + "sigma_base = q +\n",
-            "line 7, column 17: unexpected None",
+            "line 7, column 17: unexpected end of expression",
         ),
         (
             _MATRIX_BASE + _LEVEL + "sigma_base = conj([[1, 0], [0, q)])\n",
@@ -360,10 +359,38 @@ def test_only_ascii_digits_are_numbers(digit, capsys, tmp_path):
         ),
         (
             _FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x1 = q * x1 ^ y\n",
-            "line 9, column 21: expected 'num', found 'y'",
+            "line 9, column 21: expected an integer exponent, found 'y'",
+        ),
+        (
+            _FIELD_BASE + _LEVEL + "q = q ^\n",
+            "line 7, column 8: expected an integer exponent, found end of expression",
+        ),
+        # checks on a whole value point at its first character
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base =  conj(q)\n",
+            "line 8, column 15: conj(...) takes a matrix",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "delta_base = conj([[1, 0], [0, 1]])\n",
+            "line 8, column 14: conj(...) is a sigma form",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "sigma_base=inner([[1, 0], [0, 1]])\n",
+            "line 8, column 12: inner(...) is a delta form",
+        ),
+        (
+            _MATRIX_BASE + _LEVEL + "delta_base = inner([[1]])\n",
+            "line 8, column 14: inner(...) needs a 2x2 matrix",
+        ),
+        (
+            _FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x1 =   x1^2\n",
+            "line 9, column 14: sigma image must be a * x1 + (terms below x1)",
         ),
     ],
-    ids=["q", "sigma_base", "conj", "inner", "sigma"],
+    ids=[
+        "q", "sigma_base", "conj", "inner", "sigma",
+        "end", "matrix", "sigma_form", "delta_form", "size", "sigma_image",
+    ],
 )
 def test_tower_file_errors_give_line_columns(text, message, capsys, tmp_path):
     """An error in a tower-file value is placed by its column in the line."""
@@ -371,6 +398,21 @@ def test_tower_file_errors_give_line_columns(text, message, capsys, tmp_path):
     path.write_text(text, encoding="utf-8")
     assert run(["validate", "--tower", str(path)]) == 2
     assert capsys.readouterr().err == f"error: {message}\n"
+
+
+def test_tower_file_is_utf8_with_any_newline(capsys, tmp_path):
+    """CRLF and CR end lines as LF does; a byte that is not UTF-8 exits 2."""
+    path = tmp_path / "bytes.tw"
+    text = _FIELD_BASE + _LEVEL + "q =  q $ 2\n"
+    for newline in ("\r\n", "\r"):
+        path.write_bytes(text.replace("\n", newline).encode())
+        assert run(["validate", "--tower", str(path)]) == 2
+        assert capsys.readouterr().err == "error: line 7, column 8: unexpected character '$'\n"
+    path.write_bytes(b"[base]\nfield = Q # \xe9\xff\n")
+    assert run(["validate", "--tower", str(path)]) == 2
+    assert capsys.readouterr().err == (
+        "error: 'utf-8' codec can't decode byte 0xe9 in position 19: invalid continuation byte\n"
+    )
 
 
 @pytest.mark.parametrize(
@@ -851,6 +893,62 @@ def test_removed_flags_are_usage_errors(command, flag, value, capsys):
     assert captured.out == ""
 
 
+# each command's required arguments past --tower, and its capped integer flag
+_ARGV_REQUIRED = {
+    "validate": [], "mul": ["x", "y"], "central": ["x"], "order": ["--level", "1"],
+    "erase": [], "erase-all": [], "swap": ["--level", "2"], "gr": [], "pi-check": [],
+}
+_ARGV_CAPPED = {
+    "order": "--order-bound", "erase": "--search-degree", "erase-all": "--search-degree",
+    "pi-check": "--witness-bound",
+}
+
+
+class _Parsed(Exception):
+    """Raised in place of a command's work, with the arguments it was given."""
+
+
+def _argv_outcome(call, capsys):
+    try:
+        outcome = call()
+    except _Parsed as exc:
+        outcome = vars(exc.args[0])
+    except SystemExit as exc:
+        outcome = int(exc.code or 0)
+    captured = capsys.readouterr()
+    return outcome, captured.out, captured.err
+
+
+@pytest.mark.parametrize("command", [None, *_ARGV_REQUIRED])
+def test_run_parses_argv_as_the_top_level_parser(command, capsys, monkeypatch):
+    """Whichever parser reads argv, run gives the top-level parser's
+    arguments, exit code, stdout and stderr."""
+    from oretower import cli
+
+    def parsed(args, tower):
+        raise _Parsed(args)
+
+    monkeypatch.setattr(cli, "_dispatch", parsed)
+    tower = fixture("qweyl_q.tw")
+    if command is None:
+        cases = [[], ["frobnicate", "--tower", tower], ["--help"]]
+    else:
+        rest = _ARGV_REQUIRED[command]
+        cases = [
+            [command, "--help"],
+            [command],
+            [command, "--tower", tower, *rest, "extra"],
+            [command, "--tow", tower, *rest],
+        ]
+        if command in _ARGV_CAPPED:
+            cases.append([command, "--tower", tower, *rest, _ARGV_CAPPED[command], "1001"])
+    parser, _commands = cli._build_parser()
+    for argv in cases:
+        expected = _argv_outcome(lambda: vars(parser.parse_args(argv)), capsys)
+        assert _argv_outcome(lambda: run(argv), capsys) == expected, argv
+        assert expected[0] in (0, 2) or expected[0]["tower"] == tower, argv
+
+
 def test_readme_command_line_matches_the_parser():
     """Each synopsis line under the README's "## Command line" lists the
     subcommand's options other than --tower, --json and --out, and the
@@ -861,12 +959,7 @@ def test_readme_command_line_matches_the_parser():
     readme = (ROOT / "README.md").read_text(encoding="utf-8")
     section = readme.split("\n## Command line\n", 1)[1].split("\n## ", 1)[0]
     synopsis = section.split("```")[1].strip().splitlines()
-    parser = cli._build_parser()
-    commands = next(
-        action.choices
-        for action in parser._actions
-        if isinstance(action, argparse._SubParsersAction)
-    )
+    _parser, commands = cli._build_parser()
     assert sorted(line.split()[1] for line in synopsis) == sorted(commands)
     for line in synopsis:
         sub = commands[line.split()[1]]
