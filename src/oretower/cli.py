@@ -43,9 +43,9 @@ from .errors import (
     ScalarError,
     UnknownVariableReference,
 )
-from .erase import _swap_collect, erase_all, erase_top
+from .erase import DEFAULT_SEARCH_DEGREE, _swap_collect, erase_all, erase_top
 from .graded import associated_graded_tower, rees_closure_check
-from .pi import centrality_witness, pi_report
+from .pi import DEFAULT_ORDER_BOUND, centrality_witness, pi_report
 from .scalars import Matrix, Scalar, _wrap, parse_field
 from .skewpoly import SkewPoly, apply_level_map, is_central
 from .tower import (
@@ -380,15 +380,16 @@ def parse_tower_text(text: str) -> OreTower:
 
     names = []
     for _kind, items, line in level_sections:
-        var_entry = next(((v, l) for k, v, l, _col in items if k == "var"), None)
+        var_entry = next(((v, l, c) for k, v, l, c in items if k == "var"), None)
         if var_entry is None:
             raise ParseError(line, 1, "level section missing 'var'")
-        value, var_line = var_entry
-        name = value.strip()
+        name, var_line, offset = var_entry
         if not name.isidentifier():
-            raise ParseError(line, 1, f"bad variable name {value!r}")
+            raise ParseError(var_line, offset + 1, f"bad variable name {name!r}")
         if base.field.generator_named(name) is not None:
-            raise ParseError(var_line, 1, f"variable {name!r} names a generator of the field")
+            raise ParseError(
+                var_line, offset + 1, f"variable {name!r} names a generator of the field"
+            )
         names.append(name)
     if len(set(names)) != len(names):
         raise ParseError(1, 1, "duplicate variable names")
@@ -680,6 +681,10 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
         p.add_argument("--out", help="also write the JSON report to this file")
         return p
 
+    # the flags that two commands share, each with its one type and default
+    order_bound = {"type": _count(MAX_ORDER_BOUND), "default": DEFAULT_ORDER_BOUND}
+    search_degree = {"type": _count(MAX_SEARCH_DEGREE), "default": DEFAULT_SEARCH_DEGREE}
+
     command("validate", "run the tower axiom checks")
 
     p = command("mul", "multiply two polynomial expressions")
@@ -691,13 +696,13 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
 
     p = command("order", "order of a level's base automorphism")
     p.add_argument("--level", type=int, required=True, help="1-based level")
-    p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
+    p.add_argument("--order-bound", **order_bound)
 
     p = command("erase", "erase the top level's delta")
-    p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
+    p.add_argument("--search-degree", **search_degree)
 
     p = command("erase-all", "erase every delta in the tower")
-    p.add_argument("--search-degree", type=_count(MAX_SEARCH_DEGREE), default=4)
+    p.add_argument("--search-degree", **search_degree)
 
     p = command("swap", "exchange a sigma-only level with the one below")
     p.add_argument("--level", type=int, required=True, help="1-based upper level")
@@ -705,7 +710,7 @@ def _build_parser() -> tuple[argparse.ArgumentParser, dict]:
     command("gr", "degenerate to the associated graded tower")
 
     p = command("pi-check", "finite-order identity criteria")
-    p.add_argument("--order-bound", type=_count(MAX_ORDER_BOUND), default=60)
+    p.add_argument("--order-bound", **order_bound)
     p.add_argument("--witness-bound", type=_count(MAX_WITNESS_BOUND), default=0,
                    help="also search central variable powers up to this bound")
     return parser, commands

@@ -54,7 +54,7 @@ from .errors import (
     UnsupportedErasure,
     VerificationFailed,
 )
-from .pi import pi_report
+from .pi import DEFAULT_ORDER_BOUND, pi_report
 from .scalars import Matrix, solve_linear_system
 from .skewpoly import (
     SkewPoly,
@@ -112,7 +112,11 @@ def _erased_names(tower: OreTower, renamed) -> list[str]:
 # single-level erasure
 
 
-def erase_top(tower: OreTower, search_degree_bound: int = 4):
+# central candidates c are searched up to this total degree unless a bound is given
+DEFAULT_SEARCH_DEGREE = 4
+
+
+def erase_top(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE):
     """Erase the top level's delta; returns (y, new_tower, witness)."""
     if tower.height == 0:
         raise UnsupportedErasure("tower has no levels")
@@ -359,7 +363,7 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
 # the full pass
 
 
-def erase_all(tower: OreTower, search_degree_bound: int = 4) -> ErasureResult:
+def erase_all(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE) -> ErasureResult:
     """Erase every delta, returning the automorphism-only subtower data.
 
     Requires the diagonal quantised shape: sigma_i(x_j) = lam_ij x_j with
@@ -493,7 +497,7 @@ def _verify_relations(tower: OreTower, ys: list[SkewPoly]) -> None:
 
 
 def _attach_quantisation_warning(tower: OreTower, result: ErasureResult) -> None:
-    report = pi_report(tower, order_bound=60)
+    report = pi_report(tower, order_bound=DEFAULT_ORDER_BOUND)
     if report.verdict != "PI":
         result.warnings.append(
             "finite-order criteria fail: the quotient-ring equivalence is "

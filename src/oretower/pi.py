@@ -36,7 +36,11 @@ class PIReport:
     notes: list = dc_field(default_factory=list)
 
 
-def pi_report(tower: OreTower, order_bound: int = 60) -> PIReport:
+# each sigma_i's order on the base is searched up to this unless a bound is given
+DEFAULT_ORDER_BOUND = 60
+
+
+def pi_report(tower: OreTower, order_bound: int = DEFAULT_ORDER_BOUND) -> PIReport:
     """Decide the finite-order PI criteria for a diagonal quantised tower.
 
     Re-checks the hypotheses first: each sigma_i restricted to the base

@@ -7,9 +7,9 @@ forms and no floating point anywhere:
 * ``GF(p)`` -- the prime field, residues in ``[0, p)``;
 * ``CyclotomicField(n)`` -- Q(zeta_n), an element ``(nums, den)`` being
   phi(n) integer numerators over one positive common denominator, with
-  ``gcd(den, *nums) == 1`` (the ``nf_elem`` layout of ANTIC); products are
-  integer schoolbook products reduced from the top by the monic integer
-  n-th cyclotomic polynomial;
+  ``gcd(den, *nums) == 1`` (the ``nf_elem`` layout of ANTIC); a product
+  is the Z[t] product of the numerators reduced from the top by the monic
+  integer n-th cyclotomic polynomial;
 * ``FunctionField(inner, name)`` -- univariate rational functions over an
   inner field, ``(num, den)`` tuples of the inner field's reps, coprime,
   with monic denominator; over Q, ``(num, den)`` tuples of ints, coprime,
@@ -18,10 +18,10 @@ forms and no floating point anywhere:
 Each field computes on its own reps (``rep_add``, ``rep_mul``, ...); the
 polynomial helpers below take the coefficient field and call those, so a
 rational function never wraps its coefficients in :class:`Scalar`.  The
-cyclotomic fields and Q(t) over Q compute on ints alone: their gcds and
-inverses are fraction-free remainder sequences in Z[t], and
-:class:`fractions.Fraction` appears only where values are parsed or
-rendered.
+cyclotomic fields and Q(t) over Q compute on ints alone: they share one
+Z[t] product and one intake of rationals, their gcds and inverses are
+fraction-free remainder sequences in Z[t], and :class:`fractions.Fraction`
+appears only where values are parsed or rendered.
 Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields as tuples of their entries' reps,
@@ -250,9 +250,9 @@ class _IntegerRing:
 
 _ZZ = _IntegerRing()
 
-# Z[t] helpers on trimmed int tuples: the ring operations as plain integer
-# loops (the generic helpers with _ZZ are their test oracle), and
-# fraction-free remainder sequences (Knuth, TAOCP vol. 2, 4.6.1).
+# Z[t] helpers on int tuples, shared by Q(t) and cyclotomic(n): plain integer
+# loops (the generic helpers with _ZZ are their test oracle), fraction-free
+# remainder sequences (Knuth, TAOCP vol. 2, 4.6.1), and the intake of rationals.
 
 
 def _zadd(a, b) -> tuple:
@@ -280,7 +280,8 @@ def _zmul(a, b) -> tuple:
         if c:
             for j, d in right:
                 out[i + j] += c * d
-    # Z is a domain: the leading coefficient is the nonzero product of leads
+    # Z is a domain, so trimmed operands give a trimmed product; the padded
+    # numerators of cyclotomic(n) give top zeros, which _fold_top absorbs
     return tuple(out)
 
 
@@ -338,6 +339,16 @@ def _zexquo(a, b) -> tuple:
             for i in range(db):
                 rem[k + i] -= c * b[i]
     return tuple(quot)
+
+
+def _integral(coeffs) -> tuple[list, int]:
+    """(ints, m) with ints / m == coeffs, for ints, Fractions or rational
+    scalars; any other value raises :class:`ScalarError`."""
+    if all(type(c) is int for c in coeffs):
+        return list(coeffs), 1
+    fracs = [QQ.coerce(c).rep for c in coeffs]
+    m = math.lcm(*(c.denominator for c in fracs))
+    return [c.numerator * (m // c.denominator) for c in fracs], m
 
 
 @functools.lru_cache(maxsize=None)
@@ -681,10 +692,11 @@ class CyclotomicFieldImpl(_FieldBase):
     def gen(self) -> Scalar:
         return Scalar(self, self._make([0, 1], 1))
 
-    def _fold_top(self, coeffs: list) -> list:
-        """Reduce an int coefficient list of length >= degree modulo Phi_n."""
+    def _fold_top(self, coeffs) -> list:
+        """Reduce a sequence of at least degree ints modulo Phi_n."""
         d = self.degree
         fold = self._fold
+        coeffs = list(coeffs)
         for k in range(len(coeffs) - 1, d - 1, -1):
             c = coeffs[k]
             if c:
@@ -707,17 +719,8 @@ class CyclotomicFieldImpl(_FieldBase):
         """The rep of (sum_k nums[k] z^k) / den, for ints nums and den."""
         if not den:
             raise DivisionByZero(f"zero denominator in {self.name}")
-        nums = list(nums)
-        if len(nums) > self.degree:
-            nums = self._fold_top(nums)
-        else:
-            nums += [0] * (self.degree - len(nums))
-        return self._normal(nums, den)
-
-    def _from_rationals(self, coeffs) -> tuple:
-        fracs = [Fraction(c) for c in coeffs]
-        den = math.lcm(*(c.denominator for c in fracs))
-        return self._make([c.numerator * (den // c.denominator) for c in fracs], den)
+        padding = [0] * (self.degree - len(nums))
+        return self._normal(self._fold_top([*nums, *padding]), den)
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
@@ -727,14 +730,10 @@ class CyclotomicFieldImpl(_FieldBase):
                 value = value.rep
             else:
                 raise ScalarError(f"cannot coerce {value!r} into {self.name}")
-        if isinstance(value, int):
-            return Scalar(self, self._make([value], 1))
-        if isinstance(value, Fraction):
+        if isinstance(value, (int, Fraction)):
             return Scalar(self, self._make([value.numerator], value.denominator))
         if isinstance(value, (tuple, list)):
-            if all(type(c) is int for c in value):
-                return Scalar(self, self._make(value, 1))
-            return Scalar(self, self._from_rationals(value))
+            return Scalar(self, self._make(*_integral(value)))
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
     def rep_add(self, x, y):
@@ -750,13 +749,7 @@ class CyclotomicFieldImpl(_FieldBase):
 
     def rep_mul(self, x, y):
         (an, ad), (bn, bd) = x, y
-        right = [(j, b) for j, b in enumerate(bn) if b]
-        prod = [0] * (2 * self.degree - 1)
-        for i, a in enumerate(an):
-            if a:
-                for j, b in right:
-                    prod[i + j] += a * b
-        nums = self._fold_top(prod)
+        nums = self._fold_top(_zmul(an, bn))
         den = ad * bd
         return (tuple(nums), 1) if den == 1 else self._normal(nums, den)
 
@@ -1063,17 +1056,9 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
             return tuple(c // g for c in num), tuple(c // g for c in den)
         return num, den
 
-    @staticmethod
-    def _integral(coeffs) -> tuple[list, int]:
-        """(ints, m) with ints / m == coeffs, for ints, Fractions or rational
-        scalars."""
-        fracs = [QQ.coerce(c).rep for c in coeffs]
-        m = math.lcm(*(c.denominator for c in fracs))
-        return [c.numerator * (m // c.denominator) for c in fracs], m
-
     def from_polys(self, num_coeffs, den_coeffs=None) -> Scalar:
-        num, m = self._integral(num_coeffs)
-        den, k = ([1], 1) if den_coeffs is None else self._integral(den_coeffs)
+        num, m = _integral(num_coeffs)
+        den, k = ([1], 1) if den_coeffs is None else _integral(den_coeffs)
         # (num / m) / (den / k) = (k num) / (m den)
         return Scalar(self, self._make([k * c for c in num], [m * c for c in den]))
 

@@ -386,10 +386,19 @@ def test_only_ascii_digits_are_numbers(digit, capsys, tmp_path):
             _FIELD_BASE + _LEVEL + _LEVEL_2 + "sigma x1 =   x1^2\n",
             "line 9, column 14: sigma image must be a * x1 + (terms below x1)",
         ),
+        # a variable name is placed by its value, not by the [[level]] header
+        (
+            _FIELD_BASE + "[[level]]\n# the first level\nvar = 1x\n",
+            "line 7, column 7: bad variable name '1x'",
+        ),
+        (
+            _FIELD_BASE.replace("Q(q)", "Q(t)") + "[[level]]\n\nvar =   t\n",
+            "line 7, column 9: variable 't' names a generator of the field",
+        ),
     ],
     ids=[
-        "q", "sigma_base", "conj", "inner", "sigma",
-        "end", "matrix", "sigma_form", "delta_form", "size", "sigma_image",
+        "q", "sigma_base", "conj", "inner", "sigma", "end", "matrix",
+        "sigma_form", "delta_form", "size", "sigma_image", "var", "var_generator",
     ],
 )
 def test_tower_file_errors_give_line_columns(text, message, capsys, tmp_path):
@@ -1021,13 +1030,14 @@ def test_tower_variable_cannot_shadow_a_field_generator(base, name, capsys, tmp_
     line = text.splitlines().index(f"var = {name}") + 1
     with pytest.raises(ParseError) as exc:
         parse_tower_text(text)
-    assert (exc.value.line, exc.value.column) == (line, 1)
+    # the error points at the name, the value of "var = "
+    assert (exc.value.line, exc.value.column) == (line, 7)
     path = tmp_path / "shadow.tw"
     path.write_text(text + "delta_base = 1\n", encoding="utf-8")
     assert run(["central", "--tower", str(path), name]) == 2
     captured = capsys.readouterr()
     assert captured.err == (
-        f"error: line {line}, column 1: variable {name!r} names a generator of the field\n"
+        f"error: line {line}, column 7: variable {name!r} names a generator of the field\n"
     )
     assert captured.out == ""
 

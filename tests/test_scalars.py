@@ -282,6 +282,23 @@ def test_cross_field_coercion():
     assert z + Fraction(1, 2) == CyclotomicField(3).coerce([Fraction(1, 2), 1])
 
 
+def test_coefficient_lists_take_rationals_only():
+    """cyclotomic(n) coerces a list, and Q(t) reads one in from_polys, the
+    same way: ints, Fractions and Q scalars are taken, and a float or a
+    string raises ScalarError rather than being converted."""
+    cyc, qt = CyclotomicField(3), FunctionField(QQ, "t")
+    for bad in (0.5, "1/3"):
+        with pytest.raises(ScalarError):
+            cyc.coerce([bad, 1])
+        with pytest.raises(ScalarError):
+            qt.from_polys([bad, 1])
+        with pytest.raises(ScalarError):
+            qt.from_polys([1], [1, bad])
+    two = QQ.coerce(2)
+    assert cyc.coerce([two, 1]) == cyc.coerce([2, 1])
+    assert qt.from_polys([two, Fraction(1, 2)]) == qt.from_polys([2, Fraction(1, 2)])
+
+
 ONE_FIELD_FIELDS = [
     QQ,
     GF(5),
