@@ -428,9 +428,10 @@ class Scalar:
     def __pow__(self, k: int):
         if not isinstance(k, int):
             raise TypeError("exponent must be an integer")
-        if k < 0:
-            return _power(self.inverse(), -k)
-        return _power(self, k) if k else self.field.one
+        if not k:
+            return self.field.one
+        x = self.inverse() if k < 0 else self
+        return Scalar(x.field, x.field.rep_pow(x.rep, abs(k)))
 
     def inverse(self) -> "Scalar":
         if self.is_zero():
@@ -466,8 +467,10 @@ class _FieldBase:
     """Shared behaviour of the concrete field classes.
 
     A field computes on its reps through ``rep_zero``, ``rep_one``,
-    ``rep_add``, ``rep_neg``, ``rep_mul``, ``rep_inv``, ``rep_is_zero`` and
-    ``rep_str``; Scalar and the operations here wrap them.  Fields are
+    ``rep_add``, ``rep_neg``, ``rep_mul``, ``rep_pow``, ``rep_inv``,
+    ``rep_is_zero`` and ``rep_str``; Scalar and the operations here wrap
+    them.  ``rep_pow(x, k)`` (k >= 1) squares and multiplies through
+    ``rep_mul`` unless the field has a closed form.  Fields are
     singletons and scalars immutable, so ``zero`` and ``one`` are built once.
     """
 
@@ -505,6 +508,9 @@ class _FieldBase:
 
     def inv(self, a):
         return Scalar(self, self.rep_inv(a.rep))
+
+    def rep_pow(self, x, k: int):
+        return _power(x, k, self.rep_mul)
 
     def generator_named(self, name: str) -> Scalar | None:
         """The generator called ``name`` of this field or of a field it is
@@ -577,6 +583,7 @@ class RationalField(_FieldBase):
     rep_add = staticmethod(operator.add)
     rep_neg = staticmethod(operator.neg)
     rep_mul = staticmethod(operator.mul)
+    rep_pow = staticmethod(operator.pow)
     rep_is_zero = staticmethod(operator.not_)
     rep_str = staticmethod(str)
 
@@ -752,6 +759,20 @@ class CyclotomicFieldImpl(_FieldBase):
         nums = self._fold_top(_zmul(an, bn))
         den = ad * bd
         return (tuple(nums), 1) if den == 1 else self._normal(nums, den)
+
+    def rep_pow(self, x, k):
+        nums, den = x
+        terms = [(j, c) for j, c in enumerate(nums) if c]
+        if len(terms) != 1:
+            return _power(x, k, self.rep_mul)
+        # (c z^j / den)^k = c^k z^(jk mod n) / den^k, as z^n = 1; z^m is a
+        # unit of Z[z], so its reduction has content 1 and gcd(c, den) = 1
+        # leaves the rep canonical
+        (j, c), = terms
+        m = j * k % self.n
+        nums = [0] * max(self.degree, m + 1)
+        nums[m] = c**k
+        return tuple(self._fold_top(nums)), den**k
 
     def rep_inv(self, x):
         nums, den = x
@@ -1482,17 +1503,18 @@ def _reduce_rows(field, rows: list, ncols: int) -> list[int]:
     return pivots
 
 
-def _power(x, k: int):
-    """x ** k for k >= 1 by square-and-multiply: the product starts from
-    the first factor needed, and nothing is squared after the top bit."""
+def _power(x, k: int, mul=operator.mul):
+    """x ** k for k >= 1 by square-and-multiply with ``mul``: the product
+    starts from the first factor needed, and nothing is squared after the
+    top bit."""
     acc = None
     while True:
         if k & 1:
-            acc = x if acc is None else acc * x
+            acc = x if acc is None else mul(acc, x)
         k >>= 1
         if not k:
             return acc
-        x = x * x
+        x = mul(x, x)
 
 
 def _rep_dot(field, xs, ys):

@@ -35,10 +35,12 @@ is a single monomial, x_i x^lower = a x^lower x_i:
 This covers the diagonal sigma-only towers that erasing ends in, and the
 diagonal pairs of other towers.  On such a level x_i commutes with the
 base, so x_i^k acts on the remaining terms through x_i^k x^lower for the
-few lower parts the table entries reach from theirs (on the q-Weyl and
+few lower parts R the table entries reach from theirs (on the q-Weyl and
 Weyl levels delta lowers degrees, so x2^k x1 reaches x1 and 1 only).  The
-run builds those by square and multiply, in O(log k) compositions of a
-table local to the run, when that costs less than k single steps;
+empty lower part is left out of R, as x_i^k 1 = x_i^k on every tower, so
+x2^k x1 has R = {x1}.  The run builds x_i^k x^lower for R by square and
+multiply, in O(log k) compositions of a table local to the run, when
+|R| * k.bit_length() <= k, so that this costs less than k single steps;
 otherwise the terms take the one-x_i-at-a-time loop.
 
 When every level has an identity sigma and a zero delta on the base
@@ -372,11 +374,11 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
     a x^{e[:i]} x_i goes to c a^k x^{e + k e_i} (a can be a matrix, so
     the order is c a^k).  The other terms share one run table
     ``_power_run_table``: L^k(x^w) for every lower part w in R, the
-    lower parts the table entries reach from theirs.  It is built by
-    square and multiply when that is cheaper than stepping; otherwise the
-    terms are collected into one dict and take the one-x_i-at-a-time
-    loop, so their like terms still merge.  Either way the result is
-    L^k term for term, on unvalidated towers too.
+    non-empty lower parts the table entries reach from theirs.  It is
+    built by square and multiply when that is cheaper than stepping;
+    otherwise the terms are collected into one dict and take the
+    one-x_i-at-a-time loop, so their like terms still merge.  Either way
+    the result is L^k term for term, on unvalidated towers too.
     """
     one = tower.base.one
     acc: dict = {}
@@ -403,8 +405,8 @@ def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
         return acc
     for exp, coeff in rest.items():
         t, tail = exp[i], exp[i + 1:]
-        for e, c in run[exp[:i]].items():
-            _add_term(acc, e[:i] + (e[i] + t,) + tail, _times(coeff, c, one))
+        for (u, s), c in run[exp[:i]].items():
+            _add_term(acc, u + (s + t,) + tail, _times(coeff, c, one))
     return acc
 
 
@@ -414,8 +416,10 @@ def _power_run_table(tower, i: int, k: int, lowers: set) -> dict | None:
 
     L is left multiplication by x_i on a level that fixes the base (see
     ``_power_times_terms``), and R is the closure of ``lowers`` under the
-    table entries x_i x^w = sum c x^u (w -> u[:i]).  With T_m(w) =
-    L^m(x^w), supported at levels <= i,
+    table entries x_i x^w = sum c x^u (w -> u[:i]), without the empty
+    lower part: x_i x^0 = x_i with coefficient one on every tower, so
+    L^m(x^0) = x_i^m needs no row.  With T_m(w) = L^m(x^w), supported at
+    levels <= i,
 
         T_{m+n}(w) = sum over c x^u in T_m(w) of c T_n(u[:i]) x_i^{u[i]},
 
@@ -425,43 +429,52 @@ def _power_run_table(tower, i: int, k: int, lowers: set) -> dict | None:
     table is built only when |R| * k.bit_length() <= k.  The search for R
     gives up once R passes that size.  Until then each layer of the search
     adds a lower part, so it reads only entries within the k layers that
-    stepping would read too.  The table is a local of the run.
+    stepping would read too.  A row maps (u[:i], u[i]) to c for each term
+    c x^u, and the caller builds the exponent tuples.  The table is a
+    local of the run.
     """
     limit = k // k.bit_length()
     if len(lowers) > limit:
         return None
-    reach = set(lowers)
+    # reach holds R and the empty lower part
+    reach = {(0,) * i, *lowers}
     queue = list(lowers)
     step = {}
     for w in queue:
-        step[w] = entry = _var_times_lower(tower, i, w)
-        for u in entry:
+        step[w] = row = {}
+        for u, c in _var_times_lower(tower, i, w).items():
             v = u[:i]
+            row[v, u[i]] = c
             if v not in reach:
-                if len(reach) == limit:
+                if len(reach) > limit:
                     return None
                 reach.add(v)
                 queue.append(v)
     one = tower.base.one
-    run = step
+    run, m = step, 1
     for bit in bin(k)[3:]:
-        run = _compose_runs(run, run, i, one)
+        run = _compose_runs(run, run, m, one)
+        m *= 2
         if bit == "1":
-            run = _compose_runs(run, step, i, one)
+            run = _compose_runs(run, step, 1, one)
+            m += 1
     return run
 
 
-def _compose_runs(first: dict, then: dict, i: int, one) -> dict:
+def _compose_runs(first: dict, then: dict, n: int, one) -> dict:
     """T_{m+n} from T_m (``first``) and T_n (``then``), both keyed by
-    every lower part of R."""
+    every lower part of R; a term c x^0 x_i^t, whose lower part has no
+    row, shifts to c x_i^{t+n}."""
     out = {}
     for w, terms in first.items():
         acc: dict = {}
-        for u, c in terms.items():
-            # c x^u = c x^{u[:i]} x_i^{u[i]}, as u is zero above i
-            t, tail = u[i], u[i + 1:]
-            for e, d in then[u[:i]].items():
-                _add_term(acc, e[:i] + (e[i] + t,) + tail, _times(c, d, one))
+        for (u, t), c in terms.items():
+            row = then.get(u)
+            if row is None:
+                _add_term(acc, (u, t + n), c)
+                continue
+            for (v, s), d in row.items():
+                _add_term(acc, (v, s + t), _times(c, d, one))
         out[w] = acc
     return out
 

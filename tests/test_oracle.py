@@ -173,12 +173,13 @@ def test_variable_powers_match_naive_word_reduction(name):
     rng = random.Random(7)
     xs = [tower.var(i) for i in range(tower.height)]
     # mixes terms the power step moves with terms it does not: on
-    # three_level, x3 x1 = 2 x1 x3 but x3 x2 = 5 x2 x3 + x1 x3
+    # three_level, x3 x1 = 2 x1 x3 but x3 x2 = 5 x2 x3 + x1 x3; x_i^2 and
+    # 3 have the empty lower part, which power runs keep no row for
     mixed = sum(xs[1:], xs[0]) + 4 * math.prod(xs)
     for i in range(tower.height):
-        for k in range(2, 10):
+        for k in range(2, 13):
             power = xs[i] ** k
-            for p in (mixed, random_poly(tower, rng, max_degree=2)):
+            for p in (mixed + xs[i] ** 2 + 3, random_poly(tower, rng, max_degree=2)):
                 assert (power * p).terms == naive_product(tower, power, p)
 
 
@@ -355,14 +356,17 @@ BASE_FIXING_LEVELS = [
 @pytest.mark.parametrize("exponent", [1, 40], ids=["x_j", "x_j^40"])
 @pytest.mark.parametrize("name, level", BASE_FIXING_LEVELS)
 def test_halved_runs_match_single_steps(name, level, exponent, monkeypatch):
-    """x_i^k x_j^e by the power run against x_i applied k times; the run
-    halves wherever the closure of the right factor is small for k."""
+    """x_i^k (x_j^e + x_j^e x_i + x_i^3 + 2) by the power run against x_i
+    applied k times; the run halves wherever the closure of x_j^e is small
+    for k.  x_i^3 and 2 have the empty lower part, which the run table
+    keeps no row for, and x_j^e x_i shares x_j^e's row."""
     composed = count_calls(monkeypatch, skewpoly, "_compose_runs")
     tower = parse_tower_file(str(FIXTURE_DIR / f"{name}.tw"))
     cap = REFERENCE_CAP.get((name, exponent), max(HALVING_K))
     x = tower.var(level)
     for j in range(level):
-        right = tower.var(j) ** exponent
+        lower = tower.var(j) ** exponent
+        right = lower + lower * x + x**3 + 2
         stepped = right
         for k in range(1, cap + 1):
             stepped = x * stepped

@@ -5,7 +5,8 @@ remainder modulo the n-th cyclotomic polynomial, and in Q(t) with
 ``cancel``; primality, factorisation and multiplicative orders in gf(p)
 with ``isprime``, ``factorint`` and ``n_order``; root-of-unity orders in
 cyclotomic(n) with the factored characteristic polynomial and in Q(t)
-with ``cancel``.  Every result is also checked for the rep invariants: a
+with ``cancel``; powers ``x ** k`` in every field with repeated products.
+Every result is also checked for the rep invariants: a
 cyclotomic rep is phi(n) integers over a positive denominator coprime to
 their content, and a rational-function rep holds inner-field reps (never
 a Scalar) with a monic denominator, and over Q integers with a positive
@@ -29,8 +30,11 @@ from oretower.scalars import (  # noqa: E402
     GF,
     QQ,
     CyclotomicField,
+    CyclotomicFieldImpl,
     FunctionField,
     Matrix,
+    RationalFunctionField,
+    RationalFunctionFieldOverQ,
     Scalar,
     _ZZ,
     _factorize,
@@ -390,6 +394,103 @@ def test_no_scalar_inside_rational_function_reps(inner):
             assert den[-1] > 0 and math.gcd(*num, *den) == 1
         else:
             assert den[-1] == inner.one.rep
+
+
+# ---------------------------------------------------------------------------
+# powers: x ** k (rep_pow, with inverse() first for k < 0) against the
+# repeated product, k in [-12, 40]
+
+
+def one_term_cyclotomic(n):
+    """c z^j / d, whose powers take the closed form c^k z^(jk mod n) / d^k;
+    with k up to 40, jk passes n for every j > 0."""
+    field = CyclotomicField(n)
+    return st.builds(
+        lambda c, j: field.coerce([0] * j + [c]),
+        nonzero_rationals,
+        st.integers(0, field.degree - 1),
+    )
+
+
+def function_field_elements(field, coeffs):
+    """num / den with num and den of at most two terms, so the 40th power
+    stays quick to cancel."""
+    return st.builds(
+        field.from_polys,
+        st.lists(coeffs, max_size=2),
+        st.lists(coeffs, min_size=1, max_size=2).filter(
+            lambda cs: any(not field.inner.coerce(c).is_zero() for c in cs)
+        ),
+    )
+
+
+GF5_T, CYC3_T = FunctionField(GF(5), "t"), FunctionField(CyclotomicField(3), "t")
+POWER_FIELDS = {
+    "Q": (QQ, rationals.map(QQ.coerce)),
+    "gf5": (GF(5), st.integers(0, 4).map(GF(5).coerce)),
+    "gf67": (GF(67), st.integers(0, 66).map(GF(67).coerce)),
+    "Q(q)": (FunctionField(QQ, "q"), function_field_elements(FunctionField(QQ, "q"), rationals)),
+    "gf5(t)": (GF5_T, function_field_elements(GF5_T, st.integers(0, 4))),
+    "cyclotomic3(t)": (CYC3_T, function_field_elements(CYC3_T, cyclotomic_elements(3))),
+}
+POWER_FIELDS.update(
+    (f"cyclotomic{n}", (CyclotomicField(n), st.one_of(one_term_cyclotomic(n), cyclotomic_elements(n))))
+    for n in (3, 5, 12)
+)
+
+
+def _assert_canonical(field, s: Scalar):
+    if isinstance(field, CyclotomicFieldImpl):
+        _assert_cyclotomic_rep(s, field.n)
+    elif isinstance(field, RationalFunctionFieldOverQ):
+        _assert_qt_rep(s)
+    elif isinstance(field, RationalFunctionField):
+        assert not _holds_scalar(s.rep) and s.rep[1][-1] == field.inner.one.rep
+
+
+# equal reps are equal elements, so a power equal to the repeated product
+# has its canonical rep; the rep checks (sympy's gcd over Q) run at these k
+CHECKED_K = {1, 2, 3, 5, 17, 40, -1, -2, -12}
+
+
+def _assert_powers_match_products(field, x: Scalar):
+    assert x**0 == field.one
+    ladders = [(x, range(1, 41))]
+    if x.is_zero():
+        with pytest.raises(DivisionByZero):
+            x**-1
+    else:
+        ladders.append((x.inverse(), range(-1, -13, -1)))
+    for factor, ks in ladders:
+        acc = field.one
+        for k in ks:
+            acc = acc * factor
+            power = x**k
+            assert power == acc, k
+            if k in CHECKED_K:
+                _assert_canonical(field, power)
+
+
+@pytest.mark.parametrize("name", sorted(POWER_FIELDS))
+@settings(max_examples=15, deadline=None)
+@given(data=st.data())
+def test_powers_match_repeated_products(name, data):
+    field, elements = POWER_FIELDS[name]
+    _assert_powers_match_products(field, data.draw(elements))
+
+
+@pytest.mark.parametrize("name", sorted(POWER_FIELDS))
+def test_powers_of_zero_one_and_generators(name):
+    field, _ = POWER_FIELDS[name]
+    values = [field.zero, field.one, -field.one, field.coerce(2)]
+    if field.gen is not None:
+        values += [field.gen, -field.gen / 3, field.gen + 1]
+    if isinstance(field, CyclotomicFieldImpl):
+        # one-term numerators at the top index, where jk >= n soonest
+        z = field.gen
+        values += [z ** (field.degree - 1), Fraction(-2, 3) * z ** (field.degree - 1)]
+    for x in values:
+        _assert_powers_match_products(field, x)
 
 
 # ---------------------------------------------------------------------------
