@@ -47,7 +47,6 @@ from dataclasses import dataclass, field as dc_field, replace
 
 from .errors import (
     CompatibilityFailed,
-    DivisionByZero,
     HypothesisViolation,
     NotDiagonal,
     QEqualsOne,
@@ -55,7 +54,7 @@ from .errors import (
     VerificationFailed,
 )
 from .pi import DEFAULT_ORDER_BOUND, pi_report
-from .scalars import Matrix, solve_linear_system
+from .scalars import Matrix
 from .skewpoly import (
     SkewPoly,
     _substitute,
@@ -230,9 +229,13 @@ def _zero_top_delta(tower: OreTower) -> OreTower:
 
 
 def _inner_branch(tower: OreTower):
+    """y = x - a v on a height-1 tower over Mat_m, where sigma = conj(a)
+    (``BaseMap.conjugator``) and d = a^{-1} delta = [v, .].  If so, sum_k
+    d(E_k0) E_0k = v - v_00 1: v is read off d up to a scalar, fixed by
+    v_{m-1,m-1} = 0, and checked against d on every unit."""
     base = tower.base
-    field = base.field
     units = base.basis()
+    m = base.size
 
     # delta must kill the center F*I (forced by q != 1; a failure here
     # means the declared maps were never a valid q-skew pair)
@@ -242,45 +245,25 @@ def _inner_branch(tower: OreTower):
             "delta does not vanish on the center; the q-skew hypothesis fails"
         )
 
-    # sigma(r) a = a r as a homogeneous system in the entries of a
-    system = Matrix.vstack([_commutator_action(tower.apply_sigma0(0, e), e) for e in units])
-    a_vec = solve_linear_system(system, [field.zero] * system.nrows)
-    a = a_inv = None
-    if a_vec:
-        a = Matrix.unvec(field, a_vec)
-        try:
-            a_inv = a.inverse()
-        except DivisionByZero:
-            pass
-    if a_inv is None:
+    sigma = tower.levels[0].sigma_base
+    a = base.one if sigma.linear_action is None else sigma.conjugator
+    if a is None:
         raise UnsupportedErasure(
             "no invertible conjugator a with sigma(r) a = a r exists; "
             "sigma is not an inner automorphism of the matrix base"
         )
-    for e in units:
-        if tower.apply_sigma0(0, e) != a * e * a_inv:
-            raise UnsupportedErasure("conjugator solution does not reproduce sigma")
-
-    # a^{-1} delta(r) = v r - r v as an inhomogeneous system in v
-    system = Matrix.vstack([_commutator_action(-e, -e) for e in units])
-    rhs = [c for e in units for c in (a_inv * tower.apply_delta0(0, e)).vec()]
-    v_vec = solve_linear_system(system, rhs)
-    if v_vec is None:
+    a_inv = a.inverse()
+    d = [a_inv * tower.apply_delta0(0, e) for e in units]
+    v = sum((d[k * m] * units[k] for k in range(m)), base.zero)
+    v -= base.scalar(v.rows[m - 1][m - 1])
+    if any(d_e != v * e - e * v for d_e, e in zip(d, units)):
         raise UnsupportedErasure(
             "a^{-1} delta is not an inner derivation of the matrix base"
         )
-    v = Matrix.unvec(field, v_vec)
     b = a * v
     y = SkewPoly.variable(tower, 0) - b
     _assert_sigma_relation(tower, 0, y)
     return y, _zero_top_delta(tower), ErasureWitness("inner", a=a, v=v, b=b)
-
-
-def _commutator_action(left: Matrix, right: Matrix) -> Matrix:
-    """The matrix of the F-linear map X -> left X - X right on m x m
-    matrices, in the layout of ``Matrix.act_on``."""
-    one = Matrix.identity(left.field, left.nrows)
-    return Matrix.two_sided_action(left, one) - Matrix.two_sided_action(one, right)
 
 
 # ---------------------------------------------------------------------------

@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 import itertools
+import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
@@ -200,6 +201,28 @@ class BaseMap:
     def action_is_invertible(self) -> bool:
         """Whether ``linear_action`` is invertible, decided once per map."""
         return self.linear_action.is_invertible()
+
+    @functools.cached_property
+    def conjugator(self) -> Matrix | None:
+        """The a with ``linear_action`` = conj(a) on Mat_m, its last nonzero
+        entry in row-major order 1, read once per map; None when sigma is no
+        conjugation, so not multiplicative (Skolem-Noether).
+
+        If sigma = conj(a), column j of sigma(E_k0) = (a e_k)(e_0^T a^{-1}) is
+        (a^{-1})_0j a e_k, nonzero for the first nonzero column j of
+        sigma(E_00).  a is accepted when nonzero with a r = sigma(r) a on every
+        unit r: every r maps the kernel of a into itself, so it is 0.
+        """
+        action = self.linear_action
+        field, m = action.field, math.isqrt(action.nrows)
+        units = [Matrix.unit(field, m, i, j) for i in range(m) for j in range(m)]
+        images = [action.act_on(e) for e in units]
+        cols = [images[k * m].transpose().rows for k in range(m)]
+        j = next((j for j, col in enumerate(cols[0]) if any(col)), 0)
+        a = Matrix(field, [col[j] for col in cols]).transpose()
+        if not a or any(a * e != image * a for e, image in zip(units, images)):
+            return None
+        return a * next(c for c in reversed(a.vec()) if c).inverse()
 
     def is_trivial(self) -> bool:
         """Identity (sigma) or zero map (delta)."""
@@ -801,15 +824,13 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     automorphism form a cyclic group, so bmap^m = bmap^n with m < n gives
     bmap^(n-m) = identity: the first repeated power is the identity
     itself, and the loop needs no record of the powers it has seen.  On a
-    matrix base the linear action's trace and powers are screened first
-    (``_matrix_order``).
+    matrix base the powers of the conjugator are stepped (``_matrix_order``).
     """
     if bmap.kind != "sigma":
         raise ValueError("map_order expects a sigma-like map")
     require_base_automorphism(base, bmap)
     if base.kind == "matrix":
-        action = bmap.linear_action
-        return 1 if action is None else _matrix_order(action, bound)
+        return 1 if bmap.linear_action is None else _matrix_order(bmap, bound)
     image = bmap.field_action
     if image is None:
         return 1
@@ -825,41 +846,31 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     return None
 
 
-def _matrix_order(a: Matrix, bound: int) -> int | None:
-    """Least n <= bound with a^n = 1, else None, for an invertible a.
+def _matrix_order(bmap: BaseMap, bound: int) -> int | None:
+    """Least n <= bound with bmap^n = 1, else None, for bmap = conj(a) on
+    Mat_m (HypothesisViolation when bmap is no conjugation).
 
-    A trace that is not a constant of the field rules out every n at
-    once.  If a^n = 1, the eigenvalues of a are n-th roots of unity, so
-    its trace, their sum, is algebraic over the prime field; and the
-    elements of F(t) algebraic over the prime field are the constants,
-    since a field is algebraically closed in a rational function field
-    over it, nested or not (``is_constant``).  The action of
-    conj(diag(1, q)) on Mat_2(Q(q)) has trace 2 + q + 1/q, so it gets
-    None without a product.  The screen is a necessary condition only: a
-    constant trace, as of conj(antidiag(q, 1)) with trace 0, goes on to
-    the steps below.
-
-    Each n is then screened by a^n v = v for the fixed column v = (1, 2,
-    ..., N), at N^2 scalar products a step where a full power takes N^3,
-    and the first n that passes is confirmed by computing a^n.  a^n = 1
-    implies a^n v = v, so no smaller n can have a^n = 1.  If a^n != 1, v
-    is fixed by a power that is not 1, and from there the loop steps full
-    powers as the field case does, so the screen adds at most its own
-    steps and one power to that cost.
+    A trace of its matrix ``action`` that is not a constant of the field
+    rules out every n at once.  If bmap^n = 1, the eigenvalues of
+    ``action`` are n-th roots of unity, so its trace, their sum, is
+    algebraic over the prime field; and the elements of F(t) algebraic
+    over the prime field are the constants, since a field is
+    algebraically closed in a rational function field over it, nested or
+    not (``is_constant``).  So conj(diag(1, q)) on Mat_2(Q(q)), with trace
+    2 + q + 1/q, gets None at once, while conj(antidiag(q, 1)), with trace
+    0, goes on to the steps: bmap^n = conj(a^n) is 1 exactly when the
+    m x m power a^n is a scalar.
     """
-    if not a.field.is_constant(a.trace()):
+    a, action = bmap.conjugator, bmap.linear_action
+    if a is None:
+        raise HypothesisViolation(
+            "sigma is not an automorphism of the base: linear action is no conjugation"
+        )
+    if not a.field.is_constant(action.trace()):
         return None
-    start = vec = Matrix(a.field, [[k] for k in range(1, a.nrows + 1)])
+    power = a
     for n in range(1, bound + 1):
-        vec = a * vec
-        if vec == start:
-            break
-    else:
-        return None
-    power = a**n
-    while not _is_identity_matrix(power):
-        if n == bound:
-            return None
-        n += 1
+        if power.scalar_part() is not None:
+            return n
         power = a * power
-    return n
+    return None

@@ -1,5 +1,6 @@
 import ast
 import errno
+import gc
 import json
 import os
 import re
@@ -17,8 +18,9 @@ from oretower.cli import (
     run,
 )
 from oretower.errors import ParseError, UnknownVariableReference
-from oretower.scalars import CyclotomicField, Matrix, parse_field
-from oretower.tower import validate_tower
+from oretower.scalars import CyclotomicField, Matrix, Scalar, parse_field
+from oretower.skewpoly import SkewPoly
+from oretower.tower import BaseMap, OreTower, validate_tower
 
 FIXTURES = Path(__file__).parent / "fixtures"
 ROOT = Path(__file__).resolve().parent.parent
@@ -697,23 +699,95 @@ def test_long_power_run_time_gate(capsys):
     assert elapsed < 2.0
 
 
-def test_matrix_order_time_gate(capsys, tmp_path):
-    """order on Mat_6(Q(q)) with sigma = conj(u), u ones on and above the
-    diagonal and q in the bottom-left corner: conj(u) has no order within
-    200, found in under 10 s (stepping the 36 x 36 powers took about 110 s
-    on a 2-vCPU x86-64 VM)."""
+def _mat6_conj_tower(tmp_path):
+    """Mat_6(Q(q)) with sigma = conj(u), u ones on and above the diagonal
+    and q in the bottom-left corner: conj(u) has infinite order."""
     rows = [["1" if j >= i else "0" for j in range(6)] for i in range(6)]
     rows[5][0] = "q"
     u = "[" + ", ".join("[" + ", ".join(row) + "]" for row in rows) + "]"
     path = tmp_path / "mat6.tw"
     text = "[base]\nkind = matrix\nfield = Q(q)\nsize = 6\n\n"
     path.write_text(f"{text}[[level]]\nvar = x\nsigma_base = conj({u})\n", encoding="utf-8")
+    return str(path)
+
+
+def test_matrix_order_time_gate(capsys, tmp_path):
+    """order on the Mat_6(Q(q)) conj(u) tower finds no order within 200
+    in under 10 s (stepping the 36 x 36 powers took about 110 s on a
+    2-vCPU x86-64 VM)."""
     start = time.perf_counter()
-    argv = ["order", "--tower", str(path), "--level", "1", "--order-bound", "200"]
+    argv = ["order", "--tower", _mat6_conj_tower(tmp_path), "--level", "1", "--order-bound", "200"]
     assert run(argv) == 0
     elapsed = time.perf_counter() - start
     assert capsys.readouterr().out == "no order within bound 200\n"
     assert elapsed < 10.0
+
+
+def test_matrix_order_time_gate_at_the_cap(capsys, tmp_path):
+    """The same tower at the cap of 1000 in under 20 s (screening the
+    36 x 36 action by one column took about 80 s on a 2-vCPU x86-64 VM;
+    stepping the 6 x 6 powers of u takes about 6 s)."""
+    start = time.perf_counter()
+    argv = ["order", "--tower", _mat6_conj_tower(tmp_path), "--level", "1", "--order-bound", "1000"]
+    assert run(argv) == 0
+    elapsed = time.perf_counter() - start
+    assert capsys.readouterr().out == "no order within bound 1000\n"
+    assert elapsed < 20.0
+
+
+def test_order_refuses_a_sigma_that_is_no_conjugation(capsys, tmp_path):
+    """A linear(...) sigma on Mat_2(Q) that is invertible but not
+    multiplicative, diag(1, 2, 3, 4) on the units (sigma(e12) sigma(e21)
+    = 6 e11, sigma(e11) = e11), is no automorphism: validate rejects it,
+    and order refuses it as validation does instead of stepping it."""
+    path = tmp_path / "linear.tw"
+    path.write_text(
+        "[base]\nkind = matrix\nfield = Q\nsize = 2\n\n[[level]]\nvar = x\n"
+        "sigma_base = linear([[1, 0, 0, 0], [0, 2, 0, 0], [0, 0, 3, 0], [0, 0, 0, 4]])\n",
+        encoding="utf-8",
+    )
+    assert run(["validate", "--tower", str(path)]) == 1
+    capsys.readouterr()
+    assert run(["order", "--tower", str(path), "--level", "1", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "HypothesisViolation"
+    assert "no conjugation" in payload["error"]
+
+
+def test_commands_leave_no_oretower_cycles(capsys):
+    """Every command on every fixture frees its towers, polynomials,
+    scalars, matrices and base maps by reference counting: with the
+    collector off, a collection under DEBUG_SAVEALL finds none of them
+    in a reference cycle (json's indent encoder and argparse leave
+    cycles of their own, which are not counted here)."""
+    gc.collect()
+    enabled = gc.isenabled()
+    gc.disable()
+    gc.set_debug(gc.DEBUG_SAVEALL)
+    try:
+        for path in sorted(FIXTURES.glob("*.tw")):
+            names = re.findall(r"^var *= *(\w+)", path.read_text(encoding="utf-8"), re.M)
+            for args in (
+                ["validate"],
+                ["mul", f"{names[-1]}^3", names[0]],
+                ["central", names[-1]],
+                ["order", "--level", "1"],
+                ["erase"],
+                ["erase-all"],
+                ["swap", "--level", "2"],
+                ["gr"],
+                ["pi-check", "--witness-bound", "6"],
+            ):
+                run([args[0], "--tower", str(path), "--json", *args[1:]])
+        capsys.readouterr()
+        gc.collect()
+        kept = [o for o in gc.garbage if isinstance(o, (OreTower, SkewPoly, Scalar, Matrix, BaseMap))]
+    finally:
+        gc.set_debug(0)
+        gc.garbage.clear()
+        if enabled:
+            gc.enable()
+    assert kept == []
 
 
 def test_gr_command(capsys):

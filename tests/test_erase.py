@@ -1,3 +1,4 @@
+import random
 from pathlib import Path
 
 import pytest
@@ -12,7 +13,7 @@ from oretower.errors import (
     UnsupportedErasure,
 )
 from oretower.erase import erase_all, erase_top, swap_adjacent
-from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix
+from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, solve_linear_system
 from oretower.skewpoly import SkewPoly, apply_level_map, degree_leading, is_central
 from oretower.tower import (
     BaseMap,
@@ -29,7 +30,7 @@ from conftest import (
     weyl_sigma_top_tower,
     zeta5_deriv_tower,
 )
-from test_tower import _numeric_mutants
+from test_tower import _numeric_mutants, _unit_by_unit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -237,6 +238,153 @@ def test_inner_branch_not_available_above_height_one():
     del tower_one
     with pytest.raises(UnsupportedErasure):
         erase_top(tower, search_degree_bound=2)
+
+
+# The inner branch solved for a and v as two kernel problems; these
+# solves are kept here as the reference that the read of a and v in
+# erase._inner_branch must reproduce, witness and error alike.
+
+
+def _commutator_action(left: Matrix, right: Matrix) -> Matrix:
+    """The matrix of the F-linear map X -> left X - X right on m x m
+    matrices, in the layout of ``Matrix.act_on``."""
+    one = Matrix.identity(left.field, left.nrows)
+    return Matrix.two_sided_action(left, one) - Matrix.two_sided_action(one, right)
+
+
+def _inner_branch_by_solves(tower: OreTower):
+    """y and the witness of the inner branch with a and v solved for:
+    sigma(r) a = a r as a homogeneous system in a, and a^{-1} delta(r) =
+    v r - r v as an inhomogeneous one in v."""
+    base, field, units = tower.base, tower.base.field, tower.base.basis()
+    if not tower.apply_delta0(0, base.one).is_zero():
+        raise HypothesisViolation(
+            "delta does not vanish on the center; the q-skew hypothesis fails"
+        )
+    system = Matrix.vstack([_commutator_action(tower.apply_sigma0(0, e), e) for e in units])
+    a_vec = solve_linear_system(system, [field.zero] * system.nrows)
+    a = a_inv = None
+    if a_vec:
+        a = Matrix.unvec(field, a_vec)
+        if a.is_invertible():
+            a_inv = a.inverse()
+    if a_inv is None:
+        raise UnsupportedErasure(
+            "no invertible conjugator a with sigma(r) a = a r exists; "
+            "sigma is not an inner automorphism of the matrix base"
+        )
+    for e in units:
+        if tower.apply_sigma0(0, e) != a * e * a_inv:
+            raise UnsupportedErasure("conjugator solution does not reproduce sigma")
+    system = Matrix.vstack([_commutator_action(-e, -e) for e in units])
+    rhs = [c for e in units for c in (a_inv * tower.apply_delta0(0, e)).vec()]
+    v_vec = solve_linear_system(system, rhs)
+    if v_vec is None:
+        raise UnsupportedErasure(
+            "a^{-1} delta is not an inner derivation of the matrix base"
+        )
+    v = Matrix.unvec(field, v_vec)
+    b = a * v
+    y = SkewPoly.variable(tower, 0) - b
+    erase._assert_sigma_relation(tower, 0, y)
+    return y, erase.ErasureWitness("inner", a=a, v=v, b=b)
+
+
+def _inner_outcome(branch, tower):
+    """("witness", y, a, v, b) as printed, or the error's type and text."""
+    try:
+        y, wit = branch(tower)
+    except OreError as exc:
+        return type(exc).__name__, str(exc)
+    return "witness", str(y), str(wit.a), str(wit.v), str(wit.b)
+
+
+@pytest.mark.parametrize("m", [1, 2, 3])
+def test_commutator_action_matches_unit_images(m):
+    field = FunctionField(QQ, "q")
+    rng = random.Random(m)
+
+    def random_matrix():
+        return Matrix(
+            field,
+            [[rng.randint(-3, 3) + field.gen * rng.randint(-2, 2) for _ in range(m)] for _ in range(m)],
+        )
+
+    a, b = random_matrix(), random_matrix()
+    for left, right in ((a, b), (b, a), (a * b, b)):
+        expected = _unit_by_unit(field, m, lambda x: left * x - x * right)
+        assert _commutator_action(left, right) == expected
+
+
+def _crafted_inner_towers(count: int, seed: int):
+    """Seeded height-1 towers over Mat_2 and Mat_3 of Q, gf(7),
+    cyclotomic(3) and Q(q): sigma is conj(a) or an invertible linear map,
+    and delta is inner(b) against sigma or a linear map that kills 1."""
+    rng = random.Random(seed)
+    fields = [QQ, GF(7), CyclotomicField(3), FunctionField(QQ, "q")]
+
+    def entry(field):
+        value = field.coerce(rng.randint(-2, 2))
+        if field.gen is not None and rng.random() < 0.3:
+            value = value + field.gen * rng.randint(-1, 1)
+        return value
+
+    def invertible(field, n):
+        while True:
+            m = Matrix(field, [[entry(field) for _ in range(n)] for _ in range(n)])
+            if m.is_invertible():
+                return m
+
+    for _ in range(count):
+        field, m = rng.choice(fields), rng.choice([2, 3])
+        if rng.random() < 0.7:
+            sigma = BaseMap.conjugation(invertible(field, m))
+        else:
+            sigma = BaseMap.linear("sigma", invertible(field, m * m))
+        if rng.random() < 0.6:
+            delta = BaseMap.inner_derivation(
+                Matrix(field, [[entry(field) for _ in range(m)] for _ in range(m)]), sigma
+            )
+        else:
+            # column 0 of the action is the image of E_00; it is set so
+            # that the image of 1 = E_00 + ... + E_{m-1,m-1} is 0
+            rows = [[entry(field) for _ in range(m * m)] for _ in range(m * m)]
+            diagonal = range(m + 1, m * m, m + 1)
+            for row in rows:
+                row[0] = -sum((row[k] for k in diagonal), field.zero)
+            delta = BaseMap.linear("delta", Matrix(field, rows))
+        if delta.is_trivial():
+            continue
+        level = TowerLevel("x", sigma_base=sigma, delta_base=delta, q=field.coerce(2))
+        yield OreTower(BaseRing.matrix_ring(field, m), [level])
+
+
+def test_inner_branch_matches_the_kernel_solves():
+    """The read of a and v gives the same y, a, v and b as the two kernel
+    solves, or the same error, on every height-1 matrix tower among the
+    fixtures and their mutants, on a zero sigma and on a seeded corpus
+    reaching a witness, a sigma with no conjugator and a delta that is no
+    inner derivation."""
+    texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
+    towers = [parse_tower_text(text) for text in texts + list(_numeric_mutants(400, seed=11))]
+    towers = [t for t in towers if t.base.kind == "matrix" and t.height == 1]
+    assert towers
+    # a zero sigma, which no read can turn into a conjugator
+    zero_sigma = BaseMap.linear("sigma", Matrix.zero(QQ, 4, 4))
+    delta = BaseMap.inner_derivation(Matrix.unit(QQ, 2, 0, 1), BaseMap.identity())
+    level = TowerLevel("x", sigma_base=zero_sigma, delta_base=delta, q=QQ.coerce(2))
+    towers.append(OreTower(BaseRing.matrix_ring(QQ, 2), [level]))
+    outcomes = set()
+    for tower in towers + list(_crafted_inner_towers(300, seed=29)):
+        expected = _inner_outcome(_inner_branch_by_solves, tower)
+        got = _inner_outcome(lambda t: erase._inner_branch(t)[::2], tower)
+        assert got == expected, tower
+        outcomes.add(expected[1][:28] if expected[0] != "witness" else "witness")
+    assert outcomes >= {
+        "witness",
+        "no invertible conjugator a w",
+        "a^{-1} delta is not an inner",
+    }
 
 
 # ---------------------------------------------------------------------------
