@@ -1420,13 +1420,6 @@ class Matrix:
         """The matrix of X -> left X right on square X: left (x) right^T."""
         return left.kron(right.transpose())
 
-    @classmethod
-    def vstack(cls, blocks) -> "Matrix":
-        """The rows of ``blocks``, matrices over one field, in order."""
-        if not all(map(blocks[0]._same_field, blocks)):
-            raise TypeError("stacked matrices lie over different fields")
-        return cls._from_reps(blocks[0].field, [row for b in blocks for row in b._rows])
-
     def trace(self) -> Scalar:
         """The sum of the diagonal entries of a square matrix."""
         if not self.is_square():

@@ -208,18 +208,19 @@ class BaseMap:
         entry in row-major order 1, read once per map; None when sigma is no
         conjugation, so not multiplicative (Skolem-Noether).
 
-        If sigma = conj(a), column j of sigma(E_k0) = (a e_k)(e_0^T a^{-1}) is
+        Column i m + j of ``linear_action`` is sigma(E_ij).  If sigma =
+        conj(a), column j of sigma(E_k0) = (a e_k)(e_0^T a^{-1}) is
         (a^{-1})_0j a e_k, nonzero for the first nonzero column j of
         sigma(E_00).  a is accepted when nonzero with a r = sigma(r) a on every
         unit r: every r maps the kernel of a into itself, so it is 0.
         """
         action = self.linear_action
         field, m = action.field, math.isqrt(action.nrows)
-        units = [Matrix.unit(field, m, i, j) for i in range(m) for j in range(m)]
-        images = [action.act_on(e) for e in units]
+        images = [Matrix.unvec(field, col) for col in action.transpose().rows]
         cols = [images[k * m].transpose().rows for k in range(m)]
         j = next((j for j, col in enumerate(cols[0]) if any(col)), 0)
         a = Matrix(field, [col[j] for col in cols]).transpose()
+        units = (Matrix.unit(field, m, i, k) for i in range(m) for k in range(m))
         if not a or any(a * e != image * a for e, image in zip(units, images)):
             return None
         return a * next(c for c in reversed(a.vec()) if c).inverse()

@@ -252,6 +252,11 @@ def _commutator_action(left: Matrix, right: Matrix) -> Matrix:
     return Matrix.two_sided_action(left, one) - Matrix.two_sided_action(one, right)
 
 
+def _stacked(field, blocks) -> Matrix:
+    """The rows of ``blocks`` in order, one linear system."""
+    return Matrix(field, [row for block in blocks for row in block.rows])
+
+
 def _inner_branch_by_solves(tower: OreTower):
     """y and the witness of the inner branch with a and v solved for:
     sigma(r) a = a r as a homogeneous system in a, and a^{-1} delta(r) =
@@ -261,7 +266,7 @@ def _inner_branch_by_solves(tower: OreTower):
         raise HypothesisViolation(
             "delta does not vanish on the center; the q-skew hypothesis fails"
         )
-    system = Matrix.vstack([_commutator_action(tower.apply_sigma0(0, e), e) for e in units])
+    system = _stacked(field, [_commutator_action(tower.apply_sigma0(0, e), e) for e in units])
     a_vec = solve_linear_system(system, [field.zero] * system.nrows)
     a = a_inv = None
     if a_vec:
@@ -276,7 +281,7 @@ def _inner_branch_by_solves(tower: OreTower):
     for e in units:
         if tower.apply_sigma0(0, e) != a * e * a_inv:
             raise UnsupportedErasure("conjugator solution does not reproduce sigma")
-    system = Matrix.vstack([_commutator_action(-e, -e) for e in units])
+    system = _stacked(field, [_commutator_action(-e, -e) for e in units])
     rhs = [c for e in units for c in (a_inv * tower.apply_delta0(0, e)).vec()]
     v_vec = solve_linear_system(system, rhs)
     if v_vec is None:
@@ -300,18 +305,27 @@ def _inner_outcome(branch, tower):
 
 
 @pytest.mark.parametrize("m", [1, 2, 3])
-def test_commutator_action_matches_unit_images(m):
-    field = FunctionField(QQ, "q")
-    rng = random.Random(m)
+@pytest.mark.parametrize("field_name", ["QQ", "gf5", "Qq"])
+def test_commutator_action_matches_unit_images(field_name, m):
+    field = {"QQ": QQ, "gf5": GF(5), "Qq": FunctionField(QQ, "q")}[field_name]
+    gen = field.gen if field.gen is not None else field.one
+    rng = random.Random(f"{field_name}-{m}")
 
     def random_matrix():
         return Matrix(
             field,
-            [[rng.randint(-3, 3) + field.gen * rng.randint(-2, 2) for _ in range(m)] for _ in range(m)],
+            [
+                [field.coerce(rng.randint(-3, 3)) + gen * rng.randint(-2, 2) for _ in range(m)]
+                for _ in range(m)
+            ],
         )
 
-    a, b = random_matrix(), random_matrix()
-    for left, right in ((a, b), (b, a), (a * b, b)):
+    a = random_matrix()
+    while not a.is_invertible():
+        a = random_matrix()
+    a_inv = a.inverse()
+    b = random_matrix()
+    for left, right in ((a, b), (b, a_inv), (a * b * a_inv, b)):
         expected = _unit_by_unit(field, m, lambda x: left * x - x * right)
         assert _commutator_action(left, right) == expected
 

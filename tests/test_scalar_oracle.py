@@ -317,7 +317,6 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "transpose": [list(col) for col in zip(*ra)],
         "left multiple": [[s * x for x in r] for r in ra],
         "right multiple": [[x * s for x in r] for r in ra],
-        "stack": [list(r) for r in (*ra, *rb)],
         "two-sided action": _product(field, _product(field, ra, rb), ra),
     }
     got = {
@@ -329,7 +328,6 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "transpose": a.transpose(),
         "left multiple": s * a,
         "right multiple": a * s,
-        "stack": Matrix.vstack([a, b]),
         "two-sided action": Matrix.two_sided_action(a, a).act_on(b),
         "unvec": Matrix.unvec(field, a.vec()),
     }

@@ -377,13 +377,9 @@ def test_scalar_arithmetic_across_fields_raises(op, a, b):
         op(b, a)
 
 
-def _stack_two(x, y):
-    return Matrix.vstack([x, y])
-
-
 @pytest.mark.parametrize(
     "op",
-    [operator.add, operator.sub, operator.mul, Matrix.kron, Matrix.two_sided_action, _stack_two],
+    [operator.add, operator.sub, operator.mul, Matrix.kron, Matrix.two_sided_action],
 )
 def test_matrix_arithmetic_across_fields_raises(op):
     qt = FunctionField(QQ, "t")
