@@ -94,9 +94,9 @@ MAX_LITERAL_DIGITS = 1000
 # polynomial product or power the parser computes; products memoise
 # x_i * x^lower for every exponent up to k, so the bound caps that table
 MAX_EXPR_EXPONENT = 10_000
-# m of a Mat_m base; a base map is an m^2 x m^2 matrix, so validation,
-# which applies it to the 2m^2 - 1 unit pairs (E_r0, E_0c), (E_0c, E_r0),
-# takes about m^6 products a level, and order powers the map
+# m of a Mat_m base; a base map is an m^2 x m^2 matrix, validation checks
+# its read with about 2m^2 products of m x m matrices (2m^5 field products),
+# and order steps m x m powers of the conjugator, m^3 field products each
 MAX_MATRIX_SIZE = 6
 # upper bounds of the integer flags, checked by argparse on the digit
 # string before any tower is read; at each cap a command on the test

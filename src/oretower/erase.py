@@ -230,11 +230,10 @@ def _zero_top_delta(tower: OreTower) -> OreTower:
 
 def _inner_branch(tower: OreTower):
     """y = x - a v on a height-1 tower over Mat_m, where sigma = conj(a)
-    (``BaseMap.conjugator``) and d = a^{-1} delta = [v, .].  If so, sum_k
-    d(E_k0) E_0k = v - v_00 1: v is read off d up to a scalar, fixed by
-    v_{m-1,m-1} = 0, and checked against d on every unit."""
+    (``BaseMap.conjugator``) and delta(r) = b' r - sigma(r) b'
+    (``BaseMap.inner_shift``), so that a^{-1} delta = [v, .] with v =
+    a^{-1} b' up to a scalar, fixed by v_{m-1,m-1} = 0."""
     base = tower.base
-    units = base.basis()
     m = base.size
 
     # delta must kill the center F*I (forced by q != 1; a failure here
@@ -252,14 +251,13 @@ def _inner_branch(tower: OreTower):
             "no invertible conjugator a with sigma(r) a = a r exists; "
             "sigma is not an inner automorphism of the matrix base"
         )
-    a_inv = a.inverse()
-    d = [a_inv * tower.apply_delta0(0, e) for e in units]
-    v = sum((d[k * m] * units[k] for k in range(m)), base.zero)
-    v -= base.scalar(v.rows[m - 1][m - 1])
-    if any(d_e != v * e - e * v for d_e, e in zip(d, units)):
+    shift = tower.levels[0].delta_base.inner_shift(sigma)
+    if shift is None:
         raise UnsupportedErasure(
             "a^{-1} delta is not an inner derivation of the matrix base"
         )
+    v = a.inverse() * shift
+    v -= base.scalar(v.rows[m - 1][m - 1])
     b = a * v
     y = SkewPoly.variable(tower, 0) - b
     _assert_sigma_relation(tower, 0, y)

@@ -16,8 +16,6 @@ generating set.
 from __future__ import annotations
 
 import functools
-import itertools
-import math
 from dataclasses import dataclass, field as dc_field
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
@@ -85,11 +83,7 @@ class BaseRing:
     def _basis(self) -> tuple:
         if self.kind == "field":
             return (self.one,)
-        return tuple(
-            Matrix.unit(self.field, self.size, i, j)
-            for i in range(self.size)
-            for j in range(self.size)
-        )
+        return tuple(_units(self.field, self.size))
 
     def basis(self) -> tuple:
         """The standard field basis: {1} for a field, matrix units for Mat_m."""
@@ -203,27 +197,47 @@ class BaseMap:
         return self.linear_action.is_invertible()
 
     @functools.cached_property
+    def unit_images(self) -> tuple:
+        """The images of the matrix units E_ij of Mat_m in row-major order,
+        read once per map: column i m + j of ``linear_action`` is the image
+        of E_ij."""
+        action = self.linear_action
+        return tuple(Matrix.unvec(action.field, col) for col in action.transpose().rows)
+
+    @functools.cached_property
     def conjugator(self) -> Matrix | None:
         """The a with ``linear_action`` = conj(a) on Mat_m, its last nonzero
         entry in row-major order 1, read once per map; None when sigma is no
         conjugation, so not multiplicative (Skolem-Noether).
 
-        Column i m + j of ``linear_action`` is sigma(E_ij).  If sigma =
-        conj(a), column j of sigma(E_k0) = (a e_k)(e_0^T a^{-1}) is
-        (a^{-1})_0j a e_k, nonzero for the first nonzero column j of
+        If sigma = conj(a), column j of sigma(E_k0) = (a e_k)(e_0^T a^{-1})
+        is (a^{-1})_0j a e_k, nonzero for the first nonzero column j of
         sigma(E_00).  a is accepted when nonzero with a r = sigma(r) a on every
         unit r: every r maps the kernel of a into itself, so it is 0.
         """
-        action = self.linear_action
-        field, m = action.field, math.isqrt(action.nrows)
-        images = [Matrix.unvec(field, col) for col in action.transpose().rows]
+        images = self.unit_images
+        field, m = images[0].field, images[0].nrows
         cols = [images[k * m].transpose().rows for k in range(m)]
         j = next((j for j, col in enumerate(cols[0]) if any(col)), 0)
         a = Matrix(field, [col[j] for col in cols]).transpose()
-        units = (Matrix.unit(field, m, i, k) for i in range(m) for k in range(m))
-        if not a or any(a * e != image * a for e, image in zip(units, images)):
+        if not a or any(a * e != image * a for e, image in zip(_units(field, m), images)):
             return None
         return a * next(c for c in reversed(a.vec()) if c).inverse()
+
+    def inner_shift(self, sigma: "BaseMap") -> Matrix | None:
+        """A b with delta(r) = b r - sigma(r) b on Mat_m, read as sum_k
+        delta(E_k0) E_0k and accepted when this holds on every unit (sigma(E)
+        is E for the identity sigma); None when delta is no such map.  For
+        delta(r) = b' r - sigma(r) b' with sigma = conj(a) the sum is b' -
+        (a^{-1} b')_00 a, which gives the same delta.  No inverse is taken."""
+        images = self.unit_images
+        field, m = images[0].field, images[0].nrows
+        units = _units(field, m)
+        sigma_images = units if sigma.linear_action is None else sigma.unit_images
+        b = sum((images[k * m] * units[k] for k in range(m)), Matrix.zero(field, m, m))
+        if any(d != b * e - s * b for d, e, s in zip(images, units, sigma_images)):
+            return None
+        return b
 
     def is_trivial(self) -> bool:
         """Identity (sigma) or zero map (delta)."""
@@ -238,6 +252,11 @@ class BaseMap:
 
 _IDENTITY_MAP = BaseMap("sigma")
 _ZERO_MAP = BaseMap("delta")
+
+
+def _units(field, m: int) -> list:
+    """The m^2 matrix units of Mat_m in row-major order, E_rc at r m + c."""
+    return [Matrix.unit(field, m, r, c) for r in range(m) for c in range(m)]
 
 
 def _is_identity_matrix(m: Matrix) -> bool:
@@ -580,11 +599,11 @@ def validate_tower(tower: OreTower) -> ValidationReport:
     ``_relation_pairs``, are checked in the base ring, and every generator
     image and pair product is computed once per level.  A level whose
     delta is zero passes (c) and (d) with no case computed, and on Mat_m
-    the 2m^2 - 1 unit pairs of ``_unit_pairs`` decide the m^4 base-by-base
-    pairs of (a) and (c); the arguments are in ``_identity_cases``.  A
-    failure is reported as polynomials, so its text does not depend on
-    which ring computed it, and it is the first failing pair of
-    ``_relation_pairs`` in every case.
+    the reads ``BaseMap.conjugator`` and ``BaseMap.inner_shift`` decide the
+    m^4 base-by-base pairs of (a) and (c) when they succeed; the arguments
+    are in ``_identity_cases``.  A failure is reported as polynomials, so
+    its text does not depend on which ring computed it, and it is the
+    first failing pair of ``_relation_pairs`` in every case.
     """
     report = ValidationReport()
     for i in range(tower.height):
@@ -642,33 +661,20 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
     summand is 0.  So delta_i(x^e), the degree-0 part, is 0, and
     delta_i(c x^e) = delta_i(c) x^e + sigma_i(c) delta_i(x^e) = 0.
 
-    Matrix units.  On Mat_m, with E_rc at position r m + c, the block of
-    base-by-base pairs of (a) and (c), all m^4 pairs of units, is decided
-    on the 2m^2 - 1 unit pairs (E_r0, E_0c) and (E_0c, E_r0) of
-    ``_unit_pairs``; only when one of those fails is the block scanned in
-    ``_relation_pairs`` order, so the first failing pair is the same.  The
-    maps are F-linear and E_ij E_kl = [j = k] E_il.  Write S_rc =
-    sigma(E_rc).  (a) holds on the block exactly when S_rc = S_r0 S_0c and
-    S_0c S_r0 = [c = r] S_00: these are its cases on the unit pairs, and
-    conversely, as S_r0 = S_r0 S_00 (c = 0),
-
-        S_ij S_kl = S_i0 (S_0j S_k0) S_0l = [j = k] S_i0 S_00 S_0l
-                  = [j = k] S_i0 S_0l = [j = k] S_il = sigma(E_ij E_kl).
-
-    Given (a), let D(u, v) = delta(uv) - sigma(u) delta(v) - delta(u) v,
-    bilinear.  Expanding delta(uvw) both ways, with sigma(uv) =
-    sigma(u) sigma(v), gives
-
-        D(uv, w) + D(u, v) w = D(u, vw) + sigma(u) D(v, w).
-
-    Suppose (c) holds on the unit pairs, that is D vanishes there.  Take
-    u, v, w = E_0j, E_k0, E_0l: D(E_0j, E_k0), D([j = k] E_00, E_0l) and
-    D(E_k0, E_0l) are 0, so D(E_0j, E_kl) = 0.  Then take E_i0, E_0j,
-    E_kl: D(E_i0, E_0j) and D(E_i0, [j = k] E_0l) are 0, so D(E_ij, E_kl)
-    = sigma(E_i0) D(E_0j, E_kl) = 0.  So once (a) holds, (c) holds on the
-    block exactly when it holds on the unit pairs; when (a) fails, the
-    block of (c) is scanned.  On a field base the block is one pair, its
-    own unit pair.
+    Matrix units.  On Mat_m the block of base-by-base pairs of (a) and
+    (c), all m^4 pairs of units, is decided by reading the maps.  (a) is
+    reached only once sigma is invertible, and an invertible F-linear
+    sigma is multiplicative on the units exactly when it is an
+    automorphism, by Skolem-Noether conj(a) for some a, that is when
+    ``BaseMap.conjugator`` is not None.  Given that, delta satisfies (c)
+    on the units exactly when a^{-1} delta is a derivation.  Every
+    derivation of Mat_m is inner (Leroy and Matczuk, J. Algebra 145,
+    1992), so a^{-1} delta = [v, .], delta(r) = b r - sigma(r) b with b =
+    a v, and ``BaseMap.inner_shift`` reads such a b; conversely every such
+    delta is a sigma-derivation.  A block that its read decides has no
+    cases; any other block is scanned in ``_relation_pairs`` order, so the
+    first failing pair is reported.  On a field base the block is one
+    pair, and it is scanned.
     """
     base = tower.base
     base_gens = base.generators()
@@ -694,22 +700,19 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
         return image("delta", product(k, l)), rhs
 
     pairs = _relation_pairs(range(len(gens)), n_base)
-    block, relations = pairs[: n_base * n_base], pairs[n_base * n_base :]
-    units = _unit_pairs(base.size) if base.kind == "matrix" else block
-    sigma_on_units = _memoised(lambda: all(l == r for l, r in map(mult, units)))
-
-    def leibniz_on_units():
-        return sigma_on_units() and all(l == r for l, r in map(leibniz, units))
-
-    def base_block(case, decided):
-        # the whole block, in order, only when the unit pairs do not decide it
-        if not decided():
-            yield from map(case, block)
-
-    mult_cases = itertools.chain(base_block(mult, sigma_on_units), map(mult, relations))
-    if tower.levels[i].delta_is_zero():
+    relations = pairs[n_base * n_base :]
+    lvl = tower.levels[i]
+    sigma, delta = lvl.sigma_base, lvl.delta_base
+    sigma_read = base.kind == "matrix" and (
+        sigma.linear_action is None or sigma.conjugator is not None
+    )
+    mult_cases = map(mult, relations if sigma_read else pairs)
+    if lvl.delta_is_zero():
         return mult_cases, (), ()
-    leibniz_cases = itertools.chain(base_block(leibniz, leibniz_on_units), map(leibniz, relations))
+    delta_read = sigma_read and (
+        delta.linear_action is None or delta.inner_shift(sigma) is not None
+    )
+    leibniz_cases = map(leibniz, relations if delta_read else pairs)
     q_skew = (
         (image("delta", value("sigma", k)), q_elem * image("sigma", value("delta", k)))
         for k in range(len(gens))
@@ -757,19 +760,11 @@ def _relation_pairs(gens, n_base: int) -> list:
     The pairs left out, (g, x_k), (x_j, x_k) with j < k and (x_j, x_j),
     multiply to normal forms, on which the maps read off the engine table
     satisfy (a) and (c) by construction.  On Mat_m the n_base^2 = m^4
-    base-by-base pairs are decided by the 2m^2 - 1 of ``_unit_pairs``;
-    this order is the one in which a failure is looked for.
+    base-by-base pairs are decided by reading sigma and delta (see
+    ``_identity_cases``), and scanned only when a read fails; this order
+    is the one in which a failure is looked for.
     """
     return [(u, v) for pos, u in enumerate(gens) for v in gens[: max(pos, n_base)]]
-
-
-def _unit_pairs(m: int) -> list:
-    """The positions of (E_r0, E_0c) and (E_0c, E_r0), r and c below m,
-    among the m^2 matrix units in row-major order (E_rc at r m + c), each
-    pair once: 2m^2 - 1 pairs, which decide (a) and (c) on all m^4 unit
-    pairs (see ``_identity_cases``)."""
-    cells = [(r, c) for r in range(m) for c in range(m)]
-    return list(dict.fromkeys([(r * m, c) for r, c in cells] + [(c, r * m) for r, c in cells]))
 
 
 # ---------------------------------------------------------------------------

@@ -357,29 +357,26 @@ def _unit_base(m: int, field: str = "Q") -> str:
     return f"[base]\nkind = matrix\nfield = {field}\nsize = {m}\n\n[[level]]\nvar = x\n"
 
 
-# Mat_m towers whose first failing base pair is not one of the unit pairs
-# (E_r0, E_0c), (E_0c, E_r0) of _unit_pairs, which catch the failure later
-# in the block: the failing checks and their details
-UNIT_PAIR_FALLBACKS = {
-    # sigma(e22) = e11 + e22: first fails at (e11, e22), the unit pairs at
-    # (e21, e12)
+# Mat_m towers whose reads fail, so that their block of unit pairs is
+# scanned, and whose first failing pair lies past the pairs (E_r0, E_0c),
+# (E_0c, E_r0): the failing checks and their details
+READ_FAILURE_SCANS = {
+    # sigma(e22) = e11 + e22: first fails at (e11, e22)
     _unit_base(2) + f"sigma_base = linear({_unit_action(2, [(0, 3)])})\n": [
         ("sigma multiplicative", "lhs = 0 ; rhs = ([[1, 0], [0, 0]])"),
     ],
-    # delta(e22) = e11, the rest -> 0: first fails at (e11, e22), the unit
-    # pairs at (e21, e12)
+    # delta(e22) = e11, the rest -> 0: first fails at (e11, e22)
     _unit_base(2)
     + "delta_base = linear([[0, 0, 0, 1], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])\n": [
         ("delta twisted Leibniz", "lhs = 0 ; rhs = ([[1, 0], [0, 0]])"),
     ],
-    # sigma(e33) = e11 + e33: first fails at (e11, e33), the unit pairs at
-    # (e31, e13)
+    # sigma(e33) = e11 + e33: first fails at (e11, e33)
     _unit_base(3) + f"sigma_base = linear({_unit_action(3, [(0, 8)])})\n": [
         ("sigma multiplicative", "lhs = 0 ; rhs = ([[1, 0, 0], [0, 0, 0], [0, 0, 0]])"),
     ],
     # sigma is not multiplicative, and delta (e21 -> e21, e22 -> e22, the
-    # rest -> 0) passes the unit pairs but not the block: the unit pairs
-    # decide the Leibniz rule only once sigma passes
+    # rest -> 0) passes the pairs (E_r0, E_0c), (E_0c, E_r0) but not the
+    # block: with no conjugator, the Leibniz block is scanned too
     _unit_base(2)
     + "sigma_base = linear([[2, -1, 0, 0], [0, 0, 1, 0], [1, 1, 1, -1], [0, 0, 0, 1]])\n"
     + "delta_base = linear([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n": [
@@ -388,11 +385,74 @@ UNIT_PAIR_FALLBACKS = {
     ],
 }
 
+MATRIX_BASE_TOWERS = 200
+
+
+def _matrix_base_towers(count: int, seed: int):
+    """Seeded one- and two-level tower texts over Mat_2 and Mat_3 of Q,
+    gf(5) and cyclotomic(3), for the reads that decide a block of unit
+    pairs.  Each level's sigma is conj(a), the identity, the identity with
+    one action entry changed or a random linear map; its delta is inner(b)
+    against that sigma, the same with one action entry changed, the
+    commutator [b, .] (inner(b) against the identity), a random linear map
+    or zero.  A second level maps x1 to x1 or 2 x1."""
+    rng = random.Random(seed)
+    fields = [QQ, GF(5), CyclotomicField(3)]
+
+    def entry(field):
+        value = field.coerce(rng.randint(-2, 2))
+        if field.gen is not None and rng.random() < 0.3:
+            value = value + field.gen * rng.randint(-1, 1)
+        return value
+
+    def matrix(field, n):
+        return Matrix(field, [[entry(field) for _ in range(n)] for _ in range(n)])
+
+    def changed(action):
+        rows = [list(row) for row in action.rows]
+        row, col = rng.randrange(len(rows)), rng.randrange(len(rows))
+        rows[row][col] = rows[row][col] + rng.choice([-2, -1, 1, 2])
+        return Matrix(action.field, rows)
+
+    def maps(field, m):
+        kind = rng.choice(["conj", "identity", "changed identity", "linear"])
+        if kind == "conj":
+            a = matrix(field, m)
+            while not a.is_invertible():
+                a = matrix(field, m)
+            sigma = BaseMap.conjugation(a)
+        elif kind == "identity":
+            sigma = BaseMap.identity()
+        elif kind == "changed identity":
+            sigma = BaseMap.linear("sigma", changed(Matrix.identity(field, m * m)))
+        else:
+            sigma = BaseMap.linear("sigma", matrix(field, m * m))
+        kind = rng.choice(["inner", "changed inner", "commutator", "linear", "zero"])
+        if kind == "zero":
+            return sigma, BaseMap.zero()
+        if kind == "linear":
+            return sigma, BaseMap.linear("delta", matrix(field, m * m))
+        twist = BaseMap.identity() if kind == "commutator" else sigma
+        delta = BaseMap.inner_derivation(matrix(field, m), twist)
+        if kind == "changed inner":
+            delta = BaseMap.linear("delta", changed(delta.linear_action))
+        return sigma, delta
+
+    for _ in range(count):
+        field, m = rng.choice(fields), rng.choice([2, 3])
+        base = BaseRing.matrix_ring(field, m)
+        levels = [TowerLevel("x1", *maps(field, m))]
+        if rng.random() < 0.4:
+            lam = base.scalar(rng.choice([1, 2]))
+            levels.append(TowerLevel("x2", *maps(field, m), sigma_vars={0: (lam, {})}))
+        yield render_tower_file(OreTower(base, levels))
+
 
 def _validation_corpus():
     """Tower texts: every fixture, 400 numeric mutants, the first 300 token
     mutants of the CLI fuzzer that parse (about one in 17 does), the
-    base-case failures above and the unit-pair fallbacks."""
+    base-case failures and read-failure scans above and the seeded
+    matrix-base towers."""
     texts = [path.read_text(encoding="utf-8") for path in sorted(FIXTURES.glob("*.tw"))]
     texts += _numeric_mutants(400, seed=11)
     token_mutants = []
@@ -404,7 +464,8 @@ def _validation_corpus():
         token_mutants.append(text)
         if len(token_mutants) == 300:
             break
-    return texts + token_mutants + list(BASE_CASE_FAILURES.values()) + list(UNIT_PAIR_FALLBACKS)
+    texts += token_mutants + list(BASE_CASE_FAILURES.values()) + list(READ_FAILURE_SCANS)
+    return texts + list(_matrix_base_towers(MATRIX_BASE_TOWERS, seed=31))
 
 
 def test_validation_matches_the_reference_validator():
@@ -419,7 +480,24 @@ def test_validation_matches_the_reference_validator():
         verdicts.add(all(ok for _level, _name, ok, _detail in checks))
     assert verdicts == {True, False}
     fixtures = len(list(FIXTURES.glob("*.tw")))
-    assert len(texts) == fixtures + 400 + 300 + len(BASE_CASE_FAILURES) + len(UNIT_PAIR_FALLBACKS)
+    extra = len(BASE_CASE_FAILURES) + len(READ_FAILURE_SCANS) + MATRIX_BASE_TOWERS
+    assert len(texts) == fixtures + 400 + 300 + extra
+
+
+def test_matrix_base_towers_reach_every_read_outcome():
+    """The seeded matrix-base towers include valid ones, a singular
+    sigma, an invertible sigma with no conjugator, and a delta that fails
+    its read where sigma passes, each as the first failure of a level."""
+    first = set()
+    for text in _matrix_base_towers(MATRIX_BASE_TOWERS, seed=31):
+        report = validate_tower(parse_tower_text(text))
+        first.add("valid" if report.ok else report.first_failure.name)
+    assert first >= {
+        "valid",
+        "sigma_base invertible",
+        "sigma multiplicative",
+        "delta twisted Leibniz",
+    }
 
 
 def test_rendered_towers_parse_back():
@@ -437,14 +515,14 @@ def test_base_case_failures_come_first(name):
 
 
 @pytest.mark.parametrize(
-    "text", list(UNIT_PAIR_FALLBACKS), ids=map(str, range(len(UNIT_PAIR_FALLBACKS)))
+    "text", list(READ_FAILURE_SCANS), ids=map(str, range(len(READ_FAILURE_SCANS)))
 )
-def test_unit_pair_failure_reports_the_first_failing_pair(text):
-    """A failure that the unit pairs catch is reported at the block's
-    first failing pair, as scanning every pair reports it."""
+def test_failed_read_reports_the_first_failing_pair(text):
+    """A block whose read fails is reported at its first failing pair, as
+    scanning every pair reports it."""
     report = validate_tower(parse_tower_text(text))
     failures = [(c.name, c.detail) for c in report.checks if not c.ok]
-    assert failures == UNIT_PAIR_FALLBACKS[text]
+    assert failures == READ_FAILURE_SCANS[text]
 
 
 def _count_gate_towers(m: int) -> dict:
@@ -471,8 +549,8 @@ def _count_gate_towers(m: int) -> dict:
 @pytest.mark.parametrize("m", [2, 3, 6])
 def test_matrix_base_validation_count_gate(monkeypatch, m):
     """Validating a valid Mat_m tower takes at most 4 m^2 matrix products
-    per nontrivial base map (on the 2m^2 - 1 unit pairs), where checking
-    every pair of units took 4 m^4; no clock is read."""
+    per nontrivial base map (its read, checked on the m^2 units), where
+    checking every pair of units took 4 m^4; no clock is read."""
     for text, n_maps in _count_gate_towers(m).items():
         tower = parse_tower_text(text)
         products = count_calls(monkeypatch, Matrix, "__mul__")
