@@ -34,7 +34,6 @@ from .scalars import (
     cyclotomic_polynomial,
     parse_field,
     root_of_unity_order,
-    solve_linear_system,
 )
 from .skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
 from .tower import (
@@ -103,7 +102,6 @@ __all__ = [
     "rees_closure_check",
     "root_of_unity_order",
     "run",
-    "solve_linear_system",
     "swap_adjacent",
     "validate_tower",
 ]

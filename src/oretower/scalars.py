@@ -273,7 +273,7 @@ def _zmul(a, b) -> tuple:
         a, b = b, a
     if len(a) == 1:
         c = a[0]
-        return tuple(c * d for d in b)
+        return tuple([c * d for d in b])
     right = [(j, d) for j, d in enumerate(b) if d]
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
@@ -1034,7 +1034,11 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
     trimmed, with ``den[-1] > 0``, joint content ``gcd(*num, *den) == 1``
     and num, den coprime in Q[t]; zero is ``((), (1,))``.  So equal
     elements have equal reps.  Cancellation takes a primitive remainder
-    sequence gcd in Z[t]; :class:`fractions.Fraction` appears only where
+    sequence gcd in Z[t], except over a Laurent denominator c t^k, where
+    the gcd is a power of t times the content and no polynomial gcd is
+    taken; a sum or product of two Laurent reps shifts the numerators
+    over lcm(c_a, c_b) t^max(k) or c_a c_b t^(k_a + k_b) instead of
+    cross-multiplying.  :class:`fractions.Fraction` appears only where
     values enter (``coerce``, ``from_polys``) and in ``_view``, the
     monic-denominator rep of the generic class, which rendering and the
     generator maps read.
@@ -1060,22 +1064,35 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
             return self.rep_zero
         if den == (1,):
             return num, den
-        if len(den) > 1:
-            if not any(den[:-1]):
-                # den = c t^k: the gcd is t^min(k, v), v the order of num at 0
-                v = next(i for i, c in enumerate(num) if c)
-                m = min(len(den) - 1, v)
-                num, den = num[m:], den[m:]
-            else:
-                g = _zgcd(num, den)
-                if len(g) > 1:
-                    num, den = _zexquo(num, g), _zexquo(den, g)
+        if not any(den[:-1]):
+            return self._laurent(num, den[-1], len(den) - 1)
+        g = _zgcd(num, den)
+        if len(g) > 1:
+            num, den = _zexquo(num, g), _zexquo(den, g)
         g = math.gcd(*num, *den)
         if den[-1] < 0:
             g = -g
         if g != 1:
             return tuple(c // g for c in num), tuple(c // g for c in den)
         return num, den
+
+    @staticmethod
+    def _laurent(num, c: int, k: int) -> tuple:
+        """The rep of num / (c t^k), for a trimmed nonzero int tuple num and
+        a nonzero int c: the gcd with c t^k is t^min(k, v), v the order of
+        num at 0, times the joint content, so no polynomial gcd is taken."""
+        if k and not num[0]:
+            v = 1
+            while not num[v]:
+                v += 1
+            m = min(k, v)
+            num, k = num[m:], k - m
+        g = math.gcd(c, *num)
+        if c < 0:
+            g = -g
+        if g != 1:
+            num, c = tuple([a // g for a in num]), c // g
+        return num, (0,) * k + (c,)
 
     def from_polys(self, num_coeffs, den_coeffs=None) -> Scalar:
         num, m = _integral(num_coeffs)
@@ -1093,10 +1110,32 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
 
     def rep_add(self, x, y):
         (an, ad), (bn, bd) = x, y
+        if not an:
+            return y
+        if not bn:
+            return x
         if ad == bd:
             num = _zadd(an, bn)
             return (num, ad) if ad == (1,) else self._make(num, ad)
-        return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
+        if any(ad[:-1]) or any(bd[:-1]):
+            return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
+        # c t^k denominators: both numerators over lcm(c_a, c_b) t^max(k)
+        ca, cb, ka, kb = ad[-1], bd[-1], len(ad) - 1, len(bd) - 1
+        c = ca
+        if ca != cb:
+            c = ca // math.gcd(ca, cb) * cb
+            if c != ca:
+                f = c // ca
+                an = tuple([f * a for a in an])
+            if c != cb:
+                f = c // cb
+                bn = tuple([f * b for b in bn])
+        if ka < kb:
+            an, k = (0,) * (kb - ka) + an, kb
+        else:
+            bn, k = (0,) * (ka - kb) + bn, ka
+        num = _zadd(an, bn)
+        return self._laurent(num, c, k) if num else self.rep_zero
 
     def rep_neg(self, x):
         num, den = x
@@ -1104,9 +1143,13 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
 
     def rep_mul(self, x, y):
         (an, ad), (bn, bd) = x, y
+        if not an or not bn:
+            return self.rep_zero
         if ad == (1,) and bd == (1,):
             return _zmul(an, bn), ad
-        return self._make(_zmul(an, bn), _zmul(ad, bd))
+        if any(ad[:-1]) or any(bd[:-1]):
+            return self._make(_zmul(an, bn), _zmul(ad, bd))
+        return self._laurent(_zmul(an, bn), ad[-1] * bd[-1], len(ad) + len(bd) - 2)
 
     def rep_inv(self, x):
         num, den = x
@@ -1251,8 +1294,9 @@ def _order_dividing(s: Scalar, bound: int) -> int | None:
 class Matrix:
     """Immutable exact matrix over one field, its entries stored as reps."""
 
-    # _hash is set by the first __hash__: the base-map memo hashes its
-    # matrix keys on every lookup, most other matrices are never hashed
+    # _hash is None until the first __hash__ stores the hash: the base-map
+    # memo hashes its matrix keys on every lookup, and most other matrices
+    # are never hashed
     __slots__ = ("field", "_rows", "_hash")
 
     def __init__(self, field, rows):
@@ -1268,6 +1312,7 @@ class Matrix:
             width = len(self._rows[0])
             if any(len(row) != width for row in self._rows):
                 raise ValueError("ragged matrix")
+        self._hash = None
 
     @classmethod
     def identity(cls, field, n: int) -> "Matrix":
@@ -1316,6 +1361,7 @@ class Matrix:
         m = object.__new__(cls)
         m.field = field
         m._rows = tuple(map(tuple, rows))
+        m._hash = None
         return m
 
     def _same_field(self, other) -> bool:
@@ -1328,9 +1374,14 @@ class Matrix:
     def __add__(self, other):
         if not self._same_field(other):
             return NotImplemented
-        add = self.field.rep_add
+        field = self.field
+        add, zero = field.rep_add, field.rep_zero
         return Matrix._from_reps(
-            self.field, [map(add, r1, r2) for r1, r2 in zip(self._rows, other._rows)]
+            field,
+            [
+                [b if a == zero else a if b == zero else add(a, b) for a, b in zip(r1, r2)]
+                for r1, r2 in zip(self._rows, other._rows)
+            ],
         )
 
     def __sub__(self, other):
@@ -1347,8 +1398,9 @@ class Matrix:
             if self.ncols != other.nrows:
                 raise ValueError("matrix dimension mismatch")
             cols = list(zip(*other._rows))
+            mul, add, zero = field.rep_mul, field.rep_add, field.rep_zero
             return Matrix._from_reps(
-                field, [[_rep_dot(field, row, col) for col in cols] for row in self._rows]
+                field, [[_rep_dot(row, col, mul, add, zero) for col in cols] for row in self._rows]
             )
         if isinstance(other, (int, Fraction)) or (
             isinstance(other, Scalar) and other.field == field
@@ -1373,11 +1425,9 @@ class Matrix:
         return self.field == other.field and self._rows == other._rows
 
     def __hash__(self):
-        try:
-            return self._hash
-        except AttributeError:
+        if self._hash is None:
             self._hash = hash((self.field, self._rows))
-            return self._hash
+        return self._hash
 
     def transpose(self) -> "Matrix":
         return Matrix._from_reps(self.field, zip(*self._rows))
@@ -1411,8 +1461,9 @@ class Matrix:
         """The image of the square matrix m under this matrix read as a
         linear map on m's entries."""
         field, n = self.field, m.nrows
+        mul, add, zero = field.rep_mul, field.rep_add, field.rep_zero
         vec = [a for row in m._rows for a in row]
-        image = [_rep_dot(field, row, vec) for row in self._rows]
+        image = [_rep_dot(row, vec, mul, add, zero) for row in self._rows]
         return Matrix._from_reps(field, [image[i : i + n] for i in range(0, n * n, n)])
 
     @staticmethod
@@ -1430,8 +1481,13 @@ class Matrix:
         return Scalar(field, acc)
 
     def is_zero(self) -> bool:
-        is_zero = self.field.rep_is_zero
-        return all(is_zero(a) for row in self._rows for a in row)
+        # every field's zero has one rep, so an entry is zero when it equals it
+        zero = self.field.rep_zero
+        for row in self._rows:
+            for a in row:
+                if a != zero:
+                    return False
+        return True
 
     def __bool__(self):
         return not self.is_zero()
@@ -1510,39 +1566,13 @@ def _power(x, k: int, mul=operator.mul):
         x = mul(x, x)
 
 
-def _rep_dot(field, xs, ys):
-    """sum_k xs[k] ys[k] for reps of ``field``, skipping zero factors."""
-    is_zero, mul, add = field.rep_is_zero, field.rep_mul, field.rep_add
+def _rep_dot(xs, ys, mul, add, zero):
+    """sum_k xs[k] ys[k] for reps of one field, given its rep_mul, rep_add
+    and canonical rep_zero; zero factors are skipped."""
     acc = None
     for a, b in zip(xs, ys):
-        if is_zero(a) or is_zero(b):
+        if a == zero or b == zero:
             continue
         term = mul(a, b)
         acc = term if acc is None else add(acc, term)
-    return field.rep_zero if acc is None else acc
-
-
-def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
-    """One exact solution of A x = b, or None when the system is inconsistent.
-
-    Free variables are set to 0, except on a homogeneous system with a free
-    variable: there the first free variable is set to 1, so the solution is
-    nonzero.
-    """
-    field = a.field
-    b = [field.coerce(c).rep for c in b]
-    if len(b) != a.nrows:
-        raise ValueError("right-hand side length does not match row count")
-    ncols, is_zero = a.ncols, field.rep_is_zero
-    aug = [[*row, rhs] for row, rhs in zip(a._rows, b)]
-    pivots = _reduce_rows(field, aug, ncols)
-    if any(not is_zero(row[ncols]) for row in aug[len(pivots):]):
-        return None
-    x = [field.rep_zero] * ncols
-    free = next((c for c in range(ncols) if c not in pivots), None)
-    homogeneous = free is not None and all(map(is_zero, b))
-    if homogeneous:
-        x[free] = field.rep_one
-    for row, col in zip(aug, pivots):
-        x[col] = field.rep_neg(row[free]) if homogeneous else row[ncols]
-    return [Scalar(field, v) for v in x]
+    return zero if acc is None else acc

@@ -16,6 +16,7 @@ from oretower.scalars import (
     PrimeFieldImpl,
     RationalFunctionField,
     Scalar,
+    _reduce_rows,
 )
 from oretower.skewpoly import SkewPoly
 from oretower.tower import BaseMap, BaseRing, OreTower, TowerLevel
@@ -282,3 +283,36 @@ def random_poly_below(tower: OreTower, level: int, rng: random.Random) -> SkewPo
                 exp[rng.randrange(level)] += 1
         terms[tuple(exp)] = random_base_element(tower, rng)
     return SkewPoly(tower, terms)
+
+
+# ---------------------------------------------------------------------------
+# reference linear solver
+
+
+def solve_linear_system(a: Matrix, b) -> list[Scalar] | None:
+    """One exact solution of A x = b, or None when the system is inconsistent.
+
+    The reference solver of the erasure tests: ``erase._inner_branch``
+    reads its conjugator and inner derivation off sigma and delta, and the
+    kernel solves it replaced are kept as the oracle it must reproduce.
+    Free variables are set to 0, except on a homogeneous system with a free
+    variable: there the first free variable is set to 1, so the solution is
+    nonzero.
+    """
+    field = a.field
+    b = [field.coerce(c).rep for c in b]
+    if len(b) != a.nrows:
+        raise ValueError("right-hand side length does not match row count")
+    ncols, is_zero = a.ncols, field.rep_is_zero
+    aug = [[*(c.rep for c in row), rhs] for row, rhs in zip(a.rows, b)]
+    pivots = _reduce_rows(field, aug, ncols)
+    if any(not is_zero(row[ncols]) for row in aug[len(pivots):]):
+        return None
+    x = [field.rep_zero] * ncols
+    free = next((c for c in range(ncols) if c not in pivots), None)
+    homogeneous = free is not None and all(map(is_zero, b))
+    if homogeneous:
+        x[free] = field.rep_one
+    for row, col in zip(aug, pivots):
+        x[col] = field.rep_neg(row[free]) if homogeneous else row[ncols]
+    return [Scalar(field, v) for v in x]

@@ -13,7 +13,7 @@ from oretower.errors import (
     UnsupportedErasure,
 )
 from oretower.erase import erase_all, erase_top, swap_adjacent
-from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, solve_linear_system
+from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, Scalar
 from oretower.skewpoly import SkewPoly, apply_level_map, degree_leading, is_central
 from oretower.tower import (
     BaseMap,
@@ -27,6 +27,8 @@ from conftest import (
     mat2_inner_tower,
     qplane,
     qweyl,
+    random_scalar,
+    solve_linear_system,
     weyl_sigma_top_tower,
     zeta5_deriv_tower,
 )
@@ -399,6 +401,96 @@ def test_inner_branch_matches_the_kernel_solves():
         "no invertible conjugator a w",
         "a^{-1} delta is not an inner",
     }
+
+
+# ---------------------------------------------------------------------------
+# the reference solver, conftest.solve_linear_system
+
+
+def test_solve_identity():
+    ident = Matrix.identity(QQ, 3)
+    b = [QQ.coerce(4), QQ.coerce(-1), QQ.coerce(0)]
+    assert solve_linear_system(ident, b) == b
+
+
+def test_solve_inconsistent():
+    a = Matrix(QQ, [[1, 1], [2, 2]])
+    assert solve_linear_system(a, [1, 3]) is None
+
+
+def test_solve_hand_elimination():
+    a = Matrix(QQ, [[1, 1], [0, 1]])
+    assert solve_linear_system(a, [3, 1]) == [QQ.coerce(2), QQ.coerce(1)]
+
+
+def test_solve_homogeneous_returns_nonzero():
+    a = Matrix(QQ, [[1, 1], [2, 2]])
+    x = solve_linear_system(a, [0, 0])
+    assert x is not None and any(not v.is_zero() for v in x)
+    # and it really solves the system
+    for row in a.rows:
+        acc = QQ.zero
+        for coeff, val in zip(row, x):
+            acc = acc + coeff * val
+        assert acc.is_zero()
+
+
+def test_solve_free_variables_default_to_zero():
+    # one pivot, one free column: particular solution keeps the free var at 0
+    a = Matrix(QQ, [[1, 1]])
+    assert solve_linear_system(a, [5]) == [QQ.coerce(5), QQ.zero]
+
+
+def test_solve_exactness_on_random_systems():
+    rng = random.Random(13)
+    for _ in range(25):
+        nrows = rng.randint(1, 4)
+        ncols = rng.randint(1, 4)
+        a = Matrix(QQ, [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
+        b = [QQ.coerce(rng.randint(-4, 4)) for _ in range(nrows)]
+        x = solve_linear_system(a, b)
+        if x is None:
+            continue
+        for row, rhs in zip(a.rows, b):
+            acc = QQ.zero
+            for coeff, val in zip(row, x):
+                acc = acc + coeff * val
+            assert acc == rhs
+
+
+def _apply(field, rows, x) -> list:
+    """The entrywise Scalar image of the vector x under the rows ``rows``."""
+    return [sum((c * v for c, v in zip(row, x)), field.zero) for row in rows]
+
+
+@pytest.mark.parametrize(
+    "field", [QQ, GF(5), CyclotomicField(3), FunctionField(QQ, "t")], ids=lambda f: f.name
+)
+def test_solve_kernels_and_consistent_systems(field):
+    """A square matrix with two equal rows gets a nonzero kernel vector, and
+    b = A x0 is solved, for A with and without the repeated row."""
+    rng = random.Random(29)
+
+    def entry():
+        if rng.random() < 0.25:
+            return field.zero
+        d = random_scalar(field, rng)
+        return random_scalar(field, rng) / (d if not d.is_zero() else field.one)
+
+    for _ in range(40):
+        m = rng.randint(1, 3)
+        rows = [[entry() for _ in range(m)] for _ in range(m)]
+        repeated = [rows[0], *rows[:-1]]
+        if m > 1:
+            kernel = solve_linear_system(Matrix(field, repeated), [0] * m)
+            assert any(not v.is_zero() for v in kernel)
+            assert _apply(field, repeated, kernel) == [field.zero] * m
+        x0 = [entry() for _ in range(m)]
+        for system in (rows, repeated):
+            rhs = _apply(field, system, x0)
+            x = solve_linear_system(Matrix(field, system), rhs)
+            assert all(type(v) is Scalar and v.field is field for v in x)
+            assert _apply(field, system, x) == rhs
 
 
 # ---------------------------------------------------------------------------

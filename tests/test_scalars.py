@@ -20,7 +20,6 @@ from oretower.scalars import (
     divisors,
     parse_field,
     root_of_unity_order,
-    solve_linear_system,
 )
 
 from conftest import random_scalar
@@ -140,57 +139,6 @@ def test_cyclotomic_polynomials():
     assert cyclotomic_polynomial(4) == poly(1, 0, 1)
     assert cyclotomic_polynomial(6) == poly(1, -1, 1)
     assert cyclotomic_polynomial(12) == poly(1, 0, -1, 0, 1)
-
-
-def test_solve_identity():
-    ident = Matrix.identity(QQ, 3)
-    b = [QQ.coerce(4), QQ.coerce(-1), QQ.coerce(0)]
-    assert solve_linear_system(ident, b) == b
-
-
-def test_solve_inconsistent():
-    a = Matrix(QQ, [[1, 1], [2, 2]])
-    assert solve_linear_system(a, [1, 3]) is None
-
-
-def test_solve_hand_elimination():
-    a = Matrix(QQ, [[1, 1], [0, 1]])
-    assert solve_linear_system(a, [3, 1]) == [QQ.coerce(2), QQ.coerce(1)]
-
-
-def test_solve_homogeneous_returns_nonzero():
-    a = Matrix(QQ, [[1, 1], [2, 2]])
-    x = solve_linear_system(a, [0, 0])
-    assert x is not None and any(not v.is_zero() for v in x)
-    # and it really solves the system
-    for row in a.rows:
-        acc = QQ.zero
-        for coeff, val in zip(row, x):
-            acc = acc + coeff * val
-        assert acc.is_zero()
-
-
-def test_solve_free_variables_default_to_zero():
-    # one pivot, one free column: particular solution keeps the free var at 0
-    a = Matrix(QQ, [[1, 1]])
-    assert solve_linear_system(a, [5]) == [QQ.coerce(5), QQ.zero]
-
-
-def test_solve_exactness_on_random_systems():
-    rng = random.Random(13)
-    for _ in range(25):
-        nrows = rng.randint(1, 4)
-        ncols = rng.randint(1, 4)
-        a = Matrix(QQ, [[rng.randint(-4, 4) for _ in range(ncols)] for _ in range(nrows)])
-        b = [QQ.coerce(rng.randint(-4, 4)) for _ in range(nrows)]
-        x = solve_linear_system(a, b)
-        if x is None:
-            continue
-        for row, rhs in zip(a.rows, b):
-            acc = QQ.zero
-            for coeff, val in zip(row, x):
-                acc = acc + coeff * val
-            assert acc == rhs
 
 
 def test_matrix_inverse_round_trip():
