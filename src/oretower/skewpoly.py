@@ -50,6 +50,11 @@ When every level has an identity sigma and a zero delta on the base
 
 and the word loop runs on x^b with coefficient one; c d multiplies each
 term of the result once.  No engine step multiplies by the base's one.
+The loop carries x^b as one term b x^e while each run x_i^k meets a
+single-monomial entry x_i x^lower = a x^lower x_i, which moves it to
+b a^k x^{e + k e_i}: on a diagonal tower this is the closed form
+c d prod_{i>j} lambda_ij^{a_i b_j} x^{a+b}, one table read per level.
+A step x_i on a level that fixes the base calls no base map.
 
 On the other towers (a matrix base with conj and inner maps, or a field
 automorphism) d must pass through x^a, so the left words of one right
@@ -288,9 +293,7 @@ def _mul_terms(tower, left: dict, right: dict) -> dict:
         # variables
         for exp_l, cl in left.items():
             for exp_r, cr in right.items():
-                c = _times(cl, cr, one)
-                for exp, e in _word_times_term(tower, exp_l, exp_r).items():
-                    _add_term(acc, exp, _times(c, e, one))
+                _word_times_term(tower, exp_l, exp_r, _times(cl, cr, one), acc)
         return acc
     # c x^a * d x^b = c (x^a d x^b): every left word of one right term
     # shares the walk, and the order c, e keeps a matrix base right
@@ -335,29 +338,49 @@ def _walk_word(tower, walk: dict, word: tuple, keep) -> dict:
     return terms
 
 
-def _word_times_term(tower, word: tuple, mono: tuple) -> dict:
-    """Normal form of x^word * x^mono.
+def _word_times_term(tower, word: tuple, mono: tuple, c, acc: dict) -> None:
+    """Add c (x^word * x^mono) to ``acc``, on a tower that fixes the base.
 
     The factors of x^word = x_1^{w_1} ... x_n^{w_n} are applied from the
-    right, top level first and one x_i at a time, so like terms merge
-    after every step.  A run x_i^k with k >= 2 on a level whose sigma is
-    the identity and whose delta is zero on the base (``_trivial_maps[i]``)
-    goes through ``_power_times_terms`` instead: there x_i^k acts linearly
-    over the base, so each term that x_i passes as a single monomial moves
-    in one step, and the others take x_i^k by square and multiply where
-    their lower parts reach few others, O(log k) compositions in place of
-    k steps.
+    right, top level first, to the one term b x^e = x^mono.  While each
+    run x_i^k meets a single-monomial entry x_i x^lower = a x^lower x_i,
+    the term moves in place to b a^k x^{e + k e_i} (a can be a matrix, so
+    the order is b a^k).  At the first other entry (on an unvalidated
+    tower, also one that sends x^lower to another monomial) it becomes a
+    term dict, which takes x_i one at a time, so like terms merge after
+    every step, or a run x_i^k (k >= 2) through ``_power_times_terms``.
     """
-    terms = {mono: tower.base.one}
-    trivial = tower._trivial_maps
+    one = tower.base.one
+    table = tower._engine_table
+    exp, coeff = mono, one
     for i in range(len(word) - 1, -1, -1):
         k = word[i]
-        if k > 1 and trivial[i] == (True, True):
+        if not k:
+            continue
+        lower = exp[:i]
+        entry = table.get((i, lower)) or _var_times_lower(tower, i, lower)
+        if len(entry) != 1:
+            break
+        (e, a), = entry.items()
+        # an unvalidated tower can send x^lower to another monomial
+        if e[:i] != lower or e[i] != 1:
+            break
+        if a is not one:
+            coeff = _times(coeff, a if k == 1 else a**k, one)
+        exp = lower + (exp[i] + k,) + exp[i + 1:]
+    else:
+        _add_term(acc, exp, _times(c, coeff, one))
+        return
+    terms = {exp: coeff}
+    for i in range(i, -1, -1):
+        k = word[i]
+        if k > 1:
             terms = _power_times_terms(tower, i, k, terms)
             continue
         for _ in range(k):
             terms = _var_times_terms(tower, i, terms)
-    return terms
+    for exp, e in terms.items():
+        _add_term(acc, exp, _times(c, e, one))
 
 
 def _power_times_terms(tower, i: int, k: int, terms: dict) -> dict:
@@ -480,16 +503,20 @@ def _compose_runs(first: dict, then: dict, n: int, one) -> dict:
 
 
 def _var_times_terms(tower, i: int, terms: dict) -> dict:
-    """Normal form of x_i * terms, by x_i c = sigma_i(c) x_i + delta_i(c)."""
+    """Normal form of x_i * terms, by x_i c = sigma_i(c) x_i + delta_i(c);
+    a map that ``_trivial_maps[i]`` marks trivial on the base is not called."""
     one = tower.base.one
+    sigma_is_identity, delta_is_zero = tower._trivial_maps[i]
     acc: dict = {}
     for exp, coeff in terms.items():
-        sig = tower.apply_sigma0(i, coeff)
+        sig = coeff if sigma_is_identity else tower.apply_sigma0(i, coeff)
         # x_i x^exp = (x_i x^lower) x^upper, and x_i x^lower lives at levels <= i
         upper = exp[i:]
         for e, c in _var_times_lower(tower, i, exp[:i]).items():
             shifted = e[:i] + (e[i] + upper[0],) + upper[1:]
             _add_term(acc, shifted, _times(sig, c, one))
+        if delta_is_zero:
+            continue
         dlt = tower.apply_delta0(i, coeff)
         if not dlt.is_zero():
             _add_term(acc, exp, dlt)

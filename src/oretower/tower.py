@@ -383,10 +383,12 @@ class OreTower:
         # the rewriting engine in skewpoly
         self._engine_table: dict = {}
         # (i, is_delta, element) -> image under sigma_i or delta_i; owned by
-        # apply_sigma0 / apply_delta0, which skip it for an identity sigma
-        # and a zero delta (flags per level, indexed by is_delta) and store
-        # at most BASE_MAP_MEMO_ENTRIES images
+        # apply_sigma0 / apply_delta0, which store at most
+        # BASE_MAP_MEMO_ENTRIES images
         self._base_map_memo: dict = {}
+        # per level, (sigma is the identity, delta is zero) on the base,
+        # indexed by is_delta: apply_sigma0 / apply_delta0 then skip the
+        # memo, and the rewriting engine in skewpoly calls neither map there
         self._trivial_maps = tuple(
             (lvl.sigma_base.is_trivial(), lvl.delta_base.is_trivial()) for lvl in self.levels
         )

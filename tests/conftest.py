@@ -107,6 +107,23 @@ def mat2_unvalidated(name: str) -> OreTower:
     )
 
 
+def mat2_unvalidated_three() -> OreTower:
+    """Mat2(Q)[x1][x2][x3] with identity base maps, x2 x1 = (1 + e12) x1 x2,
+    x3 x1 = (1 + e21) x1 x3 and x3 x2 = x2 x3; validate rejects it, but
+    every table entry is a single monomial, so a product moves one term
+    through both levels and picks up non-commuting coefficients whose order
+    matters: (1 + e21)(1 + e12) != (1 + e12)(1 + e21)."""
+    one = Matrix.identity(QQ, 2)
+    return OreTower(
+        BaseRing.matrix_ring(QQ, 2),
+        [
+            TowerLevel("x1"),
+            TowerLevel("x2", sigma_vars={0: (one + E12, {})}),
+            TowerLevel("x3", sigma_vars={0: (one + E21, {}), 1: (one, {})}),
+        ],
+    )
+
+
 def weyl_gf5() -> OreTower:
     """GF(5)[x][y; delta = d/dx]; no q declared."""
     field = GF(5)

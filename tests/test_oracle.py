@@ -29,6 +29,8 @@ from conftest import (
     count_calls,
     mat2_twolevel,
     mat2_unvalidated,
+    mat2_unvalidated_three,
+    random_base_element,
     random_poly,
     random_poly_below,
 )
@@ -395,6 +397,25 @@ def test_degree_raising_derivation_steps_one_factor_at_a_time(monkeypatch):
     assert naive_product(tower, tower.var(1) ** 5, tower.var(0)) == (
         tower.var(1) ** 5 * tower.var(0)
     ).terms
+
+
+def test_monomial_moves_keep_the_coefficient_order():
+    # x3^k moves x1 by A^k = (1 + e21)^k and then x2^m by B^m = (1 + e12)^m;
+    # these do not commute, so a move that took a^k c for c a^k would
+    # differ here.  AB != BA also breaks the overlap x3 x2 x1, so a word
+    # through x1^2 depends on the order of rewriting; with x1 to the first
+    # power on the right every order gives c d A^k B^m x^{a+b}
+    tower = mat2_unvalidated_three()
+    assert tower._fixes_base
+    rng = random.Random(3232)
+
+    def poly(exps):
+        return tower.poly({exp: random_base_element(tower, rng) for exp in exps})
+
+    for _ in range(10):
+        left = poly((rng.randint(0, 1), rng.randint(1, 2), rng.randint(1, 2)) for _ in range(2))
+        right = poly((1, rng.randint(0, 2), rng.randint(0, 1)) for _ in range(2))
+        assert (left * right).terms == naive_product(tower, left, right)
 
 
 def test_cyclotomic_polynomial_divisibility():

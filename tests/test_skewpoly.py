@@ -25,6 +25,7 @@ from conftest import (
     random_poly,
     random_poly_below,
 )
+from test_oracle import naive_product
 
 
 FIXTURES = Path(__file__).parent / "fixtures"
@@ -305,6 +306,47 @@ def test_power_step_agrees_with_single_steps_on_unvalidated_towers(name, right, 
     # parts, so runs from k = 12 halve; x2 x1 = (1 + e12) x1 x2 is a single
     # monomial and moves in one step
     assert bool(composed) == (name == "other_lower_monomial")
+
+
+def _engine_calls(monkeypatch) -> list:
+    """Call lists of the engine steps and of the base-map images."""
+    return [
+        count_calls(monkeypatch, skewpoly, "_var_times_terms"),
+        count_calls(monkeypatch, skewpoly, "_power_times_terms"),
+        count_calls(monkeypatch, tower_module.OreTower, "_base_map_image"),
+    ]
+
+
+@pytest.mark.parametrize("name", ["qplane_zeta3.tw", "qplane_lambda2.tw"])
+def test_diagonal_products_take_monomial_moves_only(name, monkeypatch):
+    # every table entry x2 x1^j = lambda^j x1^j x2 is a single monomial, so
+    # once the table is warm each term pair moves as one term, at one table
+    # read per level: no engine step and no base-map call
+    tower = parse_tower_file(str(FIXTURES / name))
+    c = tower.base.field.gen if tower.base.field.gen is not None else tower.base.scalar(3)
+    left = tower.poly({(2, 1): c, (0, 3): tower.base.scalar(2), (1, 1): tower.base.one})
+    right = tower.poly({(1, 2): tower.base.scalar(-1), (3, 0): c, (0, 1): tower.base.one})
+    warm = left * right
+    assert warm.terms == naive_product(tower, left, right)
+    calls = _engine_calls(monkeypatch)
+    assert left * right == warm
+    assert calls == [[], [], []]
+
+
+def test_two_term_entries_fall_back_to_engine_steps(monkeypatch):
+    # x3 x2 = 5 x2 x3 + x1 x3 has two terms, so a word that meets it turns
+    # the moving term into a term dict; the levels still fix the base, so
+    # the steps call no base map
+    tower = parse_tower_file(str(FIXTURES / "three_level.tw"))
+    one = tower.base.one
+    left = tower.poly({(0, 1, 2): one, (1, 0, 1): tower.base.scalar(3)})
+    right = tower.poly({(1, 1, 0): one, (0, 2, 0): tower.base.scalar(2)})
+    warm = left * right
+    assert warm.terms == naive_product(tower, left, right)
+    steps, runs, base_maps = _engine_calls(monkeypatch)
+    assert left * right == warm
+    assert steps and runs
+    assert not base_maps
 
 
 def _q_integer(field, k: int):
