@@ -34,10 +34,10 @@ y^k on every center-moving step over a corpus of towers as an oracle.
 
 The full pass repeatedly erases the current top level and swaps the new
 automorphism-only variable below the remaining delta levels.  There is no
-final reorder: the output tower lists y_1 ... y_n bottom to top and is read
-off the input presentation (each delta dropped, each sigma kept), taking
-only the q values that the swaps left.  Every claimed relation is
-re-verified by explicit multiplication in the original tower.
+final reorder: the output tower, y_1 ... y_n bottom to top, is
+``tower.sigma_only(qs)`` of the input, with qs the q values that the swaps
+left.  Every claimed relation is re-verified by explicit multiplication in
+the original tower.
 """
 
 from __future__ import annotations
@@ -53,7 +53,7 @@ from .errors import (
     UnsupportedErasure,
     VerificationFailed,
 )
-from .pi import DEFAULT_ORDER_BOUND, pi_report
+from .pi import pi_report
 from .scalars import Matrix
 from .skewpoly import (
     SkewPoly,
@@ -64,6 +64,7 @@ from .skewpoly import (
 from .tower import (
     BaseMap,
     OreTower,
+    _erased_names,
     _level_generators,
     check_swap_compatibility,
 )
@@ -87,24 +88,6 @@ class ErasureResult:
     new_tower: OreTower
     witnesses: list[ErasureWitness]
     warnings: list[str] = dc_field(default_factory=list)
-
-
-def _erased_names(tower: OreTower, renamed) -> list[str]:
-    """The level names of ``tower`` with the levels in ``renamed`` given
-    their erased names (x1 -> y1, v -> y_v), each followed by as many
-    underscores as it takes to name no field generator and no other level,
-    so the rendered tower parses back."""
-    names = tower.level_names()
-    field = tower.base.field
-    taken = {name for i, name in enumerate(names) if i not in renamed}
-    for i in renamed:
-        name = names[i]
-        new = "y" + name[1:] if name.startswith("x") else "y_" + name
-        while new in taken or field.generator_named(new) is not None:
-            new += "_"
-        taken.add(new)
-        names[i] = new
-    return names
 
 
 # ---------------------------------------------------------------------------
@@ -222,10 +205,10 @@ def _assert_sigma_relation(tower: OreTower, top: int, y: SkewPoly) -> None:
 
 
 def _zero_top_delta(tower: OreTower) -> OreTower:
-    top = tower.levels[-1]
-    name = _erased_names(tower, [tower.height - 1])[-1]
-    erased = replace(top, name=name, delta_base=BaseMap.zero(), delta_vars={})
-    return OreTower(tower.base, tower.levels[:-1] + (erased,))
+    top = tower.height - 1
+    name = _erased_names(tower, [top])[top]
+    erased = replace(tower.levels[top], name=name, delta_base=BaseMap.zero(), delta_vars={})
+    return tower.with_level(top, erased)
 
 
 def _inner_branch(tower: OreTower):
@@ -349,10 +332,10 @@ def erase_all(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE)
 
     Requires the diagonal quantised shape: sigma_i(x_j) = lam_ij x_j with
     lam_ij central invertible and fixed by all higher maps, and every
-    level with a nonzero delta declaring q != 1.  The output satisfies
-    tau_i restricted to the base = sigma_i restricted to the base and
-    tau_i(y_j) = lam_ij y_j; all of it is re-verified by multiplication
-    inside the original tower.
+    level with a nonzero delta declaring q != 1.  The result tower is
+    ``tower.sigma_only(qs)``, qs the q values that the swaps left, so tau_i
+    = sigma_i on the base and tau_i(y_j) = lam_ij y_j; all of it is
+    re-verified by multiplication inside the original tower.
     """
     _check_erase_hypotheses(tower)
     n = tower.height
@@ -380,20 +363,7 @@ def erase_all(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE)
             working = _swap_collect(working, pos, collected_warnings)
             embed[pos - 1], embed[pos] = embed[pos], embed[pos - 1]
 
-    names = _erased_names(tower, range(n))
-    result_tower = OreTower(
-        tower.base,
-        [
-            replace(
-                lvl,
-                name=names[i],
-                delta_base=BaseMap.zero(),
-                delta_vars={},
-                q=working.levels[top - i].q,
-            )
-            for i, lvl in enumerate(tower.levels)
-        ],
-    )
+    result_tower = tower.sigma_only([working.levels[top - i].q for i in range(n)])
     report = result_tower.validation
     if not report.ok:
         raise VerificationFailed(
@@ -478,7 +448,7 @@ def _verify_relations(tower: OreTower, ys: list[SkewPoly]) -> None:
 
 
 def _attach_quantisation_warning(tower: OreTower, result: ErasureResult) -> None:
-    report = pi_report(tower, order_bound=DEFAULT_ORDER_BOUND)
+    report = pi_report(tower)
     if report.verdict != "PI":
         result.warnings.append(
             "finite-order criteria fail: the quotient-ring equivalence is "

@@ -3,8 +3,8 @@
 Filtering by degree in a variable and passing to leading forms kills that
 level's delta and the lower-order c parts of every higher sigma acting on
 it.  Repeating from the top variable downward leaves the automorphism-only
-tower with sigma'_i(y_j) = a_ij y_j.  The degeneration is computed
-presentation to presentation; the element-level leading-form map is
+tower with sigma'_i(y_j) = a_ij y_j, computed presentation to presentation
+as ``tower.sigma_only()``; the element-level leading-form map is
 ``skewpoly.degree_leading``.
 
 Each sigma_i (i > l) respects the degree-in-x_l filtration of R_l, so the
@@ -20,13 +20,12 @@ and sigma_i maps the base into itself.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field as dc_field, replace
+from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
-from .erase import _erased_names
 from .errors import HypothesisViolation
 from .skewpoly import SkewPoly, degree_leading
-from .tower import BaseMap, OreTower, _level_generators
+from .tower import OreTower, _level_generators
 
 
 @dataclass
@@ -45,7 +44,7 @@ class GradedPresentation:
 
 
 def associated_graded_tower(tower: OreTower) -> GradedPresentation:
-    """Drop every delta and every c part, keeping the a data.
+    """Drop every delta and every c part, keeping the a data (``OreTower.sigma_only``).
 
     Requires each sigma_i to restrict to an automorphism of the base and
     each a_ij to be invertible; the result is validated before returning.
@@ -77,19 +76,7 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
             )
         )
 
-    names = _erased_names(tower, range(tower.height))
-    new_levels = [
-        replace(
-            lvl,
-            name=name,
-            delta_base=BaseMap.zero(),
-            sigma_vars={j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
-            delta_vars={},
-            q=None,
-        )
-        for lvl, name in zip(tower.levels, names)
-    ]
-    result = OreTower(base, new_levels)
+    result = tower.sigma_only()
     report = result.validation
     if not report.ok:
         raise HypothesisViolation(

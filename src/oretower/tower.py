@@ -366,6 +366,28 @@ class OreTower:
         levels[i] = _normalised_level(self.base, self.height, i, level)
         return self._of_normalised(self.base, levels)
 
+    def sigma_only(self, qs=None) -> "OreTower":
+        """This tower with every delta and c part dropped and every sigma_base
+        and a_ij kept, its levels given their erased names and level i
+        declaring ``qs[i]`` (no q when ``qs`` is None); built normalised and
+        not validated, since the result need not be a tower."""
+        names = _erased_names(self, range(self.height))
+        qs = qs or [None] * self.height
+        return self._of_normalised(
+            self.base,
+            [
+                TowerLevel(
+                    name,
+                    lvl.sigma_base,
+                    BaseMap.zero(),
+                    {j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
+                    {j: {} for j in range(i)},
+                    q,
+                )
+                for i, (lvl, name, q) in enumerate(zip(self.levels, names, qs, strict=True))
+            ],
+        )
+
     @classmethod
     def _of_normalised(cls, base: BaseRing, levels: list) -> "OreTower":
         tower = object.__new__(cls)
@@ -482,6 +504,24 @@ class OreTower:
 
     def delta_var(self, i: int, j: int) -> SkewPoly:
         return SkewPoly._of(self, dict(self.delta_var_raw(i, j)))
+
+
+def _erased_names(tower: OreTower, renamed) -> list[str]:
+    """The level names of ``tower`` with the levels in ``renamed`` given
+    their erased names (x1 -> y1, v -> y_v), each followed by as many
+    underscores as it takes to name no field generator and no other level,
+    so the rendered tower parses back."""
+    names = tower.level_names()
+    field = tower.base.field
+    taken = {name for i, name in enumerate(names) if i not in renamed}
+    for i in renamed:
+        name = names[i]
+        new = "y" + name[1:] if name.startswith("x") else "y_" + name
+        while new in taken or field.generator_named(new) is not None:
+            new += "_"
+        taken.add(new)
+        names[i] = new
+    return names
 
 
 def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> TowerLevel:

@@ -4,9 +4,9 @@ from pathlib import Path
 
 import pytest
 
-from oretower.cli import parse_tower_file, parse_tower_text
-from oretower.erase import _exponents
-from oretower.errors import HypothesisViolation
+from oretower.cli import parse_tower_file, parse_tower_text, render_tower_file
+from oretower.erase import _exponents, erase_all
+from oretower.errors import HypothesisViolation, OreError
 from oretower.graded import associated_graded_tower, rees_closure_check
 from oretower.pi import pi_report
 from oretower.scalars import GF, QQ, CyclotomicField
@@ -186,3 +186,43 @@ def test_graded_keeps_sigma_base():
         assert pres.result.apply_sigma0(i, QQ.coerce(7)) == tower.apply_sigma0(
             i, QQ.coerce(7)
         )
+
+
+def _without_q_lines(text):
+    return [line for line in text.splitlines() if not line.startswith("q = ")]
+
+
+def test_gr_and_erase_all_give_one_sigma_only_tower():
+    """``OreTower.sigma_only`` builds its levels in normal form, and on every
+    fixture and numeric mutant where both succeed, ``gr`` and ``erase-all``
+    render the same tower but for erase-all's q lines."""
+    corpus = [(path.stem, parse_tower_file(path)) for path in sorted(FIXTURES.glob("*.tw"))]
+    corpus += [(None, parse_tower_text(text)) for text in _numeric_mutants(400, seed=11)]
+    agreed, fixtures_agreed = 0, []
+    for name, tower in corpus:
+        only = tower.sigma_only()
+        assert only == OreTower(tower.base, only.levels), name
+        try:
+            graded = associated_graded_tower(tower).result
+            erased = erase_all(tower).new_tower
+        except OreError:
+            continue
+        assert _without_q_lines(render_tower_file(graded)) == _without_q_lines(
+            render_tower_file(erased)
+        ), name
+        agreed += 1
+        if name is not None:
+            fixtures_agreed.append(name)
+    assert fixtures_agreed == [
+        "mat2_inner",
+        "qplane_lambda2",
+        "qplane_zeta3",
+        "qweyl_q",
+        "qweyl_zeta3",
+    ]
+    assert agreed > 200
+
+    tower = parse_tower_file(FIXTURES / "three_level.tw")
+    field = tower.base.field
+    assert tower.sigma_var_raw(2, 1)[1]
+    assert tower.sigma_only().sigma_var_raw(2, 1) == (field.coerce(5), {})
