@@ -8,14 +8,16 @@ as ``tower.sigma_only()``; the element-level leading-form map is
 ``skewpoly.degree_leading``.
 
 Each sigma_i (i > l) respects the degree-in-x_l filtration of R_l, so the
-degeneration is well defined; ``rees_closure_check`` checks it on the
-generators of R_l, and that decides every degree.  The engine table fills
+degeneration is well defined.  The engine table fills
 sigma_i(x_j x^rest) = a_ij x_j sigma_i(x^rest) + c_ij sigma_i(x^rest),
 also on towers that fail validation; c_ij lies below x_j, and in R_l,
 where x_l is the top variable, deg(ab) <= deg a + deg b (Goodearl-Warfield,
 ch. 2).  By induction on the monomial, deg sigma_i(x^e) <= e_l.  The same
 argument shows the generators always pass: sigma_i(x_j) = a_ij x_j + c_ij
-and sigma_i maps the base into itself.
+and sigma_i maps the base into itself.  So ``gr`` reports every pair
+(sigma_i, x_l) as closed without computing; ``rees_closure_check``, which
+checks a map on the generators of R_l and so decides every degree, is the
+tests' oracle for that report.
 """
 
 from __future__ import annotations
@@ -38,7 +40,6 @@ class GradedStep:
 
 @dataclass
 class GradedPresentation:
-    source: OreTower
     result: OreTower
     step_log: list[GradedStep] = dc_field(default_factory=list)
 
@@ -82,7 +83,7 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
         raise HypothesisViolation(
             f"degenerated presentation is not a valid tower: {report.first_failure}"
         )
-    return GradedPresentation(source=tower, result=result, step_log=steps)
+    return GradedPresentation(result=result, step_log=steps)
 
 
 def rees_closure_check(
@@ -92,9 +93,9 @@ def rees_closure_check(
 
     The generators are the base generators and x_1..x_level, in that
     order; the image of x_level may have x_level-degree at most 1, every
-    other image degree 0.  ``None`` means no generator is raised.  For the
-    level maps ``gr`` checks (``apply_level_map("sigma", i, .)``) this
-    decides closure at every degree, as the module docstring argues.
+    other image degree 0.  ``None`` means no generator is raised.  For a
+    level map (``apply_level_map("sigma", i, .)``) this decides closure at
+    every degree, as the module docstring argues.
     """
     for g in _level_generators(tower, level + 1):
         if degree_leading(the_map(g), level)[0] > degree_leading(g, level)[0]:

@@ -1035,10 +1035,11 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
     and num, den coprime in Q[t]; zero is ``((), (1,))``.  So equal
     elements have equal reps.  Cancellation takes a primitive remainder
     sequence gcd in Z[t], except over a Laurent denominator c t^k, where
-    the gcd is a power of t times the content and no polynomial gcd is
-    taken; a sum or product of two Laurent reps shifts the numerators
-    over lcm(c_a, c_b) t^max(k) or c_a c_b t^(k_a + k_b) instead of
-    cross-multiplying.  :class:`fractions.Fraction` appears only where
+    ``_laurent`` cancels a power of t and the content and takes no
+    polynomial gcd; ``_make`` hands it every such denominator.  A sum of
+    two Laurent reps with one c shifts the numerators over c t^max(k), and
+    a product of two Laurent reps goes over c_a c_b t^(k_a + k_b), instead
+    of cross-multiplying.  :class:`fractions.Fraction` appears only where
     values enter (``coerce``, ``from_polys``) and in ``_view``, the
     monic-denominator rep of the generic class, which rendering and the
     generator maps read.
@@ -1117,19 +1118,11 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
         if ad == bd:
             num = _zadd(an, bn)
             return (num, ad) if ad == (1,) else self._make(num, ad)
-        if any(ad[:-1]) or any(bd[:-1]):
+        c = ad[-1]
+        if c != bd[-1] or any(ad[:-1]) or any(bd[:-1]):
             return self._make(_zadd(_zmul(an, bd), _zmul(bn, ad)), _zmul(ad, bd))
-        # c t^k denominators: both numerators over lcm(c_a, c_b) t^max(k)
-        ca, cb, ka, kb = ad[-1], bd[-1], len(ad) - 1, len(bd) - 1
-        c = ca
-        if ca != cb:
-            c = ca // math.gcd(ca, cb) * cb
-            if c != ca:
-                f = c // ca
-                an = tuple([f * a for a in an])
-            if c != cb:
-                f = c // cb
-                bn = tuple([f * b for b in bn])
+        # c t^ka and c t^kb: both numerators over c t^max(ka, kb)
+        ka, kb = len(ad) - 1, len(bd) - 1
         if ka < kb:
             an, k = (0,) * (kb - ka) + an, kb
         else:

@@ -800,6 +800,29 @@ def test_gr_command(capsys):
     assert all(check["ok"] for check in payload["closure_checks"])
 
 
+@pytest.mark.skipif(
+    not hasattr(sys, "get_int_max_str_digits"), reason="no int-to-decimal digit limit"
+)
+def test_result_past_the_int_digit_limit_fails_cleanly(capsys):
+    """lambda^15000 = 2^15000 has 4,516 digits, past CPython's default
+    limit of 4,300: ``mul`` exits 1 with a ResultTooLarge report instead of
+    a traceback, while lambda^14000 still prints."""
+    limit = sys.get_int_max_str_digits()
+    sys.set_int_max_str_digits(4300)
+    try:
+        tower = fixture("qplane_lambda2.tw")
+        assert run(["mul", "--tower", tower, "--json", "x2^1000", "x1^15"]) == 1
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error" and payload["kind"] == "ResultTooLarge"
+        assert "4300 digits" in payload["error"]
+        assert run(["mul", "--tower", tower, "x2^1000", "x1^15"]) == 1
+        assert capsys.readouterr().out.startswith("error[ResultTooLarge]: ")
+        assert run(["mul", "--tower", tower, "--json", "x2^1000", "x1^14"]) == 0
+        assert str(2**14000) in json.loads(capsys.readouterr().out)["product"]
+    finally:
+        sys.set_int_max_str_digits(limit)
+
+
 def test_erase_error_exit_code(capsys, tmp_path):
     # delta without q cannot be erased: mathematical failure, exit 1
     no_q = tmp_path / "noq.tw"

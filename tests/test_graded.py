@@ -1,10 +1,11 @@
 import functools
+import json
 import random
 from pathlib import Path
 
 import pytest
 
-from oretower.cli import parse_tower_file, parse_tower_text, render_tower_file
+from oretower.cli import parse_tower_file, parse_tower_text, render_tower_file, run
 from oretower.erase import _exponents, erase_all
 from oretower.errors import HypothesisViolation, OreError
 from oretower.graded import associated_graded_tower, rees_closure_check
@@ -146,6 +147,36 @@ def test_rees_closure_agrees_with_the_sweep():
                 assert (exact is None) == (sweep is None), (tower, i, level)
                 pairs += 1
     assert pairs > 500
+
+
+def test_gr_closure_entries_match_the_check(capsys, tmp_path):
+    """``gr`` takes its ``closure_checks`` from the proof in the ``graded``
+    docstring; wherever it exits 0 on a fixture or a numeric mutant, they
+    equal what ``rees_closure_check`` computes, pair by pair."""
+    paths = sorted(FIXTURES.glob("*.tw"))
+    for k, text in enumerate(_numeric_mutants(400, seed=11)):
+        paths.append(tmp_path / f"mutant{k}.tw")
+        paths[-1].write_text(text, encoding="utf-8")
+    answered = 0
+    for path in paths:
+        code = run(["gr", "--tower", str(path), "--json"])
+        report = json.loads(capsys.readouterr().out)
+        if code:
+            continue
+        tower = parse_tower_file(path)
+        expected = []
+        for i in range(tower.height):
+            for level in range(i):
+                witness = rees_closure_check(tower, level, _sigma(i))
+                expected.append({
+                    "sigma": i + 1,
+                    "filtration": level + 1,
+                    "ok": witness is None,
+                    "witness": None if witness is None else str(witness),
+                })
+        assert report["closure_checks"] == expected, path
+        answered += 1
+    assert answered > 350
 
 
 def test_pi_transfer_source_to_result():

@@ -534,6 +534,16 @@ def test_powers_of_zero_one_and_generators(name):
         # one-term numerators at the top index, where jk >= n soonest
         z = field.gen
         values += [z ** (field.degree - 1), Fraction(-2, 3) * z ** (field.degree - 1)]
+    if type(field) is RationalFunctionField:
+        # c t^k denominators, which the generic class cancels without a gcd:
+        # each value has the rep its fraction gets through the gcd, over the
+        # dense denominator (t + 1) c t^k, and a and b are powered below
+        t = field.gen
+        a, b = (t + 2) / (3 * t**2), (2 * t**3 + 1) / (4 * t)
+        for s in (a, b, a + b, a - b, a * b, a * b - b, a * a * t**3):
+            num, den = (field.from_polys(field._inner_scalars(p)) * (t + 1) for p in s.rep)
+            assert (num / den).rep == s.rep
+        values += [a, b]
     for x in values:
         _assert_powers_match_products(field, x)
 
