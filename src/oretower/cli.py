@@ -32,6 +32,7 @@ import argparse
 import contextlib
 import functools
 import json
+import os
 import re
 import sys
 
@@ -721,7 +722,9 @@ def run(argv) -> int:
 
     0 on success (negative verdicts included), 1 on mathematical failure
     (invalid tower, unsupported erasure) or a result too long to print, 2
-    on usage or parse errors.
+    on usage or parse errors.  A stdout closed by its reader raises
+    :class:`BrokenPipeError` out of here; ``main`` turns it into exit 1
+    with no traceback.
     """
     parser, commands = _build_parser()
     # a command's subparser reads the rest of argv as the top level hands it
@@ -817,18 +820,16 @@ def _dispatch(args, tower: OreTower):
         ctx = _expr_context(tower)
         left = ctx.as_poly(_eval_expr(args.left, 1, ctx))
         right = ctx.as_poly(_eval_expr(args.right, 1, ctx))
-        product = left * right
-        return {"command": command, "product": str(product)}, 0, f"{product}"
+        product = str(left * right)
+        return {"command": command, "product": product}, 0, product
 
     if command == "central":
         ctx = _expr_context(tower)
         poly = ctx.as_poly(_eval_expr(args.expr, 1, ctx))
         ok, witness = is_central(poly)
-        report = {
-            "command": command,
-            "central": ok,
-            "witness": None if witness is None else str(witness),
-        }
+        if witness is not None:
+            witness = str(witness)
+        report = {"command": command, "central": ok, "witness": witness}
         human = "central" if ok else f"not central; fails against {witness}"
         return report, 0, human
 
@@ -845,9 +846,10 @@ def _dispatch(args, tower: OreTower):
 
     if command == "erase":
         y, new_tower, wit = erase_top(tower, args.search_degree)
+        y = str(y)
         report = {
             "command": command,
-            "y": str(y),
+            "y": y,
             "branch": wit.branch,
             "witness": _witness_json(wit),
             "tower": render_tower_file(new_tower),
@@ -973,4 +975,14 @@ def _witness_json(wit) -> dict:
 
 
 def main() -> None:
-    sys.exit(run(sys.argv[1:]))
+    try:
+        code = run(sys.argv[1:])
+        # a closed stdout shows here, inside the try, and not at exit
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # the reader went away: send what Python flushes at exit to devnull,
+        # as the signal module's documentation does, and fail
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        code = 1
+    sys.exit(code)

@@ -3,7 +3,8 @@
 Four fields are available, all with decidable equality through canonical
 forms and no floating point anywhere:
 
-* ``QQ`` -- the rationals, backed by :class:`fractions.Fraction`;
+* ``QQ`` -- the rationals, an int for an integral value and otherwise a
+  :class:`fractions.Fraction` in lowest terms;
 * ``GF(p)`` -- the prime field, residues in ``[0, p)``;
 * ``CyclotomicField(n)`` -- Q(zeta_n), an element ``(nums, den)`` being
   phi(n) integer numerators over one positive common denominator, with
@@ -17,7 +18,8 @@ forms and no floating point anywhere:
 
 Each field computes on its own reps (``rep_add``, ``rep_mul``, ...); the
 polynomial helpers below take the coefficient field and call those, so a
-rational function never wraps its coefficients in :class:`Scalar`.  The
+rational function never wraps its coefficients in :class:`Scalar`.  Q
+builds a Fraction only for a value that is not an integer.  The
 cyclotomic fields and Q(t) over Q compute on ints alone: they share one
 Z[t] product and one intake of rationals, their gcds and inverses are
 fraction-free remainder sequences in Z[t], and :class:`fractions.Fraction`
@@ -274,12 +276,16 @@ def _zmul(a, b) -> tuple:
     if len(a) == 1:
         c = a[0]
         return tuple([c * d for d in b])
-    right = [(j, d) for j, d in enumerate(b) if d]
+    # the outer loop runs over the operand with fewer nonzero entries, so a
+    # sparse operand such as q^40 costs its length, not a product of lengths
+    if len(a) - a.count(0) > len(b) - b.count(0):
+        a, b = b, a
     out = [0] * (len(a) + len(b) - 1)
     for i, c in enumerate(a):
         if c:
-            for j, d in right:
-                out[i + j] += c * d
+            for j, d in enumerate(b, i):
+                if d:
+                    out[j] += c * d
     # Z is a domain, so trimmed operands give a trimmed product; the padded
     # numerators of cyclotomic(n) give top zeros, which _fold_top absorbs
     return tuple(out)
@@ -577,27 +583,44 @@ def _power_rule(field, coeffs, image: Scalar | None, d: Scalar) -> Scalar:
 
 
 class RationalField(_FieldBase):
+    """Q.  A rep is an int when the value is integral and otherwise a
+    :class:`fractions.Fraction` in lowest terms, so each value has one rep;
+    integer arithmetic, the common case, never builds a Fraction.  An int
+    and a Fraction of equal value compare and hash alike."""
+
     name = "Q"
-    rep_zero = Fraction(0)
-    rep_one = Fraction(1)
-    rep_add = staticmethod(operator.add)
+    rep_zero = 0
+    rep_one = 1
     rep_neg = staticmethod(operator.neg)
-    rep_mul = staticmethod(operator.mul)
+    # k >= 1 keeps an int an int and a non-integral Fraction non-integral
     rep_pow = staticmethod(operator.pow)
     rep_is_zero = staticmethod(operator.not_)
     rep_str = staticmethod(str)
 
     @staticmethod
+    def rep_add(x, y):
+        z = x + y
+        return z if type(z) is int or z.denominator != 1 else z.numerator
+
+    @staticmethod
+    def rep_mul(x, y):
+        z = x * y
+        return z if type(z) is int or z.denominator != 1 else z.numerator
+
+    @staticmethod
     def rep_inv(x):
-        return Fraction(1) / x
+        z = Fraction(1) / x
+        return z if z.denominator != 1 else z.numerator
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
             if value.field == self:
                 return value
             raise ScalarError(f"cannot coerce {value!r} into Q")
-        if isinstance(value, (int, Fraction)):
-            return Scalar(self, Fraction(value))
+        if isinstance(value, int):
+            return Scalar(self, int(value))
+        if isinstance(value, Fraction):
+            return Scalar(self, value if value.denominator != 1 else value.numerator)
         raise ScalarError(f"cannot coerce {value!r} into Q")
 
     def __eq__(self, other):
@@ -700,17 +723,18 @@ class CyclotomicFieldImpl(_FieldBase):
         return Scalar(self, self._make([0, 1], 1))
 
     def _fold_top(self, coeffs) -> list:
-        """Reduce a sequence of at least degree ints modulo Phi_n."""
+        """Reduce a sequence of at least degree ints modulo Phi_n: each top
+        coefficient is popped off one working list as it folds."""
         d = self.degree
         fold = self._fold
         coeffs = list(coeffs)
-        for k in range(len(coeffs) - 1, d - 1, -1):
-            c = coeffs[k]
+        pop = coeffs.pop
+        for base in range(len(coeffs) - 1 - d, -1, -1):
+            c = pop()
             if c:
-                base = k - d
                 for j, m in fold:
                     coeffs[base + j] += c * m
-        return coeffs[:d]
+        return coeffs
 
     @staticmethod
     def _normal(nums, den: int) -> tuple:
@@ -1154,10 +1178,13 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
         return den, num
 
     def _view(self, x) -> tuple:
-        """(num, den) as Fractions with monic den, the generic rep."""
+        """(num, den) as Q reps with monic den, the generic rep."""
         num, den = x
         lead = den[-1]
-        return tuple(Fraction(c, lead) for c in num), tuple(Fraction(c, lead) for c in den)
+        if lead == 1:
+            return x
+        inv, mul = Fraction(1, lead), QQ.rep_mul
+        return tuple(mul(c, inv) for c in num), tuple(mul(c, inv) for c in den)
 
 
 @functools.lru_cache(maxsize=None)

@@ -1189,6 +1189,29 @@ def test_python_dash_m_runs_the_cli(capsys, monkeypatch):
     assert code == 0 and json.loads(out)["valid"] is True
 
 
+@pytest.mark.parametrize("flags", [[], ["--json"]], ids=["human", "json"])
+def test_closed_stdout_exits_one_without_traceback(flags):
+    """A reader that closed the pipe before the command writes to it ends
+    the command with exit 1 and nothing on stderr."""
+    read_end, write_end = os.pipe()
+    os.close(read_end)
+    path = os.pathsep.join(filter(None, [str(ROOT / "src"), os.environ.get("PYTHONPATH")]))
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-m", "oretower", "validate", "--tower", fixture("qweyl_q.tw"), *flags],
+            cwd=ROOT,
+            env={**os.environ, "PYTHONPATH": path},
+            stdout=write_end,
+            stderr=subprocess.PIPE,
+            text=True,
+            timeout=60,
+        )
+    finally:
+        os.close(write_end)
+    assert proc.returncode == 1
+    assert "Traceback" not in proc.stderr and "Exception ignored" not in proc.stderr
+
+
 def test_every_private_helper_has_a_caller():
     """A private module-level function or class of the package is named
     somewhere in the package outside its own definition."""

@@ -5,8 +5,11 @@ remainder modulo the n-th cyclotomic polynomial, and in Q(t) with
 ``cancel``; primality, factorisation and multiplicative orders in gf(p)
 with ``isprime``, ``factorint`` and ``n_order``; root-of-unity orders in
 cyclotomic(n) with the factored characteristic polynomial and in Q(t)
-with ``cancel``; powers ``x ** k`` in every field with repeated products.
-Every result is also checked for the rep invariants: a
+with ``cancel``; powers ``x ** k`` in every field with repeated products;
+Q's rep operations with ``Fraction`` arithmetic, and the Z[t] product and
+the reduction modulo the n-th cyclotomic polynomial with the generic
+polynomial helpers.  Every result is also checked for the rep
+invariants: a Q rep is an int exactly when the value is integral, a
 cyclotomic rep is phi(n) integers over a positive denominator coprime to
 their content, and a rational-function rep holds inner-field reps (never
 a Scalar) with a monic denominator, and over Q integers with a positive
@@ -39,6 +42,7 @@ from oretower.scalars import (  # noqa: E402
     _ZZ,
     _factorize,
     _padd,
+    _pdivmod,
     _pmul,
     _pneg,
     _ptrim,
@@ -64,6 +68,79 @@ def _sym(c: Fraction):
 
 def _sym_poly(coeffs):
     return sum((_sym(Fraction(c)) * X**k for k, c in enumerate(coeffs)), sympy.Integer(0))
+
+
+# ---------------------------------------------------------------------------
+# Q: an int for an integral value, otherwise a Fraction in lowest terms
+
+q_values = st.one_of(
+    small_ints,
+    st.integers(-(10**30), 10**30),
+    rationals,
+    st.sampled_from([1, -1, Fraction(1), Fraction(-1), Fraction(1, 2), Fraction(-3, 2)]),
+)
+
+
+def _assert_q_rep(rep, value):
+    """rep is the canonical Q rep of the rational ``value``."""
+    assert type(rep) is (int if Fraction(value).denominator == 1 else Fraction)
+    assert rep == value
+
+
+@settings(max_examples=300, deadline=None)
+@given(a=q_values, b=q_values, k=st.integers(1, 7))
+def test_rational_reps_are_canonical(a, b, k):
+    fa, fb = Fraction(a), Fraction(b)
+    x, y = QQ.coerce(a).rep, QQ.coerce(b).rep
+    _assert_q_rep(x, fa)
+    _assert_q_rep(y, fb)
+    _assert_q_rep(QQ.rep_add(x, y), fa + fb)
+    _assert_q_rep(QQ.rep_mul(x, y), fa * fb)
+    _assert_q_rep(QQ.rep_neg(x), -fa)
+    _assert_q_rep(QQ.rep_pow(x, k), fa**k)
+    # values that cancel to integers: x - x, x * (1/x), and a/b * b/a
+    _assert_q_rep(QQ.rep_add(x, QQ.rep_neg(x)), 0)
+    if fa:
+        _assert_q_rep(QQ.rep_inv(x), 1 / fa)
+        _assert_q_rep(QQ.rep_mul(x, QQ.rep_inv(x)), 1)
+        if fb:
+            ratio = QQ.coerce(fa / fb).rep
+            _assert_q_rep(QQ.rep_mul(ratio, QQ.coerce(fb / fa).rep), 1)
+            _assert_q_rep(QQ.rep_pow(ratio, k), (fa / fb) ** k)
+
+
+def test_rational_reps_that_cancel_to_integers():
+    half = QQ.coerce(Fraction(1, 2)).rep
+    _assert_q_rep(QQ.rep_add(half, half), 1)
+    _assert_q_rep(QQ.rep_mul(QQ.coerce(Fraction(2, 3)).rep, QQ.coerce(Fraction(9, 2)).rep), 3)
+    for unit in (1, -1, Fraction(1), Fraction(-1)):
+        _assert_q_rep(QQ.rep_inv(QQ.coerce(unit).rep), unit)
+    _assert_q_rep(QQ.rep_inv(QQ.coerce(Fraction(-1, 7)).rep), -7)
+    _assert_q_rep(QQ.rep_pow(QQ.coerce(Fraction(-2, 3)).rep, 3), Fraction(-8, 27))
+    assert (QQ.zero.rep, QQ.one.rep) == (0, 1) and type(QQ.coerce(True).rep) is int
+    # an int rep and a Fraction of one value are one Scalar and print alike
+    three = QQ.coerce(Fraction(9, 3))
+    assert three == QQ.coerce(3) and hash(three) == hash(QQ.coerce(3)) and str(three) == "3"
+
+
+@settings(max_examples=60, deadline=None)
+@given(data=st.data())
+def test_rational_matrices_compare_and_hash_by_value(data):
+    m, n = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+    rect = st.lists(st.lists(q_values, min_size=n, max_size=n), min_size=m, max_size=m)
+    raw, other = data.draw(rect), data.draw(rect)
+    a, b = Matrix(QQ, raw), Matrix(QQ, other)
+    for row, values in zip(a.rows, raw):
+        for x, v in zip(row, values):
+            _assert_q_rep(x.rep, v)
+    assert a.is_zero() == all(v == 0 for row in raw for v in row)
+    assert (a == b) == (raw == other)
+    # the same values through products whose denominators cancel
+    r = data.draw(rationals.filter(bool))
+    scaled = a * r * (1 / r)
+    assert scaled == a and hash(scaled) == hash(a) and scaled.is_zero() == a.is_zero()
+    assert hash(a) == hash(Matrix(QQ, [[Fraction(v) for v in row] for row in raw]))
+    assert (a - a).is_zero() and (a - a) == Matrix.zero(QQ, m, n)
 
 
 # ---------------------------------------------------------------------------
@@ -252,6 +329,49 @@ def test_integer_kernels_match_the_generic_helpers(a, b):
     assert _zadd(a, b) == _padd(a, b, _ZZ)
     # a sum whose top terms cancel is trimmed
     assert _zadd(_zadd(a, b), _pneg(b, _ZZ)) == a
+
+
+@st.composite
+def shaped_int_polys(draw):
+    """Int tuples of length 1-60: dense, after leading zeros (a Q(q)
+    numerator such as q^40), with one nonzero entry, or before trailing
+    zeros (a padded cyclotomic numerator)."""
+    n = draw(st.integers(1, 60))
+    shape = draw(st.sampled_from(["dense", "leading", "one", "trailing"]))
+    nonzero_run = st.lists(st.integers(-9, 9).filter(bool), min_size=1, max_size=n)
+    if shape == "dense":
+        return tuple(draw(st.lists(st.integers(-9, 9), min_size=n, max_size=n)))
+    if shape == "one":
+        cs = [0] * n
+        cs[draw(st.integers(0, n - 1))] = draw(st.integers(-9, 9).filter(bool))
+        return tuple(cs)
+    body = draw(nonzero_run)
+    zeros = (0,) * (n - len(body))
+    return zeros + tuple(body) if shape == "leading" else tuple(body) + zeros
+
+
+@settings(max_examples=200, deadline=None)
+@given(a=shaped_int_polys(), b=shaped_int_polys())
+def test_integer_product_on_sparse_and_padded_operands(a, b):
+    expected = _pmul(a, b, _ZZ)
+    assert _ptrim(_zmul(a, b), _ZZ) == expected
+    assert _ptrim(_zmul(b, a), _ZZ) == expected
+
+
+@pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 12))
+@settings(max_examples=40, deadline=None)
+@given(data=st.data())
+def test_cyclotomic_fold_is_the_remainder_modulo_phi(n, data):
+    field = CyclotomicField(n)
+    d = field.degree
+    coeffs = data.draw(
+        st.lists(st.integers(-(10**6), 10**6), min_size=d, max_size=3 * d + 2)
+    )
+    before = list(coeffs)
+    rem = _pdivmod(tuple(coeffs), field.modulus, QQ)[1]
+    assert field._fold_top(coeffs) == list(rem) + [0] * (d - len(rem))
+    assert field._fold_top(tuple(coeffs)) == field._fold_top(coeffs)
+    assert coeffs == before
 
 
 @settings(max_examples=100, deadline=None)
@@ -485,7 +605,9 @@ def test_matrix_zero_test_and_hash_match_the_entries(name, data):
 
 
 def _assert_canonical(field, s: Scalar):
-    if isinstance(field, CyclotomicFieldImpl):
+    if field == QQ:
+        _assert_q_rep(s.rep, Fraction(s.rep))
+    elif isinstance(field, CyclotomicFieldImpl):
         _assert_cyclotomic_rep(s, field.n)
     elif isinstance(field, RationalFunctionFieldOverQ):
         _assert_qt_rep(s)
