@@ -32,12 +32,15 @@ matrix-algebra coefficients and linear-system solving.  Only this module
 reads that storage, and only :class:`Matrix` knows the row-major order in
 which a linear map on m x m matrices acts on their entries.
 
-Values combine within one field: Scalar and Matrix arithmetic coerces
-ints and Fractions into the field and raises :class:`TypeError` on a
-value of another field.  A Scalar equals only a Scalar of an equal field,
-never an int or Fraction, so equal values hash equal.  ``field.coerce`` is
-the one way a value moves between fields: Q into cyclotomic(n) or gf(p),
-an inner field into F(t).
+Fields are made only by ``QQ`` and the factories ``GF``,
+``CyclotomicField`` and ``FunctionField`` (which ``parse_field`` calls),
+each returning one cached object per field, so a field compares and
+hashes by identity.  Values combine within one field: Scalar and Matrix
+arithmetic coerces ints and Fractions into the field and raises
+:class:`TypeError` on a value of another field.  A Scalar equals only a
+Scalar of the same field, never an int or Fraction, so equal values hash
+equal.  ``field.coerce`` is the one way a value moves between fields: Q
+into cyclotomic(n) or gf(p), an inner field into F(t).
 """
 
 from __future__ import annotations
@@ -395,7 +398,7 @@ class Scalar:
     def _binary(self, other, op):
         if isinstance(other, (int, Fraction)):
             return op(self, self.field.coerce(other))
-        if isinstance(other, Scalar) and other.field == self.field:
+        if isinstance(other, Scalar) and other.field is self.field:
             return op(self, other)
         return NotImplemented
 
@@ -453,11 +456,10 @@ class Scalar:
     # -- structure -----------------------------------------------------
 
     def __eq__(self, other):
-        # only a Scalar of an equal field can be equal, as only its hash
+        # only a Scalar of the same field can be equal, as only its hash
         # agrees; compare an int or Fraction through field.coerce
         if isinstance(other, Scalar):
-            same_field = other.field is self.field or other.field == self.field
-            return same_field and self.rep == other.rep
+            return other.field is self.field and self.rep == other.rep
         return NotImplemented
 
     def __hash__(self):
@@ -476,8 +478,10 @@ class _FieldBase:
     ``rep_add``, ``rep_neg``, ``rep_mul``, ``rep_pow``, ``rep_inv``,
     ``rep_is_zero`` and ``rep_str``; Scalar and the operations here wrap
     them.  ``rep_pow(x, k)`` (k >= 1) squares and multiplies through
-    ``rep_mul`` unless the field has a closed form.  Fields are
-    singletons and scalars immutable, so ``zero`` and ``one`` are built once.
+    ``rep_mul`` unless the field has a closed form.  Only the factories
+    build fields, one object each, so two fields are equal exactly when
+    they are the same object; scalars are immutable, so ``zero`` and ``one``
+    are built once.
     """
 
     gen_name: str | None = None
@@ -495,10 +499,6 @@ class _FieldBase:
     @property
     def gen(self) -> Scalar | None:
         return None
-
-    @property
-    def characteristic(self) -> int:
-        return 0
 
     def coerce(self, value) -> Scalar:
         raise NotImplementedError
@@ -614,7 +614,7 @@ class RationalField(_FieldBase):
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.field == self:
+            if value.field is self:
                 return value
             raise ScalarError(f"cannot coerce {value!r} into Q")
         if isinstance(value, int):
@@ -622,12 +622,6 @@ class RationalField(_FieldBase):
         if isinstance(value, Fraction):
             return Scalar(self, value if value.denominator != 1 else value.numerator)
         raise ScalarError(f"cannot coerce {value!r} into Q")
-
-    def __eq__(self, other):
-        return isinstance(other, RationalField)
-
-    def __hash__(self):
-        return hash("Q")
 
 
 QQ = RationalField()
@@ -644,12 +638,7 @@ class PrimeFieldImpl(_FieldBase):
             raise ValueError(f"{p} is not prime")
         self.p = p
         self.name = f"gf({p})"
-        self._hash = hash(("gf", p))
         self.roots_of_unity_exponent = p - 1
-
-    @property
-    def characteristic(self) -> int:
-        return self.p
 
     def rep_add(self, x, y):
         return (x + y) % self.p
@@ -665,9 +654,9 @@ class PrimeFieldImpl(_FieldBase):
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.field == self:
+            if value.field is self:
                 return value
-            if value.field == QQ:
+            if value.field is QQ:
                 value = value.rep
             else:
                 raise ScalarError(f"cannot coerce {value!r} into {self.name}")
@@ -680,15 +669,9 @@ class PrimeFieldImpl(_FieldBase):
             return Scalar(self, value.numerator * pow(den, -1, self.p) % self.p)
         raise ScalarError(f"cannot coerce {value!r} into {self.name}")
 
-    def __eq__(self, other):
-        return isinstance(other, PrimeFieldImpl) and other.p == self.p
-
-    def __hash__(self):
-        return self._hash
-
 
 @functools.lru_cache(maxsize=None)
-def GF(p: int) -> PrimeFieldImpl:
+def GF(p: int, /) -> PrimeFieldImpl:
     return PrimeFieldImpl(p)
 
 
@@ -710,7 +693,6 @@ class CyclotomicFieldImpl(_FieldBase):
         self.modulus = cyclotomic_polynomial(n)
         self.degree = len(self.modulus) - 1
         self.name = f"cyclotomic({n})"
-        self._hash = hash(("cyclotomic", n))
         # the roots of unity of Q(zeta_n) are the +-zeta_n^k
         self.roots_of_unity_exponent = math.lcm(2, n)
         # z^degree = sum_j -modulus[j] z^j over the nonzero lower coefficients
@@ -755,9 +737,9 @@ class CyclotomicFieldImpl(_FieldBase):
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.field == self:
+            if value.field is self:
                 return value
-            if value.field == QQ:
+            if value.field is QQ:
                 value = value.rep
             else:
                 raise ScalarError(f"cannot coerce {value!r} into {self.name}")
@@ -843,15 +825,9 @@ class CyclotomicFieldImpl(_FieldBase):
         value = _power_rule(self, self.modulus, image, d)
         return None if value.is_zero() else f"delta(minimal polynomial) = {value} != 0"
 
-    def __eq__(self, other):
-        return isinstance(other, CyclotomicFieldImpl) and other.n == self.n
-
-    def __hash__(self):
-        return self._hash
-
 
 @functools.lru_cache(maxsize=None)
-def CyclotomicField(n: int) -> CyclotomicFieldImpl:
+def CyclotomicField(n: int, /) -> CyclotomicFieldImpl:
     return CyclotomicFieldImpl(n)
 
 
@@ -870,16 +846,11 @@ class RationalFunctionField(_FieldBase):
         self.var = name
         self.name = f"{inner.name}({name})"
         self.gen_name = name
-        self._hash = hash(("ratfunc", inner, name))
         # a root of unity is algebraic, so a constant: one of the inner field
         self.roots_of_unity_exponent = inner.roots_of_unity_exponent
         self._one_poly = (inner.rep_one,)
         self.rep_zero = ((), self._one_poly)
         self.rep_one = (self._one_poly, self._one_poly)
-
-    @property
-    def characteristic(self) -> int:
-        return self.inner.characteristic
 
     @functools.cached_property
     def gen(self) -> Scalar:
@@ -921,7 +892,7 @@ class RationalFunctionField(_FieldBase):
 
     def coerce(self, value) -> Scalar:
         if isinstance(value, Scalar):
-            if value.field is self or value.field == self:
+            if value.field is self:
                 return value
             rep = self.inner.coerce(value).rep
             if self.inner.rep_is_zero(rep):
@@ -1040,16 +1011,6 @@ class RationalFunctionField(_FieldBase):
             ))
         )
 
-    def __eq__(self, other):
-        return (
-            isinstance(other, RationalFunctionField)
-            and other.inner == self.inner
-            and other.var == self.var
-        )
-
-    def __hash__(self):
-        return self._hash
-
 
 class RationalFunctionFieldOverQ(RationalFunctionField):
     """Q(t), computed on integer polynomials.
@@ -1126,7 +1087,7 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
         return Scalar(self, self._make([k * c for c in num], [m * c for c in den]))
 
     def coerce(self, value) -> Scalar:
-        if isinstance(value, Scalar) and (value.field is self or value.field == self):
+        if isinstance(value, Scalar) and value.field is self:
             return value
         if isinstance(value, (int, Fraction, Scalar)):
             c = QQ.coerce(value).rep
@@ -1188,8 +1149,8 @@ class RationalFunctionFieldOverQ(RationalFunctionField):
 
 
 @functools.lru_cache(maxsize=None)
-def FunctionField(inner, name: str) -> RationalFunctionField:
-    if inner == QQ:
+def FunctionField(inner, name: str, /) -> RationalFunctionField:
+    if inner is QQ:
         return RationalFunctionFieldOverQ(name)
     return RationalFunctionField(inner, name)
 
@@ -1387,9 +1348,7 @@ class Matrix:
     def _same_field(self, other) -> bool:
         """Whether ``other`` is a Matrix over this field, the one operand
         that ``+``, ``-``, the matrix product and ``kron`` take."""
-        return isinstance(other, Matrix) and (
-            other.field is self.field or other.field == self.field
-        )
+        return isinstance(other, Matrix) and other.field is self.field
 
     def __add__(self, other):
         if not self._same_field(other):
@@ -1423,7 +1382,7 @@ class Matrix:
                 field, [[_rep_dot(row, col, mul, add, zero) for col in cols] for row in self._rows]
             )
         if isinstance(other, (int, Fraction)) or (
-            isinstance(other, Scalar) and other.field == field
+            isinstance(other, Scalar) and other.field is field
         ):
             s, mul = field.coerce(other).rep, field.rep_mul
             return Matrix._from_reps(field, [[mul(a, s) for a in row] for row in self._rows])
@@ -1442,7 +1401,7 @@ class Matrix:
     def __eq__(self, other):
         if not isinstance(other, Matrix):
             return NotImplemented
-        return self.field == other.field and self._rows == other._rows
+        return self.field is other.field and self._rows == other._rows
 
     def __hash__(self):
         if self._hash is None:

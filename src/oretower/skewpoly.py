@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import SupportTooHigh, TowerMismatch
+from .errors import ScalarError, SupportTooHigh, TowerMismatch
 from .scalars import Matrix, Scalar, _power, _wrap
 
 
@@ -209,12 +209,16 @@ class SkewPoly:
         return _power(self, k) if k else SkewPoly.one(self.tower)
 
     def __eq__(self, other):
-        rhs = self._coerce_operand(other) if not isinstance(other, SkewPoly) else other
-        if rhs is None:
-            return NotImplemented
-        if isinstance(rhs, SkewPoly) and rhs.tower != self.tower:
+        if isinstance(other, SkewPoly):
+            return (other.tower is self.tower or other.tower == self.tower) and (
+                self.terms == other.terms
+            )
+        try:
+            rhs = self._coerce_operand(other)
+        except ScalarError:
+            # not an element of the base, such as a value of another field
             return False
-        return self.terms == rhs.terms
+        return NotImplemented if rhs is None else self.terms == rhs.terms
 
     def __hash__(self):
         return hash(frozenset(self.terms.items()))

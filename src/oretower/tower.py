@@ -72,7 +72,7 @@ class BaseRing:
         if isinstance(value, Matrix):
             if self.kind != "matrix" or value.nrows != self.size or value.ncols != self.size:
                 raise ScalarError(f"{value!r} is not an element of {self!r}")
-            if value.field != self.field:
+            if value.field is not self.field:
                 raise ScalarError(f"{value!r} lives over the wrong field")
             return value
         return self.scalar(value)
@@ -114,7 +114,7 @@ class BaseRing:
         return (
             isinstance(other, BaseRing)
             and other.kind == self.kind
-            and other.field == self.field
+            and other.field is self.field
             and other.size == self.size
         )
 

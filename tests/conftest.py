@@ -253,7 +253,7 @@ def count_calls(monkeypatch, module, name: str) -> list:
 
 
 def random_scalar(field, rng: random.Random) -> Scalar:
-    if field is QQ or field == QQ:
+    if field is QQ:
         return QQ.coerce(rng.randint(-6, 6))
     if isinstance(field, PrimeFieldImpl):
         return field.coerce(rng.randrange(field.p))

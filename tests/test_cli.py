@@ -1090,6 +1090,17 @@ def test_readme_command_line_matches_the_parser():
     assert {flag for flag, _ in stated} == capped
 
 
+def test_readme_quick_start_runs(capsys):
+    """The README's one Python block runs and prints the two lines that the
+    comments on its print calls promise."""
+    readme = (ROOT / "README.md").read_text(encoding="utf-8")
+    (block,) = re.findall(r"^```python\n(.*?)^```$", readme, re.S | re.M)
+    promised = re.findall(r"^print\(.*\)\s+# (.*)$", block, re.M)
+    assert promised == ["(z - 1) * x1 x2 + 1", "PI"]
+    exec(compile(block, "README.md", "exec"), {})
+    assert capsys.readouterr().out.splitlines() == promised
+
+
 def test_unwritable_out_is_a_usage_error(capsys, tmp_path):
     no_q = tmp_path / "noq.tw"
     no_q.write_text(

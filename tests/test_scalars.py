@@ -4,10 +4,12 @@ import itertools
 import operator
 import random
 from fractions import Fraction
+from pathlib import Path
 
 import pytest
 
 from oretower import scalars
+from oretower.cli import parse_tower_file
 from oretower.errors import DivisionByZero, ScalarError, ZeroInput
 from oretower.tower import BaseRing
 from oretower.scalars import (
@@ -23,6 +25,8 @@ from oretower.scalars import (
 )
 
 from conftest import random_scalar
+
+FIXTURES = Path(__file__).parent / "fixtures"
 
 FIELDS = [
     QQ,
@@ -215,6 +219,61 @@ def test_parse_field_descriptors():
     assert parse_field("gf(5)(t)").inner.p == 5
     with pytest.raises(ValueError):
         parse_field("R")
+
+
+FIELD_DESCRIPTORS = ["Q", "gf(5)", "cyclotomic(3)", "Q(t)", "gf(5)(t)", "cyclotomic(3)(t)", "Q(t)(s)"]
+
+
+@pytest.mark.parametrize("descriptor", FIELD_DESCRIPTORS)
+def test_each_descriptor_names_one_field_object(descriptor):
+    # fields compare by identity, so every spelling of a field must reach
+    # the factory's one object
+    assert parse_field(descriptor) is parse_field(descriptor)
+    assert parse_field(f" {descriptor} ") is parse_field(descriptor)
+
+
+def test_factories_return_their_cached_fields():
+    assert GF(5) is parse_field("gf(5)") and CyclotomicField(3) is parse_field("cyclotomic(3)")
+    assert FunctionField(GF(5), "t") is parse_field("gf(5)(t)")
+    assert FunctionField(FunctionField(QQ, "t"), "s") is parse_field("Q(t)(s)")
+    assert FunctionField(QQ, "t") is not FunctionField(QQ, "s")
+    assert FunctionField(QQ, "t") != FunctionField(GF(5), "t")
+
+
+@pytest.mark.parametrize(
+    "call",
+    [
+        lambda: GF(p=5),
+        lambda: CyclotomicField(n=3),
+        lambda: FunctionField(QQ, name="t"),
+        lambda: FunctionField(inner=QQ, name="t"),
+    ],
+    ids=["GF", "CyclotomicField", "FunctionField-name", "FunctionField-both"],
+)
+def test_factories_take_no_keywords(call):
+    # a keyword call would be a second cache key, and so a second object
+    with pytest.raises(TypeError):
+        call()
+
+
+@pytest.mark.parametrize("path", sorted(FIXTURES.glob("*.tw")), ids=lambda p: p.stem)
+def test_two_parses_of_a_fixture_share_their_field(path):
+    """Two parses build two towers over one field object: the towers compare
+    equal, and their scalars add, multiply and hash together."""
+    first, second = parse_tower_file(str(path)), parse_tower_file(str(path))
+    assert first is not second and first == second
+    assert first.base is not second.base and hash(first.base) == hash(second.base)
+    field = first.base.field
+    assert second.base.field is field
+
+    def sample(tower):
+        F = tower.base.field
+        return F.coerce(2) if F.gen is None else F.gen + 2
+
+    a, b = sample(first), sample(second)
+    assert a == b and hash(a) == hash(b) and len({a, b}) == 1
+    assert a + b == 2 * a and a * b == a**2 and (a * b).field is field
+    assert first.base.one == second.base.one and hash(first.base.one) == hash(second.base.one)
 
 
 def test_cross_field_coercion():
@@ -461,7 +520,7 @@ def test_cyclotomic_order_cap(monkeypatch):
 
     monkeypatch.setattr(scalars, "cyclotomic_polynomial", refuse)
     with pytest.raises(ValueError, match="exceeds 1000"):
-        scalars.CyclotomicFieldImpl(scalars.MAX_CYCLOTOMIC_ORDER + 1)
+        scalars.CyclotomicField(scalars.MAX_CYCLOTOMIC_ORDER + 1)
     for digits in (str(scalars.MAX_CYCLOTOMIC_ORDER + 1), "9" * 5000):
         with pytest.raises(ValueError, match="exceeds 1000"):
             parse_field(f"cyclotomic({digits})")
@@ -486,7 +545,7 @@ def test_prime_field_cap(monkeypatch):
     with pytest.raises(ValueError, match="not prime"):
         parse_field(f"gf({largest + 2})")
     with pytest.raises(ValueError, match="exact only below"):
-        scalars.PrimeFieldImpl(scalars._MR_EXACT_BELOW + 2)
+        scalars.GF(scalars._MR_EXACT_BELOW + 2)
 
     def refuse(n):
         raise AssertionError("primality tested past the cap")

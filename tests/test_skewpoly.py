@@ -9,7 +9,7 @@ import pytest
 from oretower import skewpoly, tower as tower_module
 from oretower.cli import parse_tower_file
 from oretower.errors import ScalarError, SupportTooHigh, TowerMismatch
-from oretower.scalars import QQ, CyclotomicField, FunctionField, Matrix, Scalar
+from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, Scalar
 from oretower.skewpoly import NEG_INF, SkewPoly, apply_level_map, degree_leading, is_central
 from oretower.tower import BaseRing, OreTower, TowerLevel
 
@@ -215,6 +215,40 @@ def test_tower_mismatch():
     t2 = qplane(QQ, 3)
     with pytest.raises(TowerMismatch):
         t1.var(0) * t2.var(0)
+    # equality answers across towers instead of raising
+    assert t1.var(0) != t2.var(0) and not t1.var(0) == t2.var(0)
+
+
+def test_equality_with_a_value_outside_the_base_is_false():
+    """A value that does not coerce into the base equals no polynomial, as
+    a Scalar equals no Scalar of another field; ==, != and ``in`` answer
+    without raising, from either side."""
+    tower = parse_tower_file(str(FIXTURES / "qplane_lambda2.tw"))
+    gf5 = parse_tower_file(str(FIXTURES / "weyl_gf5.tw"))
+    cases = [
+        (tower, GF(7).coerce(1)),
+        (tower, Matrix(QQ, [[1]])),
+        (tower, CyclotomicField(3).gen),
+        (gf5, Fraction(1, 5)),
+        (gf5, QQ.coerce(Fraction(2, 5))),
+    ]
+    for t, value in cases:
+        for p in (t.var(0), t.one()):
+            assert not p == value and not value == p
+            assert p != value and value != p
+            assert value not in [p] and p not in [value]
+
+
+def test_equality_with_base_elements_and_equal_towers():
+    tower = parse_tower_file(str(FIXTURES / "qplane_lambda2.tw"))
+    one, x = tower.one(), tower.var(0)
+    assert one == 1 and 1 == one and one == QQ.coerce(1) and 2 * one == Fraction(2)
+    assert x - x == 0 and x != 1 and one in [1]
+    # a second parse is another tower object that compares equal
+    again = parse_tower_file(str(FIXTURES / "qplane_lambda2.tw"))
+    assert again is not tower and again.var(0) == x and again.one() == one
+    gf5 = parse_tower_file(str(FIXTURES / "weyl_gf5.tw"))
+    assert gf5.one() == 6 and gf5.one() == Fraction(1, 6) and gf5.one() == GF(5).one
 
 
 def test_normal_form_uniqueness(any_tower):
