@@ -77,9 +77,6 @@ class _Token:
         self.line = line
         self.col = col
 
-    def __repr__(self):
-        return f"{self.kind}:{self.value}"
-
 
 _SYMBOLS = "+-*/^()[],"
 # blanks, then an ASCII number, a word or one other character; \s is

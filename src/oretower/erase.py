@@ -301,7 +301,6 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     moved_up = replace(
         lo,
         sigma_vars={**lo.sigma_vars, p: (lam.inverse(), {})},
-        delta_vars={**lo.delta_vars, p: {}},
         q=lo.q if compat.q_preserved else None,
     )
     new_levels.extend([moved_down, moved_up])
@@ -421,12 +420,13 @@ def _check_erase_hypotheses(tower: OreTower) -> None:
                     raise HypothesisViolation(
                         f"delta_{k + 1} does not kill lambda[{i + 1},{j + 1}]"
                     )
-        if lvl.q is not None and lvl.q == base.field.one:
-            raise HypothesisViolation(f"level {i + 1} declares q = 1")
-        if not lvl.delta_is_zero() and lvl.q is None:
-            raise HypothesisViolation(
-                f"level {i + 1} has a nonzero delta but declares no q"
-            )
+        if not lvl.delta_is_zero():
+            if lvl.q is None:
+                raise HypothesisViolation(
+                    f"level {i + 1} has a nonzero delta but declares no q"
+                )
+            if lvl.q == base.field.one:
+                raise HypothesisViolation(f"level {i + 1} declares q = 1")
 
 
 def _verify_relations(tower: OreTower, ys: list[SkewPoly]) -> None:

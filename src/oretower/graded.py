@@ -62,7 +62,6 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
     steps: list[GradedStep] = []
     for idx in range(tower.height - 1, -1, -1):
         lvl = tower.levels[idx]
-        dropped_vars = [j for j, terms in lvl.delta_vars.items() if terms]
         dropped_c = [
             (k, idx)
             for k in range(idx + 1, tower.height)
@@ -72,7 +71,7 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
             GradedStep(
                 level=idx,
                 dropped_delta_base=not lvl.delta_base.is_trivial(),
-                dropped_delta_vars=sorted(dropped_vars),
+                dropped_delta_vars=sorted(lvl.delta_vars),
                 dropped_c=dropped_c,
             )
         )

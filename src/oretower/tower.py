@@ -17,6 +17,7 @@ from __future__ import annotations
 
 import functools
 from dataclasses import dataclass, field as dc_field
+from types import MappingProxyType
 
 from .errors import HypothesisViolation, NotDiagonal, ScalarError
 from .scalars import Matrix, Scalar
@@ -300,6 +301,9 @@ def require_base_automorphism(base: BaseRing, sigma: BaseMap, name: str = "sigma
 # ---------------------------------------------------------------------------
 # levels and towers
 
+# the terms of a zero map, shared by every default that OreTower supplies
+_NO_TERMS = MappingProxyType({})
+
 # most images OreTower._base_map_memo stores; past it, images are computed
 # and not stored
 BASE_MAP_MEMO_ENTRIES = 50_000
@@ -309,8 +313,10 @@ BASE_MAP_MEMO_ENTRIES = 50_000
 class TowerLevel:
     """One level of the tower: its maps on the base and on lower variables.
 
-    Levels are frozen; derive a changed level with ``dataclasses.replace``.
-    A tower never writes into the dicts of the levels it is given.
+    A level stores only the maps it declares; a lower variable with no
+    entry has sigma(x_j) = x_j and delta(x_j) = 0.  Levels are frozen;
+    derive a changed level with ``dataclasses.replace``.  A tower never
+    writes into the dicts of the levels it is given.
     """
 
     name: str
@@ -321,17 +327,16 @@ class TowerLevel:
     q: Scalar | None = None
 
     def delta_is_zero(self) -> bool:
-        return self.delta_base.is_trivial() and all(
-            not terms for terms in self.delta_vars.values()
-        )
+        return self.delta_base.is_trivial() and not any(self.delta_vars.values())
 
 
 class OreTower:
     """Presentation of an iterated Ore extension over its base ring.
 
     ``levels`` is a tuple of normalised copies of the given levels: entries
-    coerced into the base, zero terms dropped, and every lower variable
-    mapped (identity sigma, zero delta by default).
+    coerced into the base, zero terms dropped, and only the declared maps
+    kept (a sigma other than x_j -> x_j, a nonzero delta).  The identity
+    and zero defaults come from ``sigma_var_raw`` and ``delta_var_raw``.
     """
 
     def __init__(self, base: BaseRing, levels):
@@ -343,20 +348,9 @@ class OreTower:
     @classmethod
     def bare(cls, base: BaseRing, names) -> "OreTower":
         """The tower on ``names`` whose every level has the identity sigma
-        and zero delta, on the base and on each lower variable; its levels
-        are built normalised, so none is normalised."""
-        one = base.one
-        return cls._of_normalised(
-            base,
-            [
-                TowerLevel(
-                    name,
-                    sigma_vars={j: (one, {}) for j in range(i)},
-                    delta_vars={j: {} for j in range(i)},
-                )
-                for i, name in enumerate(names)
-            ],
-        )
+        and zero delta, on the base and on each lower variable; a level
+        that declares nothing is normalised already."""
+        return cls._of_normalised(base, [TowerLevel(name) for name in names])
 
     def with_level(self, i: int, level: TowerLevel) -> "OreTower":
         """This tower with level i replaced by ``level``, normalised as the
@@ -373,18 +367,17 @@ class OreTower:
         not validated, since the result need not be a tower."""
         names = _erased_names(self, range(self.height))
         qs = qs or [None] * self.height
+        one = self.base.one
         return self._of_normalised(
             self.base,
             [
                 TowerLevel(
                     name,
                     lvl.sigma_base,
-                    BaseMap.zero(),
-                    {j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items()},
-                    {j: {} for j in range(i)},
-                    q,
+                    sigma_vars={j: (a, {}) for j, (a, _c) in lvl.sigma_vars.items() if a != one},
+                    q=q,
                 )
-                for i, (lvl, name, q) in enumerate(zip(self.levels, names, qs, strict=True))
+                for lvl, name, q in zip(self.levels, names, qs, strict=True)
             ],
         )
 
@@ -419,6 +412,7 @@ class OreTower:
         # skewpoly, which then multiplies the coefficients once per term pair
         self._fixes_base = all(maps == (True, True) for maps in self._trivial_maps)
         self._base_zero = base.zero
+        self._identity_sigma_var = (base.one, _NO_TERMS)
 
     @functools.cached_property
     def validation(self) -> "ValidationReport":
@@ -491,11 +485,14 @@ class OreTower:
                 self._base_map_memo[key] = image
         return image
 
+    # a level stores only the maps it declares; these two supply the
+    # identity sigma_i(x_j) = x_j and the zero delta_i(x_j) for the rest,
+    # as read-only maps that no caller can write through
     def sigma_var_raw(self, i: int, j: int):
-        return self.levels[i].sigma_vars[j]
+        return self.levels[i].sigma_vars.get(j, self._identity_sigma_var)
 
     def delta_var_raw(self, i: int, j: int):
-        return self.levels[i].delta_vars[j]
+        return self.levels[i].delta_vars.get(j, _NO_TERMS)
 
     # the level dicts are clean; a copy keeps callers from writing into them
     def sigma_var(self, i: int, j: int):
@@ -525,21 +522,22 @@ def _erased_names(tower: OreTower, renamed) -> list[str]:
 
 
 def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> TowerLevel:
+    """``lvl`` with its entries coerced into the base and cleaned, keeping
+    only the sigma entries other than x_j -> x_j and the nonzero deltas."""
     sigma_vars, delta_vars = {}, {}
     for j, (a, c_terms) in lvl.sigma_vars.items():
         if not 0 <= j < i:
             raise ValueError(f"level {i} maps variable {j} outside its scope")
-        sigma_vars[j] = (
-            base.coerce(a),
-            _level_terms(base, height, c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})"),
-        )
+        a = base.coerce(a)
+        c_terms = _level_terms(base, height, c_terms, j, f"c part of sigma_{i + 1}(x_{j + 1})")
+        if c_terms or a != base.one:
+            sigma_vars[j] = (a, c_terms)
     for j, d_terms in lvl.delta_vars.items():
         if not 0 <= j < i:
             raise ValueError(f"level {i} maps variable {j} outside its scope")
-        delta_vars[j] = _level_terms(base, height, d_terms, i, f"delta_{i + 1}(x_{j + 1})")
-    for j in range(i):
-        sigma_vars.setdefault(j, (base.one, {}))
-        delta_vars.setdefault(j, {})
+        d_terms = _level_terms(base, height, d_terms, i, f"delta_{i + 1}(x_{j + 1})")
+        if d_terms:
+            delta_vars[j] = d_terms
     q = None if lvl.q is None else base.field.coerce(lvl.q)
     return TowerLevel(lvl.name, lvl.sigma_base, lvl.delta_base, sigma_vars, delta_vars, q)
 
@@ -578,14 +576,6 @@ class ValidationReport:
 
     def add(self, level: int, name: str, ok: bool, detail: str = "") -> None:
         self.checks.append(CheckResult(level, name, ok, detail))
-
-    def __repr__(self):
-        status = "valid" if self.ok else "invalid"
-        lines = [f"tower {status} ({len(self.checks)} checks)"]
-        for c in self.checks:
-            if not c.ok:
-                lines.append(f"  level {c.level + 1} {c.name}: FAIL {c.detail}")
-        return "\n".join(lines)
 
 
 def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:

@@ -448,6 +448,30 @@ def test_level_errors_have_no_position(argv, message, capsys):
     assert captured.out == ""
 
 
+@pytest.mark.parametrize(
+    "tower, left, message",
+    [
+        ("mat2_inner.tw", "[[x,1],[0,1]]", "line 1, column 1: matrix entries must be scalars"),
+        ("mat2_inner.tw", "[[1,0],[0,1]]+1", "line 1, column 14: cannot add a matrix and a scalar"),
+        (
+            "mat2_inner.tw",
+            "[[1,0],[0,1]]-1",
+            "line 1, column 14: cannot subtract a matrix and a scalar",
+        ),
+        ("qweyl_q.tw", "x1/x2", "line 1, column 3: division only by scalars"),
+        ("qweyl_q.tw", "x1^-1", "line 1, column 3: negative powers of polynomials"),
+        # a scalar power's own error, with the position of its ^
+        ("qweyl_q.tw", "0^-1", "line 1, column 2: inverse of zero in Q(q)"),
+    ],
+    ids=["matrix_entry", "add", "sub", "div", "poly_power", "scalar_power"],
+)
+def test_expression_errors_exit_two(tower, left, message, capsys):
+    assert run(["mul", "--tower", fixture(tower), left, "1"]) == 2
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {message}\n"
+    assert captured.out == ""
+
+
 def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
     assert run(["validate"]) == 2
     capsys.readouterr()

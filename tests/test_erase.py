@@ -4,7 +4,7 @@ from pathlib import Path
 import pytest
 
 from oretower import erase
-from oretower.cli import parse_tower_file, parse_tower_text
+from oretower.cli import parse_tower_file, parse_tower_text, run
 from oretower.errors import (
     HypothesisViolation,
     NotDiagonal,
@@ -774,3 +774,64 @@ def test_erase_all_validates_each_tower_once(monkeypatch):
     assert calls == [tower, result.new_tower]
     assert pi_report(tower).verdict == "PI"
     assert len(calls) == 2
+
+
+# towers that validate, kept here and not in tests/fixtures, which the
+# benchmark's commands workload reads in full
+_TWO_LEVELS = "[base]\nkind = {kind}\n\n[[level]]\nvar = x1\n{low}\n[[level]]\nvar = x2\n{high}"
+
+_ERASE_ALL_CASES = {
+    # q = 1 on a level with no delta: nothing to erase on it
+    "q1_no_delta": (
+        _TWO_LEVELS.format(kind="field\nfield = Q(q)", low="", high="sigma x1 = q * x1\nq = 1\n"),
+        0,
+        "",
+    ),
+    "q1_weyl": (
+        _TWO_LEVELS.format(kind="field\nfield = Q", low="", high="delta x1 = 1\nq = 1\n"),
+        1,
+        "level 2 declares q = 1",
+    ),
+    "noncentral_lambda": (
+        _TWO_LEVELS.format(
+            kind="matrix\nfield = Q\nsize = 2",
+            low="sigma_base = conj([[1, 0], [0, 2]])\n",
+            high="sigma_base = conj([[0, 1], [1, 0]])\nsigma x1 = [[2, 0], [0, 1/2]] * x1\n",
+        ),
+        1,
+        "lambda[2,1] is not central",
+    ),
+    "sigma_moves_lambda": (
+        _TWO_LEVELS.format(kind="field\nfield = Q(t)", low="", high="sigma_base = 2*t\nsigma x1 = t * x1\n"),
+        1,
+        "sigma_2 moves lambda[2,1]",
+    ),
+    # x1 t = t^-1 x1, and delta_2 = d/dt with sigma_2(x1) = -t^-2 x1 keeps the
+    # twisted Leibniz rule on that relation, yet delta_2(-t^-2) = 2 t^-3
+    "delta_moves_lambda": (
+        _TWO_LEVELS.format(
+            kind="field\nfield = Q(t)",
+            low="sigma_base = 1/t\n",
+            high="delta_base = 1\nsigma x1 = (-1/t^2) * x1\n",
+        ),
+        1,
+        "delta_2 does not kill lambda[2,1]",
+    ),
+}
+
+
+@pytest.mark.parametrize("name", sorted(_ERASE_ALL_CASES))
+def test_erase_all_hypotheses_on_valid_towers(name, capsys, tmp_path):
+    """erase-all asks q != 1 only of a level with a nonzero delta, and
+    refuses a lambda that is not central or that a higher map moves."""
+    text, code, message = _ERASE_ALL_CASES[name]
+    path = tmp_path / f"{name}.tw"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["erase-all", "--tower", str(path)]) == code
+    out = capsys.readouterr().out
+    if code:
+        assert out == f"error[HypothesisViolation]: {message}\n"
+    else:
+        assert out.startswith("y1 = x1\ny2 = x2\nresult tower: Q(q)[y1][y2]\n")

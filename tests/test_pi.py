@@ -1,12 +1,13 @@
 import pytest
 
-from oretower.cli import parse_tower_file, parse_tower_text
+from oretower.cli import parse_tower_file, parse_tower_text, run
 from oretower.erase import erase_all
 from oretower.pi import centrality_witness, pi_report
 from oretower.scalars import QQ, CyclotomicField, FunctionField
 from oretower.skewpoly import SkewPoly, is_central
 from oretower.tower import BaseRing, OreTower, TowerLevel, validate_tower
 
+from test_erase import _ERASE_ALL_CASES, _TWO_LEVELS
 from test_tower import FIXTURES, _validation_corpus
 
 from conftest import count_calls, mat2_inner_tower, qplane, qweyl, weyl_gf5, zeta5_deriv_tower
@@ -189,3 +190,27 @@ def test_witness_takes_no_polynomial_product(monkeypatch):
     monkeypatch.undo()
     assert products == []
     assert any(hits)
+
+
+@pytest.mark.parametrize(
+    "text, reason",
+    [
+        (_ERASE_ALL_CASES["q1_weyl"][0], "level 2 declares q = 1"),
+        (
+            _TWO_LEVELS.format(
+                kind="matrix\nfield = cyclotomic(4)\nsize = 2",
+                low="sigma_base = conj([[1, 0], [0, z]])\n",
+                high="sigma_base = conj([[0, 1], [1, 0]])\nsigma x1 = [[z, 0], [0, z^3]] * x1\n",
+            ),
+            "lambda[2,1] is not a nonzero scalar",
+        ),
+    ],
+    ids=["q1_weyl", "zeta4_noncentral"],
+)
+def test_pi_check_undecided_on_valid_towers(text, reason, capsys, tmp_path):
+    path = tmp_path / "tower.tw"
+    path.write_text(text, encoding="utf-8")
+    assert run(["validate", "--tower", str(path)]) == 0
+    capsys.readouterr()
+    assert run(["pi-check", "--tower", str(path)]) == 0
+    assert capsys.readouterr().out == f"verdict: Undecided ({reason})\n"

@@ -251,6 +251,21 @@ def test_equality_with_base_elements_and_equal_towers():
     assert gf5.one() == 6 and gf5.one() == Fraction(1, 6) and gf5.one() == GF(5).one
 
 
+def test_polynomials_are_unhashable():
+    """A constant equals its int and its base value, whose hashes no hash of
+    the terms could match, so a polynomial has no hash; equality is as
+    before."""
+    tower = parse_tower_file(str(FIXTURES / "qplane_lambda2.tw"))
+    for p in (tower.one(), tower.var(0), tower.zero()):
+        with pytest.raises(TypeError):
+            hash(p)
+        with pytest.raises(TypeError):
+            {p}
+    one = tower.one()
+    assert one == 1 and one == QQ.coerce(1) and tower.var(1) == tower.var(1)
+    assert parse_tower_file(str(FIXTURES / "qplane_lambda2.tw")).one() == one
+
+
 def test_normal_form_uniqueness(any_tower):
     rng = random.Random(10)
     p = random_poly(any_tower, rng)

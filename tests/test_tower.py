@@ -31,13 +31,19 @@ from oretower.tower import (
 from test_cli_fuzz import _mutants
 
 from conftest import (
+    ARITHMETIC_FIXTURES,
+    UNVALIDATED_SIGMA_X1,
     count_calls,
     mat2_inner_tower,
+    mat2_twolevel,
+    mat2_unvalidated,
+    mat2_unvalidated_three,
     qplane,
     qweyl,
     ratfunc_deriv_tower,
     three_level_graded,
     weyl_gf5,
+    weyl_sigma_top_tower,
     zeta5_deriv_tower,
 )
 
@@ -956,9 +962,62 @@ def test_tower_copies_levels_and_leaves_caller_dicts_alone():
     tower = OreTower(BaseRing.field_ring(field), [TowerLevel("x1"), TowerLevel("x2"), top])
     assert sigma_vars == {1: (z, {})} and delta_vars == {}
     assert top.sigma_vars is sigma_vars and top.delta_vars is delta_vars
-    # the tower's own copy maps every lower variable
-    assert tower.levels[2].sigma_vars == {1: (z, {}), 0: (field.one, {})}
-    assert tower.levels[2].delta_vars == {0: {}, 1: {}}
+    # the tower's own copy keeps only the maps the level declares
+    assert tower.levels[2].sigma_vars == {1: (z, {})}
+    assert tower.levels[2].delta_vars == {}
+
+
+def _conftest_towers() -> list:
+    """Every tower that conftest builds: the arithmetic fixtures (which hold
+    qplane, qweyl, weyl_gf5, mat2_inner and three_level) and the rest."""
+    return [
+        *(build() for build in ARITHMETIC_FIXTURES.values()),
+        mat2_twolevel(),
+        *(mat2_unvalidated(name) for name in UNVALIDATED_SIGMA_X1),
+        mat2_unvalidated_three(),
+        zeta5_deriv_tower(),
+        ratfunc_deriv_tower(),
+        weyl_sigma_top_tower(),
+    ]
+
+
+def test_levels_store_only_the_maps_they_declare():
+    towers = [parse_tower_file(str(path)) for path in sorted(FIXTURES.glob("*.tw"))]
+    for tower in towers + _conftest_towers():
+        one = tower.base.one
+        for i, lvl in enumerate(tower.levels):
+            assert all(c or a != one for a, c in lvl.sigma_vars.values()), (tower, i)
+            assert all(lvl.delta_vars.values()), (tower, i)
+            for j in range(i):
+                a, c = tower.sigma_var_raw(i, j)
+                if j not in lvl.sigma_vars:
+                    assert a == one and not c
+                if j not in lvl.delta_vars:
+                    assert not tower.delta_var_raw(i, j)
+    # mat2_unvalidated_three declares sigma_3(x_2) = x_2, which is not kept
+    tower = mat2_unvalidated_three()
+    assert list(tower.levels[2].sigma_vars) == [0]
+    # the defaults are shared and read-only
+    tower = OreTower.bare(BaseRing.field_ring(QQ), ["x1", "x2", "x3"])
+    assert all(not lvl.sigma_vars and not lvl.delta_vars for lvl in tower.levels)
+    assert tower.sigma_var_raw(1, 0) is tower.sigma_var_raw(2, 1)
+    assert tower.delta_var_raw(1, 0) is tower.delta_var_raw(2, 1)
+    with pytest.raises(TypeError):
+        tower.sigma_var_raw(1, 0)[1][(1, 0, 0)] = QQ.one
+    with pytest.raises(TypeError):
+        tower.delta_var_raw(2, 1)[(1, 0, 0)] = QQ.one
+
+
+def test_explicit_identity_sigma_and_zero_delta_lines_change_nothing():
+    text = (FIXTURES / "three_level.tw").read_text(encoding="utf-8")
+    plain = parse_tower_text(text)
+    explicit = parse_tower_text(
+        text.replace("var = x2\n", "var = x2\nsigma x1 = 1 * x1\ndelta x1 = 0\n")
+        + "delta x1 = 0\ndelta x2 = 0\n"
+    )
+    assert explicit.levels[1].sigma_vars == {} and explicit.levels[1].delta_vars == {}
+    assert explicit == plain
+    assert render_tower_file(explicit) == render_tower_file(plain)
 
 
 def test_tower_levels_are_frozen():
