@@ -15,7 +15,6 @@ from .errors import (
     NotDiagonal,
     OreError,
     ParseError,
-    QEqualsOne,
     ScalarError,
     SupportTooHigh,
     TowerMismatch,
@@ -72,7 +71,6 @@ __all__ = [
     "OreTower",
     "PIReport",
     "ParseError",
-    "QEqualsOne",
     "Scalar",
     "ScalarError",
     "SkewPoly",

@@ -50,6 +50,7 @@ from .pi import DEFAULT_ORDER_BOUND, centrality_witness, pi_report
 from .scalars import Matrix, Scalar, _wrap, parse_field
 from .skewpoly import SkewPoly, is_central
 from .tower import (
+    NO_MAP,
     BaseMap,
     BaseRing,
     OreTower,
@@ -473,8 +474,7 @@ def _parse_base(items) -> BaseRing:
 
 
 def _parse_level(base, shell, names, index, items, scalar_ctx, matrix_ctx) -> TowerLevel:
-    sigma_base = BaseMap.identity()
-    delta_base = BaseMap.zero()
+    sigma_base = delta_base = NO_MAP
     sigma_vars: dict = {}
     delta_vars: dict = {}
     q = None
@@ -549,13 +549,11 @@ def _split_sigma_image(poly: SkewPoly, j: int, line: int, col: int):
     return a, c_terms
 
 
-def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_base=None):
+def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_base=NO_MAP):
     """The base map of a ``sigma_base``/``delta_base`` value ``text``,
     which starts after ``col`` characters of line ``line``."""
-    if kind == "sigma" and text == "id":
-        return BaseMap.identity()
-    if kind == "delta" and text == "zero":
-        return BaseMap.zero()
+    if text == ("id" if kind == "sigma" else "zero"):
+        return NO_MAP
     for head in ("conj", "inner", "linear"):
         if text.startswith(head + "(") and text.endswith(")"):
             if base.kind != "matrix":
@@ -582,8 +580,8 @@ def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_b
                         line, col + 1, "conj(...) needs an invertible matrix"
                     ) from None
             if head == "inner":
-                return BaseMap.inner_derivation(m, sigma_base or BaseMap.identity())
-            return BaseMap.linear(kind, m)
+                return BaseMap.inner_derivation(m, sigma_base)
+            return BaseMap(linear_action=m)
     if base.kind == "matrix":
         raise FieldMismatch(
             f"{kind}_base on a matrix base must be id/zero, conj(...), "
@@ -594,7 +592,7 @@ def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_b
         raise FieldMismatch(
             f"{base.field.name} has no generator; only id/zero base maps exist"
         )
-    return BaseMap.field_auto(image) if kind == "sigma" else BaseMap.field_deriv(image)
+    return BaseMap(field_action=image)
 
 
 # ---------------------------------------------------------------------------

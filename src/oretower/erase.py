@@ -49,7 +49,6 @@ from .errors import (
     CompatibilityFailed,
     HypothesisViolation,
     NotDiagonal,
-    QEqualsOne,
     UnsupportedErasure,
     VerificationFailed,
 )
@@ -62,7 +61,7 @@ from .skewpoly import (
     is_central,
 )
 from .tower import (
-    BaseMap,
+    NO_MAP,
     OreTower,
     _erased_names,
     _level_generators,
@@ -114,7 +113,7 @@ def erase_top(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE)
             f"level {top + 1} has a nonzero delta but declares no q value"
         )
     if q == tower.base.field.one:
-        raise QEqualsOne(f"level {top + 1} declares q = 1")
+        raise HypothesisViolation(f"level {top + 1} declares q = 1")
 
     found = _center_moving(tower, top, search_degree_bound)
     if found is not None:
@@ -207,7 +206,7 @@ def _assert_sigma_relation(tower: OreTower, top: int, y: SkewPoly) -> None:
 def _zero_top_delta(tower: OreTower) -> OreTower:
     top = tower.height - 1
     name = _erased_names(tower, [top])[top]
-    erased = replace(tower.levels[top], name=name, delta_base=BaseMap.zero(), delta_vars={})
+    erased = replace(tower.levels[top], name=name, delta_base=NO_MAP, delta_vars={})
     return tower.with_level(top, erased)
 
 
@@ -351,7 +350,7 @@ def erase_all(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE)
         level = top - k
         try:
             y_w, new_working, wit = erase_top(working, search_degree_bound)
-        except (UnsupportedErasure, QEqualsOne) as exc:
+        except UnsupportedErasure as exc:
             raise type(exc)(f"erasing level {level + 1}: {exc}") from exc
         y_orig = _substitute(tower, y_w, embed.__getitem__)
         y_elements[level] = y_orig

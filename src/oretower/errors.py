@@ -41,10 +41,6 @@ class UnsupportedErasure(OreError):
     """No erasure branch applies within the configured search bounds."""
 
 
-class QEqualsOne(OreError):
-    """Erasure requires the level's q value to differ from 1."""
-
-
 class HypothesisViolation(OreError):
     """A structural precondition of a tower transformation does not hold."""
 

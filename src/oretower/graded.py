@@ -27,7 +27,7 @@ from typing import Callable
 
 from .errors import HypothesisViolation
 from .skewpoly import SkewPoly, degree_leading
-from .tower import OreTower, _level_generators
+from .tower import NO_MAP, OreTower, _level_generators
 
 
 @dataclass
@@ -70,7 +70,7 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
         steps.append(
             GradedStep(
                 level=idx,
-                dropped_delta_base=not lvl.delta_base.is_trivial(),
+                dropped_delta_base=lvl.delta_base is not NO_MAP,
                 dropped_delta_vars=sorted(lvl.delta_vars),
                 dropped_c=dropped_c,
             )

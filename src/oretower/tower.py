@@ -136,50 +136,31 @@ class BaseRing:
 class BaseMap:
     """Action of a level map on the base ring.
 
+    The slot a map sits in says how it acts: ``TowerLevel.sigma_base``
+    holds the automorphism sigma, ``TowerLevel.delta_base`` the
+    sigma-derivation delta.  A tower stores a map that acts trivially in
+    its slot (the identity in a sigma slot, zero in a delta slot) as the
+    one shared empty map ``NO_MAP``.
+
     For a field base the map is recorded through the image of the field
-    generator: sigma maps gen to ``field_action`` (None meaning the
-    identity) and extends as a field homomorphism; delta maps gen to
-    ``field_action`` (None meaning zero) and extends by the twisted
+    generator, ``field_action``: sigma maps gen to it and extends as a
+    field homomorphism; delta maps gen to it and extends by the twisted
     Leibniz and quotient rules against the level's sigma.
 
     For a matrix-algebra base the map is F-linear and carried entirely by
     ``linear_action``, an m^2 x m^2 matrix acting on the units in
-    row-major order (None meaning identity for sigma, zero for delta).
-    In that layout r -> l r is the Kronecker product l (x) 1 and r -> r l
-    is 1 (x) l^T, so r -> l r l' is l (x) l'^T (Horn and Johnson, *Topics
-    in Matrix Analysis*, 1991, section 4.3).
+    row-major order.  In that layout r -> l r is the Kronecker product
+    l (x) 1 and r -> r l is 1 (x) l^T, so r -> l r l' is l (x) l'^T (Horn
+    and Johnson, *Topics in Matrix Analysis*, 1991, section 4.3).
     """
 
-    kind: str  # "sigma" | "delta"
     field_action: Scalar | None = None
     linear_action: Matrix | None = None
-
-    # one shared instance each: a frozen map needs no copies, and every
-    # level a tower builds without a base map takes one of these
-    @classmethod
-    def identity(cls) -> "BaseMap":
-        return _IDENTITY_MAP
-
-    @classmethod
-    def zero(cls) -> "BaseMap":
-        return _ZERO_MAP
-
-    @classmethod
-    def field_auto(cls, image: Scalar) -> "BaseMap":
-        return cls("sigma", field_action=image)
-
-    @classmethod
-    def field_deriv(cls, image: Scalar) -> "BaseMap":
-        return cls("delta", field_action=image)
-
-    @classmethod
-    def linear(cls, kind: str, action: Matrix) -> "BaseMap":
-        return cls(kind, linear_action=action)
 
     @classmethod
     def conjugation(cls, a: Matrix) -> "BaseMap":
         """sigma(r) = a r a^{-1} on Mat_m."""
-        return cls("sigma", linear_action=Matrix.two_sided_action(a, a.inverse()))
+        return cls(linear_action=Matrix.two_sided_action(a, a.inverse()))
 
     @classmethod
     def inner_derivation(cls, b: Matrix, sigma: "BaseMap") -> "BaseMap":
@@ -188,7 +169,7 @@ class BaseMap:
         right_b = Matrix.two_sided_action(one, b)
         if sigma.linear_action is not None:
             right_b = right_b * sigma.linear_action
-        return cls("delta", linear_action=Matrix.two_sided_action(b, one) - right_b)
+        return cls(linear_action=Matrix.two_sided_action(b, one) - right_b)
 
     # validation, map_order and the commands all ask; a frozen dataclass
     # keeps the answer in its __dict__, outside the compared fields
@@ -240,19 +221,10 @@ class BaseMap:
             return None
         return b
 
-    def is_trivial(self) -> bool:
-        """Identity (sigma) or zero map (delta)."""
-        if self.kind == "sigma":
-            if self.field_action is not None and self.field_action != self.field_action.field.gen:
-                return False
-            return self.linear_action is None or _is_identity_matrix(self.linear_action)
-        if self.field_action is not None and not self.field_action.is_zero():
-            return False
-        return self.linear_action is None or self.linear_action.is_zero()
 
-
-_IDENTITY_MAP = BaseMap("sigma")
-_ZERO_MAP = BaseMap("delta")
+# the map of every slot in which a level's map acts trivially; a frozen map
+# needs no copies, and the tower's readers test for it by identity
+NO_MAP = BaseMap()
 
 
 def _units(field, m: int) -> list:
@@ -260,27 +232,25 @@ def _units(field, m: int) -> list:
     return [Matrix.unit(field, m, r, c) for r in range(m) for c in range(m)]
 
 
-def _is_identity_matrix(m: Matrix) -> bool:
-    z = m.scalar_part()
-    return z is not None and z == m.field.one
-
-
-def _apply_base_map(base: BaseRing, bmap: BaseMap, companion_sigma: BaseMap, element):
-    """Apply a base map to a base element.
+def _apply_base_map(base: BaseRing, lvl: TowerLevel, is_delta: bool, element):
+    """Apply the base map in slot ``is_delta`` of ``lvl`` to a base
+    element: delta when ``is_delta``, else sigma.
 
     On Mat_m the linear action acts on the entries in row-major order
-    (``Matrix.act_on``); on a field the field applies the map from the
-    generator's image.  ``companion_sigma`` is the level's sigma, the
-    twisting automorphism of a delta on a field; sigma maps ignore it.
+    (``Matrix.act_on``), and a map with none (a field action, which
+    validation refuses there) acts as no map.  On a field the field
+    applies the map from the generator's image, a delta twisted by the
+    level's sigma.
     """
+    bmap = lvl.delta_base if is_delta else lvl.sigma_base
     if base.kind == "matrix":
         action = bmap.linear_action
         if action is None:
-            return element if bmap.kind == "sigma" else base.zero
+            return base.zero if is_delta else element
         return action.act_on(element)
-    if bmap.kind == "sigma":
-        return base.field.substitute(element, bmap.field_action)
-    return base.field.derive(element, companion_sigma.field_action, bmap.field_action)
+    if is_delta:
+        return base.field.derive(element, lvl.sigma_base.field_action, bmap.field_action)
+    return base.field.substitute(element, bmap.field_action)
 
 
 def _sigma_base_defect(base: BaseRing, sigma: BaseMap) -> str | None:
@@ -313,21 +283,27 @@ BASE_MAP_MEMO_ENTRIES = 50_000
 class TowerLevel:
     """One level of the tower: its maps on the base and on lower variables.
 
-    A level stores only the maps it declares; a lower variable with no
-    entry has sigma(x_j) = x_j and delta(x_j) = 0.  Levels are frozen;
-    derive a changed level with ``dataclasses.replace``.  A tower never
-    writes into the dicts of the levels it is given.
+    ``sigma_base`` acts as sigma and ``delta_base`` as delta, whatever
+    actions they carry.  A level stores only the maps it declares; a
+    lower variable with no entry has sigma(x_j) = x_j and delta(x_j) = 0,
+    and a tower stores a base map that acts as the identity (sigma) or as
+    zero (delta) as ``NO_MAP``.  Levels are frozen; derive a changed level
+    with ``dataclasses.replace``.  A tower never writes into the dicts of
+    the levels it is given.
     """
 
     name: str
-    sigma_base: BaseMap = dc_field(default_factory=BaseMap.identity)
-    delta_base: BaseMap = dc_field(default_factory=BaseMap.zero)
+    sigma_base: BaseMap = NO_MAP
+    delta_base: BaseMap = NO_MAP
     sigma_vars: dict = dc_field(default_factory=dict)  # j -> (a_ij, c_ij term dict)
     delta_vars: dict = dc_field(default_factory=dict)  # j -> term dict
     q: Scalar | None = None
 
     def delta_is_zero(self) -> bool:
-        return self.delta_base.is_trivial() and not any(self.delta_vars.values())
+        # a map with no nonzero action is zero, NO_MAP or not, so this also
+        # holds on a level that no tower has normalised
+        d = self.delta_base
+        return not (d.field_action or d.linear_action) and not any(self.delta_vars.values())
 
 
 class OreTower:
@@ -405,7 +381,7 @@ class OreTower:
         # indexed by is_delta: apply_sigma0 / apply_delta0 then skip the
         # memo, and the rewriting engine in skewpoly calls neither map there
         self._trivial_maps = tuple(
-            (lvl.sigma_base.is_trivial(), lvl.delta_base.is_trivial()) for lvl in self.levels
+            (lvl.sigma_base is NO_MAP, lvl.delta_base is NO_MAP) for lvl in self.levels
         )
         # every level has an identity sigma and a zero delta on the base, so
         # (c x^a)(d x^b) = (c d)(x^a x^b); read by the rewriting engine in
@@ -478,9 +454,7 @@ class OreTower:
         key = (i, is_delta, element)
         image = self._base_map_memo.get(key)
         if image is None:
-            lvl = self.levels[i]
-            bmap = lvl.delta_base if is_delta else lvl.sigma_base
-            image = _apply_base_map(self.base, bmap, lvl.sigma_base, element)
+            image = _apply_base_map(self.base, self.levels[i], is_delta, element)
             if len(self._base_map_memo) < BASE_MAP_MEMO_ENTRIES:
                 self._base_map_memo[key] = image
         return image
@@ -523,7 +497,8 @@ def _erased_names(tower: OreTower, renamed) -> list[str]:
 
 def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> TowerLevel:
     """``lvl`` with its entries coerced into the base and cleaned, keeping
-    only the sigma entries other than x_j -> x_j and the nonzero deltas."""
+    only the sigma entries other than x_j -> x_j and the nonzero deltas,
+    and each base map that acts trivially in its slot stored as ``NO_MAP``."""
     sigma_vars, delta_vars = {}, {}
     for j, (a, c_terms) in lvl.sigma_vars.items():
         if not 0 <= j < i:
@@ -539,7 +514,23 @@ def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> T
         if d_terms:
             delta_vars[j] = d_terms
     q = None if lvl.q is None else base.field.coerce(lvl.q)
-    return TowerLevel(lvl.name, lvl.sigma_base, lvl.delta_base, sigma_vars, delta_vars, q)
+    sigma_base = _slot_map(base, lvl.sigma_base, False)
+    delta_base = _slot_map(base, lvl.delta_base, True)
+    return TowerLevel(lvl.name, sigma_base, delta_base, sigma_vars, delta_vars, q)
+
+
+def _slot_map(base: BaseRing, bmap: BaseMap, is_delta: bool) -> BaseMap:
+    """``bmap`` as slot ``is_delta`` of a level stores it: ``NO_MAP`` when
+    it acts there as zero (a delta) or as the identity (a sigma)."""
+    image, action = bmap.field_action, bmap.linear_action
+    if is_delta:
+        trivial = not (image or action)
+    else:
+        trivial = image in (None, base.field.gen) and (
+            action is None or action.scalar_part() == base.field.one
+        )
+    # a field action on Mat_m is kept, so that validation reports it
+    return NO_MAP if trivial and (image is None or base.kind == "field") else bmap
 
 
 def _level_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
@@ -854,8 +845,6 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     itself, and the loop needs no record of the powers it has seen.  On a
     matrix base the powers of the conjugator are stepped (``_matrix_order``).
     """
-    if bmap.kind != "sigma":
-        raise ValueError("map_order expects a sigma-like map")
     require_base_automorphism(base, bmap)
     if base.kind == "matrix":
         return 1 if bmap.linear_action is None else _matrix_order(bmap, bound)

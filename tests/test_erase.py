@@ -1,3 +1,4 @@
+import json
 import random
 from pathlib import Path
 
@@ -9,7 +10,6 @@ from oretower.errors import (
     HypothesisViolation,
     NotDiagonal,
     OreError,
-    QEqualsOne,
     UnsupportedErasure,
 )
 from oretower.erase import erase_all, erase_top, swap_adjacent
@@ -144,7 +144,7 @@ def test_erase_top_trivial_delta_is_fixed_point():
 def test_erase_top_q_equals_one():
     tower = qweyl(QQ, 1)  # the classical Weyl algebra, q = 1
     assert validate_tower(tower).ok
-    with pytest.raises(QEqualsOne):
+    with pytest.raises(HypothesisViolation, match="level 2 declares q = 1"):
         erase_top(tower)
 
 
@@ -356,7 +356,7 @@ def _crafted_inner_towers(count: int, seed: int):
         if rng.random() < 0.7:
             sigma = BaseMap.conjugation(invertible(field, m))
         else:
-            sigma = BaseMap.linear("sigma", invertible(field, m * m))
+            sigma = BaseMap(linear_action=invertible(field, m * m))
         if rng.random() < 0.6:
             delta = BaseMap.inner_derivation(
                 Matrix(field, [[entry(field) for _ in range(m)] for _ in range(m)]), sigma
@@ -368,8 +368,8 @@ def _crafted_inner_towers(count: int, seed: int):
             diagonal = range(m + 1, m * m, m + 1)
             for row in rows:
                 row[0] = -sum((row[k] for k in diagonal), field.zero)
-            delta = BaseMap.linear("delta", Matrix(field, rows))
-        if delta.is_trivial():
+            delta = BaseMap(linear_action=Matrix(field, rows))
+        if delta.linear_action.is_zero():
             continue
         level = TowerLevel("x", sigma_base=sigma, delta_base=delta, q=field.coerce(2))
         yield OreTower(BaseRing.matrix_ring(field, m), [level])
@@ -386,8 +386,8 @@ def test_inner_branch_matches_the_kernel_solves():
     towers = [t for t in towers if t.base.kind == "matrix" and t.height == 1]
     assert towers
     # a zero sigma, which no read can turn into a conjugator
-    zero_sigma = BaseMap.linear("sigma", Matrix.zero(QQ, 4, 4))
-    delta = BaseMap.inner_derivation(Matrix.unit(QQ, 2, 0, 1), BaseMap.identity())
+    zero_sigma = BaseMap(linear_action=Matrix.zero(QQ, 4, 4))
+    delta = BaseMap.inner_derivation(Matrix.unit(QQ, 2, 0, 1), BaseMap())
     level = TowerLevel("x", sigma_base=zero_sigma, delta_base=delta, q=QQ.coerce(2))
     towers.append(OreTower(BaseRing.matrix_ring(QQ, 2), [level]))
     outcomes = set()
@@ -835,3 +835,16 @@ def test_erase_all_hypotheses_on_valid_towers(name, capsys, tmp_path):
         assert out == f"error[HypothesisViolation]: {message}\n"
     else:
         assert out.startswith("y1 = x1\ny2 = x2\nresult tower: Q(q)[y1][y2]\n")
+
+
+def test_erase_and_erase_all_refuse_q_equals_one_alike(capsys, tmp_path):
+    """erase and erase-all refuse a level with a nonzero delta and q = 1
+    with one error kind and one text."""
+    path = tmp_path / "q1_weyl.tw"
+    path.write_text(_ERASE_ALL_CASES["q1_weyl"][0], encoding="utf-8")
+    reports = []
+    for command in ("erase", "erase-all"):
+        assert run([command, "--tower", str(path), "--json"]) == 1
+        report = json.loads(capsys.readouterr().out)
+        reports.append((report["kind"], report["error"]))
+    assert reports == [("HypothesisViolation", "level 2 declares q = 1")] * 2

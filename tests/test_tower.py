@@ -15,11 +15,13 @@ from oretower.graded import associated_graded_tower
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
 from oretower.tower import (
+    NO_MAP,
     BaseMap,
     BaseRing,
     OreTower,
     TowerLevel,
     ValidationReport,
+    _apply_base_map,
     _base_map_valid,
     _level_generators,
     _relation_pairs,
@@ -102,7 +104,7 @@ def test_leibniz_failure_is_reported():
     )
     tower = OreTower(
         BaseRing.matrix_ring(field, 2),
-        [TowerLevel("x", delta_base=BaseMap.linear("delta", action))],
+        [TowerLevel("x", delta_base=BaseMap(linear_action=action))],
     )
     report = validate_tower(tower)
     assert not report.ok
@@ -123,7 +125,7 @@ def test_field_action_must_be_a_root_image():
     field = CyclotomicField(3)
     tower = OreTower(
         BaseRing.field_ring(field),
-        [TowerLevel("x", sigma_base=BaseMap.field_auto(field.gen + 1))],
+        [TowerLevel("x", sigma_base=BaseMap(field_action=field.gen + 1))],
     )
     report = validate_tower(tower)
     assert not report.ok
@@ -135,7 +137,7 @@ def test_invalid_cyclotomic_derivation_rejected():
     field = CyclotomicField(3)
     tower = OreTower(
         BaseRing.field_ring(field),
-        [TowerLevel("x", delta_base=BaseMap.field_deriv(field.one), q=QQ.coerce(-1))],
+        [TowerLevel("x", delta_base=BaseMap(field_action=field.one), q=QQ.coerce(-1))],
     )
     report = validate_tower(tower)
     assert not report.ok
@@ -162,8 +164,8 @@ def test_q_fixed_check():
         [
             TowerLevel(
                 "x",
-                sigma_base=BaseMap.field_auto(z**2),
-                delta_base=BaseMap.field_deriv(w * (z**2 - z)),
+                sigma_base=BaseMap(field_action=z**2),
+                delta_base=BaseMap(field_action=w * (z**2 - z)),
                 q=z,
             )
         ],
@@ -428,20 +430,20 @@ def _matrix_base_towers(count: int, seed: int):
                 a = matrix(field, m)
             sigma = BaseMap.conjugation(a)
         elif kind == "identity":
-            sigma = BaseMap.identity()
+            sigma = BaseMap()
         elif kind == "changed identity":
-            sigma = BaseMap.linear("sigma", changed(Matrix.identity(field, m * m)))
+            sigma = BaseMap(linear_action=changed(Matrix.identity(field, m * m)))
         else:
-            sigma = BaseMap.linear("sigma", matrix(field, m * m))
+            sigma = BaseMap(linear_action=matrix(field, m * m))
         kind = rng.choice(["inner", "changed inner", "commutator", "linear", "zero"])
         if kind == "zero":
-            return sigma, BaseMap.zero()
+            return sigma, BaseMap()
         if kind == "linear":
-            return sigma, BaseMap.linear("delta", matrix(field, m * m))
-        twist = BaseMap.identity() if kind == "commutator" else sigma
+            return sigma, BaseMap(linear_action=matrix(field, m * m))
+        twist = BaseMap() if kind == "commutator" else sigma
         delta = BaseMap.inner_derivation(matrix(field, m), twist)
         if kind == "changed inner":
-            delta = BaseMap.linear("delta", changed(delta.linear_action))
+            delta = BaseMap(linear_action=changed(delta.linear_action))
         return sigma, delta
 
     for _ in range(count):
@@ -640,7 +642,7 @@ def test_swap_compatibility_ratfunc_derivation():
 def _one_level_tower(field, sigma_image=None, d=None) -> OreTower:
     return OreTower(
         BaseRing.field_ring(field),
-        [TowerLevel("x", BaseMap("sigma", sigma_image), BaseMap("delta", d))],
+        [TowerLevel("x", BaseMap(sigma_image), BaseMap(d))],
     )
 
 
@@ -725,7 +727,7 @@ def test_matrix_base_actions_match_unit_images(field_name, m):
     conj = BaseMap.conjugation(a)
     assert conj.linear_action == _unit_by_unit(field, m, lambda e: a * e * a_inv)
     for sigma, sigma_of in (
-        (BaseMap.identity(), lambda e: e),
+        (BaseMap(), lambda e: e),
         (conj, lambda e: a * e * a_inv),
     ):
         delta = BaseMap.inner_derivation(b, sigma)
@@ -738,7 +740,7 @@ def test_matrix_base_actions_match_unit_images(field_name, m):
 
 
 def test_map_order_identity():
-    assert map_order(BaseRing.field_ring(QQ), BaseMap.identity(), 10) == 1
+    assert map_order(BaseRing.field_ring(QQ), BaseMap(), 10) == 1
 
 
 def test_map_order_conjugation():
@@ -750,7 +752,7 @@ def test_map_order_conjugation():
 def test_map_order_cyclotomic_square():
     field = CyclotomicField(5)
     base = BaseRing.field_ring(field)
-    assert map_order(base, BaseMap.field_auto(field.gen ** 2), 10) == 4
+    assert map_order(base, BaseMap(field_action=field.gen ** 2), 10) == 4
 
 
 def test_map_order_infinite_returns_none():
@@ -758,7 +760,7 @@ def test_map_order_infinite_returns_none():
     shear = BaseMap.conjugation(Matrix(QQ, [[1, 1], [0, 1]]))
     assert map_order(base, shear, 12) is None
     gf_base = BaseRing.field_ring(FunctionField(QQ, "t"))
-    shift = BaseMap.field_auto(FunctionField(QQ, "t").gen + 1)
+    shift = BaseMap(field_action=FunctionField(QQ, "t").gen + 1)
     assert map_order(gf_base, shift, 12) is None
 
 
@@ -769,14 +771,14 @@ def test_map_order_requires_an_automorphism():
     qq = FunctionField(QQ, "q")
     q = qq.gen
     with pytest.raises(HypothesisViolation, match="generator image q\\^2 is not a unit fraction"):
-        map_order(BaseRing.field_ring(qq), BaseMap.field_auto(q ** 2), 60)
+        map_order(BaseRing.field_ring(qq), BaseMap(field_action=q ** 2), 60)
     with pytest.raises(HypothesisViolation, match="this field admits only the identity"):
-        map_order(BaseRing.field_ring(QQ), BaseMap.field_auto(QQ.coerce(2)), 60)
+        map_order(BaseRing.field_ring(QQ), BaseMap(field_action=QQ.coerce(2)), 60)
     proj = Matrix.identity(qq, 36) - Matrix.unit(qq, 36, 35, 35) + Matrix.unit(qq, 36, 0, 35) * q
     assert proj * proj == proj
     start = time.perf_counter()
     with pytest.raises(HypothesisViolation, match="linear action is singular"):
-        map_order(BaseRing.matrix_ring(qq, 6), BaseMap.linear("sigma", proj), 1000)
+        map_order(BaseRing.matrix_ring(qq, 6), BaseMap(linear_action=proj), 1000)
     assert time.perf_counter() - start < 1.0
 
 
@@ -1018,6 +1020,84 @@ def test_explicit_identity_sigma_and_zero_delta_lines_change_nothing():
     assert explicit.levels[1].sigma_vars == {} and explicit.levels[1].delta_vars == {}
     assert explicit == plain
     assert render_tower_file(explicit) == render_tower_file(plain)
+
+
+def test_a_field_action_in_the_delta_slot_is_a_delta():
+    """The slot says how a map acts: a field action in delta_base is the
+    derivation t -> 2t, in memory and after a render/parse round trip."""
+    field = FunctionField(QQ, "t")
+    t = field.gen
+    tower = OreTower(
+        BaseRing.field_ring(field), [TowerLevel("x", delta_base=BaseMap(field_action=2 * t))]
+    )
+    assert validate_tower(tower).ok
+    x, t3 = tower.var(0), tower.from_base(t**3)
+    assert x * t3 == t3 * x + 6 * t3
+    parsed = parse_tower_text(render_tower_file(tower))
+    assert parsed == tower
+    assert parsed.var(0) * parsed.from_base(t**3) == t3 * x + 6 * t3
+
+
+_Q_T_LEVEL = "[base]\nkind = field\nfield = Q(t)\n\n[[level]]\nvar = x\n"
+_MAT2_LEVEL = "[base]\nkind = matrix\nfield = Q\nsize = 2\n\n[[level]]\nvar = x\n"
+
+
+@pytest.mark.parametrize(
+    "plain, maps",
+    [
+        (_Q_T_LEVEL, "sigma_base = t\ndelta_base = 0\n"),
+        (_MAT2_LEVEL, "sigma_base = conj([[2, 0], [0, 2]])\ndelta_base = inner([[1, 0], [0, 1]])\n"),
+        (
+            _MAT2_LEVEL,
+            "sigma_base = linear([[1, 0, 0, 0], [0, 1, 0, 0], [0, 0, 1, 0], [0, 0, 0, 1]])\n"
+            "delta_base = linear([[0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0], [0, 0, 0, 0]])\n",
+        ),
+    ],
+    ids=["field", "conj-inner", "linear"],
+)
+def test_written_out_trivial_base_maps_change_nothing(plain, maps):
+    tower = parse_tower_text(plain)
+    explicit = parse_tower_text(plain + maps)
+    assert explicit.levels[0].sigma_base is NO_MAP and explicit.levels[0].delta_base is NO_MAP
+    assert explicit == tower
+    assert render_tower_file(explicit) == render_tower_file(tower)
+
+
+def test_trivial_base_maps_are_no_map():
+    """A base map that acts as the identity (sigma) or zero (delta) on the
+    basis and the generators of the base is stored as NO_MAP, and only
+    such a map; ``_trivial_maps`` reads the same by identity."""
+    towers = [parse_tower_file(str(path)) for path in sorted(FIXTURES.glob("*.tw"))]
+    seen = set()
+    for tower in towers + _conftest_towers():
+        base = tower.base
+        elements = {*base.basis(), *base.generators()}
+        for i, lvl in enumerate(tower.levels):
+            stored = (lvl.sigma_base is NO_MAP, lvl.delta_base is NO_MAP)
+            acts_trivially = tuple(
+                all(
+                    _apply_base_map(base, lvl, is_delta, r) == (base.zero if is_delta else r)
+                    for r in elements
+                )
+                for is_delta in (False, True)
+            )
+            assert stored == acts_trivially, (tower, i)
+            assert tower._trivial_maps[i] == stored, (tower, i)
+            seen.add(stored)
+    # every combination of a trivial and a nontrivial map occurs
+    assert seen == {(True, True), (True, False), (False, True), (False, False)}
+
+
+@pytest.mark.parametrize("slot", ["sigma_base", "delta_base"])
+def test_a_field_action_on_a_matrix_base_fails_validation_and_acts_as_no_map(slot):
+    tower = OreTower(
+        BaseRing.matrix_ring(QQ, 2), [TowerLevel("x", **{slot: BaseMap(field_action=QQ.coerce(2))})]
+    )
+    report = validate_tower(tower)
+    failure = report.first_failure
+    assert (failure.name, failure.detail) == (f"{slot} F-linear", "field action on a matrix base")
+    m = tower.from_base(Matrix(QQ, [[1, 2], [3, 4]]))
+    assert tower.var(0) * m == m * tower.var(0)
 
 
 def test_tower_levels_are_frozen():
