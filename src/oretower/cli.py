@@ -581,7 +581,7 @@ def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_b
                     ) from None
             if head == "inner":
                 return BaseMap.inner_derivation(m, sigma_base)
-            return BaseMap(linear_action=m)
+            return BaseMap(m)
     if base.kind == "matrix":
         raise FieldMismatch(
             f"{kind}_base on a matrix base must be id/zero, conj(...), "
@@ -592,7 +592,7 @@ def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_b
         raise FieldMismatch(
             f"{base.field.name} has no generator; only id/zero base maps exist"
         )
-    return BaseMap(field_action=image)
+    return BaseMap(image)
 
 
 # ---------------------------------------------------------------------------
@@ -634,11 +634,10 @@ def render_tower_file(tower: OreTower) -> str:
 
 
 def _render_base_map(bmap: BaseMap) -> str | None:
-    if bmap.linear_action is not None:
-        return f"linear({bmap.linear_action})"
-    if bmap.field_action is not None:
-        return str(bmap.field_action)
-    return None
+    action = bmap.action
+    if action is None:
+        return None
+    return f"linear({action})" if isinstance(action, Matrix) else str(action)
 
 
 # ---------------------------------------------------------------------------

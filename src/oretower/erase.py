@@ -63,6 +63,7 @@ from .skewpoly import (
 from .tower import (
     NO_MAP,
     OreTower,
+    TowerLevel,
     _erased_names,
     _level_generators,
     check_swap_compatibility,
@@ -227,7 +228,7 @@ def _inner_branch(tower: OreTower):
         )
 
     sigma = tower.levels[0].sigma_base
-    a = base.one if sigma.linear_action is None else sigma.conjugator
+    a = base.one if sigma.action is None else sigma.conjugator
     if a is None:
         raise UnsupportedErasure(
             "no invertible conjugator a with sigma(r) a = a r exists; "
@@ -258,6 +259,11 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     sigma(x_moved) = lam^{-1} * x_moved and delta(x_moved) = 0.  Its q is
     dropped when delta_lower(lam) != 0, which shows as
     ``levels[upper].q is None`` in the result; no Python warning is issued.
+
+    The levels above the pair are carried over by the ring map that sends
+    each variable to its new position (``_substitute``), since x_p^a
+    x_{p+1}^b is lam^{-ab} x_{p+1}^b x_p^a in the swapped order; a c part
+    that then lies above its variable is an ill-formed presentation.
     """
     if not 1 <= upper < tower.height:
         raise ValueError("swap index out of range")
@@ -281,17 +287,6 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
         )
 
     p = upper - 1
-
-    def remap_exp(exp: tuple) -> tuple:
-        out = list(exp)
-        out[p], out[p + 1] = out[p + 1], out[p]
-        return tuple(out)
-
-    def remap_terms(terms: dict) -> dict:
-        return {remap_exp(e): coeff for e, coeff in terms.items()}
-
-    new_levels = list(tower.levels[:p])
-
     moved_down = replace(
         hi,
         sigma_vars={j: v for j, v in hi.sigma_vars.items() if j < p},
@@ -302,23 +297,32 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
         sigma_vars={**lo.sigma_vars, p: (lam.inverse(), {})},
         q=lo.q if compat.q_preserved else None,
     )
-    new_levels.extend([moved_down, moved_up])
-
-    for old in tower.levels[upper + 1 :]:
-        sigma_vars, delta_vars = {}, {}
-        for j, (a, ct) in old.sigma_vars.items():
-            nj = p + 1 if j == p else (p if j == p + 1 else j)
-            sigma_vars[nj] = (a, remap_terms(ct))
-        for j, dt in old.delta_vars.items():
-            nj = p + 1 if j == p else (p if j == p + 1 else j)
-            delta_vars[nj] = remap_terms(dt)
-        new_levels.append(replace(old, sigma_vars=sigma_vars, delta_vars=delta_vars))
+    # the new position of each old variable: x_p and x_{p+1} trade places
+    new_pos = list(range(tower.height))
+    new_pos[p], new_pos[upper] = upper, p
+    above = tower.levels[upper + 1 :]
     try:
-        return OreTower(tower.base, new_levels)
+        swapped = OreTower(
+            tower.base,
+            [*tower.levels[:p], moved_down, moved_up, *(TowerLevel(lvl.name) for lvl in above)],
+        )
+        for k, old in enumerate(above, upper + 1):
+            # the levels below k are in place, so the images multiply there
+            image = [SkewPoly.variable(swapped, new_pos[j]) for j in range(k)].__getitem__
+            sigma_vars, delta_vars = {}, {}
+            for j in old.sigma_vars:
+                a, c = tower.sigma_var(k, j)
+                sigma_vars[new_pos[j]] = (a, _substitute(swapped, c, image).terms)
+            for j in old.delta_vars:
+                delta_vars[new_pos[j]] = _substitute(swapped, tower.delta_var(k, j), image).terms
+            swapped = swapped.with_level(
+                k, replace(old, sigma_vars=sigma_vars, delta_vars=delta_vars)
+            )
     except ValueError as exc:
         raise CompatibilityFailed(
             f"swap produced an ill-formed presentation: {exc}"
         ) from exc
+    return swapped
 
 
 # ---------------------------------------------------------------------------

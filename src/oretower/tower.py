@@ -136,59 +136,60 @@ class BaseRing:
 class BaseMap:
     """Action of a level map on the base ring.
 
-    The slot a map sits in says how it acts: ``TowerLevel.sigma_base``
-    holds the automorphism sigma, ``TowerLevel.delta_base`` the
-    sigma-derivation delta.  A tower stores a map that acts trivially in
-    its slot (the identity in a sigma slot, zero in a delta slot) as the
-    one shared empty map ``NO_MAP``.
+    The slot a map sits in says whether it is sigma or delta:
+    ``TowerLevel.sigma_base`` holds the automorphism sigma,
+    ``TowerLevel.delta_base`` the sigma-derivation delta.  The base says
+    how ``action`` acts, and a tower refuses an action of the other kind.
+    A tower stores a map that acts trivially in its slot (the identity in
+    a sigma slot, zero in a delta slot) as the one shared empty map
+    ``NO_MAP``.
 
-    For a field base the map is recorded through the image of the field
-    generator, ``field_action``: sigma maps gen to it and extends as a
-    field homomorphism; delta maps gen to it and extends by the twisted
-    Leibniz and quotient rules against the level's sigma.
+    On a field base the action is a Scalar, the image of the field
+    generator: sigma maps gen to it and extends as a field homomorphism;
+    delta maps gen to it and extends by the twisted Leibniz and quotient
+    rules against the level's sigma.
 
-    For a matrix-algebra base the map is F-linear and carried entirely by
-    ``linear_action``, an m^2 x m^2 matrix acting on the units in
-    row-major order.  In that layout r -> l r is the Kronecker product
-    l (x) 1 and r -> r l is 1 (x) l^T, so r -> l r l' is l (x) l'^T (Horn
-    and Johnson, *Topics in Matrix Analysis*, 1991, section 4.3).
+    On a matrix-algebra base the map is F-linear and the action is an
+    m^2 x m^2 Matrix acting on the units in row-major order.  In that
+    layout r -> l r is the Kronecker product l (x) 1 and r -> r l is
+    1 (x) l^T, so r -> l r l' is l (x) l'^T (Horn and Johnson, *Topics in
+    Matrix Analysis*, 1991, section 4.3).
     """
 
-    field_action: Scalar | None = None
-    linear_action: Matrix | None = None
+    action: Scalar | Matrix | None = None
 
     @classmethod
     def conjugation(cls, a: Matrix) -> "BaseMap":
         """sigma(r) = a r a^{-1} on Mat_m."""
-        return cls(linear_action=Matrix.two_sided_action(a, a.inverse()))
+        return cls(Matrix.two_sided_action(a, a.inverse()))
 
     @classmethod
     def inner_derivation(cls, b: Matrix, sigma: "BaseMap") -> "BaseMap":
         """delta(r) = b r - sigma(r) b on Mat_m, an inner sigma-derivation."""
         one = Matrix.identity(b.field, b.nrows)
         right_b = Matrix.two_sided_action(one, b)
-        if sigma.linear_action is not None:
-            right_b = right_b * sigma.linear_action
-        return cls(linear_action=Matrix.two_sided_action(b, one) - right_b)
+        if sigma.action is not None:
+            right_b = right_b * sigma.action
+        return cls(Matrix.two_sided_action(b, one) - right_b)
 
     # validation, map_order and the commands all ask; a frozen dataclass
     # keeps the answer in its __dict__, outside the compared fields
     @functools.cached_property
     def action_is_invertible(self) -> bool:
-        """Whether ``linear_action`` is invertible, decided once per map."""
-        return self.linear_action.is_invertible()
+        """Whether the matrix ``action`` is invertible, decided once per map."""
+        return self.action.is_invertible()
 
     @functools.cached_property
     def unit_images(self) -> tuple:
         """The images of the matrix units E_ij of Mat_m in row-major order,
-        read once per map: column i m + j of ``linear_action`` is the image
-        of E_ij."""
-        action = self.linear_action
+        read once per map: column i m + j of ``action`` is the image of
+        E_ij."""
+        action = self.action
         return tuple(Matrix.unvec(action.field, col) for col in action.transpose().rows)
 
     @functools.cached_property
     def conjugator(self) -> Matrix | None:
-        """The a with ``linear_action`` = conj(a) on Mat_m, its last nonzero
+        """The a with ``action`` = conj(a) on Mat_m, its last nonzero
         entry in row-major order 1, read once per map; None when sigma is no
         conjugation, so not multiplicative (Skolem-Noether).
 
@@ -215,7 +216,7 @@ class BaseMap:
         images = self.unit_images
         field, m = images[0].field, images[0].nrows
         units = _units(field, m)
-        sigma_images = units if sigma.linear_action is None else sigma.unit_images
+        sigma_images = units if sigma.action is None else sigma.unit_images
         b = sum((images[k * m] * units[k] for k in range(m)), Matrix.zero(field, m, m))
         if any(d != b * e - s * b for d, e, s in zip(images, units, sigma_images)):
             return None
@@ -233,32 +234,27 @@ def _units(field, m: int) -> list:
 
 
 def _apply_base_map(base: BaseRing, lvl: TowerLevel, is_delta: bool, element):
-    """Apply the base map in slot ``is_delta`` of ``lvl`` to a base
-    element: delta when ``is_delta``, else sigma.
+    """Apply the base map in slot ``is_delta`` of ``lvl``, which acts
+    nontrivially there, to a base element: delta when ``is_delta``, else
+    sigma.
 
-    On Mat_m the linear action acts on the entries in row-major order
-    (``Matrix.act_on``), and a map with none (a field action, which
-    validation refuses there) acts as no map.  On a field the field
-    applies the map from the generator's image, a delta twisted by the
-    level's sigma.
+    On Mat_m the matrix action acts on the entries in row-major order
+    (``Matrix.act_on``).  On a field the field applies the map from the
+    generator's image, a delta twisted by the level's sigma.
     """
-    bmap = lvl.delta_base if is_delta else lvl.sigma_base
+    action = (lvl.delta_base if is_delta else lvl.sigma_base).action
     if base.kind == "matrix":
-        action = bmap.linear_action
-        if action is None:
-            return base.zero if is_delta else element
         return action.act_on(element)
     if is_delta:
-        return base.field.derive(element, lvl.sigma_base.field_action, bmap.field_action)
-    return base.field.substitute(element, bmap.field_action)
+        return base.field.derive(element, lvl.sigma_base.action, action)
+    return base.field.substitute(element, action)
 
 
 def _sigma_base_defect(base: BaseRing, sigma: BaseMap) -> str | None:
     """Why ``sigma`` is not an automorphism of the base, or None when it is."""
-    if base.kind == "matrix":
-        invertible = sigma.linear_action is None or sigma.action_is_invertible
-        return None if invertible else "linear action is singular"
-    return base.field.automorphism_defect(sigma.field_action)
+    if isinstance(sigma.action, Matrix):
+        return None if sigma.action_is_invertible else "linear action is singular"
+    return base.field.automorphism_defect(sigma.action)
 
 
 def require_base_automorphism(base: BaseRing, sigma: BaseMap, name: str = "sigma") -> None:
@@ -283,13 +279,13 @@ BASE_MAP_MEMO_ENTRIES = 50_000
 class TowerLevel:
     """One level of the tower: its maps on the base and on lower variables.
 
-    ``sigma_base`` acts as sigma and ``delta_base`` as delta, whatever
-    actions they carry.  A level stores only the maps it declares; a
-    lower variable with no entry has sigma(x_j) = x_j and delta(x_j) = 0,
-    and a tower stores a base map that acts as the identity (sigma) or as
-    zero (delta) as ``NO_MAP``.  Levels are frozen; derive a changed level
-    with ``dataclasses.replace``.  A tower never writes into the dicts of
-    the levels it is given.
+    ``sigma_base`` acts as sigma and ``delta_base`` as delta.  A level
+    stores only the maps it declares; a lower variable with no entry has
+    sigma(x_j) = x_j and delta(x_j) = 0, and a tower stores a base map
+    that acts as the identity (sigma) or as zero (delta) as ``NO_MAP``.
+    Levels are frozen; derive a changed level with
+    ``dataclasses.replace``.  A tower never writes into the dicts of the
+    levels it is given.
     """
 
     name: str
@@ -302,8 +298,7 @@ class TowerLevel:
     def delta_is_zero(self) -> bool:
         # a map with no nonzero action is zero, NO_MAP or not, so this also
         # holds on a level that no tower has normalised
-        d = self.delta_base
-        return not (d.field_action or d.linear_action) and not any(self.delta_vars.values())
+        return not self.delta_base.action and not any(self.delta_vars.values())
 
 
 class OreTower:
@@ -514,23 +509,28 @@ def _normalised_level(base: BaseRing, height: int, i: int, lvl: TowerLevel) -> T
         if d_terms:
             delta_vars[j] = d_terms
     q = None if lvl.q is None else base.field.coerce(lvl.q)
-    sigma_base = _slot_map(base, lvl.sigma_base, False)
-    delta_base = _slot_map(base, lvl.delta_base, True)
+    sigma_base = _slot_map(base, lvl.sigma_base, False, f"sigma_base of level {i + 1}")
+    delta_base = _slot_map(base, lvl.delta_base, True, f"delta_base of level {i + 1}")
     return TowerLevel(lvl.name, sigma_base, delta_base, sigma_vars, delta_vars, q)
 
 
-def _slot_map(base: BaseRing, bmap: BaseMap, is_delta: bool) -> BaseMap:
+def _slot_map(base: BaseRing, bmap: BaseMap, is_delta: bool, what: str) -> BaseMap:
     """``bmap`` as slot ``is_delta`` of a level stores it: ``NO_MAP`` when
-    it acts there as zero (a delta) or as the identity (a sigma)."""
-    image, action = bmap.field_action, bmap.linear_action
+    it acts there as zero (a delta) or as the identity (a sigma).  An
+    action that is a Matrix on a field base, or no Matrix on Mat_m, raises
+    ValueError naming ``what``."""
+    action = bmap.action
+    if action is None:
+        return NO_MAP
+    if isinstance(action, Matrix) != (base.kind == "matrix"):
+        raise ValueError(f"{what} has a {type(action).__name__} action on the base {base!r}")
     if is_delta:
-        trivial = not (image or action)
+        trivial = not action
+    elif base.kind == "matrix":
+        trivial = action.scalar_part() == base.field.one
     else:
-        trivial = image in (None, base.field.gen) and (
-            action is None or action.scalar_part() == base.field.one
-        )
-    # a field action on Mat_m is kept, so that validation reports it
-    return NO_MAP if trivial and (image is None or base.kind == "field") else bmap
+        trivial = action == base.field.gen
+    return NO_MAP if trivial else bmap
 
 
 def _level_terms(base: BaseRing, height: int, terms: dict, max_level: int, what: str) -> dict:
@@ -576,17 +576,11 @@ def _base_map_valid(tower: OreTower, i: int, report: ValidationReport) -> bool:
     lvl = tower.levels[i]
     sigma_defect = _sigma_base_defect(base, lvl.sigma_base)
     if base.kind == "matrix":
-        ok_all = sigma_defect is None
-        for m, label in ((lvl.sigma_base, "sigma"), (lvl.delta_base, "delta")):
-            if m.field_action is not None:
-                report.add(i, f"{label}_base F-linear", False, "field action on a matrix base")
-                ok_all = False
         report.add(i, "sigma_base invertible", sigma_defect is None, sigma_defect or "")
-        return ok_all
+        return sigma_defect is None
 
     report.add(i, "sigma_base automorphism", sigma_defect is None, sigma_defect or "")
-    image = lvl.sigma_base.field_action
-    delta_defect = base.field.derivation_defect(image, lvl.delta_base.field_action)
+    delta_defect = base.field.derivation_defect(lvl.sigma_base.action, lvl.delta_base.action)
     report.add(i, "delta_base well-defined", delta_defect is None, delta_defect or "")
     return sigma_defect is None and delta_defect is None
 
@@ -726,15 +720,11 @@ def _identity_cases(tower: OreTower, i: int, q_elem):
     relations = pairs[n_base * n_base :]
     lvl = tower.levels[i]
     sigma, delta = lvl.sigma_base, lvl.delta_base
-    sigma_read = base.kind == "matrix" and (
-        sigma.linear_action is None or sigma.conjugator is not None
-    )
+    sigma_read = base.kind == "matrix" and (sigma.action is None or sigma.conjugator is not None)
     mult_cases = map(mult, relations if sigma_read else pairs)
     if lvl.delta_is_zero():
         return mult_cases, (), ()
-    delta_read = sigma_read and (
-        delta.linear_action is None or delta.inner_shift(sigma) is not None
-    )
+    delta_read = sigma_read and (delta.action is None or delta.inner_shift(sigma) is not None)
     leibniz_cases = map(leibniz, relations if delta_read else pairs)
     q_skew = (
         (image("delta", value("sigma", k)), q_elem * image("sigma", value("delta", k)))
@@ -846,11 +836,11 @@ def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:
     matrix base the powers of the conjugator are stepped (``_matrix_order``).
     """
     require_base_automorphism(base, bmap)
-    if base.kind == "matrix":
-        return 1 if bmap.linear_action is None else _matrix_order(bmap, bound)
-    image = bmap.field_action
+    image = bmap.action
     if image is None:
         return 1
+    if isinstance(image, Matrix):
+        return _matrix_order(bmap, bound)
     # the image passed the precondition, so the field has a generator:
     # Q and GF(p) admit only the identity
     identity = base.field.gen
@@ -878,7 +868,7 @@ def _matrix_order(bmap: BaseMap, bound: int) -> int | None:
     0, goes on to the steps: bmap^n = conj(a^n) is 1 exactly when the
     m x m power a^n is a scalar.
     """
-    a, action = bmap.conjugator, bmap.linear_action
+    a, action = bmap.conjugator, bmap.action
     if a is None:
         raise HypothesisViolation(
             "sigma is not an automorphism of the base: linear action is no conjugation"

@@ -169,8 +169,8 @@ def zeta5_deriv_tower() -> OreTower:
         [
             TowerLevel(
                 "x",
-                sigma_base=BaseMap(field_action=z**2),
-                delta_base=BaseMap(field_action=d),
+                sigma_base=BaseMap(z**2),
+                delta_base=BaseMap(d),
                 q=field.coerce(-1),
             )
         ],
@@ -188,7 +188,7 @@ def ratfunc_deriv_tower() -> OreTower:
     return OreTower(
         BaseRing.field_ring(field),
         [
-            TowerLevel("x1", delta_base=BaseMap(field_action=field.one)),
+            TowerLevel("x1", delta_base=BaseMap(field.one)),
             TowerLevel("x2", sigma_vars={0: (t, {})}),
         ],
     )

@@ -176,12 +176,24 @@ q = -3/2
         "three_level.tw",
     ],
 )
-def test_render_parse_round_trip(name):
+def test_render_parse_round_trip(name, capsys):
+    """The fixture renders to text that parses back to it, and every tower
+    that ``swap --level 2``, ``erase-all`` and ``gr`` print on it parses back
+    and renders to the same text."""
     tower = parse_tower_file(fixture(name))
     text = render_tower_file(tower)
     again = parse_tower_text(text)
     assert again == tower
     assert render_tower_file(again) == text
+    printed = []
+    for argv in (["swap", "--level", "2"], ["erase-all"], ["gr"]):
+        code = run([*argv, "--json", "--tower", fixture(name)])
+        out = capsys.readouterr().out
+        if code == 0:
+            printed.append(json.loads(out)["tower"])
+    assert printed  # gr prints a tower on every fixture
+    for shown in printed:
+        assert render_tower_file(parse_tower_text(shown)) == shown
 
 
 _FIELD_BASE = "[base]\nkind = field\nfield = Q(q)\n\n"
@@ -272,7 +284,7 @@ def test_field_base_map_expressions_round_trip(capsys, tmp_path):
     )
     tower = parse_tower_file(str(path))
     q = tower.base.field.gen
-    assert tower.levels[0].sigma_base.field_action == 2 * q
+    assert tower.levels[0].sigma_base.action == 2 * q
     assert tower.levels[0].delta_base is NO_MAP
     assert validate_tower(tower).ok
     text = render_tower_file(tower)

@@ -14,7 +14,14 @@ from oretower.errors import (
 )
 from oretower.erase import erase_all, erase_top, swap_adjacent
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, Scalar
-from oretower.skewpoly import SkewPoly, apply_level_map, degree_leading, is_central
+from oretower.skewpoly import (
+    SkewPoly,
+    _level_generators,
+    _substitute,
+    apply_level_map,
+    degree_leading,
+    is_central,
+)
 from oretower.tower import (
     BaseMap,
     BaseRing,
@@ -356,7 +363,7 @@ def _crafted_inner_towers(count: int, seed: int):
         if rng.random() < 0.7:
             sigma = BaseMap.conjugation(invertible(field, m))
         else:
-            sigma = BaseMap(linear_action=invertible(field, m * m))
+            sigma = BaseMap(invertible(field, m * m))
         if rng.random() < 0.6:
             delta = BaseMap.inner_derivation(
                 Matrix(field, [[entry(field) for _ in range(m)] for _ in range(m)]), sigma
@@ -368,8 +375,8 @@ def _crafted_inner_towers(count: int, seed: int):
             diagonal = range(m + 1, m * m, m + 1)
             for row in rows:
                 row[0] = -sum((row[k] for k in diagonal), field.zero)
-            delta = BaseMap(linear_action=Matrix(field, rows))
-        if delta.linear_action.is_zero():
+            delta = BaseMap(Matrix(field, rows))
+        if delta.action.is_zero():
             continue
         level = TowerLevel("x", sigma_base=sigma, delta_base=delta, q=field.coerce(2))
         yield OreTower(BaseRing.matrix_ring(field, m), [level])
@@ -386,7 +393,7 @@ def test_inner_branch_matches_the_kernel_solves():
     towers = [t for t in towers if t.base.kind == "matrix" and t.height == 1]
     assert towers
     # a zero sigma, which no read can turn into a conjugator
-    zero_sigma = BaseMap(linear_action=Matrix.zero(QQ, 4, 4))
+    zero_sigma = BaseMap(Matrix.zero(QQ, 4, 4))
     delta = BaseMap.inner_derivation(Matrix.unit(QQ, 2, 0, 1), BaseMap())
     level = TowerLevel("x", sigma_base=zero_sigma, delta_base=delta, q=QQ.coerce(2))
     towers.append(OreTower(BaseRing.matrix_ring(QQ, 2), [level]))
@@ -556,6 +563,65 @@ def test_swap_weyl_with_sigma_top():
     q = tower.base.field.gen
     x1, x2 = swapped.var("x1"), swapped.var("x2")
     assert x2 * x1 == swapped.from_base(q) * x1 * x2 + swapped.one()
+
+
+def _cross_term_tower(field, lam, mu, c, i, j) -> OreTower:
+    """F[x1][x2; sigma x1 = lam x1][x3; sigma x1 = mu x1, sigma x2 =
+    lam^(1-i) x2, delta x1 = c x1^i x2^j], a tower (delta respects x2 x1 =
+    lam x1 x2 exactly for that sigma x2) whose top delta has a term in
+    both variables that a swap of x1 and x2 exchanges."""
+    return OreTower(
+        BaseRing.field_ring(field),
+        [
+            TowerLevel("x1"),
+            TowerLevel("x2", sigma_vars={0: (lam, {})}),
+            TowerLevel(
+                "x3",
+                sigma_vars={0: (mu, {}), 1: (lam ** (1 - i), {})},
+                delta_vars={0: {(i, j, 0): c}},
+            ),
+        ],
+    )
+
+
+def _assert_swap_is_the_ring_map(tower: OreTower, upper: int) -> None:
+    """Every product of two generators of ``swap_adjacent(tower, upper)``,
+    mapped back into ``tower`` by sending each variable to the one it
+    stands for, is the product of the two images there."""
+    swapped = swap_adjacent(tower, upper)
+    back = [tower.var(k) for k in range(tower.height)]
+    back[upper - 1], back[upper] = back[upper], back[upper - 1]
+    gens = _level_generators(swapped, swapped.height)
+    images = [_substitute(tower, g, back.__getitem__) for g in gens]
+    for g, g_image in zip(gens, images):
+        for h, h_image in zip(gens, images):
+            assert _substitute(tower, g * h, back.__getitem__) == g_image * h_image, (g, h)
+
+
+def test_swap_carries_upper_levels_by_the_ring_map():
+    """x1^i x2^j in a level above the pair is lam^(-ij) x2^j x1^i in the
+    swapped order, not the relabelled monomial: on Q[x1][x2; sigma x1 = 2 x1]
+    [x3; sigma x1 = 3 x1, delta x1 = x1 x2] the swap prints delta x1 =
+    (1/2) * x2 x1, and on seeded towers of that shape the swapped tower is
+    the same ring."""
+    repro = parse_tower_text(
+        "[base]\nkind = field\nfield = Q\n\n[[level]]\nvar = x1\n\n"
+        "[[level]]\nvar = x2\nsigma x1 = 2 * x1\n\n"
+        "[[level]]\nvar = x3\nsigma x1 = 3 * x1\ndelta x1 = x1 x2\n"
+    )
+    assert validate_tower(repro).ok
+    assert str(swap_adjacent(repro, 1).delta_var(2, 1)) == "(1/2) * x2 x1"
+    _assert_swap_is_the_ring_map(repro, 1)
+
+    rng = random.Random(39)
+    fields = [QQ, CyclotomicField(5)]
+    for trial in range(12):
+        field = fields[trial % 2]
+        lam, mu, c = (random_scalar(field, rng) or field.one for _ in range(3))
+        i, j = rng.randint(1, 3), rng.randint(1, 3)
+        tower = _cross_term_tower(field, lam, mu, c, i, j)
+        assert validate_tower(tower).ok, (trial, tower)
+        _assert_swap_is_the_ring_map(tower, 1)
 
 
 def test_swap_compatibility_failure_raises():
