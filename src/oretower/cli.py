@@ -325,23 +325,24 @@ def _top_exponents(p: SkewPoly) -> list[int]:
 
 
 class _Context:
-    """Name resolution for one expression: field generator and tower variables."""
+    """Name resolution for one expression in ``tower``: its field generator
+    and the variables of its levels below ``below``; the others are out of scope."""
 
-    def __init__(self, field, tower=None, allowed_vars=(), all_vars=(), allow_matrix=False):
-        self.field = field
+    def __init__(self, tower: OreTower, below: int, allow_matrix: bool = False):
         self.tower = tower
-        self.allowed_vars = list(allowed_vars)
-        self.all_vars = list(all_vars)
+        self.field = tower.base.field
+        self.names = tower.level_names()
+        self.in_scope = self.names[:below]
         self.allow_matrix = allow_matrix
 
     def resolve(self, tok: _Token):
         name = tok.value
-        if self.tower is not None and name in self.allowed_vars:
-            return SkewPoly.variable(self.tower, self.allowed_vars.index(name))
+        if name in self.in_scope:
+            return SkewPoly.variable(self.tower, self.in_scope.index(name))
         gen = self.field.generator_named(name)
         if gen is not None:
             return gen
-        if name in self.all_vars:
+        if name in self.names:
             raise UnknownVariableReference(
                 tok.line, tok.col, f"variable {name!r} is not in scope here"
             )
@@ -352,7 +353,7 @@ class _Context:
         raise ParseError(tok.line, tok.col, f"unknown name {name!r}")
 
     def as_poly(self, value) -> SkewPoly:
-        """``value`` in the context's tower; only a context with a tower meets polynomials."""
+        """``value`` in the context's tower."""
         if isinstance(value, SkewPoly):
             return value
         return SkewPoly.from_base(self.tower, value)
@@ -396,11 +397,11 @@ def parse_tower_text(text: str) -> OreTower:
     # level i is parsed in the tower of the levels parsed so far, with bare
     # levels above; each level is normalised once, when it goes in; q and
     # base-map values see no variables, and only matrix_ctx sees matrices
-    scalar_ctx = _Context(base.field, all_vars=names)
-    matrix_ctx = _Context(base.field, all_vars=names, allow_matrix=True)
     tower = OreTower.bare(base, names)
+    scalar_ctx = _Context(tower, 0)
+    matrix_ctx = _Context(tower, 0, allow_matrix=True)
     for i, (_kind, items, _line) in enumerate(level_sections):
-        level = _parse_level(base, tower, names, i, items, scalar_ctx, matrix_ctx)
+        level = _parse_level(tower, i, items, scalar_ctx, matrix_ctx)
         tower = tower.with_level(i, level)
     return tower
 
@@ -473,26 +474,21 @@ def _parse_base(items) -> BaseRing:
     return BaseRing.field_ring(field)
 
 
-def _parse_level(base, shell, names, index, items, scalar_ctx, matrix_ctx) -> TowerLevel:
+def _parse_level(shell, index, items, scalar_ctx, matrix_ctx) -> TowerLevel:
     sigma_base = delta_base = NO_MAP
     sigma_vars: dict = {}
     delta_vars: dict = {}
     q = None
     delta_base_entry = None
 
-    poly_ctx = _Context(
-        base.field,
-        tower=shell,
-        allowed_vars=names[:index],
-        all_vars=names,
-        allow_matrix=base.kind == "matrix",
-    )
+    names = shell.level_names()
+    poly_ctx = _Context(shell, index, allow_matrix=shell.base.kind == "matrix")
 
     for key, value, line, col in items:
         if key == "var":
             continue
         if key == "sigma_base":
-            sigma_base = _parse_base_map("sigma", value, line, col, base, scalar_ctx, matrix_ctx)
+            sigma_base = _parse_base_map("sigma", value, line, col, scalar_ctx, matrix_ctx)
         elif key == "delta_base":
             delta_base_entry = (value, line, col)
         elif key == "q":
@@ -520,7 +516,7 @@ def _parse_level(base, shell, names, index, items, scalar_ctx, matrix_ctx) -> To
     if delta_base_entry is not None:
         value, line, col = delta_base_entry
         delta_base = _parse_base_map(
-            "delta", value, line, col, base, scalar_ctx, matrix_ctx, sigma_base
+            "delta", value, line, col, scalar_ctx, matrix_ctx, sigma_base
         )
     return TowerLevel(
         name=names[index],
@@ -549,9 +545,10 @@ def _split_sigma_image(poly: SkewPoly, j: int, line: int, col: int):
     return a, c_terms
 
 
-def _parse_base_map(kind, text, line, col, base, scalar_ctx, matrix_ctx, sigma_base=NO_MAP):
+def _parse_base_map(kind, text, line, col, scalar_ctx, matrix_ctx, sigma_base=NO_MAP):
     """The base map of a ``sigma_base``/``delta_base`` value ``text``,
     which starts after ``col`` characters of line ``line``."""
+    base = scalar_ctx.tower.base
     if text == ("id" if kind == "sigma" else "zero"):
         return NO_MAP
     for head in ("conj", "inner", "linear"):
@@ -811,14 +808,14 @@ def _dispatch(args, tower: OreTower):
             require_base_automorphism(tower.base, lvl.sigma_base, f"sigma_{i + 1}")
 
     if command == "mul":
-        ctx = _expr_context(tower)
+        ctx = _Context(tower, tower.height, allow_matrix=tower.base.kind == "matrix")
         left = ctx.as_poly(_eval_expr(args.left, 1, ctx))
         right = ctx.as_poly(_eval_expr(args.right, 1, ctx))
         product = str(left * right)
         return {"command": command, "product": product}, 0, product
 
     if command == "central":
-        ctx = _expr_context(tower)
+        ctx = _Context(tower, tower.height, allow_matrix=tower.base.kind == "matrix")
         poly = ctx.as_poly(_eval_expr(args.expr, 1, ctx))
         ok, witness = is_central(poly)
         if witness is not None:
@@ -931,17 +928,6 @@ def _dispatch(args, tower: OreTower):
         return report, 0, human
 
     raise AssertionError(f"unhandled command {command}")
-
-
-def _expr_context(tower: OreTower) -> _Context:
-    names = tower.level_names()
-    return _Context(
-        tower.base.field,
-        tower=tower,
-        allowed_vars=names,
-        all_vars=names,
-        allow_matrix=tower.base.kind == "matrix",
-    )
 
 
 def _level_arg(args, tower: OreTower, lowest: int = 1) -> int:

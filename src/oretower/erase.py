@@ -48,7 +48,6 @@ from dataclasses import dataclass, field as dc_field, replace
 from .errors import (
     CompatibilityFailed,
     HypothesisViolation,
-    NotDiagonal,
     UnsupportedErasure,
     VerificationFailed,
 )
@@ -254,38 +253,29 @@ def _inner_branch(tower: OreTower):
 def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     """Exchange levels upper and upper-1 (0-based; the upper level moves down).
 
-    The upper level must be automorphism-only with a diagonal action
-    sigma(x_below) = lam * x_below; the moved-up level acquires
-    sigma(x_moved) = lam^{-1} * x_moved and delta(x_moved) = 0.  Its q is
-    dropped when delta_lower(lam) != 0, which shows as
-    ``levels[upper].q is None`` in the result; no Python warning is issued.
+    ``check_swap_compatibility`` decides whether the pair can be swapped
+    (its witness is raised as CompatibilityFailed), and this function only
+    builds: the moved-up level acquires sigma(x_moved) = lam^{-1} * x_moved
+    and delta(x_moved) = 0.  Its q is dropped when delta_lower(lam) != 0,
+    which shows as ``levels[upper].q is None`` in the result; no Python
+    warning is issued.
 
     The levels above the pair are carried over by the ring map that sends
     each variable to its new position (``_substitute``), since x_p^a
     x_{p+1}^b is lam^{-ab} x_{p+1}^b x_p^a in the swapped order; a c part
     that then lies above its variable is an ill-formed presentation.
     """
-    if not 1 <= upper < tower.height:
-        raise ValueError("swap index out of range")
-    hi = tower.levels[upper]
-    lo = tower.levels[upper - 1]
-    if not hi.delta_is_zero():
-        raise NotDiagonal(f"level {upper + 1} still carries a delta; cannot move it down")
-    lam, c = tower.sigma_var(upper, upper - 1)
-    if c:
-        raise NotDiagonal(
-            f"sigma of level {upper + 1} sends x_{upper} to {lam} * x_{upper} + {c}"
-        )
-    if not tower.base.is_invertible(lam):
-        raise NotDiagonal(f"lambda = {lam} is not invertible in the base")
-    compat = check_swap_compatibility(tower, upper, lam)
-    if not compat.ok:
+    compat = check_swap_compatibility(tower, upper)
+    if compat.witness is not None:
         raise CompatibilityFailed(
             f"levels {upper} and {upper + 1} do not commute as required; "
             f"witness {compat.witness}",
             witness=compat.witness,
         )
 
+    hi = tower.levels[upper]
+    lo = tower.levels[upper - 1]
+    lam, _c = tower.sigma_var_raw(upper, upper - 1)
     p = upper - 1
     moved_down = replace(
         hi,

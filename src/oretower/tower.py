@@ -786,27 +786,32 @@ def _relation_pairs(gens, n_base: int) -> list:
 
 @dataclass
 class SwapCompatibility:
-    ok: bool
     witness: SkewPoly | None
     q_preserved: bool
 
 
-def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
-    """Conditions for exchanging level i with level i-1 (0-based upper index i).
+def check_swap_compatibility(tower: OreTower, i: int) -> SwapCompatibility:
+    """Whether level i can be exchanged with level i-1 (0-based upper index i).
 
-    Verifies sigma_i sigma_{i-1}(r) = lam sigma_{i-1} sigma_i(r) lam^{-1}
-    and sigma_i delta_{i-1}(r) = lam delta_{i-1} sigma_i(r) on the base
+    Raises NotDiagonal unless level i is automorphism-only with
+    sigma_i(x_{i-1}) = lam * x_{i-1}, lam = a_{i,i-1} invertible, read off
+    the tower.  Then verifies
+    sigma_i sigma_{i-1}(r) = lam sigma_{i-1} sigma_i(r) lam^{-1} and
+    sigma_i delta_{i-1}(r) = lam delta_{i-1} sigma_i(r) on the base
     generators (the field generator, or every matrix unit) and the
-    variables below both levels, and reports
-    whether delta_{i-1}(lam) = 0 (the condition for the lower level to
-    keep its q).
+    variables below both levels, the first that fails being ``witness``,
+    and reports whether delta_{i-1}(lam) = 0 (the condition for the lower
+    level to keep its q).
     """
     if i < 1 or i >= tower.height:
         raise ValueError("swap index out of range")
-    a, c = tower.sigma_var(i, i - 1)
+    if not tower.levels[i].delta_is_zero():
+        raise NotDiagonal(f"level {i + 1} still carries a delta; cannot move it down")
+    lam, c = tower.sigma_var(i, i - 1)
     if c:
-        raise NotDiagonal(f"sigma of level {i + 1} on x_{i} has a nonzero c part")
-    lam = tower.base.coerce(lam)
+        raise NotDiagonal(f"sigma of level {i + 1} sends x_{i} to {lam} * x_{i} + {c}")
+    if not tower.base.is_invertible(lam):
+        raise NotDiagonal(f"lambda = {lam} is not invertible in the base")
     lam_inv = lam.inverse()
     witness = None
     for g in _level_generators(tower, i - 1):
@@ -821,7 +826,7 @@ def check_swap_compatibility(tower: OreTower, i: int, lam) -> SwapCompatibility:
             witness = g
             break
     d_lam = tower.apply_delta0(i - 1, lam)
-    return SwapCompatibility(witness is None, witness, d_lam.is_zero())
+    return SwapCompatibility(witness, d_lam.is_zero())
 
 
 def map_order(base: BaseRing, bmap: BaseMap, bound: int) -> int | None:

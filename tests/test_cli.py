@@ -905,14 +905,7 @@ def test_rendered_polynomials_parse_back():
     rng = random.Random(55)
     for name in ("qplane_z3", "qweyl_q", "weyl_gf5", "mat2_inner", "three_level"):
         tower = ARITHMETIC_FIXTURES[name]()
-        names = tower.level_names()
-        ctx = _Context(
-            tower.base.field,
-            tower=tower,
-            allowed_vars=names,
-            all_vars=names,
-            allow_matrix=tower.base.kind == "matrix",
-        )
+        ctx = _Context(tower, tower.height, allow_matrix=tower.base.kind == "matrix")
         for _ in range(10):
             p = random_poly(tower, rng, max_degree=2)
             if p.is_zero():

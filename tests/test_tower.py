@@ -9,8 +9,8 @@ import pytest
 
 from oretower import tower as tower_module
 from oretower.cli import parse_tower_file, parse_tower_text, render_tower_file
-from oretower.erase import erase_all
-from oretower.errors import HypothesisViolation, OreError
+from oretower.erase import erase_all, swap_adjacent
+from oretower.errors import CompatibilityFailed, HypothesisViolation, NotDiagonal, OreError
 from oretower.graded import associated_graded_tower
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
 from oretower.skewpoly import SkewPoly, apply_level_map
@@ -601,8 +601,8 @@ def test_matrix_base_failure_detail():
 
 def test_swap_compatibility_quantum_plane():
     tower = qplane(QQ, 2)
-    result = check_swap_compatibility(tower, 1, QQ.coerce(2))
-    assert result.ok
+    result = check_swap_compatibility(tower, 1)
+    assert result.witness is None
     assert result.q_preserved
 
 
@@ -621,8 +621,7 @@ def test_swap_compatibility_matrix_failure():
             TowerLevel("x2", sigma_base=diag, sigma_vars={0: (base.one, {})}),
         ],
     )
-    result = check_swap_compatibility(tower, 1, base.one)
-    assert not result.ok
+    result = check_swap_compatibility(tower, 1)
     assert result.witness == SkewPoly.from_base(tower, Matrix.unit(field, 2, 0, 1))
 
 
@@ -632,10 +631,90 @@ def test_swap_compatibility_ratfunc_derivation():
     # reports delta(lambda) = d/dt(t) = 1 != 0
     tower = ratfunc_deriv_tower()
     t = tower.base.field.gen
-    result = check_swap_compatibility(tower, 1, t)
-    assert not result.ok
+    result = check_swap_compatibility(tower, 1)
     assert result.witness == SkewPoly.from_base(tower, t)
     assert not result.q_preserved
+
+
+@pytest.mark.parametrize("name", ["qweyl_q", "weyl_gf5"])
+def test_swap_compatibility_refuses_an_upper_level_with_a_delta(name):
+    tower = parse_tower_file(str(FIXTURES / f"{name}.tw"))
+    with pytest.raises(NotDiagonal) as info:
+        check_swap_compatibility(tower, 1)
+    assert str(info.value) == "level 2 still carries a delta; cannot move it down"
+
+
+def test_swap_compatibility_refuses_a_zero_lambda():
+    # the tower builds, and validate rejects it; lambda = 0 is refused
+    # before the commutation checks would invert it
+    tower = parse_tower_text(
+        "[base]\nfield = Q\n\n[[level]]\nvar = x1\n\n"
+        "[[level]]\nvar = x2\nsigma x1 = 0 * x1\n"
+    )
+    assert not validate_tower(tower).ok
+    with pytest.raises(NotDiagonal) as info:
+        check_swap_compatibility(tower, 1)
+    assert str(info.value) == "lambda = 0 is not invertible in the base"
+
+
+def test_swap_compatibility_refuses_a_c_part():
+    tower = OreTower(
+        BaseRing.field_ring(QQ),
+        [
+            TowerLevel("x1"),
+            TowerLevel("x2", sigma_vars={0: (QQ.coerce(2), {(0, 0): QQ.one})}),
+        ],
+    )
+    with pytest.raises(NotDiagonal) as info:
+        check_swap_compatibility(tower, 1)
+    assert str(info.value) == "sigma of level 2 sends x_1 to 2 * x_1 + 1"
+
+
+def _conftest_towers() -> list:
+    return [
+        *(build() for build in ARITHMETIC_FIXTURES.values()),
+        *(mat2_unvalidated(name) for name in UNVALIDATED_SIGMA_X1),
+        mat2_twolevel(),
+        mat2_unvalidated_three(),
+        zeta5_deriv_tower(),
+        ratfunc_deriv_tower(),
+        weyl_sigma_top_tower(),
+    ]
+
+
+def test_swap_compatibility_decides_every_swap():
+    """check_swap_compatibility and swap_adjacent agree on every pair of
+    levels of every fixture and conftest tower: a pair the check refuses
+    or finds a witness for is refused by the swap with the same error,
+    and on any other pair the swap builds, or finds the moved levels above
+    ill-formed (three_level's swap --level 2)."""
+    towers = [parse_tower_file(path) for path in sorted(FIXTURES.glob("*.tw"))]
+    outcomes = set()
+    for tower in towers + _conftest_towers():
+        for i in range(1, tower.height):
+            try:
+                compat = check_swap_compatibility(tower, i)
+            except OreError as exc:
+                with pytest.raises(type(exc)) as info:
+                    swap_adjacent(tower, i)
+                assert str(info.value) == str(exc)
+                outcomes.add("refused")
+                continue
+            if compat.witness is not None:
+                with pytest.raises(CompatibilityFailed) as info:
+                    swap_adjacent(tower, i)
+                assert info.value.witness == compat.witness
+                assert str(info.value).endswith(f"witness {compat.witness}")
+                outcomes.add("witness")
+                continue
+            try:
+                swap_adjacent(tower, i)
+            except CompatibilityFailed as exc:
+                assert str(exc).startswith("swap produced an ill-formed presentation")
+                outcomes.add("ill-formed")
+            else:
+                outcomes.add("swapped")
+    assert outcomes == {"refused", "witness", "ill-formed", "swapped"}
 
 
 def _one_level_tower(field, sigma_image=None, d=None) -> OreTower:
