@@ -48,7 +48,7 @@ from .erase import DEFAULT_SEARCH_DEGREE, _swap_collect, erase_all, erase_top
 from .graded import associated_graded_tower
 from .pi import DEFAULT_ORDER_BOUND, centrality_witness, pi_report
 from .scalars import Matrix, Scalar, _wrap, parse_field
-from .skewpoly import SkewPoly, is_central
+from .skewpoly import SkewPoly, check_ring_map, is_central
 from .tower import (
     NO_MAP,
     BaseMap,
@@ -870,6 +870,9 @@ def _dispatch(args, tower: OreTower):
         level = _level_arg(args, tower, lowest=2)
         caught: list[str] = []
         swapped = _swap_collect(tower, level, caught)
+        images = [tower.var(k) for k in range(tower.height)]
+        images[level - 1], images[level] = images[level], images[level - 1]
+        check_ring_map(swapped, tower, images)
         report = {
             "command": command,
             "tower": render_tower_file(swapped),

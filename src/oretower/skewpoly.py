@@ -86,7 +86,7 @@ from __future__ import annotations
 
 from fractions import Fraction
 
-from .errors import ScalarError, SupportTooHigh, TowerMismatch
+from .errors import ScalarError, SupportTooHigh, TowerMismatch, VerificationFailed
 from .scalars import Matrix, Scalar, _power, _wrap
 
 
@@ -622,6 +622,23 @@ def _substitute(target, p: SkewPoly, var_image) -> SkewPoly:
                 acc = acc * var_image(j) ** e
         total = total + acc
     return total
+
+
+def check_ring_map(source, target, images) -> None:
+    """Raise VerificationFailed unless x_j -> images[j], fixing the base, is a
+    ring map from ``source`` into ``target``.  By the universal property of an
+    Ore extension it is one when phi(x_i) phi(g) = phi(sigma_i(g)) phi(x_i) +
+    phi(delta_i(g)) for every level i and generator g below i."""
+    def phi(p):
+        return _substitute(target, p, images.__getitem__)
+
+    for i in range(source.height):
+        x = images[i]
+        for g in _level_generators(source, i):
+            sigma_g = phi(apply_level_map("sigma", i, g))
+            delta_g = phi(apply_level_map("delta", i, g))
+            if x * phi(g) != sigma_g * x + delta_g:
+                raise VerificationFailed(f"the relation of level {i + 1} fails at g = {g}")
 
 
 # ---------------------------------------------------------------------------

@@ -544,19 +544,41 @@ def test_usage_and_parse_errors_exit_two(capsys, tmp_path):
         assert captured.out == ""
 
 
-def test_failed_reverification_is_a_typed_error(capsys, monkeypatch):
+def test_failed_reverification_is_a_typed_error(capsys, monkeypatch, tmp_path):
     from oretower import OreError, VerificationFailed, erase
 
     assert issubclass(VerificationFailed, OreError)
-    verify = erase._verify_relations
-    monkeypatch.setattr(
-        erase, "_verify_relations", lambda tower, ys: verify(tower, ys[::-1])
+    erase_top = erase.erase_top
+
+    def off_by_one(tower, *args):
+        y, new_tower, wit = erase_top(tower, *args)
+        return y + 1, new_tower, wit
+
+    monkeypatch.setattr(erase, "erase_top", off_by_one)
+    for name in ("qweyl_zeta3", "qplane_zeta3", "qweyl_q", "qplane_lambda2", "mat2_inner"):
+        rc = run(["erase-all", "--tower", fixture(f"{name}.tw"), "--json"])
+        assert rc == 1, name
+        payload = json.loads(capsys.readouterr().out)
+        assert payload["status"] == "error"
+        assert payload["kind"] == "VerificationFailed", name
+
+    # a check failing inside a round names the original level: erase-all
+    # erases the trivial x3 first and moves it to the bottom, so x2 is
+    # erased second, at position 3 of the working tower
+    monkeypatch.setattr(erase, "erase_top", erase_top)
+    zero_top_delta = erase._zero_top_delta
+    monkeypatch.setattr(erase, "_zero_top_delta", lambda tower, y: zero_top_delta(tower, y + 1))
+    path = tmp_path / "weyl_below_trivial.tw"
+    path.write_text(
+        "[base]\nkind = field\nfield = Q\n\n[[level]]\nvar = x1\n\n"
+        "[[level]]\nvar = x2\nsigma x1 = 2 * x1\ndelta x1 = 1\nq = 2\n\n"
+        "[[level]]\nvar = x3\n",
+        encoding="utf-8",
     )
-    rc = run(["erase-all", "--tower", fixture("qweyl_zeta3.tw"), "--json"])
-    assert rc == 1
+    assert run(["erase-all", "--tower", str(path), "--json"]) == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["status"] == "error"
-    assert payload["kind"] == "VerificationFailed"
+    assert payload["kind"] == "VerificationFailed", payload
+    assert payload["error"].startswith("erasing level 2: the relation of level 3 "), payload
 
 
 def test_mul_deep_power_returns(capsys):
@@ -652,6 +674,40 @@ def test_swap_command_checks_the_field_generator(capsys, tmp_path):
     payload = json.loads(capsys.readouterr().out)
     assert payload["kind"] == "CompatibilityFailed"
     assert payload["error"].endswith("witness t")
+
+
+def test_swap_reverifies_its_answer(capsys, monkeypatch, tmp_path):
+    """A swap that carries the level above the pair wrongly exits 1: with
+    the old relabelling of exponent positions in place of the ring map,
+    Q[x1][x2; sigma x1 = 2 x1][x3; sigma x1 = 3 x1, delta x1 = x1 x2] would
+    swap to delta x1 = x2 x1, which is 2 x1 x2 in the original ring."""
+    from oretower import erase
+
+    def relabel(target, p, var_image):
+        terms = {}
+        for exp, c in p.terms.items():
+            moved = [0] * target.height
+            for j, e in enumerate(exp):
+                if e:
+                    moved[next(iter(var_image(j).terms)).index(1)] = e
+            terms[tuple(moved)] = c
+        return SkewPoly(target, terms)
+
+    path = tmp_path / "repro.tw"
+    path.write_text(
+        "[base]\nkind = field\nfield = Q\n\n[[level]]\nvar = x1\n\n"
+        "[[level]]\nvar = x2\nsigma x1 = 2 * x1\n\n"
+        "[[level]]\nvar = x3\nsigma x1 = 3 * x1\ndelta x1 = x1 x2\n",
+        encoding="utf-8",
+    )
+    argv = ["swap", "--tower", str(path), "--level", "2", "--json"]
+    assert run(argv) == 0
+    assert "delta x1 = (1/2) * x2 x1" in json.loads(capsys.readouterr().out)["tower"]
+    monkeypatch.setattr(erase, "_substitute", relabel)
+    assert run(argv) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "VerificationFailed", payload
+    assert "level 3" in payload["error"]
 
 
 def test_mul_and_central_commands(capsys):

@@ -11,6 +11,7 @@ from oretower.errors import (
     NotDiagonal,
     OreError,
     UnsupportedErasure,
+    VerificationFailed,
 )
 from oretower.erase import erase_all, erase_top, swap_adjacent
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix, Scalar
@@ -19,6 +20,7 @@ from oretower.skewpoly import (
     _level_generators,
     _substitute,
     apply_level_map,
+    check_ring_map,
     degree_leading,
     is_central,
 )
@@ -300,7 +302,7 @@ def _inner_branch_by_solves(tower: OreTower):
     v = Matrix.unvec(field, v_vec)
     b = a * v
     y = SkewPoly.variable(tower, 0) - b
-    erase._assert_sigma_relation(tower, 0, y)
+    erase._zero_top_delta(tower, y)
     return y, erase.ErasureWitness("inner", a=a, v=v, b=b)
 
 
@@ -596,6 +598,7 @@ def _assert_swap_is_the_ring_map(tower: OreTower, upper: int) -> None:
     for g, g_image in zip(gens, images):
         for h, h_image in zip(gens, images):
             assert _substitute(tower, g * h, back.__getitem__) == g_image * h_image, (g, h)
+    check_ring_map(swapped, tower, back)
 
 
 def test_swap_carries_upper_levels_by_the_ring_map():
@@ -622,6 +625,37 @@ def test_swap_carries_upper_levels_by_the_ring_map():
         tower = _cross_term_tower(field, lam, mu, c, i, j)
         assert validate_tower(tower).ok, (trial, tower)
         _assert_swap_is_the_ring_map(tower, 1)
+
+
+def test_check_ring_map_accepts_the_identity():
+    """Every fixture maps to itself by x_j -> x_j."""
+    paths = sorted(FIXTURES.glob("*.tw"))
+    for path in paths:
+        tower = parse_tower_file(path)
+        check_ring_map(tower, tower, [tower.var(j) for j in range(tower.height)])
+    assert len(paths) == 8
+
+
+def test_check_ring_map_names_the_first_broken_relation():
+    """erase-all's y's in reverse order, or with the top y shifted by one,
+    are no ring map; the error names the level whose relation breaks.
+    erase-all runs the check on its own y's before it returns them."""
+    erased = reversed_checked = 0
+    for path in sorted(FIXTURES.glob("*.tw")):
+        tower = parse_tower_file(path)
+        try:
+            result = erase_all(tower)
+        except OreError:
+            continue
+        ys, n = result.y_elements, tower.height
+        if n > 1:
+            with pytest.raises(VerificationFailed, match="relation of level 2 "):
+                check_ring_map(result.new_tower, tower, ys[::-1])
+            reversed_checked += 1
+        with pytest.raises(VerificationFailed, match=f"relation of level {n} "):
+            check_ring_map(result.new_tower, tower, [*ys[:-1], ys[-1] + 1])
+        erased += 1
+    assert (erased, reversed_checked) == (5, 4)
 
 
 def test_swap_compatibility_failure_raises():
