@@ -10,7 +10,8 @@ forms and no floating point anywhere:
   phi(n) integer numerators over one positive common denominator, with
   ``gcd(den, *nums) == 1`` (the ``nf_elem`` layout of ANTIC); a product
   is the Z[t] product of the numerators reduced from the top by the monic
-  integer n-th cyclotomic polynomial;
+  integer n-th cyclotomic polynomial, written out as one generated
+  straight-line function per field when phi(n) <= ``MAX_KERNEL_DEGREE``;
 * ``FunctionField(inner, name)`` -- univariate rational functions over an
   inner field, ``(num, den)`` tuples of the inner field's reps, coprime,
   with monic denominator; over Q, ``(num, den)`` tuples of ints, coprime,
@@ -21,7 +22,8 @@ polynomial helpers below take the coefficient field and call those, so a
 rational function never wraps its coefficients in :class:`Scalar`.  Q
 builds a Fraction only for a value that is not an integer.  The
 cyclotomic fields and Q(t) over Q compute on ints alone: they share one
-Z[t] product and one intake of rationals, their gcds and inverses are
+Z[t] product (which the small cyclotomic fields replace by their generated
+product) and one intake of rationals, their gcds and inverses are
 fraction-free remainder sequences in Z[t], and :class:`fractions.Fraction`
 appears only where values are parsed or rendered.
 Elements are immutable :class:`Scalar` values carrying a reference to
@@ -55,6 +57,9 @@ from .errors import DivisionByZero, ScalarError, ZeroInput
 
 # largest n accepted for Q(zeta_n); a product there costs O(phi(n)^2)
 MAX_CYCLOTOMIC_ORDER = 1000
+# largest phi(n) whose cyclotomic(n) multiplies by a generated straight-line
+# product; above it a one-term operand multiplies faster through _zmul
+MAX_KERNEL_DEGREE = 16
 # digits of p accepted for gf(p); every such p is below _MR_EXACT_BELOW,
 # where is_prime is exact
 MAX_PRIME_DIGITS = 23
@@ -258,6 +263,9 @@ _ZZ = _IntegerRing()
 # Z[t] helpers on int tuples, shared by Q(t) and cyclotomic(n): plain integer
 # loops (the generic helpers with _ZZ are their test oracle), fraction-free
 # remainder sequences (Knuth, TAOCP vol. 2, 4.6.1), and the intake of rationals.
+# _zmul multiplies Q(t) numerators and denominators and, with _fold_top, the
+# numerators of cyclotomic(n) for phi(n) > MAX_KERNEL_DEGREE; it is also the
+# oracle of the generated products of the smaller cyclotomic fields.
 
 
 def _zadd(a, b) -> tuple:
@@ -679,7 +687,11 @@ class CyclotomicFieldImpl(_FieldBase):
     """Q(zeta_n); an element is (nums, den), sum_k nums[k] z^k / den.
 
     ``nums`` holds phi(n) ints, ``den > 0`` and ``gcd(den, *nums) == 1``,
-    so equal elements have equal reps.
+    so equal elements have equal reps.  ``_mul_nums`` multiplies two
+    numerator tuples modulo Phi_n: a straight-line function generated once
+    per field when phi(n) <= ``MAX_KERNEL_DEGREE``, and ``_zmul`` followed
+    by ``_fold_top`` above that, where a one-term operand (a lambda^k
+    move) costs less through ``_zmul``'s sparse loop.
     """
 
     gen_name = "z"
@@ -699,6 +711,10 @@ class CyclotomicFieldImpl(_FieldBase):
         self._fold = tuple((j, -c) for j, c in enumerate(self.modulus[:-1]) if c)
         self.rep_zero = ((0,) * self.degree, 1)
         self.rep_one = ((1,) + (0,) * (self.degree - 1), 1)
+        if self.degree <= MAX_KERNEL_DEGREE:
+            self._mul_nums = self._product_kernel()
+        else:
+            self._mul_nums = self._zmul_fold
 
     @functools.cached_property
     def gen(self) -> Scalar:
@@ -717,6 +733,36 @@ class CyclotomicFieldImpl(_FieldBase):
                 for j, m in fold:
                     coeffs[base + j] += c * m
         return coeffs
+
+    def _zmul_fold(self, a, b) -> tuple:
+        return tuple(self._fold_top(_zmul(a, b)))
+
+    def _product_kernel(self):
+        """A straight-line product of two numerator tuples modulo Phi_n.
+
+        Each convolution coefficient c_m is written out as a sum of int
+        products, and each c_m with m >= degree is added into the low
+        coefficients by the reduction of z^m, read off :meth:`_fold_top`.
+        The source is built from integers alone and compiled once.
+        """
+        d = self.degree
+        low = [" + ".join(f"a{i}*b{m - i}" for i in range(m + 1)) for m in range(d)]
+        lines = [
+            "def mul(a, b):",
+            f"    {''.join(f'a{i}, ' for i in range(d))}= a",
+            f"    {''.join(f'b{i}, ' for i in range(d))}= b",
+        ]
+        for m in range(d, 2 * d - 1):
+            products = " + ".join(f"a{i}*b{m - i}" for i in range(m - d + 1, d))
+            lines.append(f"    c{m} = {products}")
+            for k, r in enumerate(self._fold_top([0] * m + [1])):
+                if r:
+                    sign = "-" if r < 0 else "+"
+                    low[k] += f" {sign} c{m}" if abs(r) == 1 else f" {sign} {abs(r)}*c{m}"
+        lines.append(f"    return ({''.join(f'{e}, ' for e in low)})")
+        namespace = {}
+        exec(compile("\n".join(lines), f"<{self.name} product>", "exec"), namespace)
+        return namespace["mul"]
 
     @staticmethod
     def _normal(nums, den: int) -> tuple:
@@ -761,10 +807,11 @@ class CyclotomicFieldImpl(_FieldBase):
         return tuple(-c for c in nums), den
 
     def rep_mul(self, x, y):
+        """The product rep: ``_mul_nums`` on the numerators, over ad * bd."""
         (an, ad), (bn, bd) = x, y
-        nums = self._fold_top(_zmul(an, bn))
+        nums = self._mul_nums(an, bn)
         den = ad * bd
-        return (tuple(nums), 1) if den == 1 else self._normal(nums, den)
+        return (nums, 1) if den == 1 else self._normal(nums, den)
 
     def rep_pow(self, x, k):
         nums, den = x

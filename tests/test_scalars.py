@@ -1,6 +1,7 @@
 import ast
 import inspect
 import itertools
+import math
 import operator
 import random
 from fractions import Fraction
@@ -456,6 +457,49 @@ def test_dense_cyclotomic_inverse():
     rng = random.Random(1)
     a = field.coerce([rng.randint(-3, 3) for _ in range(field.degree)])
     assert a * a.inverse() == field.one
+
+
+def _totient(n: int) -> int:
+    return sum(math.gcd(k, n) == 1 for k in range(1, n + 1))
+
+
+# phi(n) >= sqrt(n / 2), so every order whose degree is at most the kernel
+# bound lies below 2 * bound^2 + 1
+KERNEL_ORDERS = [
+    n
+    for n in range(1, 2 * scalars.MAX_KERNEL_DEGREE**2 + 1)
+    if _totient(n) <= scalars.MAX_KERNEL_DEGREE
+]
+
+
+@pytest.mark.parametrize("n", KERNEL_ORDERS)
+def test_generated_product_matches_the_generic_product(n):
+    """The straight-line product of cyclotomic(n) equals the Z[t] product
+    reduced by _fold_top, on dense, one-term, zero and one numerators in
+    both orders."""
+    field = CyclotomicField(n)
+    d = field.degree
+    rng = random.Random(n)
+
+    def one_term():
+        nums = [0] * d
+        nums[rng.randrange(d)] = rng.choice((-1, 1)) * rng.randint(1, 10**6)
+        return tuple(nums)
+
+    dense = [tuple(rng.randint(-(10**12), 10**12) for _ in range(d)) for _ in range(4)]
+    operands = dense + [one_term() for _ in range(4)] + [field.rep_zero[0], field.rep_one[0]]
+    for a, b in itertools.product(operands, repeat=2):
+        assert field._mul_nums(a, b) == tuple(field._fold_top(scalars._zmul(a, b)))
+
+
+def test_only_small_fields_generate_a_product():
+    """Degree 16 (n = 17, 32, 34, 40, 48, 60) is the bound; 25, 97 and 997
+    multiply through _zmul."""
+    assert KERNEL_ORDERS[:2] == [1, 2] and KERNEL_ORDERS[-1] == 60
+    for n in (17, 32, 60, 25, 97, 997):
+        field = CyclotomicField(n)
+        generic = field._mul_nums == field._zmul_fold
+        assert generic == (n in (25, 97, 997)), n
 
 
 def test_integer_kernels_hold_no_fraction():
