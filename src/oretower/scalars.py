@@ -25,14 +25,18 @@ cyclotomic fields and Q(t) over Q compute on ints alone: they share one
 Z[t] product (which the small cyclotomic fields replace by their generated
 product) and one intake of rationals, their gcds and inverses are
 fraction-free remainder sequences in Z[t], and :class:`fractions.Fraction`
-appears only where values are parsed or rendered.
+appears only where values are parsed or rendered.  The Z[t] product runs
+a generated straight-line product per pair of operand lengths up to
+``MAX_KERNEL_LENGTH`` and the schoolbook loop ``_zmul_loop`` above them.
 Elements are immutable :class:`Scalar` values carrying a reference to
 their field; the usual operators are overloaded.  :class:`Matrix` holds
 exact matrices over any of these fields as tuples of their entries' reps,
 computes and runs Gauss-Jordan elimination on those reps, and backs both
-matrix-algebra coefficients and linear-system solving.  Only this module
-reads that storage, and only :class:`Matrix` knows the row-major order in
-which a linear map on m x m matrices acts on their entries.
+matrix-algebra coefficients and linear-system solving; an m x m product
+with m up to ``MAX_KERNEL_MATRIX_SIZE`` runs a generated straight-line
+product per m.  Only this module reads that storage, and only
+:class:`Matrix` knows the row-major order in which a linear map on m x m
+matrices acts on their entries.
 
 Fields are made only by ``QQ`` and the factories ``GF``,
 ``CyclotomicField`` and ``FunctionField`` (which ``parse_field`` calls),
@@ -60,6 +64,13 @@ MAX_CYCLOTOMIC_ORDER = 1000
 # largest phi(n) whose cyclotomic(n) multiplies by a generated straight-line
 # product; above it a one-term operand multiplies faster through _zmul
 MAX_KERNEL_DEGREE = 16
+# largest operand length whose Z[t] products run through a generated
+# straight-line product; above it a one-term operand (q^k, a lambda^k move)
+# multiplies faster through _zmul_loop's sparse loop
+MAX_KERNEL_LENGTH = 10
+# largest m whose m x m matrix products run through a generated straight-line
+# product; each size costs a compile of O(m^3) lines on first use
+MAX_KERNEL_MATRIX_SIZE = 3
 # digits of p accepted for gf(p); every such p is below _MR_EXACT_BELOW,
 # where is_prime is exact
 MAX_PRIME_DIGITS = 23
@@ -260,12 +271,48 @@ class _IntegerRing:
 
 _ZZ = _IntegerRing()
 
+# ---------------------------------------------------------------------------
+# generated straight-line products
+#
+# A product of small fixed shape (two int tuples of given lengths, two m x m
+# matrices) runs fastest as one function that unpacks its operands into
+# locals and writes each result out as one expression.  The source is built
+# from integers alone and compiled once per shape, on first use.
+
+
+def _convolution(la: int, lb: int) -> tuple[list[str], list[str]]:
+    """Source of a function ``f(a, b)`` of an la-tuple and an lb-tuple:
+    its lines up to the unpacking of both operands into the locals
+    ``a0, a1, ...`` and ``b0, b1, ...``, and the expression of each
+    coefficient of their product, ``a0*b2 + a1*b1 + a2*b0`` for the third."""
+    head = [
+        "def f(a, b):",
+        f"    {''.join(f'a{i}, ' for i in range(la))}= a",
+        f"    {''.join(f'b{i}, ' for i in range(lb))}= b",
+    ]
+    sums = [
+        " + ".join(f"a{i}*b{m - i}" for i in range(max(0, m - lb + 1), min(m, la - 1) + 1))
+        for m in range(la + lb - 1)
+    ]
+    return head, sums
+
+
+def _compile(lines: list[str], label: str):
+    """The function ``f`` defined by the source ``lines``, compiled under the
+    filename ``<label>``."""
+    namespace = {}
+    exec(compile("\n".join(lines), f"<{label}>", "exec"), namespace)
+    return namespace["f"]
+
+
 # Z[t] helpers on int tuples, shared by Q(t) and cyclotomic(n): plain integer
 # loops (the generic helpers with _ZZ are their test oracle), fraction-free
 # remainder sequences (Knuth, TAOCP vol. 2, 4.6.1), and the intake of rationals.
 # _zmul multiplies Q(t) numerators and denominators and, with _fold_top, the
-# numerators of cyclotomic(n) for phi(n) > MAX_KERNEL_DEGREE; it is also the
-# oracle of the generated products of the smaller cyclotomic fields.
+# numerators of cyclotomic(n) for phi(n) > MAX_KERNEL_DEGREE.  Operands of
+# lengths up to MAX_KERNEL_LENGTH go through a generated product per pair of
+# lengths, and longer ones through _zmul_loop, the schoolbook loop, which is
+# the oracle of every generated product.
 
 
 def _zadd(a, b) -> tuple:
@@ -279,7 +326,30 @@ def _zadd(a, b) -> tuple:
     return tuple(out)
 
 
+# the generated Z[t] products, by the pair of operand lengths
+_ZMUL_KERNELS: dict = {}
+
+
 def _zmul(a, b) -> tuple:
+    kernel = _ZMUL_KERNELS.get((len(a), len(b)))
+    if kernel is None:
+        if not a or not b:
+            return ()
+        if len(a) > MAX_KERNEL_LENGTH or len(b) > MAX_KERNEL_LENGTH:
+            return _zmul_loop(a, b)
+        kernel = _ZMUL_KERNELS[len(a), len(b)] = _zmul_kernel(len(a), len(b))
+    return kernel(a, b)
+
+
+def _zmul_kernel(la: int, lb: int):
+    """A straight-line product of an la-tuple and an lb-tuple of ints: every
+    coefficient of the product is one sum of int products."""
+    head, sums = _convolution(la, lb)
+    body = f"    return ({''.join(f'{c}, ' for c in sums)})"
+    return _compile([*head, body], f"Z[t] product {la}x{lb}")
+
+
+def _zmul_loop(a, b) -> tuple:
     if not a or not b:
         return ()
     if len(b) == 1:
@@ -743,26 +813,18 @@ class CyclotomicFieldImpl(_FieldBase):
         Each convolution coefficient c_m is written out as a sum of int
         products, and each c_m with m >= degree is added into the low
         coefficients by the reduction of z^m, read off :meth:`_fold_top`.
-        The source is built from integers alone and compiled once.
         """
         d = self.degree
-        low = [" + ".join(f"a{i}*b{m - i}" for i in range(m + 1)) for m in range(d)]
-        lines = [
-            "def mul(a, b):",
-            f"    {''.join(f'a{i}, ' for i in range(d))}= a",
-            f"    {''.join(f'b{i}, ' for i in range(d))}= b",
-        ]
+        lines, sums = _convolution(d, d)
+        low = sums[:d]
         for m in range(d, 2 * d - 1):
-            products = " + ".join(f"a{i}*b{m - i}" for i in range(m - d + 1, d))
-            lines.append(f"    c{m} = {products}")
+            lines.append(f"    c{m} = {sums[m]}")
             for k, r in enumerate(self._fold_top([0] * m + [1])):
                 if r:
                     sign = "-" if r < 0 else "+"
                     low[k] += f" {sign} c{m}" if abs(r) == 1 else f" {sign} {abs(r)}*c{m}"
         lines.append(f"    return ({''.join(f'{e}, ' for e in low)})")
-        namespace = {}
-        exec(compile("\n".join(lines), f"<{self.name} product>", "exec"), namespace)
-        return namespace["mul"]
+        return _compile(lines, f"{self.name} product")
 
     @staticmethod
     def _normal(nums, den: int) -> tuple:
@@ -1320,7 +1382,13 @@ def _order_dividing(s: Scalar, bound: int) -> int | None:
 
 
 class Matrix:
-    """Immutable exact matrix over one field, its entries stored as reps."""
+    """Immutable exact matrix over one field, its entries stored as reps.
+
+    A product of two m x m matrices with m <= ``MAX_KERNEL_MATRIX_SIZE``
+    runs a straight-line product generated once per m; every other product,
+    and ``act_on``, takes :func:`_rep_dot` of each row and column.  Both
+    skip the same zero terms and add in the same order.
+    """
 
     # _hash is None until the first __hash__ stores the hash: the base-map
     # memo hashes its matrix keys on every lookup, and most other matrices
@@ -1400,13 +1468,16 @@ class Matrix:
     def __add__(self, other):
         if not self._same_field(other):
             return NotImplemented
+        rows, other_rows = self._rows, other._rows
+        if len(rows) != len(other_rows) or (rows and len(rows[0]) != len(other_rows[0])):
+            raise ValueError("matrix dimension mismatch")
         field = self.field
         add, zero = field.rep_add, field.rep_zero
         return Matrix._from_reps(
             field,
             [
                 [b if a == zero else a if b == zero else add(a, b) for a, b in zip(r1, r2)]
-                for r1, r2 in zip(self._rows, other._rows)
+                for r1, r2 in zip(rows, other_rows)
             ],
         )
 
@@ -1421,12 +1492,20 @@ class Matrix:
     def __mul__(self, other):
         field = self.field
         if self._same_field(other):
-            if self.ncols != other.nrows:
+            rows, other_rows = self._rows, other._rows
+            if self.ncols != len(other_rows):
                 raise ValueError("matrix dimension mismatch")
-            cols = list(zip(*other._rows))
             mul, add, zero = field.rep_mul, field.rep_add, field.rep_zero
+            # self is m x m when its m columns are the m rows of other
+            m = len(rows)
+            if m == len(other_rows) and 0 < m <= MAX_KERNEL_MATRIX_SIZE and len(other_rows[0]) == m:
+                kernel = _MATRIX_KERNELS.get(m)
+                if kernel is None:
+                    kernel = _MATRIX_KERNELS[m] = _matrix_kernel(m)
+                return Matrix._from_reps(field, kernel(rows, other_rows, mul, add, zero))
+            cols = list(zip(*other_rows))
             return Matrix._from_reps(
-                field, [[_rep_dot(row, col, mul, add, zero) for col in cols] for row in self._rows]
+                field, [[_rep_dot(row, col, mul, add, zero) for col in cols] for row in rows]
             )
         if isinstance(other, (int, Fraction)) or (
             isinstance(other, Scalar) and other.field is field
@@ -1590,6 +1669,36 @@ def _power(x, k: int, mul=operator.mul):
         if not k:
             return acc
         x = mul(x, x)
+
+
+# the generated m x m matrix products, by m
+_MATRIX_KERNELS: dict = {}
+
+
+def _matrix_kernel(m: int):
+    """A straight-line product ``f(x, y, mul, add, zero)`` of two m x m
+    matrices given as tuples of rows of reps, for the field's rep_mul,
+    rep_add and canonical rep_zero: each entry is :func:`_rep_dot` of a row
+    and a column written out, the same terms skipped and added in the same
+    order."""
+    idx = [(i, j) for i in range(m) for j in range(m)]
+    lines = ["def f(x, y, mul, add, zero):"]
+    for name in "xy":
+        rows = "".join(f"({''.join(f'{name}{i}_{j}, ' for j in range(m))}), " for i in range(m))
+        lines.append(f"    {rows}= {name}")
+        lines += [f"    n{name}{i}_{j} = {name}{i}_{j} != zero" for i, j in idx]
+    for i, j in idx:
+        lines.append(f"    s = mul(x{i}_0, y0_{j}) if nx{i}_0 and ny0_{j} else None")
+        for k in range(1, m):
+            lines += [
+                f"    if nx{i}_{k} and ny{k}_{j}:",
+                f"        t = mul(x{i}_{k}, y{k}_{j})",
+                "        s = t if s is None else add(s, t)",
+            ]
+        lines.append(f"    c{i}_{j} = zero if s is None else s")
+    rows = "".join(f"({''.join(f'c{i}_{j}, ' for j in range(m))}), " for i in range(m))
+    lines.append(f"    return ({rows})")
+    return _compile(lines, f"{m}x{m} matrix product")
 
 
 def _rep_dot(xs, ys, mul, add, zero):

@@ -48,7 +48,9 @@ from oretower.scalars import (  # noqa: E402
     _ptrim,
     _zadd,
     _zmul,
+    _zmul_loop,
     _MR_EXACT_BELOW,
+    MAX_KERNEL_MATRIX_SIZE,
     is_prime,
     root_of_unity_order,
 )
@@ -326,7 +328,7 @@ int_polys = st.lists(
 @settings(max_examples=200, deadline=None)
 @given(a=int_polys, b=int_polys)
 def test_integer_kernels_match_the_generic_helpers(a, b):
-    assert _zmul(a, b) == _pmul(a, b, _ZZ)
+    assert _zmul(a, b) == _zmul_loop(a, b) == _pmul(a, b, _ZZ)
     assert _zadd(a, b) == _padd(a, b, _ZZ)
     # a sum whose top terms cancel is trimmed
     assert _zadd(_zadd(a, b), _pneg(b, _ZZ)) == a
@@ -355,8 +357,9 @@ def shaped_int_polys(draw):
 @given(a=shaped_int_polys(), b=shaped_int_polys())
 def test_integer_product_on_sparse_and_padded_operands(a, b):
     expected = _pmul(a, b, _ZZ)
-    assert _ptrim(_zmul(a, b), _ZZ) == expected
-    assert _ptrim(_zmul(b, a), _ZZ) == expected
+    for product in (_zmul, _zmul_loop):
+        assert _ptrim(product(a, b), _ZZ) == expected
+        assert _ptrim(product(b, a), _ZZ) == expected
 
 
 @pytest.mark.parametrize("n", (1, 2, 3, 4, 5, 7, 8, 12))
@@ -457,6 +460,11 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
     square = st.lists(st.lists(entries, min_size=m, max_size=m), min_size=m, max_size=m)
     a, b = Matrix(field, data.draw(square)), Matrix(field, data.draw(square))
     s = data.draw(entries)
+    # an n x k by k x p product: a generated product for square shapes up to
+    # MAX_KERNEL_MATRIX_SIZE, and _rep_dot for every other shape
+    n, k, p = (data.draw(st.integers(1, MAX_KERNEL_MATRIX_SIZE + 1)) for _ in range(3))
+    left = data.draw(st.lists(st.lists(entries, min_size=k, max_size=k), min_size=n, max_size=n))
+    right = data.draw(st.lists(st.lists(entries, min_size=p, max_size=p), min_size=k, max_size=k))
     ra, rb = a.rows, b.rows
     identity = [[field.one if i == j else field.zero for j in range(m)] for i in range(m)]
     expected = {
@@ -464,6 +472,7 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "difference": [[x - y for x, y in zip(r, t)] for r, t in zip(ra, rb)],
         "negation": [[-x for x in r] for r in ra],
         "product": _product(field, ra, rb),
+        "n x k by k x p product": _product(field, left, right),
         "kron": [[x * y for x in r for y in t] for r in ra for t in rb],
         "transpose": [list(col) for col in zip(*ra)],
         "left multiple": [[s * x for x in r] for r in ra],
@@ -475,6 +484,7 @@ def test_matrix_arithmetic_matches_entrywise_scalars(name, data):
         "difference": a - b,
         "negation": -a,
         "product": a * b,
+        "n x k by k x p product": Matrix(field, left) * Matrix(field, right),
         "kron": a.kron(b),
         "transpose": a.transpose(),
         "left multiple": s * a,

@@ -474,9 +474,9 @@ KERNEL_ORDERS = [
 
 @pytest.mark.parametrize("n", KERNEL_ORDERS)
 def test_generated_product_matches_the_generic_product(n):
-    """The straight-line product of cyclotomic(n) equals the Z[t] product
-    reduced by _fold_top, on dense, one-term, zero and one numerators in
-    both orders."""
+    """The straight-line product of cyclotomic(n) equals the schoolbook Z[t]
+    product reduced by _fold_top, on dense, one-term, zero and one
+    numerators in both orders."""
     field = CyclotomicField(n)
     d = field.degree
     rng = random.Random(n)
@@ -489,7 +489,7 @@ def test_generated_product_matches_the_generic_product(n):
     dense = [tuple(rng.randint(-(10**12), 10**12) for _ in range(d)) for _ in range(4)]
     operands = dense + [one_term() for _ in range(4)] + [field.rep_zero[0], field.rep_one[0]]
     for a, b in itertools.product(operands, repeat=2):
-        assert field._mul_nums(a, b) == tuple(field._fold_top(scalars._zmul(a, b)))
+        assert field._mul_nums(a, b) == tuple(field._fold_top(scalars._zmul_loop(a, b)))
 
 
 def test_only_small_fields_generate_a_product():
@@ -500,6 +500,129 @@ def test_only_small_fields_generate_a_product():
         field = CyclotomicField(n)
         generic = field._mul_nums == field._zmul_fold
         assert generic == (n in (25, 97, 997)), n
+
+
+def _int_operands(n: int, rng: random.Random) -> list[tuple]:
+    """Int tuples of length n: dense, one-term, after leading zeros (a Q(q)
+    numerator such as q^40) and before trailing zeros (a padded numerator)."""
+
+    def nonzero():
+        return rng.choice((-1, 1)) * rng.randint(1, 10**15)
+
+    one_term = [0] * n
+    one_term[rng.randrange(n)] = nonzero()
+    run = rng.randint(1, n)
+    body = [nonzero() for _ in range(run)]
+    return [
+        tuple(nonzero() for _ in range(n)),
+        tuple(one_term),
+        (0,) * (n - run) + tuple(body),
+        tuple(body) + (0,) * (n - run),
+    ]
+
+
+def test_generated_integer_products_match_the_generic_product():
+    """Every pair of lengths up to MAX_KERNEL_LENGTH multiplies through its
+    generated product, which equals _pmul over Z on dense, one-term,
+    leading-zero and trailing-zero operands in both orders; a product of
+    lengths la and lb keeps its la + lb - 1 coefficients, as the loop does."""
+    rng = random.Random(43)
+    bound = scalars.MAX_KERNEL_LENGTH
+    for la, lb in itertools.product(range(1, bound + 1), repeat=2):
+        for a, b in itertools.product(_int_operands(la, rng), _int_operands(lb, rng)):
+            for x, y in ((a, b), (b, a)):
+                product = scalars._zmul(x, y)
+                assert len(product) == la + lb - 1
+                assert scalars._ptrim(product, scalars._ZZ) == scalars._pmul(x, y, scalars._ZZ)
+        assert (la, lb) in scalars._ZMUL_KERNELS
+
+
+def _spy(monkeypatch, name: str) -> list:
+    """The argument tuples of every later call of scalars.<name>."""
+    calls, real = [], getattr(scalars, name)
+
+    def spy(*args):
+        calls.append(args)
+        return real(*args)
+
+    monkeypatch.setattr(scalars, name, spy)
+    return calls
+
+
+def test_only_short_operands_and_small_matrices_generate_a_product(monkeypatch):
+    """Z[t] products build a kernel once per pair of lengths up to
+    MAX_KERNEL_LENGTH and take _zmul_loop above it; matrix products build
+    one once per square size up to MAX_KERNEL_MATRIX_SIZE and take _rep_dot
+    for every larger or non-square shape."""
+    monkeypatch.setattr(scalars, "_ZMUL_KERNELS", {})
+    monkeypatch.setattr(scalars, "_MATRIX_KERNELS", {})
+    built, loops = _spy(monkeypatch, "_zmul_kernel"), _spy(monkeypatch, "_zmul_loop")
+    bound = scalars.MAX_KERNEL_LENGTH
+    lengths = range(1, bound + 2)
+    for _ in range(2):
+        for la, lb in itertools.product(lengths, repeat=2):
+            scalars._zmul((1,) * la, (2,) * lb)
+    assert built == list(itertools.product(range(1, bound + 1), repeat=2))
+    long = [(la, lb) for la, lb in itertools.product(lengths, repeat=2) if max(la, lb) > bound]
+    assert [(len(a), len(b)) for a, b in loops] == 2 * long
+    assert scalars._zmul((), (1, 2)) == scalars._zmul((1,) * (bound + 1), ()) == ()
+
+    built, dots = _spy(monkeypatch, "_matrix_kernel"), _spy(monkeypatch, "_rep_dot")
+    size = scalars.MAX_KERNEL_MATRIX_SIZE
+    field = FunctionField(QQ, "q")
+    shapes = list(itertools.product(range(1, size + 2), repeat=3))
+    for _ in range(2):
+        for n, k, p in shapes:
+            dots.clear()
+            Matrix(field, [[1] * k] * n) * Matrix(field, [[2] * p] * k)
+            kernel = n == k == p <= size
+            assert len(dots) == (0 if kernel else n * p), (n, k, p)
+    assert built == [(m,) for m in range(1, size + 1)]
+    assert sorted(scalars._MATRIX_KERNELS) == list(range(1, size + 1))
+
+
+def test_generated_matrix_products_call_what_rep_dot_calls():
+    """The generated m x m product makes the rep_mul and rep_add calls of
+    _rep_dot taken row by column, in the same order: the same zero terms
+    are skipped and the same sums formed."""
+    rng = random.Random(44)
+    for m in range(1, scalars.MAX_KERNEL_MATRIX_SIZE + 1):
+        for _ in range(30):
+            x, y = (
+                tuple(tuple(rng.choice((0, 0, 1, 2, -3)) for _ in range(m)) for _ in range(m))
+                for _ in range(2)
+            )
+            results, logs = [], []
+            for product in (
+                scalars._matrix_kernel(m),
+                lambda x, y, mul, add, zero: tuple(
+                    tuple(scalars._rep_dot(row, col, mul, add, zero) for col in zip(*y))
+                    for row in x
+                ),
+            ):
+                log = []
+
+                def mul(a, b):
+                    log.append(("mul", a, b))
+                    return a * b
+
+                def add(a, b):
+                    log.append(("add", a, b))
+                    return a + b
+
+                results.append(product(x, y, mul, add, 0))
+                logs.append(log)
+            assert results[0] == results[1] and logs[0] == logs[1], (x, y)
+
+
+def test_matrix_sums_of_mismatched_shapes_raise():
+    row, column = Matrix(QQ, [[1, 2, 3]]), Matrix(QQ, [[1], [2], [3]])
+    square, larger = Matrix.identity(QQ, 2), Matrix.identity(QQ, 3)
+    for a, b in ((row, column), (column, row), (square, larger), (larger, square)):
+        for op in (operator.add, operator.sub):
+            with pytest.raises(ValueError, match="matrix dimension mismatch"):
+                op(a, b)
+    assert row + row == Matrix(QQ, [[2, 4, 6]]) and (column - column).is_zero()
 
 
 def test_integer_kernels_hold_no_fraction():
