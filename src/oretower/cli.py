@@ -39,6 +39,7 @@ import sys
 from .errors import (
     DivisionByZero,
     FieldMismatch,
+    HypothesisViolation,
     OreError,
     ParseError,
     ScalarError,
@@ -796,10 +797,7 @@ def _dispatch(args, tower: OreTower):
         }
         if rep.ok:
             return report, 0, f"valid: all {len(rep.checks)} checks passed"
-        ff = rep.first_failure
-        return report, 1, (
-            f"invalid: level {ff.level + 1} {ff.name}: {ff.detail}"
-        )
+        return report, 1, f"invalid: {rep.failure_text}"
 
     if command in ("mul", "central") and tower.base.kind == "field":
         # a field map that is no automorphism can blow up the degree of
@@ -870,6 +868,10 @@ def _dispatch(args, tower: OreTower):
         level = _level_arg(args, tower, lowest=2)
         caught: list[str] = []
         swapped = _swap_collect(tower, level, caught)
+        # the swap conditions hold on every valid tower
+        # (check_swap_compatibility), so an invalid one is refused here
+        if not tower.validation.ok:
+            raise HypothesisViolation(f"tower is invalid: {tower.validation.failure_text}")
         images = [tower.var(k) for k in range(tower.height)]
         images[level - 1], images[level] = images[level], images[level - 1]
         check_ring_map(swapped, tower, images)

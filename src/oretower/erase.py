@@ -37,8 +37,11 @@ automorphism-only variable below the remaining delta levels.  There is no
 final reorder: the output tower, y_1 ... y_n bottom to top, is
 ``tower.sigma_only(qs)`` of the input, with qs the q values that the swaps
 left.  ``skewpoly.check_ring_map`` re-verifies each erased level and the
-whole pass by multiplication in the original tower; ``swap_adjacent``
-leaves its answer to its callers to check.
+whole pass by multiplication in the original tower.  ``swap_adjacent``
+checks only the swap preconditions: on a valid tower they make a swap an
+isomorphism onto a valid tower (``tower.check_swap_compatibility``), and
+the pass validates its input, so only a caller whose tower may be invalid,
+as the CLI's ``swap``, checks ``tower.validation`` first.
 """
 
 from __future__ import annotations
@@ -247,26 +250,22 @@ def _inner_branch(tower: OreTower):
 def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     """Exchange levels upper and upper-1 (0-based; the upper level moves down).
 
-    ``check_swap_compatibility`` decides whether the pair can be swapped
-    (its witness is raised as CompatibilityFailed), and this function only
-    builds: the moved-up level acquires sigma(x_moved) = lam^{-1} * x_moved
-    and delta(x_moved) = 0.  Its q is dropped when delta_lower(lam) != 0,
-    which shows as ``levels[upper].q is None`` in the result; no Python
-    warning is issued.
+    ``check_swap_compatibility`` refuses a pair that cannot be swapped,
+    and this function only builds: the moved-up level acquires
+    sigma(x_moved) = lam^{-1} * x_moved and delta(x_moved) = 0.  Its q is
+    dropped when delta_lower(lam) != 0, which shows as
+    ``levels[upper].q is None`` in the result; no Python warning is
+    issued.  On a valid tower the swapped presentation is the same ring,
+    and it is valid; on an invalid one the answer is meaningless, so a
+    caller that may hold one checks ``tower.validation`` (the CLI's
+    ``swap`` does; ``erase_all`` validates its input).
 
     The levels above the pair are carried over by the ring map that sends
     each variable to its new position (``_substitute``), since x_p^a
     x_{p+1}^b is lam^{-ab} x_{p+1}^b x_p^a in the swapped order; a c part
     that then lies above its variable is an ill-formed presentation.
     """
-    compat = check_swap_compatibility(tower, upper)
-    if compat.witness is not None:
-        raise CompatibilityFailed(
-            f"levels {upper} and {upper + 1} do not commute as required; "
-            f"witness {compat.witness}",
-            witness=compat.witness,
-        )
-
+    q_preserved = check_swap_compatibility(tower, upper)
     hi = tower.levels[upper]
     lo = tower.levels[upper - 1]
     lam, _c = tower.sigma_var_raw(upper, upper - 1)
@@ -279,7 +278,7 @@ def swap_adjacent(tower: OreTower, upper: int) -> OreTower:
     moved_up = replace(
         lo,
         sigma_vars={**lo.sigma_vars, p: (lam.inverse(), {})},
-        q=lo.q if compat.q_preserved else None,
+        q=lo.q if q_preserved else None,
     )
     # the new position of each old variable: x_p and x_{p+1} trade places
     new_pos = list(range(tower.height))
@@ -352,9 +351,7 @@ def erase_all(tower: OreTower, search_degree_bound: int = DEFAULT_SEARCH_DEGREE)
     result_tower = tower.sigma_only([working.levels[top - i].q for i in range(n)])
     report = result_tower.validation
     if not report.ok:
-        raise VerificationFailed(
-            f"erasure produced an invalid tower: {report.first_failure}"
-        )
+        raise VerificationFailed(f"erasure produced an invalid tower: {report.failure_text}")
 
     check_ring_map(result_tower, tower, y_elements)
 

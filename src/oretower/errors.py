@@ -30,11 +30,7 @@ class NotDiagonal(OreError):
 
 
 class CompatibilityFailed(OreError):
-    """The commutation conditions required to exchange two adjacent levels fail."""
-
-    def __init__(self, message, witness=None):
-        super().__init__(message)
-        self.witness = witness
+    """Exchanging two adjacent levels leaves a level above them ill-formed."""
 
 
 class UnsupportedErasure(OreError):

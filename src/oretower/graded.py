@@ -26,8 +26,8 @@ from dataclasses import dataclass, field as dc_field
 from typing import Callable
 
 from .errors import HypothesisViolation
-from .skewpoly import SkewPoly, degree_leading
-from .tower import NO_MAP, OreTower, _level_generators
+from .skewpoly import SkewPoly, _level_generators, degree_leading
+from .tower import NO_MAP, OreTower
 
 
 @dataclass
@@ -80,7 +80,7 @@ def associated_graded_tower(tower: OreTower) -> GradedPresentation:
     report = result.validation
     if not report.ok:
         raise HypothesisViolation(
-            f"degenerated presentation is not a valid tower: {report.first_failure}"
+            f"degenerated presentation is not a valid tower: {report.failure_text}"
         )
     return GradedPresentation(result=result, step_log=steps)
 

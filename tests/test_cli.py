@@ -661,19 +661,50 @@ def test_swap_command_reports_a_dropped_q(capsys, tmp_path):
     assert "q =" not in payload["tower"]
 
 
-def test_swap_command_checks_the_field_generator(capsys, tmp_path):
-    # sigma2 delta1(t) = 1 but t * delta1(sigma2(t)) = t: a check on the
-    # field basis {1} alone would let this swap through
-    path = tmp_path / "ratfunc.tw"
-    path.write_text(
-        f"{_QT_BASE}{_LEVEL}delta_base = 1\n\n{_LEVEL_2}sigma x1 = t * x1\n",
-        encoding="utf-8",
-    )
-    rc = run(["swap", "--tower", str(path), "--level", "2", "--json"])
+@pytest.mark.parametrize(
+    "text, failure",
+    [
+        # sigma2 delta1(t) = 1 but t * delta1(sigma2(t)) = t: sigma2 is no
+        # endomorphism, and a check on the field basis {1} alone would let
+        # the swap through
+        (
+            f"{_QT_BASE}{_LEVEL}delta_base = 1\n\n{_LEVEL_2}sigma x1 = t * x1\n",
+            "level 2 sigma multiplicative: ",
+        ),
+        # the quantum Weyl level declares a wrong q; the pair of x2 and x3
+        # passes the swap conditions, and before the validity check the
+        # swap printed a tower that still declared q = 2
+        (
+            "[base]\nkind = field\nfield = Q(q)\n\n"
+            "[[level]]\nvar = x1\n\n"
+            "[[level]]\nvar = x2\nsigma x1 = q * x1\ndelta x1 = 1\nq = 2\n\n"
+            "[[level]]\nvar = x3\nsigma x1 = q * x1\nsigma x2 = 1/q * x2\n",
+            "level 2 q-skew identity: lhs = q ; rhs = 2",
+        ),
+    ],
+    ids=["ratfunc", "wrong_q"],
+)
+def test_swap_command_refuses_an_invalid_tower(capsys, tmp_path, text, failure):
+    path = tmp_path / "invalid.tw"
+    path.write_text(text, encoding="utf-8")
+    height = text.count("[[level]]")
+    rc = run(["swap", "--tower", str(path), "--level", str(height), "--json"])
     assert rc == 1
     payload = json.loads(capsys.readouterr().out)
-    assert payload["kind"] == "CompatibilityFailed"
-    assert payload["error"].endswith("witness t")
+    assert payload["kind"] == "HypothesisViolation"
+    assert payload["error"].startswith(f"tower is invalid: {failure}")
+    assert run(["validate", "--tower", str(path)]) == 1
+    assert capsys.readouterr().out.startswith(f"invalid: {failure}")
+
+
+def test_swap_command_checks_the_preconditions_first(capsys):
+    # broken_qskew is invalid, and its upper level carries a delta: the
+    # precondition's NotDiagonal comes before the validity check
+    path = FIXTURES / "broken_qskew.tw"
+    assert run(["swap", "--tower", str(path), "--level", "2", "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "NotDiagonal"
+    assert payload["error"] == "level 2 still carries a delta; cannot move it down"
 
 
 def test_swap_reverifies_its_answer(capsys, monkeypatch, tmp_path):
@@ -777,6 +808,24 @@ def test_non_automorphism_fails_fast(capsys, tmp_path):
     assert run(["central", "--tower", str(path), "x1^16", "--json"]) == 1
     assert json.loads(capsys.readouterr().out)["kind"] == "HypothesisViolation"
     assert time.perf_counter() - start < 1.0
+
+
+def test_gr_names_the_failure_as_validate_does(capsys, tmp_path):
+    """gr's sigma-only result keeps sigma_base = t^2, which is no
+    automorphism of Q(t), and gr names the failure 1-based, as validate
+    does."""
+    path = tmp_path / "square.tw"
+    path.write_text(
+        "[base]\nkind = field\nfield = Q(t)\n\n" + _LEVEL + "sigma_base = t^2\n",
+        encoding="utf-8",
+    )
+    failure = "level 1 sigma_base automorphism: generator image t^2 is not a unit fraction"
+    assert run(["validate", "--tower", str(path)]) == 1
+    assert capsys.readouterr().out == f"invalid: {failure}\n"
+    assert run(["gr", "--tower", str(path), "--json"]) == 1
+    payload = json.loads(capsys.readouterr().out)
+    assert payload["kind"] == "HypothesisViolation"
+    assert payload["error"] == f"degenerated presentation is not a valid tower: {failure}"
 
 
 def test_long_power_run_time_gate(capsys):

@@ -41,7 +41,7 @@ from conftest import (
     weyl_sigma_top_tower,
     zeta5_deriv_tower,
 )
-from test_tower import _numeric_mutants, _unit_by_unit
+from test_tower import _numeric_mutants, _perm_diag_tower, _unit_by_unit
 
 FIXTURES = Path(__file__).parent / "fixtures"
 
@@ -658,22 +658,17 @@ def test_check_ring_map_names_the_first_broken_relation():
     assert (erased, reversed_checked) == (5, 4)
 
 
-def test_swap_compatibility_failure_raises():
-    field = QQ
-    base = BaseRing.matrix_ring(field, 2)
-    diag = BaseMap.conjugation(Matrix(field, [[1, 0], [0, 2]]))
-    perm = BaseMap.conjugation(Matrix(field, [[0, 1], [1, 0]]))
-    tower = OreTower(
-        base,
-        [
-            TowerLevel("x1", sigma_base=perm),
-            TowerLevel("x2", sigma_base=diag, sigma_vars={0: (base.one, {})}),
-        ],
-    )
-    from oretower.errors import CompatibilityFailed
-
-    with pytest.raises(CompatibilityFailed):
-        swap_adjacent(tower, 1)
+def test_swap_of_an_invalid_tower_is_left_to_its_caller():
+    """swap_adjacent checks only the swap preconditions, so on an invalid
+    tower whose pair passes them it answers, and the answer is invalid
+    too.  The ring-map check into the input passes, since it multiplies
+    with the engine's rewriting rules, which the swapped relations
+    restate; so the CLI's swap refuses an invalid input by validating it."""
+    tower = _perm_diag_tower()
+    assert not tower.validation.ok
+    swapped = swap_adjacent(tower, 1)
+    assert not swapped.validation.ok
+    check_ring_map(swapped, tower, [tower.var(1), tower.var(0)])
 
 
 # ---------------------------------------------------------------------------

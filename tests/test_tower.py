@@ -1,3 +1,4 @@
+import contextlib
 import dataclasses
 import functools
 import random
@@ -13,7 +14,7 @@ from oretower.erase import erase_all, swap_adjacent
 from oretower.errors import CompatibilityFailed, HypothesisViolation, NotDiagonal, OreError
 from oretower.graded import associated_graded_tower
 from oretower.scalars import GF, QQ, CyclotomicField, FunctionField, Matrix
-from oretower.skewpoly import SkewPoly, apply_level_map
+from oretower.skewpoly import SkewPoly, _level_generators, apply_level_map
 from oretower.tower import (
     NO_MAP,
     BaseMap,
@@ -22,7 +23,6 @@ from oretower.tower import (
     TowerLevel,
     ValidationReport,
     _base_map_valid,
-    _level_generators,
     _relation_pairs,
     check_swap_compatibility,
     map_order,
@@ -53,6 +53,7 @@ def test_quantum_plane_is_valid():
     report = validate_tower(qplane(QQ, 2))
     assert report.ok
     assert report.first_failure is None
+    assert report.failure_text is None
 
 
 def test_quantum_weyl_is_valid_and_q_skew():
@@ -599,41 +600,72 @@ def test_matrix_base_failure_detail():
 # swap compatibility
 
 
-def test_swap_compatibility_quantum_plane():
-    tower = qplane(QQ, 2)
-    result = check_swap_compatibility(tower, 1)
-    assert result.witness is None
-    assert result.q_preserved
+def _commutation_witness(tower: OreTower, i: int) -> SkewPoly | None:
+    """The first generator g of R_{i-2} with sigma_i sigma_{i-1}(g) !=
+    lam sigma_{i-1} sigma_i(g) lam^{-1} or sigma_i delta_{i-1}(g) !=
+    lam delta_{i-1} sigma_i(g), lam = a_{i,i-1}, else None; levels i and
+    i-1 (0-based) must pass the swap preconditions.  The oracle for the
+    proof in ``check_swap_compatibility`` that a valid tower has none."""
+    lam, _c = tower.sigma_var(i, i - 1)
+    lam_inv = lam.inverse()
+    for g in _level_generators(tower, i - 1):
+        lhs = apply_level_map("sigma", i, apply_level_map("sigma", i - 1, g))
+        rhs = lam * apply_level_map("sigma", i - 1, apply_level_map("sigma", i, g)) * lam_inv
+        if lhs != rhs:
+            return g
+        lhs = apply_level_map("sigma", i, apply_level_map("delta", i - 1, g))
+        rhs = lam * apply_level_map("delta", i - 1, apply_level_map("sigma", i, g))
+        if lhs != rhs:
+            return g
+    return None
 
 
-def test_swap_compatibility_matrix_failure():
-    # sigma2 = conjugation by diag(1, 2), sigma1 = conjugation by the
-    # permutation matrix, lambda = 1: the commutation identity fails; the
-    # first failing unit in row-major order is e12 (e11 commutes through).
+def _perm_diag_tower() -> OreTower:
+    """Mat_2(Q)[x1; conj(perm)][x2; conj(diag(1, 2))] with lambda = 1: x2
+    does not commute with x1 as conj(diag(1, 2)) and conj(perm) do not
+    commute, so the tower is invalid."""
     field = QQ
     base = BaseRing.matrix_ring(field, 2)
     diag = BaseMap.conjugation(Matrix(field, [[1, 0], [0, 2]]))
     perm = BaseMap.conjugation(Matrix(field, [[0, 1], [1, 0]]))
-    tower = OreTower(
+    return OreTower(
         base,
         [
             TowerLevel("x1", sigma_base=perm),
             TowerLevel("x2", sigma_base=diag, sigma_vars={0: (base.one, {})}),
         ],
     )
-    result = check_swap_compatibility(tower, 1)
-    assert result.witness == SkewPoly.from_base(tower, Matrix.unit(field, 2, 0, 1))
+
+
+def test_swap_compatibility_quantum_plane():
+    tower = qplane(QQ, 2)
+    assert check_swap_compatibility(tower, 1) is True
+    assert _commutation_witness(tower, 1) is None
+
+
+def test_swap_compatibility_matrix_tower_is_invalid():
+    # the pair passes the preconditions; the first unit on which the
+    # commutation identity fails in row-major order is e12 (e11 commutes
+    # through), and validation rejects the tower at the same relation
+    tower = _perm_diag_tower()
+    assert check_swap_compatibility(tower, 1) is True
+    assert _commutation_witness(tower, 1) == SkewPoly.from_base(
+        tower, Matrix.unit(QQ, 2, 0, 1)
+    )
+    failure = validate_tower(tower).first_failure
+    assert (failure.level, failure.name) == (1, "sigma multiplicative")
 
 
 def test_swap_compatibility_ratfunc_derivation():
     # on the field generator t, sigma2 delta1(t) = 1 but t delta1(sigma2(t))
-    # = t, so the check fails with witness t; the q-preservation flag
-    # reports delta(lambda) = d/dt(t) = 1 != 0
+    # = t, so the commutation identity fails at t, and the tower is invalid;
+    # the check reports delta(lambda) = d/dt(t) = 1 != 0, so x1 would lose
+    # its q
     tower = ratfunc_deriv_tower()
     t = tower.base.field.gen
-    result = check_swap_compatibility(tower, 1)
-    assert result.witness == SkewPoly.from_base(tower, t)
-    assert not result.q_preserved
+    assert check_swap_compatibility(tower, 1) is False
+    assert _commutation_witness(tower, 1) == SkewPoly.from_base(tower, t)
+    assert not validate_tower(tower).ok
 
 
 @pytest.mark.parametrize("name", ["qweyl_q", "weyl_gf5"])
@@ -682,39 +714,73 @@ def _conftest_towers() -> list:
     ]
 
 
+def _swap_pairs(towers):
+    """Each (tower, i) of ``towers`` whose levels i-1 and i pass the swap
+    preconditions, and the refusal of every other pair."""
+    passing, refused = [], []
+    for tower in towers:
+        for i in range(1, tower.height):
+            try:
+                check_swap_compatibility(tower, i)
+            except NotDiagonal as exc:
+                refused.append((tower, i, exc))
+            else:
+                passing.append((tower, i))
+    return passing, refused
+
+
 def test_swap_compatibility_decides_every_swap():
     """check_swap_compatibility and swap_adjacent agree on every pair of
     levels of every fixture and conftest tower: a pair the check refuses
-    or finds a witness for is refused by the swap with the same error,
-    and on any other pair the swap builds, or finds the moved levels above
-    ill-formed (three_level's swap --level 2)."""
+    is refused by the swap with the same error, and on any other pair the
+    swap builds, or finds the moved levels above ill-formed (three_level's
+    swap --level 2)."""
     towers = [parse_tower_file(path) for path in sorted(FIXTURES.glob("*.tw"))]
+    passing, refused = _swap_pairs(towers + _conftest_towers())
+    for tower, i, exc in refused:
+        with pytest.raises(NotDiagonal) as info:
+            swap_adjacent(tower, i)
+        assert str(info.value) == str(exc)
+    assert refused
     outcomes = set()
-    for tower in towers + _conftest_towers():
-        for i in range(1, tower.height):
-            try:
-                compat = check_swap_compatibility(tower, i)
-            except OreError as exc:
-                with pytest.raises(type(exc)) as info:
-                    swap_adjacent(tower, i)
-                assert str(info.value) == str(exc)
-                outcomes.add("refused")
-                continue
-            if compat.witness is not None:
-                with pytest.raises(CompatibilityFailed) as info:
-                    swap_adjacent(tower, i)
-                assert info.value.witness == compat.witness
-                assert str(info.value).endswith(f"witness {compat.witness}")
-                outcomes.add("witness")
-                continue
-            try:
-                swap_adjacent(tower, i)
-            except CompatibilityFailed as exc:
-                assert str(exc).startswith("swap produced an ill-formed presentation")
-                outcomes.add("ill-formed")
-            else:
-                outcomes.add("swapped")
-    assert outcomes == {"refused", "witness", "ill-formed", "swapped"}
+    for tower, i in passing:
+        try:
+            swap_adjacent(tower, i)
+        except CompatibilityFailed as exc:
+            assert str(exc).startswith("swap produced an ill-formed presentation")
+            outcomes.add("ill-formed")
+        else:
+            outcomes.add("swapped")
+    assert outcomes == {"ill-formed", "swapped"}
+
+
+def test_validity_decides_the_commutation_identities():
+    """On every pair that passes the swap preconditions, over the
+    fixtures, the conftest towers and seeded numeric mutants, a tower
+    whose levels up to the upper one are valid has no commutation witness
+    (the proof in check_swap_compatibility), and a swap of a valid tower
+    that builds is valid, so erase_all needs no check between its swaps.
+    The witnesses found are all on invalid towers, ratfunc_deriv_tower's
+    among them."""
+    towers = [parse_tower_file(path) for path in sorted(FIXTURES.glob("*.tw"))]
+    towers += _conftest_towers()
+    for seed in (6, 11, 12, 13):
+        towers += [parse_tower_text(text) for text in _numeric_mutants(1500, seed=seed)]
+    passing, _refused = _swap_pairs(towers)
+    valid_pairs = witnessed = swapped_valid = 0
+    for tower, i in passing:
+        witness = _commutation_witness(tower, i)
+        if all(c.ok for c in tower.validation.checks if c.level <= i):
+            assert witness is None, render_tower_file(tower)
+            valid_pairs += 1
+        elif witness is not None:
+            witnessed += 1
+        if tower.validation.ok:
+            with contextlib.suppress(CompatibilityFailed):
+                assert swap_adjacent(tower, i).validation.ok, render_tower_file(tower)
+                swapped_valid += 1
+    # 3,402 valid pairs, the 4 witnessed pairs all invalid, 1,791 valid swaps
+    assert valid_pairs >= 3000 and witnessed >= 2 and swapped_valid >= 1500
 
 
 def _one_level_tower(field, sigma_image=None, d=None) -> OreTower:
